@@ -31,6 +31,21 @@ def obedience_slack(game: BaseGame, outcome: Outcome, player, rec, dev):
     return total
 
 
+def obedience_row(game: BaseGame, player, rec, dev) -> dict:
+    """Coefficients of the obedience slack of (rec -> dev) as a linear
+    functional of the outcome, over the cells where ``rec`` is recommended."""
+    k = game.player_index(player)
+    coeffs = {}
+    for opp in game.opponent_profiles(player):
+        profile = opp[:k] + (rec,) + opp[k:]
+        swapped = opp[:k] + (dev,) + opp[k:]
+        for state in game.states:
+            diff = game.u(player, profile, state) - game.u(player, swapped, state)
+            if diff:
+                coeffs[(profile, state)] = diff
+    return coeffs
+
+
 class BceCheck(NamedTuple):
     ok: bool
     witness: Optional[tuple]  # (player, rec, dev, slack) for the first violation
@@ -69,20 +84,10 @@ class BcePolytope:
             coeffs = {(profile, state): ONE for profile in game.profiles()}
             constraints.append((coeffs, _lp.EQUAL, game.prior[state]))
         for i in game.players:
-            k = game.player_index(i)
             for rec in game.actions[i]:
                 for dev in game.actions[i]:
-                    if rec == dev:
-                        continue
-                    coeffs = {}
-                    for opp in game.opponent_profiles(i):
-                        profile = opp[:k] + (rec,) + opp[k:]
-                        swapped = opp[:k] + (dev,) + opp[k:]
-                        for state in game.states:
-                            diff = game.u(i, profile, state) - game.u(i, swapped, state)
-                            if diff:
-                                coeffs[(profile, state)] = diff
-                    constraints.append((coeffs, _lp.GREATER, ZERO))
+                    if rec != dev:
+                        constraints.append((obedience_row(game, i, rec, dev), _lp.GREATER, ZERO))
         bounds = {v: (ZERO, None) for v in variables}
         return cls(game=game, variables=variables, constraints=constraints, bounds=bounds)
 

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import InternalInvariantError, RibceError, ValidationError
-from .games import gross_value, is_symmetric_game, uninformed_value
+from .games import gross_value, is_symmetric_game, uninformed_value, utility_distance
 from .bce import is_bce
 from .io import (
     game_to_dict,
@@ -225,11 +225,7 @@ def cmd_perturb(args) -> dict:
     outcome = load_outcome(args.outcome, game)
     epsilon = parse_rational(args.epsilon)
     perturbed = separating_perturbation(game, outcome, epsilon)
-    dist = max(
-        abs(perturbed.u(i, profile, state) - game.u(i, profile, state))
-        for i in game.players
-        for (profile, state) in game.cells()
-    )
+    dist = utility_distance(perturbed, game)
     payload = game_to_dict(perturbed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -41,10 +41,6 @@ class GameNotSymmetric(ValidationError):
     code = "game_not_symmetric"
 
 
-class NotSymmetric(GameNotSymmetric):
-    code = "not_symmetric"
-
-
 class NotBinaryAction(ValidationError):
     code = "not_binary_action"
 

@@ -193,6 +193,16 @@ def uninformed_value(game: BaseGame, outcome: Outcome, player):
     return best, best_action
 
 
+def utility_distance(a: BaseGame, b: BaseGame):
+    """Sup-norm distance between the utilities of two games on the same
+    players, profiles and states."""
+    return max(
+        abs(a.u(i, profile, state) - b.u(i, profile, state))
+        for i in a.players
+        for (profile, state) in a.cells()
+    )
+
+
 def permute_profile(game: BaseGame, profile, phi) -> tuple:
     """The profile a_phi with (a_phi)_j = a_{phi(j)}; phi maps player index
     to player index."""

@@ -7,10 +7,16 @@ outcomes are equivalent to kernels over attacker counts, which keeps the
 worst-case welfare programs tractable for large n, and the worst case under
 acquired information has the closed form -n*x*k/(1+x) regardless of the
 threshold distribution.
+
+The count-space reduction holds for every symmetric binary-action game:
+``count_space`` builds its LP pieces from a payoff table indexed by own
+action, opponents on action 1 and state, and serves both the regime
+programs here and the symmetric gap test in ``welfare``.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 
 from . import lp as _lp
 from .errors import InternalInvariantError, InvalidParams, NotSymmetricOutcome
@@ -72,6 +78,99 @@ class CountKernel:
 
     def mass(self, m, theta):
         return self.q.get((m, theta), ZERO)
+
+
+# The epigraph variable t of the uninformed-welfare programs: every player's
+# best constant-action payoff, shared by all players in a symmetric outcome.
+EPIGRAPH = ("t",)
+
+
+def count_space(n: int, states, prior: dict, payoff):
+    """LP pieces over count kernels of a symmetric game with actions 0 and 1.
+
+    A symmetric outcome is a kernel q(m, theta): the probability, given the
+    state, that m of the n players take action 1.  Given m, a fixed player
+    takes action 1 with weight m/n, facing m-1 opponents on action 1, and
+    action 0 with weight (n-m)/n, facing m.  ``payoff(own, opp, theta)`` is a
+    player's utility from action ``own`` when ``opp`` opponents take action
+    1; it is read once per own in {0, 1}, opp < n and theta.
+
+    Returns a namespace with the (m, theta) ``variables``, their ``bounds``,
+    the per-state normalisation rows sum_m q(m, theta) = 1 as
+    ``constraints``, and row builders whose coefficients carry the prior:
+
+    - ``mass(rec)``: probability that a player is recommended ``rec``;
+    - ``obedience(rec)``: that player's gain from obeying ``rec`` over the
+      other action;
+    - ``gross()``: total expected payoff of all n players;
+    - ``epigraph()``: the rows EPIGRAPH >= payoff of always playing a, for
+      a = 0, 1, so that n * EPIGRAPH bounds total uninformed welfare.
+    """
+    v = {
+        (own, opp, theta): payoff(own, opp, theta)
+        for theta in states
+        for own in (0, 1)
+        for opp in range(n)
+    }
+    share = [Rat(m, n) for m in range(n + 1)]
+    variables = tuple((m, theta) for theta in states for m in range(n + 1))
+
+    def recommended(rec, value):
+        # m = opp + rec players take action 1 when this player plays rec.
+        coeffs = {}
+        for theta in states:
+            pi = prior[theta]
+            for opp in range(n):
+                m = opp + rec
+                val = pi * share[m if rec else n - m] * value(opp, theta)
+                if val:
+                    coeffs[(m, theta)] = val
+        return coeffs
+
+    def mass(rec):
+        return recommended(rec, lambda opp, theta: ONE)
+
+    def obedience(rec):
+        return recommended(rec, lambda opp, theta: v[rec, opp, theta] - v[1 - rec, opp, theta])
+
+    def weighted_sum(weight, own1, own0):
+        # pi * (weight[m] * v(own1 against m-1) + weight[n-m] * v(own0 against m))
+        coeffs = {}
+        for theta in states:
+            pi = prior[theta]
+            for m in range(n + 1):
+                val = ZERO
+                if m:
+                    val += weight[m] * v[own1, m - 1, theta]
+                if m < n:
+                    val += weight[n - m] * v[own0, m, theta]
+                val *= pi
+                if val:
+                    coeffs[(m, theta)] = val
+        return coeffs
+
+    def gross():
+        return weighted_sum(range(n + 1), 1, 0)
+
+    def epigraph():
+        rows = []
+        for a in (0, 1):
+            coeffs = {key: -val for key, val in weighted_sum(share, a, a).items()}
+            coeffs[EPIGRAPH] = ONE
+            rows.append((coeffs, _lp.GREATER, ZERO))
+        return rows
+
+    return SimpleNamespace(
+        variables=variables,
+        bounds={var: (ZERO, None) for var in variables},
+        constraints=[
+            ({(m, theta): ONE for m in range(n + 1)}, _lp.EQUAL, ONE) for theta in states
+        ],
+        mass=mass,
+        obedience=obedience,
+        gross=gross,
+        epigraph=epigraph,
+    )
 
 
 def _attacker_payoff(params: RegimeParams, total_attackers: int, theta: int):
@@ -155,49 +254,6 @@ def gap_closed_form(params: RegimeParams) -> bool:
     return gap
 
 
-def _count_weights(params: RegimeParams):
-    """Count-space conditioning identities: given m total attackers, a given
-    investor attacks with weight m/n and stays with weight (n-m)/n."""
-    n = params.n
-    return {m: Rat(m, n) for m in range(n + 1)}, {m: Rat(n - m, n) for m in range(n + 1)}
-
-
-def _reduced_polytope(params: RegimeParams):
-    n = params.n
-    variables = tuple((m, theta) for theta in params.thresholds for m in range(n + 1))
-    bounds = {v: (ZERO, None) for v in variables}
-    constraints = []
-    for theta in params.thresholds:
-        coeffs = {(m, theta): ONE for m in range(n + 1)}
-        constraints.append((coeffs, _lp.EQUAL, ONE))
-    w_att, w_stay = _count_weights(params)
-
-    # Obedience for "attack": opponents hold m-1 attackers; deviating to stay
-    # drops the total to m-1.
-    coeffs = {}
-    for theta in params.thresholds:
-        pi = params.prior[theta]
-        for m in range(1, n + 1):
-            diff = _attacker_payoff(params, m, theta) - _passive_payoff(params, m - 1, theta)
-            val = pi * w_att[m] * diff
-            if val:
-                coeffs[(m, theta)] = val
-    constraints.append((coeffs, _lp.GREATER, ZERO))
-
-    # Obedience for "stay": opponents hold all m attackers; deviating to attack
-    # lifts the total to m+1.
-    coeffs = {}
-    for theta in params.thresholds:
-        pi = params.prior[theta]
-        for m in range(n):
-            diff = _passive_payoff(params, m, theta) - _attacker_payoff(params, m + 1, theta)
-            val = pi * w_stay[m] * diff
-            if val:
-                coeffs[(m, theta)] = val
-    constraints.append((coeffs, _lp.GREATER, ZERO))
-    return variables, constraints, bounds
-
-
 def reduced_symmetric_lp(params: RegimeParams, objective: str):
     """Exact worst-case welfare over symmetric BCEs in count space.
 
@@ -205,70 +261,36 @@ def reduced_symmetric_lp(params: RegimeParams, objective: str):
     optimum equals the full-game optimum because both worst-case programs
     admit symmetric minimizers.  Returns (value, CountKernel).
     """
-    n = params.n
-    variables, constraints, bounds = _reduced_polytope(params)
-    w_att, w_stay = _count_weights(params)
-
-    if objective == GROSS_WELFARE:
-        obj = {}
-        for theta in params.thresholds:
-            pi = params.prior[theta]
-            for m in range(n + 1):
-                total = m * _attacker_payoff(params, m, theta) + (n - m) * _passive_payoff(
-                    params, m, theta
-                )
-                val = pi * total
-                if val:
-                    obj[(m, theta)] = val
-        lp = _lp.LinearProgram(
-            variables=variables,
-            objective=obj,
-            sense="min",
-            constraints=constraints,
-            bounds=bounds,
-        )
-        sol = _lp.solve(lp)
-        if not sol.is_optimal:
-            raise InternalInvariantError(f"reduced LP is {sol.status}")
-        kernel = CountKernel(n=n, q={v: sol.point[v] for v in variables if sol.point[v]})
-        return sol.value, kernel
-
-    if objective != UNINFORMED_WELFARE:
+    if objective not in (GROSS_WELFARE, UNINFORMED_WELFARE):
         raise InvalidParams(f"unknown objective {objective!r}")
 
-    # Always-attack / always-stay deviation payoffs, conditional on the count.
-    u_attack = {}
-    u_stay = {}
-    for theta in params.thresholds:
-        pi = params.prior[theta]
-        for m in range(n + 1):
-            att = w_att[m] * _attacker_payoff(params, m, theta) + w_stay[m] * _attacker_payoff(
-                params, m + 1, theta
-            )
-            sty = w_att[m] * _passive_payoff(params, m - 1, theta) + w_stay[m] * _passive_payoff(
-                params, m, theta
-            )
-            if pi * att:
-                u_attack[(m, theta)] = pi * att
-            if pi * sty:
-                u_stay[(m, theta)] = pi * sty
-    tvar = ("t",)
-    rows = list(constraints)
-    for dev in (u_stay, u_attack):
-        coeffs = {key: -val for key, val in dev.items()}
-        coeffs[tvar] = ONE
-        rows.append((coeffs, _lp.GREATER, ZERO))
+    def payoff(own, opp, theta):
+        if own:
+            return _attacker_payoff(params, opp + 1, theta)
+        return _passive_payoff(params, opp, theta)
+
+    space = count_space(params.n, params.thresholds, params.prior, payoff)
+    constraints = space.constraints + [
+        (space.obedience(1), _lp.GREATER, ZERO),
+        (space.obedience(0), _lp.GREATER, ZERO),
+    ]
+    if objective == GROSS_WELFARE:
+        variables, obj = space.variables, space.gross()
+    else:
+        variables = space.variables + (EPIGRAPH,)
+        constraints += space.epigraph()
+        obj = {EPIGRAPH: Rat(params.n)}
     lp = _lp.LinearProgram(
-        variables=variables + (tvar,),
-        objective={tvar: Rat(n)},
+        variables=variables,
+        objective=obj,
         sense="min",
-        constraints=rows,
-        bounds=bounds,
+        constraints=constraints,
+        bounds=space.bounds,
     )
     sol = _lp.solve(lp)
     if not sol.is_optimal:
         raise InternalInvariantError(f"reduced LP is {sol.status}")
-    kernel = CountKernel(n=n, q={v: sol.point[v] for v in variables if sol.point[v]})
+    kernel = CountKernel(n=params.n, q={v: sol.point[v] for v in space.variables if sol.point[v]})
     return sol.value, kernel
 
 

@@ -20,6 +20,7 @@ from .bce import (
     is_bce,
     max_support_point,
     mix_outcomes,
+    obedience_row,
 )
 from .errors import (
     InternalInvariantError,
@@ -28,7 +29,7 @@ from .errors import (
     RetriesExhausted,
     ValidationError,
 )
-from .games import BaseGame, Outcome, check_action, validate_outcome
+from .games import BaseGame, Outcome, check_action, utility_distance, validate_outcome
 from .rational import ONE, ZERO, Rat
 from .separation import beliefs_equal, conditional_belief, is_sbce, is_separated
 from .vertices import enumerate_vertices
@@ -55,17 +56,7 @@ def jeopardizes(game: BaseGame, player, action, target, poly: Optional[BcePolyto
     check_action(game, player, action)
     check_action(game, player, target)
     poly = poly or BcePolytope.of(game)
-    k = game.player_index(player)
-    coeffs = {}
-    if action != target:
-        for opp in game.opponent_profiles(player):
-            profile = opp[:k] + (target,) + opp[k:]
-            swapped = opp[:k] + (action,) + opp[k:]
-            for state in game.states:
-                diff = game.u(player, profile, state) - game.u(player, swapped, state)
-                if diff:
-                    coeffs[(profile, state)] = diff
-    sol = _lp.solve(poly.lp(coeffs, "max"))
+    sol = _lp.solve(poly.lp(obedience_row(game, player, target, action), "max"))
     if not sol.is_optimal:
         raise InternalInvariantError(f"jeopardization LP is {sol.status}")
     if sol.value < 0:
@@ -559,12 +550,7 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
         utilities=utilities,
     )
 
-    dist = max(
-        abs(perturbed.u(i, profile, state) - game.u(i, profile, state))
-        for i in game.players
-        for (profile, state) in game.cells()
-    )
-    if dist > epsilon:
+    if utility_distance(perturbed, game) > epsilon:
         raise InternalInvariantError("perturbation exceeded the requested distance")
     if not is_sbce(perturbed, outcome):
         raise InternalInvariantError("perturbed game failed to separate the outcome")

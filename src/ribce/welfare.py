@@ -11,7 +11,7 @@ the gap between them is what separates the two regimes for a planner.
 from dataclasses import dataclass
 from . import lp as _lp
 from .bce import BcePolytope, is_bce, minimize_linear_over_bce
-from .errors import InternalInvariantError, NotABce, NotBinaryAction, NotSymmetric
+from .errors import GameNotSymmetric, InternalInvariantError, NotABce, NotBinaryAction
 from .games import (
     BaseGame,
     Outcome,
@@ -19,7 +19,8 @@ from .games import (
     is_symmetric_game,
     uninformed_value,
 )
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, Rat
+from .regime import EPIGRAPH, count_space
 
 RATIONAL_INATTENTION = "rational_inattention"
 ARBITRARY_TECHNOLOGY = "arbitrary_technology"
@@ -157,24 +158,6 @@ def welfare_report(game: BaseGame) -> WelfareReport:
     )
 
 
-def _symmetry_rows(game: BaseGame):
-    """Equalities tying each cell to its orbit representative under player
-    permutations (generated by adjacent transpositions)."""
-    n = len(game.players)
-    rows = []
-    for t in range(n - 1):
-        phi = list(range(n))
-        phi[t], phi[t + 1] = phi[t + 1], phi[t]
-        for cell in game.cells():
-            profile, state = cell
-            moved = tuple(profile[phi[j]] for j in range(n))
-            if moved == profile:
-                continue
-            if (profile, state) < ((moved, state)):
-                rows.append(({cell: ONE, (moved, state): -ONE}, _lp.EQUAL, ZERO))
-    return rows
-
-
 def binary_symmetric_gap_test(game: BaseGame):
     """Decides w_inattention < w_exogenous for symmetric binary-action games
     without computing either worst case.
@@ -185,77 +168,55 @@ def binary_symmetric_gap_test(game: BaseGame):
     strictly unique best response; both "for all minimizers" conditions
     reduce to strict positivity of per-quantity minima over the optimal face.
 
+    Symmetric outcomes are kernels over the count of players taking the
+    second action, so every program runs in count space (``regime.count_space``)
+    on n+1 variables per state and one epigraph variable, with payoffs read
+    at one representative profile per (own action, opponent count, state).
+
     Returns (gap_strict, diagnostic dict).
     """
     if not is_symmetric_game(game):
-        raise NotSymmetric("gap test requires a symmetric game")
+        raise GameNotSymmetric("gap test requires a symmetric game")
     if any(len(game.actions[i]) != 2 for i in game.players):
         raise NotBinaryAction("gap test requires binary actions")
 
-    variables = tuple(game.cells())
-    bounds = {v: (ZERO, None) for v in variables}
-    constraints = []
-    for state in game.states:
-        coeffs = {(profile, state): ONE for profile in game.profiles()}
-        constraints.append((coeffs, _lp.EQUAL, game.prior[state]))
-    constraints.extend(_symmetry_rows(game))
+    # Symmetric outcomes make every player's conditions identical; the first
+    # player stands for them all.
+    i = game.players[0]
+    n = len(game.players)
+    actions = game.actions[i]
 
-    tvars = tuple(("t", i) for i in game.players)
-    epi_rows = []
-    for i in game.players:
-        for action in game.actions[i]:
-            coeffs = {k: -c for k, c in _deviation_row(game, i, action).items()}
-            coeffs[("t", i)] = ONE
-            epi_rows.append((coeffs, _lp.GREATER, ZERO))
-    relaxed = _lp.LinearProgram(
-        variables=variables + tvars,
-        objective={("t", i): ONE for i in game.players},
-        sense="min",
-        constraints=constraints + epi_rows,
-        bounds=bounds,
-    )
-    sol = _lp.solve(relaxed)
-    if not sol.is_optimal:
-        raise InternalInvariantError(f"relaxed symmetric LP is {sol.status}")
-    face_rows = constraints + epi_rows + [
-        ({("t", i): ONE for i in game.players}, _lp.EQUAL, sol.value)
-    ]
+    def payoff(own, opp, state):
+        profile = (actions[own],) + (actions[1],) * opp + (actions[0],) * (n - 1 - opp)
+        return game.u(i, profile, state)
 
-    def face_min(objective):
+    space = count_space(n, game.states, game.prior, payoff)
+    variables = space.variables + (EPIGRAPH,)
+    constraints = space.constraints + space.epigraph()
+    uninformed = {EPIGRAPH: Rat(n)}
+
+    def minimize(objective, rows, name):
         lp = _lp.LinearProgram(
-            variables=variables + tvars,
+            variables=variables,
             objective=objective,
             sense="min",
-            constraints=face_rows,
-            bounds=bounds,
+            constraints=rows,
+            bounds=space.bounds,
         )
-        s = _lp.solve(lp)
-        if not s.is_optimal:
-            raise InternalInvariantError(f"optimal-face LP is {s.status}")
-        return s.value
+        sol = _lp.solve(lp)
+        if not sol.is_optimal:
+            raise InternalInvariantError(f"{name} LP is {sol.status}")
+        return sol.value
 
-    # Symmetric outcomes make every player's conditions identical; testing the
-    # first player covers them all.
-    i = game.players[0]
-    k = game.player_index(i)
-    diagnostics = {"relaxed_value": sol.value, "per_action": {}}
+    relaxed = minimize(uninformed, constraints, "relaxed symmetric")
+    face_rows = constraints + [(uninformed, _lp.EQUAL, relaxed)]
+
+    diagnostics = {"relaxed_value": relaxed, "per_action": {}}
     gap = True
-    a0, a1 = game.actions[i]
-    for rec, dev in ((a0, a1), (a1, a0)):
-        marg = {}
-        slack = {}
-        for cell in variables:
-            profile, state = cell
-            if profile[k] != rec:
-                continue
-            marg[cell] = ONE
-            swapped = profile[:k] + (dev,) + profile[k + 1 :]
-            diff = game.u(i, profile, state) - game.u(i, swapped, state)
-            if diff:
-                slack[cell] = diff
-        min_mass = face_min(marg)
-        min_slack = face_min(slack)
-        diagnostics["per_action"][rec] = {
+    for rec in (0, 1):
+        min_mass = minimize(space.mass(rec), face_rows, "optimal-face")
+        min_slack = minimize(space.obedience(rec), face_rows, "optimal-face")
+        diagnostics["per_action"][actions[rec]] = {
             "min_probability": min_mass,
             "min_strict_br_slack": min_slack,
         }

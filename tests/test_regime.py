@@ -95,13 +95,23 @@ def test_gap_closed_form_cases():
 
 def test_reduced_lp_matches_closed_form_and_full_lp():
     cases = [
-        _params(n=4, k=Rat(1, 2), x=Rat(1)),
-        _params(n=5, k=Rat(1, 2), x=Rat(1), thresholds=(2, 3), prior={2: Rat(1, 2), 3: Rat(1, 2)}),
+        (
+            _params(n=4, k=Rat(1, 2), x=Rat(1)),
+            {(0, 2): Rat(3, 4), (3, 2): Rat(1, 4)},
+            {(0, 2): Rat(3, 5), (2, 2): Rat(2, 5)},
+        ),
+        (
+            _params(n=5, k=Rat(1, 2), x=Rat(1), thresholds=(2, 3), prior={2: Rat(1, 2), 3: Rat(1, 2)}),
+            {(0, 2): Rat(1, 2), (0, 3): Rat(1), (5, 2): Rat(1, 2)},
+            {(0, 2): Rat(5, 14), (1, 3): Rat(1), (2, 2): Rat(9, 14)},
+        ),
     ]
-    for params in cases:
+    for params, kernel_u, kernel_g in cases:
         value, kernel = reduced_symmetric_lp(params, UNINFORMED_WELFARE)
         assert value == wlower_closed_form(params)
-        gross, _ = reduced_symmetric_lp(params, GROSS_WELFARE)
+        assert kernel == CountKernel(n=params.n, q=kernel_u)
+        gross, kernel = reduced_symmetric_lp(params, GROSS_WELFARE)
+        assert kernel == CountKernel(n=params.n, q=kernel_g)
         g = build_regime_game(params)
         assert gross == worst_case_exogenous(g)[0]
         assert value == worst_case_rational_inattention(g)[0]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ribce.errors import NotABce, NotBinaryAction, NotSymmetric
+from ribce.errors import GameNotSymmetric, NotABce, NotBinaryAction
 from ribce.games import make_outcome
 from ribce.rational import Rat
 from ribce.regime import RegimeParams, build_regime_game
@@ -108,7 +108,7 @@ def test_worst_case_regime_boundary():
 def test_gap_test_requires_symmetric_binary():
     from sample_games import coordination_game_3x3, matching_pennies
 
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(GameNotSymmetric):
         binary_symmetric_gap_test(coordination_game_3x3())
     g = investment_game(0)  # symmetric but 3 actions
     with pytest.raises(NotBinaryAction):
@@ -129,13 +129,35 @@ def test_gap_test_regime_boundary_case():
     g = build_regime_game(params)
     gap, diag = binary_symmetric_gap_test(g)
     assert gap is False
+    assert diag == {
+        "relaxed_value": Rat(-4, 5),
+        "per_action": {
+            "0": {"min_probability": Rat(5, 16), "min_strict_br_slack": 0},
+            "1": {"min_probability": Rat(3, 16), "min_strict_br_slack": 0},
+        },
+    }
+
+
+def test_gap_test_regime_two_state_diagnostics():
+    params = RegimeParams(
+        n=5, k=Rat(1, 2), x=Rat(1), thresholds=(2, 3), prior={2: Rat(1, 2), 3: Rat(1, 2)}
+    )
+    gap, diag = binary_symmetric_gap_test(build_regime_game(params))
+    assert gap is True
+    assert diag == {
+        "relaxed_value": Rat(-5, 4),
+        "per_action": {
+            "0": {"min_probability": Rat(13, 20), "min_strict_br_slack": Rat(7, 40)},
+            "1": {"min_probability": Rat(3, 20), "min_strict_br_slack": Rat(7, 40)},
+        },
+    }
 
 
 def test_gap_test_agrees_with_direct_comparison():
     rng = random.Random(29)
     gaps = 0
-    for _ in range(15):
-        g = random_symmetric_binary_game(rng, n_players=2)
+    for n_players in (2,) * 15 + (3,) * 6 + (4,) * 4:
+        g = random_symmetric_binary_game(rng, n_players=n_players)
         gap, _ = binary_symmetric_gap_test(g)
         rep = welfare_report(g)
         assert gap == (rep.w_inattention < rep.w_exogenous)
