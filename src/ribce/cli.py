@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import InternalInvariantError, RibceError, ValidationError
+from .errors import InternalInvariantError, InvalidParams, RibceError, ValidationError
 from .games import gross_value, is_symmetric_game, uninformed_value, utility_distance
 from .bce import is_bce
 from .io import (
@@ -143,6 +143,14 @@ def _density_block(game, args) -> dict:
     return block
 
 
+def _flag(name, text, parse=parse_rational):
+    """Parse one flag value; a malformed one is an input problem (exit 2)."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InvalidParams(f"{name}: {exc}") from exc
+
+
 def cmd_check_outcome(args) -> dict:
     game = load_game(args.game)
     outcome = load_outcome(args.outcome, game)
@@ -175,14 +183,14 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_regime(args) -> dict:
-    thresholds = tuple(int(tok) for tok in args.states.split(","))
-    priors = [parse_rational(tok) for tok in args.prior.split(",")]
+    thresholds = tuple(_flag("--states", tok, int) for tok in args.states.split(","))
+    priors = [_flag("--prior", tok) for tok in args.prior.split(",")]
     if len(priors) != len(thresholds):
         raise ValidationError("--prior must list one weight per state")
     params = _regime.RegimeParams(
         n=args.n,
-        k=parse_rational(args.k),
-        x=parse_rational(args.x),
+        k=_flag("--k", args.k),
+        x=_flag("--x", args.x),
         thresholds=thresholds,
         prior=dict(zip(thresholds, priors)),
     )
@@ -223,7 +231,7 @@ def cmd_regime(args) -> dict:
 def cmd_perturb(args) -> dict:
     game = load_game(args.game)
     outcome = load_outcome(args.outcome, game)
-    epsilon = parse_rational(args.epsilon)
+    epsilon = _flag("--epsilon", args.epsilon)
     perturbed = separating_perturbation(game, outcome, epsilon)
     dist = utility_distance(perturbed, game)
     payload = game_to_dict(perturbed)
@@ -286,7 +294,7 @@ def cmd_canonical(args) -> dict:
         "round_trip_exact": round_trip.p == outcome.p,
     }
     if is_sbce(game, outcome):
-        lam = parse_rational(args.lam)
+        lam = _flag("--lam", args.lam)
         cert = cost_certificate(game, outcome, lam)
         report["cost_certificate"] = {
             str(i): {key: rational_to_json(val) for key, val in entry.items()}
@@ -331,7 +339,7 @@ def cmd_vce(args) -> dict:
     verdict = check_vce(
         game,
         outcome,
-        epsilon=parse_rational(args.epsilon),
+        epsilon=_flag("--epsilon", args.epsilon),
         certificate=certificate,
         mode=args.mode,
         seed=args.seed,

@@ -159,23 +159,27 @@ def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
         [col_rows[bjs[r]][surviving[c]] for c in range(size)] + [obj[bjs[r]]]
         for r in range(size)
     ]
-    rank = 0
-    for col in range(size):
-        piv = next((r for r in range(rank, size) if aug[r][col]), None)
-        if piv is None:
-            raise InternalInvariantError("singular basis matrix")
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        _rows.row_scale(aug[rank], ONE / aug[rank][col])
-        for r in range(size):
-            if r != rank and aug[r][col]:
-                _rows.row_eliminate(aug[r], aug[r][col], aug[rank])
-        rank += 1
+    _gauss_jordan(aug, size)
     y = [aug[r][size] for r in range(size)]
     for j, label in enumerate(cols):
         column = [col_rows[j][r] for r in surviving]
         reduced = obj[j] - _rows.dot(y, column)
         if reduced < 0:
             raise InternalInvariantError(f"dual infeasible at column {label}")
+
+
+def _gauss_jordan(aug, size) -> None:
+    """Reduce the first ``size`` columns of the augmented rows ``aug`` to the
+    identity, in place; the trailing columns then hold the solution."""
+    for col in range(size):
+        piv = next((r for r in range(col, size) if aug[r][col]), None)
+        if piv is None:
+            raise InternalInvariantError("singular basis matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        _rows.row_scale(aug[col], ONE / aug[col][col])
+        for r in range(size):
+            if r != col and aug[r][col]:
+                _rows.row_eliminate(aug[r], aug[r][col], aug[col])
 
 
 def _standard_form(lp: LinearProgram):

@@ -17,8 +17,8 @@ import os
 from math import gcd
 
 from . import rows as _rows
-from .errors import DimensionCapExceeded, UnboundedPolytope
-from .lp import GREATER, LESS, Constraint, feasible_point
+from .errors import DimensionCapExceeded, InvalidParams, UnboundedPolytope
+from .lp import GREATER, LESS, Constraint, _gauss_jordan, feasible_point
 from .rational import ONE, ZERO, Rat
 
 DEFAULT_CAP = 24
@@ -28,7 +28,10 @@ def _cap_from_env():
     for name in ("RI_ROBUST_VERTEX_CAP", "RIBCE_VERTEX_CAP"):
         raw = os.environ.get(name)
         if raw:
-            return int(raw)
+            try:
+                return int(raw)
+            except ValueError as exc:
+                raise InvalidParams(f"{name} must be an integer, got {raw!r}") from exc
     return DEFAULT_CAP
 
 
@@ -116,20 +119,8 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     # Extreme rays of {y : B y >= 0} are the columns of B^{-1}.
     size = d + 1
     aug = [list(mrows[chosen[r]]) + [ONE if c == r else ZERO for c in range(size)] for r in range(size)]
-    rank = 0
-    for col in range(size):
-        piv = next(r for r in range(rank, size) if aug[r][col])
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        _rows.row_scale(aug[rank], ONE / aug[rank][col])
-        for r in range(size):
-            if r != rank and aug[r][col]:
-                _rows.row_eliminate(aug[r], aug[r][col], aug[rank])
-        rank += 1
-    inv_cols = [[aug[r][size + c] for r in range(size)] for c in range(size)]
-    # aug rows are now permuted to reduced echelon; recover B^{-1} columns:
-    # after full reduction rows correspond to identity in the first block, so
-    # column c of B^{-1} is the (size+c) entries read in variable order.
-    rays = [ [Rat(x) for x in col] for col in inv_cols ]
+    _gauss_jordan(aug, size)
+    rays = [[aug[r][size + c] for r in range(size)] for c in range(size)]
 
     processed = set(chosen)
 

@@ -213,6 +213,33 @@ def test_exit_code_on_missing_utility_cell(files, capsys, tmp_path):
     assert code == 2 and "missing_utility_entry" in err
 
 
+REGIME = ("regime", "--n", "6", "--k", "1/2", "--x", "1", "--states", "2,3", "--prior", "1/2,1/2")
+
+
+def _regime_with(flag, value):
+    argv = list(REGIME)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--states", _regime_with("--states", "a")),
+        ("--k", _regime_with("--k", "abc")),
+        ("--k", _regime_with("--k", "0.5")),
+        ("--prior", _regime_with("--prior", "x")),
+        ("--epsilon", ["perturb", "game3x3", "p_half", "--epsilon", "tenth"]),
+        ("--lam", ["canonical", "perturbed_intro", "inferior", "--lam", "1/0"]),
+        ("--epsilon", ["vce", "game3x3", "mixed_nash", "--epsilon", "1e-3"]),
+    ],
+)
+def test_exit_code_on_malformed_flag(files, capsys, flag, argv):
+    argv = [str(files[a]) if a in files else a for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and "invalid_params" in err and f"{flag}:" in err
+
+
 def test_analyze_exact_mode_3x3(files, capsys):
     code, out, _ = _run(
         capsys, "analyze", str(files["game3x3"]), "--mode", "exact"

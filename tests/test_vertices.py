@@ -1,6 +1,6 @@
 import pytest
 
-from ribce.errors import DimensionCapExceeded, UnboundedPolytope
+from ribce.errors import DimensionCapExceeded, InvalidParams, UnboundedPolytope
 from ribce.rational import Rat
 from ribce.vertices import enumerate_vertices
 
@@ -51,6 +51,10 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("RI_ROBUST_VERTEX_CAP", "40")
     vs = enumerate_vertices(names[:4], [], bounds={v: (Rat(0), Rat(1)) for v in names[:4]})
     assert len(vs) == 16
+    # a malformed override is an input problem that names the variable
+    monkeypatch.setenv("RI_ROBUST_VERTEX_CAP", "abc")
+    with pytest.raises(InvalidParams, match="RI_ROBUST_VERTEX_CAP.*'abc'"):
+        enumerate_vertices(small, [], bounds={v: (Rat(0), Rat(1)) for v in small})
 
 
 def test_degenerate_polytope_single_point():
