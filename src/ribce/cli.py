@@ -306,27 +306,43 @@ def cmd_canonical(args) -> dict:
 
 
 def _certificate_from_file(path, game):
+    """Read a ``vce --certificate`` file; a missing key or a malformed value
+    is an input problem (exit 2) that names it."""
     data = load_json(path)
     from .representation import PartitionProfile
 
+    def field(obj, key, where="certificate"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise InvalidParams(f"--certificate: missing {where}[{key!r}]")
+        return obj[key]
+
+    def outcome(raw, where):
+        if not isinstance(raw, dict):
+            raise InvalidParams(f"--certificate: {where} is not an outcome map")
+        return outcome_from_dict(game, {"outcome": raw})
+
+    partition = field(data, "partition")
     cells = {}
     for i in game.players:
-        raw = data["partition"][str(i)]
+        amap = {str(a): a for a in game.actions[i]}
         resolved = []
-        for cell in raw:
-            amap = {str(a): a for a in game.actions[i]}
+        for cell in field(partition, str(i), "partition"):
+            for a in cell:
+                if a not in amap:
+                    raise InvalidParams(f"--certificate: unknown action {a!r} of player {i}")
             resolved.append(frozenset(amap[a] for a in cell))
         cells[i] = tuple(resolved)
     components = tuple(
-        outcome_from_dict(game, {"outcome": comp}) for comp in data["components"]
+        outcome(comp, f"components[{k}]") for k, comp in enumerate(field(data, "components"))
     )
-    witness = outcome_from_dict(game, {"outcome": data["sbce_witness"]})
     return VceCertificate(
         partition=PartitionProfile(cells=cells),
-        weights=tuple(parse_rational(w) for w in data["weights"]),
+        weights=tuple(
+            _flag(f"--certificate weights[{k}]", w) for k, w in enumerate(field(data, "weights"))
+        ),
         components=components,
-        sbce_witness=witness,
-        witness_distance=parse_rational(data["witness_distance"]),
+        sbce_witness=outcome(field(data, "sbce_witness"), "sbce_witness"),
+        witness_distance=_flag("--certificate witness_distance", field(data, "witness_distance")),
     )
 
 

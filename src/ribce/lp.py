@@ -1,8 +1,16 @@
 """Exact rational linear programming.
 
-Two-phase dense simplex over exact rationals.  Everything downstream
+Two-phase dense simplex, exact throughout.  Everything downstream
 (obedience polytopes, worst-case welfare, jeopardization, separating
 hyperplanes, garbling feasibility) reduces to `solve`.
+
+The program is rewritten in standard form over exact rationals; the
+tableau is fraction-free.  Each row is kept as the primitive row of Python
+ints that is a positive multiple of its rational row (``rows.primitive``), and
+a pivot combines rows without dividing (``rows.pivot_eliminate``).  A positive
+row scale changes no sign and no ratio, so the pivots, the basis and the
+answer are those of the rational tableau; rationals come back only when
+the basic values are read out.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
@@ -13,6 +21,7 @@ basic column index.
 """
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Optional
 
 from . import rows as _rows
@@ -256,66 +265,89 @@ def _standard_form(lp: LinearProgram):
 
 
 class _Tableau:
-    """Dense simplex tableau; rows are Python lists handled by the row kernels."""
+    """Dense fraction-free simplex tableau.
 
-    def __init__(self, col_rows, b, ncols):
-        m = len(b)
+    Row r is ``rows.primitive`` of its rational row, so a positive multiple of
+    it, and the basic entry ``T[r][basis[r]]`` is positive.  While a phase
+    runs its cost row rides as the last row, so each pivot updates it with the
+    rest.  Every choice reads signs and ratios within a row or of one column
+    across rows, which a positive row scale leaves alone: the pivots are
+    those of the rational tableau.
+    """
+
+    def __init__(self, col_rows, b):
+        """Phase 1: the standard-form rows plus one artificial column per row,
+        which start as the basis."""
+        n, m = len(col_rows), len(b)
         self.m = m
-        self.n = ncols
-        self.T = [[col_rows[j][r] for j in range(ncols)] + [b[r]] for r in range(m)]
-        self.basis = [-1] * m
+        self.n = n + m
+        self.T = []
+        for r in range(m):
+            head = _rows.primitive([col[r] for col in col_rows] + [ONE, b[r]])
+            row = head[:n] + [0] * m + head[-1:]
+            row[n + r] = head[n]
+            self.T.append(row)
+        self.basis = list(range(n, n + m))
 
     def pivot(self, r, j):
-        T = self.T
-        _rows.row_scale(T[r], ONE / T[r][j])
-        _rows.pivot_eliminate(T, r, j)
+        _rows.pivot_eliminate(self.T, r, j)
         self.basis[r] = j
 
     def cost_row(self, obj):
-        """Reduced costs of ``obj`` against the current basis."""
-        cost = list(obj) + [ZERO]
-        for r, bj in enumerate(self.basis):
-            if cost[bj]:
-                _rows.row_eliminate(cost, cost[bj], self.T[r])
-        return cost
-
-    def run(self, cost, allowed, rule):
-        """Minimize; mutates tableau and cost row in place.  Basic columns have
-        reduced cost exactly zero, so any column with cost < 0 is nonbasic."""
+        """Reduced costs of ``obj`` against the current basis, as a primitive
+        int row (a positive multiple of the rational one)."""
+        cost = _rows.primitive(list(obj) + [ZERO])
         T = self.T
+        pivots = [(r, cost[bj], T[r][bj]) for r, bj in enumerate(self.basis) if cost[bj]]
+        scale = lcm(*[p for _, _, p in pivots])
+        out = [scale * c for c in cost]
+        for r, f, p in pivots:
+            k = f * (scale // p)
+            out = [o - k * t for o, t in zip(out, T[r])]
+        return _rows.primitive(out)
+
+    def run(self, rule):
+        """Minimize the cost row ``T[m]``; mutates the tableau in place.  Basic
+        columns have reduced cost exactly zero, so any column with cost < 0 is
+        nonbasic."""
+        T = self.T
+        m = self.m
         n = self.n
+        basis = self.basis
         bland = rule == "bland"
         stall = 0
         while True:
+            cost = T[m]
             enter = -1
             if bland:
                 for j in range(n):
-                    if allowed[j] and cost[j] < 0:
+                    if cost[j] < 0:
                         enter = j
                         break
             else:
-                best = ZERO
+                best = 0
                 for j in range(n):
-                    if allowed[j] and cost[j] < best:
+                    if cost[j] < best:
                         best = cost[j]
                         enter = j
             if enter < 0:
                 return OPTIMAL
+            # Ratio test: rhs / a is scale-free; compare rhs_r / a_r against
+            # the leader's by cross products.
             leave = -1
-            ratio = None
-            for r in range(self.m):
+            for r in range(m):
                 a = T[r][enter]
                 if a > 0:
-                    q = T[r][n] / a
-                    if ratio is None or q < ratio or (q == ratio and self.basis[r] < self.basis[leave]):
-                        ratio = q
-                        leave = r
+                    rhs = T[r][n]
+                    if leave >= 0:
+                        mine, lead = rhs * lead_a, lead_rhs * a
+                        if mine > lead or (mine == lead and basis[r] > basis[leave]):
+                            continue
+                    leave, lead_a, lead_rhs = r, a, rhs
             if leave < 0:
                 return UNBOUNDED
-            degenerate = ratio == 0
+            degenerate = lead_rhs == 0
             self.pivot(leave, enter)
-            if cost[enter]:
-                _rows.row_eliminate(cost, cost[enter], T[leave])
             if not bland:
                 if degenerate:
                     stall += 1
@@ -323,6 +355,17 @@ class _Tableau:
                         bland = True
                 else:
                     stall = 0
+
+    def values(self):
+        """Basic column -> its exact value in the current basic solution."""
+        n = self.n
+        out = {}
+        for r, bj in enumerate(self.basis):
+            row = self.T[r]
+            if row[bj] <= 0:
+                raise InternalInvariantError(f"basic entry of row {r} is not positive")
+            out[bj] = Rat(row[n], row[bj])
+        return out
 
 
 def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
@@ -334,23 +377,14 @@ def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
     m = len(b)
     n = len(cols)
 
-    # Phase 1: artificial columns form the starting basis.
-    for r in range(m):
-        cols.append(("art", r))
-        art = [ZERO] * m
-        art[r] = ONE
-        col_rows.append(art)
-    tab = _Tableau(col_rows, b, n + m)
-    tab.basis = list(range(n, n + m))
-    phase1_obj = [ZERO] * n + [ONE] * m
-    cost = tab.cost_row(phase1_obj)
-    allowed = [True] * (n + m)
-    if tab.run(cost, allowed, rule) != OPTIMAL:  # pragma: no cover
+    # Phase 1: minimize the sum of the artificials.
+    tab = _Tableau(col_rows, b)
+    tab.T.append(tab.cost_row([0] * n + [1] * m))
+    if tab.run(rule) != OPTIMAL:  # pragma: no cover
         raise InternalInvariantError("phase 1 cannot be unbounded")
-    infeas = sum(
-        (tab.T[r][-1] for r in range(tab.m) if tab.basis[r] >= n), ZERO
-    )
-    if infeas > 0:
+    tab.T.pop()
+    # Each basic rhs is >= 0 and its row is positively scaled.
+    if any(tab.T[r][-1] > 0 for r in range(m) if tab.basis[r] >= n):
         return LpSolution(status=INFEASIBLE)
 
     # Drive leftover zero-value artificials out of the basis.
@@ -369,16 +403,14 @@ def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
         tab.basis = [tab.basis[r] for r in keep]
         tab.m = len(keep)
 
-    # Phase 2 with artificial columns frozen out.
-    for j in range(n, n + m):
-        allowed[j] = False
-    cost = tab.cost_row(obj + [ZERO] * m)
-    if tab.run(cost, allowed, rule) == UNBOUNDED:
+    # Phase 2 on the structural columns: no artificial is basic any more.
+    tab.T = [row[:n] + row[-1:] for row in tab.T]
+    tab.n = n
+    tab.T.append(tab.cost_row(obj))
+    if tab.run(rule) == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
-    yvals = {}
-    for r, bj in enumerate(tab.basis):
-        yvals[cols[bj]] = tab.T[r][-1]
+    yvals = {cols[bj]: y for bj, y in tab.values().items()}
     point = {}
     for v in lp.variables:
         lo, hi = lp.bounds.get(v, (None, None))

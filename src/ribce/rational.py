@@ -2,9 +2,14 @@
 
 Every probability and payoff in this package is an exact rational; there is
 no floating point anywhere in the core.  The backend is ``gmpy2.mpq`` when
-available (a compiled extension, much faster for the LP inner loops) and
-``fractions.Fraction`` otherwise.  Set ``RIBCE_RATIONAL=fraction`` to force
-the pure-Python type.
+available (a compiled extension) and ``fractions.Fraction`` otherwise.  Set
+``RIBCE_RATIONAL=fraction`` to force the pure-Python type.
+
+The LP inner loops no longer run on this type: the simplex tableau and the
+double-description rays are rows of Python ints (``ribce.rows``).  The
+backend carries inputs, standard forms, Gauss–Jordan steps and read-outs.
+How much gmpy2 speeds those up is unmeasured; it is not installed where the
+package's benchmark figures were taken.
 
 Both types keep values in lowest terms with a positive denominator and
 interoperate with Python ints, so the rest of the package treats ``Rat`` as

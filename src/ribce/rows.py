@@ -1,11 +1,37 @@
 """Exact row kernels for the simplex tableau and double description.
 
-These inner loops dominate runtime.  Entries are exact rationals (mpq or
-Fraction); callers go through the module attributes (``_rows.dot``), so the
-kernels can be wrapped for tracing.
+These inner loops dominate runtime.  The simplex tableau and the
+double-description rays are fraction-free: each row is a list of Python
+ints, a positive multiple of the rational row it stands for, kept primitive
+(content 1) by ``primitive``.  ``pivot_eliminate`` pivots such rows without
+a division (Edmonds 1967; Bareiss, Math. Comp. 22, 1968), and ``dot`` and
+``row_combine`` serve the ray updates.  ``row_scale`` and ``row_eliminate``
+work on exact rationals (mpq or Fraction) for the Gauss–Jordan steps.
+Callers go through the module attributes (``_rows.dot``), so the kernels can
+be wrapped for tracing.
 """
 
+from math import gcd as _gcd
+from math import lcm as _lcm
+
 IMPL = "python"
+
+
+def primitive(row):
+    """The primitive row of ints that is a positive multiple of ``row``, a row
+    of exact rationals or ints: scale by the lcm of the denominators, then
+    divide by the gcd of the entries.  A zero row stays zero."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    den = _lcm(*[int(x.denominator) for _, x in nonzero])
+    ints = [0] * len(row)
+    for j, x in nonzero:
+        ints[j] = int(x.numerator * (den // x.denominator))
+    return _divide_content(ints)
+
+
+def _divide_content(ints):
+    g = _gcd(*ints)
+    return [z // g for z in ints] if g > 1 else ints
 
 
 def row_eliminate(target, factor, source):
@@ -16,16 +42,22 @@ def row_eliminate(target, factor, source):
 
 
 def pivot_eliminate(tableau, pivot_row, col):
-    """Clear ``col`` from every row but ``pivot_row`` (already normalized)."""
+    """Fraction-free pivot on (``pivot_row``, ``col``) of a tableau of int rows.
+
+    The pivot row is negated if its entry ``p`` in ``col`` is negative.  Every
+    other row with ``f = row[col] != 0`` becomes the primitive form of
+    ``p * row - f * pivot``: a positive multiple of the rational row that
+    dividing the pivot row by its pivot and eliminating would give.
+    """
     source = tableau[pivot_row]
-    nonzero = [(j, s) for j, s in enumerate(source) if s]
+    p = source[col]
+    if p < 0:
+        p = -p
+        source = tableau[pivot_row] = [-s for s in source]
     for r, row in enumerate(tableau):
-        if r == pivot_row:
-            continue
-        factor = row[col]
-        if factor:
-            for j, s in nonzero:
-                row[j] = row[j] - factor * s
+        f = row[col]
+        if f and r != pivot_row:
+            tableau[r] = _divide_content([p * x - f * s for x, s in zip(row, source)])
 
 
 def row_scale(row, factor):

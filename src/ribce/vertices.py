@@ -2,7 +2,10 @@
 
 The polytope arrives as linear constraints plus bounds, is homogenized to a
 pointed cone, and the extreme rays are grown one constraint at a time.  Rays
-with positive homogenizing coordinate map back to vertices.  Only the exact
+with positive homogenizing coordinate map back to vertices.  The cone's rows
+and its rays are primitive rows of Python ints (``rows.primitive``): each is a
+positive multiple of its rational row, which leaves every sign test, every
+canonical ray and every vertex as it would be over the rationals.  Only the exact
 density mode and small oracle tests need this, so a hard variable cap guards
 against accidental blowups (override with ``RIBCE_VERTEX_CAP``, also spelled
 ``RI_ROBUST_VERTEX_CAP`` for the CLI contract).
@@ -14,7 +17,6 @@ enumeration on anything beyond desk-size games.
 """
 
 import os
-from math import gcd
 
 from . import rows as _rows
 from .errors import DimensionCapExceeded, InvalidParams, UnboundedPolytope
@@ -33,20 +35,6 @@ def _cap_from_env():
             except ValueError as exc:
                 raise InvalidParams(f"{name} must be an integer, got {raw!r}") from exc
     return DEFAULT_CAP
-
-
-def _canonical(ray):
-    """Scale by a positive rational to a primitive integer tuple."""
-    den = 1
-    for q in ray:
-        den = den * q.denominator // gcd(den, int(q.denominator))
-    ints = [int(q * den) for q in ray]
-    g = 0
-    for z in ints:
-        g = gcd(g, abs(z))
-    if g > 1:
-        ints = [z // g for z in ints]
-    return tuple(ints)
 
 
 def enumerate_vertices(variables, constraints, bounds=None, cap=None):
@@ -94,6 +82,7 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     t_row = [ZERO] * (d + 1)
     t_row[d] = ONE
     mrows.append(t_row)
+    mrows = [_rows.primitive(row) for row in mrows]
 
     nrows = len(mrows)
 
@@ -120,7 +109,7 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     size = d + 1
     aug = [list(mrows[chosen[r]]) + [ONE if c == r else ZERO for c in range(size)] for r in range(size)]
     _gauss_jordan(aug, size)
-    rays = [[aug[r][size + c] for r in range(size)] for c in range(size)]
+    rays = [_rows.primitive([aug[r][size + c] for r in range(size)]) for c in range(size)]
 
     processed = set(chosen)
 
@@ -162,9 +151,7 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
                         break
                 if not adjacent:
                     continue
-                combo = _rows.row_combine(vals[kp], rays[km], -vals[km], rays[kp])
-                canon = _canonical(combo)
-                combo = [Rat(z) for z in canon]
+                combo = _rows.primitive(_rows.row_combine(vals[kp], rays[km], -vals[km], rays[kp]))
                 new_rays.append(combo)
                 new_masks.append(tight_mask(combo))
         kept_rays = [rays[k] for k in plus + zero]
@@ -178,7 +165,7 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
         seen = {}
         ded_rays, ded_masks = [], []
         for r, mask in zip(rays, ray_masks):
-            key = _canonical(r)
+            key = tuple(r)
             if key in seen:
                 continue
             seen[key] = True
@@ -194,6 +181,6 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
             if nonzero:
                 raise UnboundedPolytope("recession direction found")
             continue
-        vertices.append({v: r[j] / t for j, v in enumerate(variables)})
+        vertices.append({v: Rat(r[j], t) for j, v in enumerate(variables)})
     vertices.sort(key=lambda pt: tuple(pt[v] for v in variables))
     return vertices

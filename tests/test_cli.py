@@ -240,6 +240,30 @@ def test_exit_code_on_malformed_flag(files, capsys, flag, argv):
     assert code == 2 and "invalid_params" in err and f"{flag}:" in err
 
 
+def _coarsest_partition():
+    g3 = coordination_game_3x3()
+    return {str(i): [[str(a) for a in g3.actions[i]]] for i in g3.players}
+
+
+@pytest.mark.parametrize(
+    "certificate, names",
+    [
+        ({"weights": ["1"], "components": []}, "'partition'"),
+        ({"partition": {}, "weights": ["abc"]}, "'p1'"),
+        ({"partition": {**_coarsest_partition(), "p1": [["zzz"]]}}, "'zzz'"),
+        ({"partition": _coarsest_partition(), "weights": ["1"]}, "'components'"),
+        ({"partition": _coarsest_partition(), "components": [], "weights": ["abc"]}, "weights[0]"),
+    ],
+)
+def test_exit_code_on_malformed_certificate(files, capsys, tmp_path, certificate, names):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate))
+    code, out, err = _run(
+        capsys, "vce", str(files["game3x3"]), str(files["mixed_nash"]), "--certificate", str(cert)
+    )
+    assert code == 2 and "invalid_params" in err and names in err
+
+
 def test_analyze_exact_mode_3x3(files, capsys):
     code, out, _ = _run(
         capsys, "analyze", str(files["game3x3"]), "--mode", "exact"

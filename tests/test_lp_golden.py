@@ -1,0 +1,100 @@
+"""The solver's answers, pinned.
+
+``golden/lp_answers.json`` holds ``(status, basis, dropped_rows, value,
+point)`` for every LP that ``regime --full-check`` builds at n=6, x=1/10,
+for the LPs behind the investment game's two worst cases, and for 60 seeded
+random LPs under both pivot rules.  The simplex is deterministic, and its
+tableau may only change how rows are scaled, never which pivot it takes, so
+any difference here is a bug.  Regenerate (only after an intended change of
+pivot choices) with ``PYTHONPATH=src python tests/test_lp_golden.py``.
+"""
+
+import json
+import pathlib
+import random
+
+from ribce import cli
+from ribce import lp as _lp
+from ribce.rational import Rat
+from ribce.welfare import worst_case_exogenous, worst_case_rational_inattention
+
+from sample_games import investment_game
+from sample_lps import FAMILIES
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "lp_answers.json"
+REGIME = (
+    "regime", "--n", "6", "--k", "1/2", "--x", "1/10",
+    "--states", "2,3", "--prior", "1/2,1/2", "--full-check",
+)
+PER_FAMILY = 12
+RULES = ("dantzig", "bland")
+
+
+def _lps_solved_by(run):
+    """Every LP that ``run()`` hands to ``lp.solve``, in call order."""
+    seen = []
+    original = _lp.solve
+
+    def capture(lp, rule="dantzig"):
+        seen.append(lp)
+        return original(lp, rule)
+
+    _lp.solve = capture
+    try:
+        run()
+    finally:
+        _lp.solve = original
+    return seen
+
+
+def _programs():
+    """(name, lp, rule) for every pinned solve."""
+    out = []
+    for k, lp in enumerate(_lps_solved_by(lambda: cli.main(list(REGIME)))):
+        out.append((f"regime-full-check/{k}", lp, "dantzig"))
+    game = investment_game(Rat(1, 10))
+    worst_cases = lambda: (worst_case_exogenous(game), worst_case_rational_inattention(game))
+    for k, lp in enumerate(_lps_solved_by(worst_cases)):
+        out.append((f"investment-worst-cases/{k}", lp, "dantzig"))
+    for family, make in FAMILIES.items():
+        for seed in range(PER_FAMILY):
+            lp = make(random.Random(f"{family}-{seed}"))
+            for rule in RULES:
+                out.append((f"{family}/{seed}/{rule}", lp, rule))
+    return out
+
+
+def _answer(sol):
+    return {
+        "status": sol.status,
+        "basis": None if sol.basis is None else [repr(c) for c in sol.basis],
+        "dropped_rows": list(sol.dropped_rows),
+        "value": None if sol.value is None else str(sol.value),
+        "point": None if sol.point is None else [[repr(v), str(x)] for v, x in sol.point.items()],
+    }
+
+
+def test_answers_match_golden(capsys):
+    golden = json.loads(GOLDEN.read_text())
+    programs = _programs()
+    capsys.readouterr()
+    assert [name for name, _, _ in programs] == list(golden)
+    for name, lp, rule in programs:
+        sol = _lp.solve(lp, rule=rule)
+        assert _answer(sol) == golden[name], name
+        if sol.is_optimal:
+            assert sol.verify(lp)
+    statuses = {entry["status"] for entry in golden.values()}
+    assert statuses == {_lp.OPTIMAL, _lp.INFEASIBLE, _lp.UNBOUNDED}
+    assert any(entry["dropped_rows"] for entry in golden.values())
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        programs = _programs()
+    answers = {name: _answer(_lp.solve(lp, rule=rule)) for name, lp, rule in programs}
+    GOLDEN.write_text(json.dumps(answers, indent=1) + "\n")
+    print(f"wrote {len(answers)} answers to {GOLDEN}")

@@ -1,15 +1,36 @@
 """The row kernels against plain list arithmetic."""
 
 import random
+from math import gcd
 
 from ribce import rows
-from ribce.rational import ONE, ZERO, Rat
+from ribce.rational import ZERO, Rat
 
-KERNELS = ("row_eliminate", "pivot_eliminate", "row_scale", "row_combine", "dot")
+KERNELS = ("primitive", "row_eliminate", "pivot_eliminate", "row_scale", "row_combine", "dot")
 
 
 def _random_row(rng, n=12):
     return [Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+
+
+def _canonical(ray):
+    """The double description's former dedup key, kept as the reference for
+    ``rows.primitive``: scale by a positive rational to a primitive integer
+    tuple."""
+    den = 1
+    for q in ray:
+        den = den * q.denominator // gcd(den, int(q.denominator))
+    ints = [int(q * den) for q in ray]
+    g = 0
+    for z in ints:
+        g = gcd(g, abs(z))
+    if g > 1:
+        ints = [z // g for z in ints]
+    return tuple(ints)
+
+
+def _is_primitive(row):
+    return all(type(z) is int for z in row) and gcd(*row) in (0, 1)
 
 
 def test_row_kernels():
@@ -39,13 +60,29 @@ def test_row_kernels():
             alpha * p + beta * q for p, q in zip(x, y)
         ]
 
-        tableau = [_random_row(rng) for _ in range(5)]
-        tableau[2][3] = ONE  # normalized pivot entry
+        assert rows.primitive(x) == list(_canonical(x))
+        assert _is_primitive(rows.primitive(x))
+        ints = [rng.randint(-9, 9) * 6 for _ in range(8)]
+        assert rows.primitive(ints) == list(_canonical([Rat(z) for z in ints]))
+
+        # Fraction-free pivot: every row is a positive multiple of the rational
+        # row a normalized pivot gives, and every row is primitive.
+        rational = [_random_row(rng) for _ in range(5)]
+        rational[1][3] = ZERO  # a row the pivot leaves alone
+        rational[2][3] = Rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        pivot = [e / rational[2][3] for e in rational[2]]
         expected = [
-            list(row) if r == 2 else [e - row[3] * s for e, s in zip(row, tableau[2])]
-            for r, row in enumerate(tableau)
+            pivot if r == 2 else [e - row[3] * s for e, s in zip(row, pivot)]
+            for r, row in enumerate(rational)
         ]
+        tableau = [rows.primitive(row) for row in rational]
+        untouched = list(tableau[1])
         rows.pivot_eliminate(tableau, 2, 3)
-        assert tableau == expected
+        assert tableau[1] == untouched
+        assert tableau[2][3] > 0
+        for row, want in zip(tableau, expected):
+            assert _is_primitive(row)
+            assert row == list(_canonical(want))
     assert rows.dot([ZERO] * 4, [ZERO] * 4) == 0
     assert rows.dot([ZERO] * 4, _random_row(rng, 4)) == 0
+    assert rows.primitive([ZERO] * 3) == [0, 0, 0]
