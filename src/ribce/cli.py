@@ -311,9 +311,11 @@ def _certificate_from_file(path, game):
     data = load_json(path)
     from .representation import PartitionProfile
 
-    def field(obj, key, where="certificate"):
+    def field(obj, key, kind, where="certificate"):
         if not isinstance(obj, dict) or key not in obj:
             raise InvalidParams(f"--certificate: missing {where}[{key!r}]")
+        if kind is not None and not isinstance(obj[key], kind):
+            raise InvalidParams(f"--certificate: {where}[{key!r}] is not a {kind.__name__}")
         return obj[key]
 
     def outcome(raw, where):
@@ -321,28 +323,34 @@ def _certificate_from_file(path, game):
             raise InvalidParams(f"--certificate: {where} is not an outcome map")
         return outcome_from_dict(game, {"outcome": raw})
 
-    partition = field(data, "partition")
+    partition = field(data, "partition", dict)
     cells = {}
     for i in game.players:
         amap = {str(a): a for a in game.actions[i]}
         resolved = []
-        for cell in field(partition, str(i), "partition"):
+        for cell in field(partition, str(i), list, "partition"):
+            if not isinstance(cell, list):
+                raise InvalidParams(f"--certificate: partition cell {cell!r} is not a list")
             for a in cell:
-                if a not in amap:
+                if not isinstance(a, str) or a not in amap:
                     raise InvalidParams(f"--certificate: unknown action {a!r} of player {i}")
             resolved.append(frozenset(amap[a] for a in cell))
         cells[i] = tuple(resolved)
     components = tuple(
-        outcome(comp, f"components[{k}]") for k, comp in enumerate(field(data, "components"))
+        outcome(comp, f"components[{k}]")
+        for k, comp in enumerate(field(data, "components", list))
     )
     return VceCertificate(
         partition=PartitionProfile(cells=cells),
         weights=tuple(
-            _flag(f"--certificate weights[{k}]", w) for k, w in enumerate(field(data, "weights"))
+            _flag(f"--certificate weights[{k}]", w)
+            for k, w in enumerate(field(data, "weights", list))
         ),
         components=components,
-        sbce_witness=outcome(field(data, "sbce_witness"), "sbce_witness"),
-        witness_distance=_flag("--certificate witness_distance", field(data, "witness_distance")),
+        sbce_witness=outcome(field(data, "sbce_witness", None), "sbce_witness"),
+        witness_distance=_flag(
+            "--certificate witness_distance", field(data, "witness_distance", None)
+        ),
     )
 
 

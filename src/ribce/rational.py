@@ -5,7 +5,7 @@ no floating point anywhere in the core.  The backend is ``gmpy2.mpq`` when
 available (a compiled extension) and ``fractions.Fraction`` otherwise.  Set
 ``RIBCE_RATIONAL=fraction`` to force the pure-Python type.
 
-The LP inner loops no longer run on this type: the simplex tableau and the
+The LP inner loops do not run on this type: the simplex tableau and the
 double-description rays are rows of Python ints (``ribce.rows``).  The
 backend carries inputs, standard forms, Gauss–Jordan steps and read-outs.
 How much gmpy2 speeds those up is unmeasured; it is not installed where the

@@ -3,12 +3,14 @@
 The polytope arrives as linear constraints plus bounds, is homogenized to a
 pointed cone, and the extreme rays are grown one constraint at a time.  Rays
 with positive homogenizing coordinate map back to vertices.  The cone's rows
-and its rays are primitive rows of Python ints (``rows.primitive``): each is a
-positive multiple of its rational row, which leaves every sign test, every
-canonical ray and every vertex as it would be over the rationals.  Only the exact
-density mode and small oracle tests need this, so a hard variable cap guards
-against accidental blowups (override with ``RIBCE_VERTEX_CAP``, also spelled
-``RI_ROBUST_VERTEX_CAP`` for the CLI contract).
+and its rays are primitive rows of Python ints (``rows.primitive``): each is
+a positive multiple of its rational row, which leaves every sign test, every
+canonical ray and every vertex as it would be over the rationals.
+
+Only the exact density mode and small oracle tests need this, so a hard
+variable cap guards against accidental blowups (override with
+``RIBCE_VERTEX_CAP``, also spelled ``RI_ROBUST_VERTEX_CAP`` for the CLI
+contract).
 
 Vertex counts, not variable counts, drive the cost: highly degenerate
 obedience polytopes in ~16 dimensions can carry thousands of vertices and

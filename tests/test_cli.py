@@ -251,6 +251,7 @@ def _coarsest_partition():
         ({"weights": ["1"], "components": []}, "'partition'"),
         ({"partition": {}, "weights": ["abc"]}, "'p1'"),
         ({"partition": {**_coarsest_partition(), "p1": [["zzz"]]}}, "'zzz'"),
+        ({"partition": {**_coarsest_partition(), "p2": "a,b"}}, "'p2'"),
         ({"partition": _coarsest_partition(), "weights": ["1"]}, "'components'"),
         ({"partition": _coarsest_partition(), "components": [], "weights": ["abc"]}, "weights[0]"),
     ],
