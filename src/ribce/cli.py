@@ -21,7 +21,7 @@ from .io import (
     outcome_from_dict,
     outcome_to_dict,
 )
-from .rational import Rat, parse_rational, rational_to_json
+from .rational import BACKEND, Rat, parse_rational, rational_to_json
 from .representation import build_canonical, cost_certificate, induced_outcome
 from .separation import is_sbce, is_separated, is_strict_bce
 from .structure import (
@@ -32,7 +32,9 @@ from .structure import (
 )
 from .vanishing import VceCertificate, check_vce
 from .welfare import value_interval, welfare_report
+from . import __version__
 from . import regime as _regime
+from . import rows as _rows
 
 
 def _json_report(data) -> str:
@@ -405,6 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--table", action="store_true", help="aligned table output")
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"ribce {__version__} (rational: {BACKEND}, rows: {_rows.IMPL})",
+        help="print the version, the rational backend and the row kernel, and exit",
+    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("check-outcome", help="validate an outcome against a game")

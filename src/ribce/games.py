@@ -176,6 +176,20 @@ def deviation_value(game: BaseGame, outcome: Outcome, player, action):
     return total
 
 
+def deviation_row(game: BaseGame, player, action) -> dict:
+    """Coefficients of ``deviation_value`` as a linear functional of the
+    outcome: each cell's payoff to ``player`` from playing ``action`` there."""
+    k = game.player_index(player)
+    coeffs = {}
+    for cell in game.cells():
+        profile, state = cell
+        dev = profile[:k] + (action,) + profile[k + 1 :]
+        val = game.u(player, dev, state)
+        if val:
+            coeffs[cell] = val
+    return coeffs
+
+
 def uninformed_value(game: BaseGame, outcome: Outcome, player):
     """Best constant-action payoff against the outcome.
 

@@ -4,13 +4,15 @@ Two-phase dense simplex, exact throughout.  Everything downstream
 (obedience polytopes, worst-case welfare, jeopardization, separating
 hyperplanes, garbling feasibility) reduces to `solve`.
 
-The program is rewritten in standard form over exact rationals; the
-tableau is fraction-free.  Each row is kept as the primitive row of Python
-ints that is a positive multiple of its rational row (``rows.primitive``), and
-a pivot combines rows without dividing (``rows.pivot_eliminate``).  A positive
-row scale changes no sign and no ratio, so the pivots, the basis and the
-answer are those of the rational tableau; rationals come back only when
-the basic values are read out.
+The program is rewritten in standard form straight into a fraction-free
+tableau: one sparse pass over each constraint's coefficients writes its row
+of Python ints, scaled by the lcm of the row's denominators, which is the
+primitive row that is a positive multiple of the rational one
+(``rows.primitive``); no dense rational matrix is built.  A pivot combines
+rows without dividing (``rows.pivot_eliminate``).  A positive row scale
+changes no sign and no ratio, so the pivots, the basis and the answer are
+those of the rational tableau; rationals come back only when the basic
+values are read out.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
@@ -59,7 +61,9 @@ class LinearProgram:
 
     ``variables`` fixes the column order (and with it determinism of the
     solve).  Bounds map a variable to a (lower, upper) pair where ``None``
-    means unbounded on that side; unlisted variables are free.
+    means unbounded on that side; unlisted variables are free.  Every
+    coefficient, rhs and bound is an exact rational (``Rat`` or ``int``);
+    ``solve`` rejects anything else with a ``ValidationError``.
     """
 
     variables: tuple
@@ -151,9 +155,12 @@ class LpSolution:
 
 
 def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
-    cols, col_rows, b, obj = _standard_form(lp)
-    m = len(b)
-    surviving = [r for r in range(m) if r not in set(sol.dropped_rows)]
+    # The standard-form rows are positive multiples of the rational rows and
+    # the objective a positive multiple of the rational one; the sign of every
+    # reduced cost is the same for both.
+    cols, rows, obj = _standard_form(lp)
+    dropped = set(sol.dropped_rows)
+    surviving = [rows[r] for r in range(len(rows)) if r not in dropped]
     index = {label: j for j, label in enumerate(cols)}
     try:
         bjs = [index[label] for label in sol.basis]
@@ -164,14 +171,11 @@ def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
         raise InternalInvariantError("basis does not match surviving rows")
     # Solve B^T y = c_B exactly via Gaussian elimination (restricted to the
     # surviving rows; dropped rows are implied by them), so that y·B = c_B.
-    aug = [
-        [col_rows[bjs[r]][surviving[c]] for c in range(size)] + [obj[bjs[r]]]
-        for r in range(size)
-    ]
+    aug = [[row[bj] for row in surviving] + [obj[bj]] for bj in bjs]
     _gauss_jordan(aug, size)
     y = [aug[r][size] for r in range(size)]
     for j, label in enumerate(cols):
-        column = [col_rows[j][r] for r in surviving]
+        column = [row[j] for row in surviving]
         reduced = obj[j] - _rows.dot(y, column)
         if reduced < 0:
             raise InternalInvariantError(f"dual infeasible at column {label}")
@@ -191,102 +195,161 @@ def _gauss_jordan(aug, size) -> None:
                 _rows.row_eliminate(aug[r], aug[r][col], aug[col])
 
 
-def _standard_form(lp: LinearProgram):
-    """Rewrite as min c·y, A y = b (b >= 0), y >= 0.
+def _inexact(x) -> bool:
+    """True for a value without an exact numerator and denominator."""
+    return not (hasattr(x, "numerator") and hasattr(x, "denominator"))
 
-    Returns (column labels, per-column row vectors, rhs vector, objective
-    vector), or None when a bound pair is inconsistent.  Column labels are
-    structural, so a certificate can be re-derived later.
+
+def _not_exact(field, x) -> ValidationError:
+    return ValidationError(f"{field} is not an exact rational: {x!r}")
+
+
+def _row_error(lp: LinearProgram, r: int, exc: Exception) -> ValidationError:
+    """The input error behind an exception raised while row ``r`` was
+    built: the first entry of that row without an exact numerator and
+    denominator.  Re-raises ``exc`` when every entry is exact."""
+    con = lp.constraints[r]
+    for v, c in con.coeffs.items():
+        if _inexact(c):
+            return _not_exact(f"constraint {r}: coefficient of {v!r}", c)
+    if _inexact(con.rhs):
+        return _not_exact(f"constraint {r}: rhs", con.rhs)
+    raise exc
+
+
+def _standard_form(lp: LinearProgram):
+    """Rewrite as min c·y, A y = b (b >= 0), y >= 0, straight into ints.
+
+    Returns (column labels, phase-1 rows, objective), or None when a bound
+    pair is inconsistent.  Columns are the structural ones (``lo``/``hi``
+    for a variable shifted by a bound, ``pos``/``neg`` for a free one) in
+    variable order, then one ``slack`` per inequality row.  Rows are the
+    constraints, then ``y <= hi - lo`` for each doubly bounded variable.  Row
+    ``r`` is the list of Python ints ``[A_r, artificial, b_r]`` with one
+    artificial column per row, negated first if its shifted rhs is
+    negative.  It is written scaled by the lcm L of the row's denominators,
+    its artificial entry being L, which makes it ``rows.primitive`` of the
+    rational row with a unit artificial: for each prime dividing L, the entry
+    whose denominator holds that prime's highest power is not divisible by
+    it.  The objective is a positive multiple of the rational one, negated
+    for ``max``.  Column labels are structural, so a certificate can be
+    re-derived later.
+
+    Every coefficient, rhs and bound must carry an exact ``numerator`` and
+    ``denominator``; anything else raises ``ValidationError`` naming it.
     """
     cols = []
-    col_terms = {}  # var -> [(col index, sign)]
-    shifts = {}
-    extra_rows = []
-
-    def add_col(label):
-        cols.append(label)
-        return len(cols) - 1
-
+    terms = {}  # var -> ((column, sign), ...)
+    shifts = {}  # var -> its bound, when the bound is not zero
+    bound_rows = []  # (column, hi - lo)
     for v in lp.variables:
         lo, hi = lp.bounds.get(v, (None, None))
+        for side, x in (("lower", lo), ("upper", hi)):
+            if x is not None and _inexact(x):
+                raise _not_exact(f"{side} bound of {v!r}", x)
         if lo is not None and hi is not None and hi < lo:
             return None
+        j = len(cols)
         if lo is not None:
-            j = add_col(("lo", v))
-            col_terms[v] = [(j, ONE)]
-            shifts[v] = lo
+            cols.append(("lo", v))
+            terms[v] = ((j, 1),)
+            if lo:
+                shifts[v] = lo
             if hi is not None:
-                extra_rows.append(({j: ONE}, LESS, hi - lo))
+                bound_rows.append((j, hi - lo))
         elif hi is not None:
-            j = add_col(("hi", v))
-            col_terms[v] = [(j, -ONE)]
-            shifts[v] = hi
+            cols.append(("hi", v))
+            terms[v] = ((j, -1),)
+            if hi:
+                shifts[v] = hi
         else:
-            jp = add_col(("pos", v))
-            jn = add_col(("neg", v))
-            col_terms[v] = [(jp, ONE), (jn, -ONE)]
-            shifts[v] = ZERO
+            cols += [("pos", v), ("neg", v)]
+            terms[v] = ((j, 1), (j + 1, -1))
 
-    rows_data = []
-    for con in lp.constraints:
-        coeffs = {}
-        rhs = Rat(con.rhs)
-        for v, c in con.coeffs.items():
-            if not c:
-                continue
-            rhs -= c * shifts[v]
-            for j, sign in col_terms[v]:
-                coeffs[j] = coeffs.get(j, ZERO) + c * sign
-        rows_data.append((coeffs, con.relation, rhs))
-    for coeffs, rel, rhs in extra_rows:
-        rows_data.append((dict(coeffs), rel, rhs))
+    constraints = lp.constraints
+    slack = len(cols)
+    for r, con in enumerate(constraints):
+        if con.relation != EQUAL:
+            cols.append(("slack", r))
+    first_bound = len(constraints)
+    cols += [("slack", first_bound + k) for k in range(len(bound_rows))]
+    n = len(cols)
+    m = first_bound + len(bound_rows)
+    width = n + m + 1
 
-    for r, (coeffs, rel, rhs) in enumerate(rows_data):
-        if rel == LESS:
-            coeffs[add_col(("slack", r))] = ONE
-        elif rel == GREATER:
-            coeffs[add_col(("slack", r))] = -ONE
+    rows = []
+    for r, con in enumerate(constraints):
+        coeffs = con.coeffs
+        try:
+            rhs = con.rhs
+            if shifts:
+                for v, c in coeffs.items():
+                    s = shifts.get(v)
+                    if s is not None and c:
+                        rhs = rhs - c * s
+            scale = lcm(*[c.denominator for c in coeffs.values()], rhs.denominator)
+            flip = rhs < 0
+            row = [0] * width
+            for v, c in coeffs.items():
+                x = int(c.numerator * (scale // c.denominator))
+                if flip:
+                    x = -x
+                for j, sign in terms[v]:
+                    row[j] = x if sign > 0 else -x
+            rhs_int = int(rhs.numerator * (scale // rhs.denominator))
+        except (AttributeError, TypeError) as exc:
+            raise _row_error(lp, r, exc) from None
+        if con.relation != EQUAL:
+            row[slack] = -scale if (con.relation == GREATER) != flip else scale
+            slack += 1
+        row[n + r] = scale
+        row[-1] = -rhs_int if flip else rhs_int
+        rows.append(row)
+    for r, (j, gap) in enumerate(bound_rows, first_bound):
+        scale = int(gap.denominator)
+        row = [0] * width
+        row[j] = row[slack] = row[n + r] = scale
+        row[-1] = int(gap.numerator)
+        slack += 1
+        rows.append(row)
 
-    ncols = len(cols)
-    b = []
-    col_rows = [[ZERO] * len(rows_data) for _ in range(ncols)]
-    for r, (coeffs, rel, rhs) in enumerate(rows_data):
-        flip = rhs < 0
-        b.append(-rhs if flip else rhs)
-        for j, c in coeffs.items():
-            col_rows[j][r] = -c if flip else c
-
-    sense_sign = ONE if lp.sense == "min" else -ONE
-    obj = [ZERO] * ncols
-    for v, c in lp.objective.items():
-        for j, sign in col_terms[v]:
-            obj[j] = obj[j] + sense_sign * c * sign
-    return cols, col_rows, b, obj
+    obj = [0] * n
+    objective = lp.objective
+    try:
+        scale = lcm(*[c.denominator for c in objective.values()])
+        sense = 1 if lp.sense == "min" else -1
+        for v, c in objective.items():
+            x = sense * int(c.numerator * (scale // c.denominator))
+            for j, sign in terms[v]:
+                obj[j] = x if sign > 0 else -x
+    except (AttributeError, TypeError):
+        for v, c in objective.items():
+            if _inexact(c):
+                raise _not_exact(f"objective coefficient of {v!r}", c) from None
+        raise
+    return cols, rows, obj
 
 
 class _Tableau:
     """Dense fraction-free simplex tableau.
 
-    Row r is ``rows.primitive`` of its rational row, so a positive multiple of
-    it, and the basic entry ``T[r][basis[r]]`` is positive.  While a phase
+    Row r is a list of Python ints, a positive multiple of its rational row
+    (``_standard_form`` writes it primitive, and ``rows.pivot_eliminate``
+    keeps it so), and the basic entry ``T[r][basis[r]]`` is positive.  While a phase
     runs its cost row rides as the last row, so each pivot updates it with the
     rest.  Every choice reads signs and ratios within a row or of one column
     across rows, which a positive row scale leaves alone: the pivots are
     those of the rational tableau.
     """
 
-    def __init__(self, col_rows, b):
-        """Phase 1: the standard-form rows plus one artificial column per row,
-        which start as the basis."""
-        n, m = len(col_rows), len(b)
+    def __init__(self, rows, n):
+        """Phase 1 on the standard-form ``rows`` over ``n`` columns, each with
+        its artificial column, which start as the basis.  Takes ``rows``
+        over as its own."""
+        m = len(rows)
         self.m = m
         self.n = n + m
-        self.T = []
-        for r in range(m):
-            head = _rows.primitive([col[r] for col in col_rows] + [ONE, b[r]])
-            row = head[:n] + [0] * m + head[-1:]
-            row[n + r] = head[n]
-            self.T.append(row)
+        self.T = rows
         self.basis = list(range(n, n + m))
 
     def pivot(self, r, j):
@@ -294,9 +357,9 @@ class _Tableau:
         self.basis[r] = j
 
     def cost_row(self, obj):
-        """Reduced costs of ``obj`` against the current basis, as a primitive
-        int row (a positive multiple of the rational one)."""
-        cost = _rows.primitive(list(obj) + [ZERO])
+        """Reduced costs of the int row ``obj`` against the current basis, as a
+        primitive int row (a positive multiple of the rational one)."""
+        cost = list(obj) + [0]
         T = self.T
         pivots = [(r, cost[bj], T[r][bj]) for r, bj in enumerate(self.basis) if cost[bj]]
         scale = lcm(*[p for _, _, p in pivots])
@@ -373,12 +436,12 @@ def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
     std = _standard_form(lp)
     if std is None:
         return LpSolution(status=INFEASIBLE)
-    cols, col_rows, b, obj = std
-    m = len(b)
+    cols, rows, obj = std
+    m = len(rows)
     n = len(cols)
 
     # Phase 1: minimize the sum of the artificials.
-    tab = _Tableau(col_rows, b)
+    tab = _Tableau(rows, n)
     tab.T.append(tab.cost_row([0] * n + [1] * m))
     if tab.run(rule) != OPTIMAL:  # pragma: no cover
         raise InternalInvariantError("phase 1 cannot be unbounded")

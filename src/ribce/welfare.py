@@ -15,6 +15,7 @@ from .errors import GameNotSymmetric, InternalInvariantError, NotABce, NotBinary
 from .games import (
     BaseGame,
     Outcome,
+    deviation_row,
     gross_value,
     is_symmetric_game,
     uninformed_value,
@@ -91,29 +92,13 @@ def worst_case_exogenous(game: BaseGame):
     return value, outcome
 
 
-def _deviation_row(game: BaseGame, player, action):
-    """Coefficients of the linear functional p -> payoff of constantly playing
-    ``action`` against p."""
-    k = game.player_index(player)
-    coeffs = {}
-    for cell in game.cells():
-        profile, state = cell
-        dev = profile[:k] + (action,) + profile[k + 1 :]
-        val = game.u(player, dev, state)
-        if val:
-            coeffs[cell] = val
-    return coeffs
-
-
 def _epigraph_lp(game: BaseGame, poly: BcePolytope):
     tvars = tuple(("t", i) for i in game.players)
     variables = poly.variables + tvars
     constraints = list(poly.constraints)
     for i in game.players:
         for action in game.actions[i]:
-            coeffs = dict(_deviation_row(game, i, action))
-            for key in coeffs:
-                coeffs[key] = -coeffs[key]
+            coeffs = {cell: -c for cell, c in deviation_row(game, i, action).items()}
             coeffs[("t", i)] = ONE
             constraints.append((coeffs, _lp.GREATER, ZERO))
     objective = {("t", i): ONE for i in game.players}

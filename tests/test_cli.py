@@ -181,6 +181,19 @@ def test_table_rendering(files, capsys):
     assert "6/5" in out
 
 
+def test_version(capsys):
+    from ribce import __version__, rational, rows
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"ribce {__version__} (rational: {rational.BACKEND}, rows: {rows.IMPL})\n"
+    )
+    assert captured.err == ""
+
+
 def test_exit_code_on_missing_file(capsys):
     code, out, err = _run(capsys, "welfare", "/no/such/file.json")
     assert code == 2 and "file_not_found" in err

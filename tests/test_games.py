@@ -12,6 +12,8 @@ from ribce.errors import (
 from ribce.games import (
     BaseGame,
     Outcome,
+    deviation_row,
+    deviation_value,
     gross_value,
     is_symmetric_game,
     is_symmetric_outcome,
@@ -31,6 +33,7 @@ from sample_games import (
     footnote_worst_gross_outcome,
     inferior_coordination_outcome,
     investment_game,
+    random_game,
     random_symmetric_binary_game,
 )
 
@@ -108,6 +111,20 @@ def test_uninformed_value_first_best_by_enumeration():
     market = ZERO
     val, _ = uninformed_value(g, out, "ann")
     assert val == max(blind_a, blind_b, market) == 1
+
+
+def test_deviation_row_evaluates_to_deviation_value():
+    rng = random.Random(5)
+    for _ in range(12):
+        g = random_game(rng, n_players=rng.choice((2, 3)), n_actions=(2, 3))
+        objective = {cell: Rat(rng.randint(-3, 3)) for cell in g.cells()}
+        p, _ = minimize_linear_over_bce(g, objective)
+        for i in g.players:
+            for action in g.actions[i]:
+                row = deviation_row(g, i, action)
+                assert all(c for c in row.values())
+                value = sum((c * p.mass(*cell) for cell, c in row.items()), ZERO)
+                assert value == deviation_value(g, p, i, action)
 
 
 def test_uninformed_equals_gross_for_single_action():

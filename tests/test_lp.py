@@ -3,13 +3,15 @@ import random
 import pytest
 
 from ribce import lp as _lp
+from ribce import rows
 from ribce.bce import BcePolytope
 from ribce.errors import ValidationError
 from ribce.lp import LinearProgram, solve
-from ribce.rational import Rat
+from ribce.rational import ONE, ZERO, Rat
 from ribce.vertices import enumerate_vertices
 
 from sample_games import random_game
+from sample_lps import FAMILIES
 
 
 def test_max_with_upper_bound():
@@ -131,3 +133,162 @@ def test_solution_point_satisfies_all_constraints_exactly():
             assert lhs >= con.rhs
         else:
             assert lhs == con.rhs
+
+
+def _reference_standard_form(lp):
+    """The former dense rational standard form, kept as the reference for
+    ``lp._standard_form``: (column labels, per-column row vectors, rhs
+    vector, objective vector), or None on an inconsistent bound pair."""
+    cols, col_terms, shifts, extra_rows = [], {}, {}, []
+
+    def add_col(label):
+        cols.append(label)
+        return len(cols) - 1
+
+    for v in lp.variables:
+        lo, hi = lp.bounds.get(v, (None, None))
+        if lo is not None and hi is not None and hi < lo:
+            return None
+        if lo is not None:
+            j = add_col(("lo", v))
+            col_terms[v], shifts[v] = [(j, ONE)], lo
+            if hi is not None:
+                extra_rows.append(({j: ONE}, "<=", hi - lo))
+        elif hi is not None:
+            col_terms[v], shifts[v] = [(add_col(("hi", v)), -ONE)], hi
+        else:
+            col_terms[v] = [(add_col(("pos", v)), ONE), (add_col(("neg", v)), -ONE)]
+            shifts[v] = ZERO
+
+    rows_data = []
+    for con in lp.constraints:
+        coeffs, rhs = {}, Rat(con.rhs)
+        for v, c in con.coeffs.items():
+            if not c:
+                continue
+            rhs -= c * shifts[v]
+            for j, sign in col_terms[v]:
+                coeffs[j] = coeffs.get(j, ZERO) + c * sign
+        rows_data.append((coeffs, con.relation, rhs))
+    rows_data += [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in extra_rows]
+    for r, (coeffs, rel, rhs) in enumerate(rows_data):
+        if rel != "=":
+            coeffs[add_col(("slack", r))] = ONE if rel == "<=" else -ONE
+
+    b, col_rows = [], [[ZERO] * len(rows_data) for _ in cols]
+    for r, (coeffs, rel, rhs) in enumerate(rows_data):
+        flip = rhs < 0
+        b.append(-rhs if flip else rhs)
+        for j, c in coeffs.items():
+            col_rows[j][r] = -c if flip else c
+    sense_sign = ONE if lp.sense == "min" else -ONE
+    obj = [ZERO] * len(cols)
+    for v, c in lp.objective.items():
+        for j, sign in col_terms[v]:
+            obj[j] += sense_sign * c * sign
+    return cols, col_rows, b, obj
+
+
+def _assert_matches_reference(lp):
+    reference = _reference_standard_form(lp)
+    built = _lp._standard_form(lp)
+    if reference is None:
+        assert built is None
+        return
+    cols, col_rows, b, obj = reference
+    got_cols, got_rows, got_obj = built
+    assert got_cols == cols
+    m = len(b)
+    assert len(got_rows) == m
+    for r, row in enumerate(got_rows):
+        artificial = [ZERO] * m
+        artificial[r] = ONE
+        want = rows.primitive([col[r] for col in col_rows] + artificial + [b[r]])
+        assert row == want
+        assert all(type(x) is int for x in row)
+    # Any positive multiple of the objective gives the same reduced-cost signs.
+    assert all(type(x) is int for x in got_obj)
+    assert rows.primitive(got_obj) == rows.primitive(obj)
+
+
+def _edge_lps():
+    x, y = "x", "y"
+    return {
+        "no constraints": LinearProgram(
+            variables=(x, y),
+            objective={x: Rat(1, 2), y: Rat(-3)},
+            bounds={x: (Rat(1, 3), Rat(5, 2)), y: (None, Rat(2))},
+        ),
+        "plain ints": LinearProgram(
+            variables=(x, y),
+            objective={x: 2, y: -1},
+            sense="max",
+            constraints=[({x: 3, y: -2}, "<=", 7), ({x: 1, y: 1}, ">=", -4)],
+            bounds={x: (-1, 6), y: (0, None)},
+        ),
+        "explicit zero": LinearProgram(
+            variables=(x, y),
+            objective={x: Rat(0), y: Rat(1)},
+            constraints=[({x: Rat(0), y: Rat(2, 3)}, ">=", Rat(1, 5))],
+            bounds={x: (Rat(2), None), y: (None, None)},
+        ),
+        "fixed variable": LinearProgram(
+            variables=(x, y),
+            objective={x: Rat(1), y: Rat(1)},
+            constraints=[({x: Rat(1), y: Rat(1, 4)}, "=", Rat(3))],
+            bounds={x: (Rat(5, 2), Rat(5, 2)), y: (Rat(0), None)},
+        ),
+        "upper bound only, negative shifted rhs": LinearProgram(
+            variables=(x,),
+            objective={x: Rat(1)},
+            sense="max",
+            constraints=[({x: Rat(3, 2)}, ">=", Rat(1))],
+            bounds={x: (None, Rat(4))},
+        ),
+        "hi below lo": LinearProgram(
+            variables=(x, y),
+            objective={x: Rat(1)},
+            constraints=[({x: Rat(1), y: Rat(1)}, "<=", Rat(1))],
+            bounds={x: (Rat(0), None), y: (Rat(1), Rat(1, 2))},
+        ),
+    }
+
+
+def test_standard_form_matches_dense_reference():
+    for name, family in FAMILIES.items():
+        rng = random.Random(name)
+        for _ in range(40):
+            _assert_matches_reference(family(rng))
+    edges = _edge_lps()
+    for lp in edges.values():
+        _assert_matches_reference(lp)
+    # The upper-bound-only case really flips its row: 3/2 (4 - y) >= 1.
+    cols, built, _ = _lp._standard_form(edges["upper bound only, negative shifted rhs"])
+    assert cols == [("hi", "x"), ("slack", 0)] and built == [[3, 2, 2, 10]]
+    assert solve(edges["hi below lo"]).status == _lp.INFEASIBLE
+    for name, lp in edges.items():
+        sol = solve(lp)
+        if sol.is_optimal:
+            sol.verify(lp)
+    assert solve(edges["fixed variable"]).point == {"x": Rat(5, 2), "y": Rat(2)}
+
+
+@pytest.mark.parametrize(
+    "objective, constraint, bounds, field",
+    [
+        ({"x": Rat(1)}, ({"x": 0.5, "y": Rat(1)}, "<=", Rat(1)), {}, "constraint 0: coefficient of 'x'"),
+        ({"x": 1.0}, ({"x": Rat(1)}, "<=", Rat(1)), {}, "objective coefficient of 'x'"),
+        ({"x": Rat(1)}, ({"x": Rat(1)}, "<=", Rat(1)), {"y": (Rat(0), 2.5)}, "upper bound of 'y'"),
+        ({"x": Rat(1)}, ({"x": Rat(1)}, "<=", 0.1), {}, "constraint 0: rhs"),
+    ],
+)
+def test_inexact_input_rejected(objective, constraint, bounds, field):
+    lp = LinearProgram(
+        variables=("x", "y"),
+        objective=objective,
+        sense="max",
+        constraints=[constraint],
+        bounds={"x": (Rat(0), None), **bounds},
+    )
+    with pytest.raises(ValidationError, match=f"^{field} is not an exact rational"):
+        solve(lp)
