@@ -12,14 +12,15 @@ primitive row that is a positive multiple of the rational one
 rows without dividing (``rows.pivot_eliminate``).  A positive row scale
 changes no sign and no ratio, so the pivots, the basis and the answer are
 those of the rational tableau; rationals come back only when the basic
-values are read out.
+values are read out.  ``LpSolution.verify`` pivots the claimed basis into a
+fresh standard form on the same tableau.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
 Dantzig keeps iteration counts sane on the larger welfare programs.
-``rule="bland"`` forces pure Bland.  Either way the solver is deterministic:
-entering ties break on the lowest column index, leaving ties on the lowest
-basic column index.
+``rule="bland"`` forces pure Bland; any other rule is rejected.  Either way
+the solver is deterministic: entering ties break on the lowest column index,
+leaving ties on the lowest basic column index.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import Optional
 
 from . import rows as _rows
 from .errors import InternalInvariantError, ValidationError
-from .rational import ONE, ZERO, Rat
+from .rational import ZERO, Rat
 
 LESS = "<="
 EQUAL = "="
@@ -125,7 +126,8 @@ class LpSolution:
     def verify(self, lp: LinearProgram) -> bool:
         """Re-check the certificate from scratch: exact primal feasibility of
         the point and dual feasibility (nonnegative reduced costs) of the
-        basis.  Raises InternalInvariantError on any failure."""
+        basis, pivoted into a fresh standard-form tableau, not the solver's.
+        Raises InternalInvariantError on any failure."""
         if self.status != OPTIMAL:
             return True
         point = self.point
@@ -155,44 +157,31 @@ class LpSolution:
 
 
 def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
-    # The standard-form rows are positive multiples of the rational rows and
-    # the objective a positive multiple of the rational one; the sign of every
-    # reduced cost is the same for both.
+    # Pivot the basis into the surviving rows, one free row per column.  Rows,
+    # objective and every pivoted row are positive multiples of the rational
+    # ones, so each reduced cost has its rational sign.
     cols, rows, obj = _standard_form(lp)
+    n = len(cols)
     dropped = set(sol.dropped_rows)
-    surviving = [rows[r] for r in range(len(rows)) if r not in dropped]
+    surviving = [row[:n] + row[-1:] for r, row in enumerate(rows) if r not in dropped]
     index = {label: j for j, label in enumerate(cols)}
     try:
         bjs = [index[label] for label in sol.basis]
     except KeyError as exc:
         raise InternalInvariantError(f"unknown basis column {exc}") from exc
-    size = len(surviving)
-    if len(bjs) != size:
+    if len(bjs) != len(surviving):
         raise InternalInvariantError("basis does not match surviving rows")
-    # Solve B^T y = c_B exactly via Gaussian elimination (restricted to the
-    # surviving rows; dropped rows are implied by them), so that y·B = c_B.
-    aug = [[row[bj] for row in surviving] + [obj[bj]] for bj in bjs]
-    _gauss_jordan(aug, size)
-    y = [aug[r][size] for r in range(size)]
-    for j, label in enumerate(cols):
-        column = [row[j] for row in surviving]
-        reduced = obj[j] - _rows.dot(y, column)
+    tab = _Tableau(surviving, n, [None] * len(surviving))
+    free = list(range(tab.m))
+    for bj in bjs:
+        r = next((r for r in free if tab.T[r][bj]), None)
+        if r is None:
+            raise InternalInvariantError("singular basis matrix")
+        free.remove(r)
+        tab.pivot(r, bj)
+    for label, reduced in zip(cols, tab.cost_row(obj)):
         if reduced < 0:
             raise InternalInvariantError(f"dual infeasible at column {label}")
-
-
-def _gauss_jordan(aug, size) -> None:
-    """Reduce the first ``size`` columns of the augmented rows ``aug`` to the
-    identity, in place; the trailing columns then hold the solution."""
-    for col in range(size):
-        piv = next((r for r in range(col, size) if aug[r][col]), None)
-        if piv is None:
-            raise InternalInvariantError("singular basis matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        _rows.row_scale(aug[col], ONE / aug[col][col])
-        for r in range(size):
-            if r != col and aug[r][col]:
-                _rows.row_eliminate(aug[r], aug[r][col], aug[col])
 
 
 def _inexact(x) -> bool:
@@ -342,15 +331,13 @@ class _Tableau:
     those of the rational tableau.
     """
 
-    def __init__(self, rows, n):
-        """Phase 1 on the standard-form ``rows`` over ``n`` columns, each with
-        its artificial column, which start as the basis.  Takes ``rows``
-        over as its own."""
-        m = len(rows)
-        self.m = m
-        self.n = n + m
+    def __init__(self, rows, n, basis):
+        """The int ``rows`` over ``n`` columns and the rhs, ``basis[r]`` the
+        basic column of row r.  Takes ``rows`` and ``basis`` over as its own."""
+        self.m = len(rows)
+        self.n = n
         self.T = rows
-        self.basis = list(range(n, n + m))
+        self.basis = basis
 
     def pivot(self, r, j):
         _rows.pivot_eliminate(self.T, r, j)
@@ -432,7 +419,10 @@ class _Tableau:
 
 
 def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
-    """Exact optimum with a certified basis; deterministic for a fixed rule."""
+    """Exact optimum with a certified basis; deterministic for a fixed rule,
+    ``"dantzig"`` or ``"bland"`` (any other raises ``ValidationError``)."""
+    if rule not in ("dantzig", "bland"):
+        raise ValidationError(f"unknown pivot rule {rule!r}")
     std = _standard_form(lp)
     if std is None:
         return LpSolution(status=INFEASIBLE)
@@ -440,8 +430,8 @@ def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
     m = len(rows)
     n = len(cols)
 
-    # Phase 1: minimize the sum of the artificials.
-    tab = _Tableau(rows, n)
+    # Phase 1: minimize the sum of the artificials, which start as the basis.
+    tab = _Tableau(rows, n + m, list(range(n, n + m)))
     tab.T.append(tab.cost_row([0] * n + [1] * m))
     if tab.run(rule) != OPTIMAL:  # pragma: no cover
         raise InternalInvariantError("phase 1 cannot be unbounded")

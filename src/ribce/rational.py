@@ -1,37 +1,19 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every probability and payoff in this package is an exact rational; there is
-no floating point anywhere in the core.  The backend is ``gmpy2.mpq`` when
-available (a compiled extension) and ``fractions.Fraction`` otherwise.  Set
-``RIBCE_RATIONAL=fraction`` to force the pure-Python type.
+no floating point anywhere in the core.  ``Rat`` is ``fractions.Fraction``,
+which keeps values in lowest terms with a positive denominator and
+interoperates with Python ints.
 
-The LP inner loops do not run on this type: the simplex tableau and the
-double-description rays are rows of Python ints (``ribce.rows``).  The
-backend carries inputs, standard forms, Gauss–Jordan steps and read-outs.
-How much gmpy2 speeds those up is unmeasured; it is not installed where the
-package's benchmark figures were taken.
-
-Both types keep values in lowest terms with a positive denominator and
-interoperate with Python ints, so the rest of the package treats ``Rat`` as
-an opaque exact number.
+The LP inner loops do not run on this type: the simplex tableau, the
+certificate check and the double-description cone are rows of Python ints
+(``ribce.rows``).  ``Rat`` carries inputs and read-outs.
 """
 
-import os
 from fractions import Fraction
 
-_FORCED = os.environ.get("RIBCE_RATIONAL", "").strip().lower()
-
-if _FORCED in ("", "gmpy2", "mpq"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        Rat = Fraction
-        BACKEND = "fraction"
-else:
-    Rat = Fraction
-    BACKEND = "fraction"
+Rat = Fraction
+BACKEND = "fraction"  # named by ``ribce --version`` and the benchmark header
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -46,12 +28,12 @@ def parse_rational(value):
     if isinstance(value, str):
         text = value.strip()
         try:
-            q = Fraction(text)
+            q = Rat(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
         if "." in text or "e" in text.lower():
             raise ValueError(f"decimal notation not accepted: {value!r}")
-        return Rat(q.numerator, q.denominator)
+        return q
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -49,6 +49,9 @@ class RegimeParams:
             raise InvalidParams("need n > 3 so that 1 < min(theta) <= max(theta) < n - 1")
         if not self.thresholds:
             raise InvalidParams("empty threshold set")
+        for lower, upper in zip(self.thresholds, self.thresholds[1:]):
+            if lower == upper:
+                raise InvalidParams(f"repeated threshold {lower}")
         if min(self.thresholds) <= 1 or max(self.thresholds) >= self.n - 1:
             raise InvalidParams("thresholds must satisfy 1 < theta < n - 1")
         if not (0 < self.k < 1):

@@ -5,10 +5,11 @@ double-description rays are fraction-free: each row is a list of Python
 ints, a positive multiple of the rational row it stands for, kept primitive
 (content 1) by ``primitive``.  ``pivot_eliminate`` pivots such rows without
 a division (Edmonds 1967; Bareiss, Math. Comp. 22, 1968), and ``dot`` and
-``row_combine`` serve the ray updates.  ``row_scale`` and ``row_eliminate``
-work on exact rationals (mpq or Fraction) for the Gauss–Jordan steps.
-Callers go through the module attributes (``_rows.dot``), so the kernels can
-be wrapped for tracing.
+``row_combine`` serve the ray updates.  Every exact elimination (simplex,
+certificate check, initial cone) is a ``pivot_eliminate``; ``row_scale`` and
+``row_eliminate`` have no caller and stay only because the benchmark names
+their call counters.  Callers go through the module attributes
+(``_rows.dot``), so the kernels can be wrapped for tracing.
 """
 
 from math import gcd as _gcd

@@ -5,7 +5,8 @@ pointed cone, and the extreme rays are grown one constraint at a time.  Rays
 with positive homogenizing coordinate map back to vertices.  The cone's rows
 and its rays are primitive rows of Python ints (``rows.primitive``): each is
 a positive multiple of its rational row, which leaves every sign test, every
-canonical ray and every vertex as it would be over the rationals.
+canonical ray and every vertex as it would be over the rationals, and the
+initial cone is one fraction-free Gauss–Jordan pass (``rows.pivot_eliminate``).
 
 Only the exact density mode and small oracle tests need this, so a hard
 variable cap guards against accidental blowups (override with
@@ -22,7 +23,7 @@ import os
 
 from . import rows as _rows
 from .errors import DimensionCapExceeded, InvalidParams, UnboundedPolytope
-from .lp import GREATER, LESS, Constraint, _gauss_jordan, feasible_point
+from .lp import GREATER, LESS, Constraint, feasible_point
 from .rational import ONE, ZERO, Rat
 
 DEFAULT_CAP = 24
@@ -88,30 +89,38 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
 
     nrows = len(mrows)
 
-    # Initial pointed cone from d+1 independent rows (Gaussian elimination).
+    # Initial pointed cone from the first d+1 independent rows: one
+    # fraction-free Gauss–Jordan pass over the int rows [M_idx | unit], whose
+    # unit part records the combination of chosen rows a tableau row holds.
+    size = d + 1
     chosen = []
-    work = []
+    tableau = []
+    pivots = []  # pivot column of each tableau row
     for idx in range(nrows):
-        if len(chosen) == d + 1:
+        if len(chosen) == size:
             break
-        cand = list(mrows[idx])
-        for prow, pcol in work:
-            if cand[pcol]:
-                _rows.row_eliminate(cand, cand[pcol], prow)
-        pcol = next((j for j in range(d + 1) if cand[j]), None)
-        if pcol is None:
+        k = len(tableau)
+        tableau.append(mrows[idx] + [int(c == k) for c in range(size)])
+        for r, col in enumerate(pivots):
+            if tableau[k][col]:
+                _rows.pivot_eliminate(tableau, r, col)
+        col = next((j for j in range(size) if tableau[k][j]), None)
+        if col is None:
+            tableau.pop()
             continue
-        _rows.row_scale(cand, ONE / cand[pcol])
-        work.append((cand, pcol))
+        _rows.pivot_eliminate(tableau, k, col)
+        pivots.append(col)
         chosen.append(idx)
-    if len(chosen) < d + 1:
+    if len(chosen) < size:
         raise UnboundedPolytope("constraint system has a lineality direction")
 
-    # Extreme rays of {y : B y >= 0} are the columns of B^{-1}.
-    size = d + 1
-    aug = [list(mrows[chosen[r]]) + [ONE if c == r else ZERO for c in range(size)] for r in range(size)]
-    _gauss_jordan(aug, size)
-    rays = [_rows.primitive([aug[r][size + c] for r in range(size)]) for c in range(size)]
+    # Extreme rays of {y : B y >= 0} are the columns of B^{-1}; a tableau row
+    # reads u·B = p·e_col with p > 0, so u/p is row col of B^{-1}.
+    inverse = [row for _, row in sorted(zip(pivots, tableau))]
+    rays = [
+        _rows.primitive([Rat(row[size + c], row[i]) for i, row in enumerate(inverse)])
+        for c in range(size)
+    ]
 
     processed = set(chosen)
 

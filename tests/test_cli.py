@@ -182,15 +182,13 @@ def test_table_rendering(files, capsys):
 
 
 def test_version(capsys):
-    from ribce import __version__, rational, rows
+    from ribce import __version__
 
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])
     assert exit_info.value.code == 0
     captured = capsys.readouterr()
-    assert captured.out == (
-        f"ribce {__version__} (rational: {rational.BACKEND}, rows: {rows.IMPL})\n"
-    )
+    assert captured.out == f"ribce {__version__} (rational: fraction, rows: python)\n"
     assert captured.err == ""
 
 
@@ -251,6 +249,18 @@ def test_exit_code_on_malformed_flag(files, capsys, flag, argv):
     argv = [str(files[a]) if a in files else a for a in argv]
     code, out, err = _run(capsys, *argv)
     assert code == 2 and "invalid_params" in err and f"{flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "states, prior",
+    [("2,2,3", "1/4,1/4,1/2"), ("2,2", "1/2,1/2"), ("3,2,3", "1/3,1/3,1/3")],
+)
+def test_exit_code_on_repeated_state(capsys, states, prior):
+    argv = _regime_with("--states", states)
+    argv[argv.index("--prior") + 1] = prior
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid_params" in err and "repeated threshold" in err
 
 
 def _coarsest_partition():

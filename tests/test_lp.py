@@ -71,6 +71,13 @@ def test_redundant_rows_dropped_and_still_verifiable():
     sol.verify(lp)
 
 
+@pytest.mark.parametrize("rule", ["Bland", "blnad", "", None])
+def test_unknown_rule_rejected(rule):
+    lp = LinearProgram(variables=("x",), objective={"x": Rat(1)}, bounds={"x": (Rat(0), None)})
+    with pytest.raises(ValidationError, match="unknown pivot rule"):
+        solve(lp, rule=rule)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ValidationError):
         LinearProgram(variables=("x",), objective={"y": Rat(1)})
@@ -292,3 +299,112 @@ def test_inexact_input_rejected(objective, constraint, bounds, field):
     )
     with pytest.raises(ValidationError, match=f"^{field} is not an exact rational"):
         solve(lp)
+
+
+def _reference_verify_dual(lp, sol):
+    """The former rational dual check, kept as the reference for
+    ``lp._verify_dual``: solve B^T y = c_B by Gauss–Jordan over
+    ``Fraction``s on the surviving standard-form rows, then test every
+    reduced cost c_j - y·A_j."""
+    cols, std_rows, obj = _lp._standard_form(lp)
+    surviving = [row for r, row in enumerate(std_rows) if r not in set(sol.dropped_rows)]
+    index = {label: j for j, label in enumerate(cols)}
+    try:
+        bjs = [index[label] for label in sol.basis]
+    except KeyError as exc:
+        raise _lp.InternalInvariantError(f"unknown basis column {exc}") from exc
+    size = len(surviving)
+    if len(bjs) != size:
+        raise _lp.InternalInvariantError("basis does not match surviving rows")
+    aug = [[Rat(row[bj]) for row in surviving] + [Rat(obj[bj])] for bj in bjs]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if aug[r][col]), None)
+        if piv is None:
+            raise _lp.InternalInvariantError("singular basis matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * s for x, s in zip(aug[r], aug[col])]
+    y = [aug[r][size] for r in range(size)]
+    for j, label in enumerate(cols):
+        if obj[j] - sum((yr * row[j] for yr, row in zip(y, surviving)), ZERO) < 0:
+            raise _lp.InternalInvariantError(f"dual infeasible at column {label}")
+
+
+def _outcome(check, lp, sol):
+    try:
+        check(lp, sol)
+    except _lp.InternalInvariantError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _kind(outcome):
+    """An outcome without the column it names."""
+    for prefix in ("dual infeasible", "unknown basis column"):
+        if outcome.startswith(prefix):
+            return prefix
+    return outcome
+
+
+def _claims(lp, rng):
+    """(kind, program, claimed solution) triples for the dual check: the
+    optimum of ``lp`` and of the same constraints under a second objective,
+    the latter's basis claimed for ``lp`` (feasible, not always optimal),
+    then one of these bases with a duplicated label, one label short and an
+    unknown label, and a random set of standard-form columns for ``lp``."""
+    claims = []
+    sol = solve(lp)
+    if sol.is_optimal:
+        claims.append(("optimal", lp, sol))
+    second = LinearProgram(
+        lp.variables,
+        {v: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for v in lp.variables},
+        "max" if lp.sense == "min" else "min",
+        lp.constraints,
+        lp.bounds,
+    )
+    other = solve(second)
+    if other.is_optimal:
+        claims.append(("optimal", second, other))
+        # The point is feasible and the value is the one it gives under lp's
+        # own objective, so only the dual check can reject it.
+        value = sum((c * other.point[v] for v, c in lp.objective.items()), ZERO)
+        claim = _lp.LpSolution(_lp.OPTIMAL, other.point, value, other.basis, other.dropped_rows)
+        claims.append(("second objective", lp, claim))
+    base = sol if sol.is_optimal else other if other.is_optimal else None
+    if base is not None and base.basis:
+        labels = base.basis
+        derived = {"one short": labels[:-1], "unknown": labels[:-1] + (("ghost", 0),)}
+        if len(labels) > 1:
+            derived["duplicated"] = labels[:-1] + labels[:1]
+        for kind, basis in derived.items():
+            claim = _lp.LpSolution(_lp.OPTIMAL, None, None, basis, base.dropped_rows)
+            claims.append((kind, lp if sol.is_optimal else second, claim))
+    std = _lp._standard_form(lp)
+    if std is not None:
+        cols, std_rows, _ = std
+        basis = tuple(rng.sample(cols, min(len(cols), len(std_rows))))
+        claims.append(("random", lp, _lp.LpSolution(_lp.OPTIMAL, None, None, basis, ())))
+    return claims
+
+
+def test_dual_check_matches_gauss_jordan_reference():
+    seen = {}
+    for family_name, family in FAMILIES.items():
+        rng = random.Random(f"dual {family_name}")
+        for _ in range(40):
+            for kind, lp, claim in _claims(family(rng), rng):
+                want = _outcome(_reference_verify_dual, lp, claim)
+                assert _outcome(_lp._verify_dual, lp, claim) == want, (family_name, kind)
+                if claim.point is not None:
+                    assert _outcome(_lp.LpSolution.verify, claim, lp) == want
+                seen.setdefault(kind, set()).add(_kind(want))
+    assert seen["optimal"] == {"ok"}
+    assert seen["second objective"] == {"ok", "dual infeasible"}
+    assert seen["duplicated"] == {"singular basis matrix"}
+    assert seen["one short"] == {"basis does not match surviving rows"}
+    assert seen["unknown"] == {"unknown basis column"}
+    assert seen["random"] >= {"ok", "dual infeasible", "singular basis matrix"}

@@ -41,6 +41,17 @@ def test_param_validation():
         _params(prior={2: Rat(1, 2)})
 
 
+def test_repeated_threshold_rejected():
+    # A repeated threshold would be counted twice in E[theta].
+    prior = {6: Rat(1, 4), 7: Rat(3, 4)}
+    with pytest.raises(InvalidParams, match="^repeated threshold 6$"):
+        RegimeParams(n=9, k=Rat(9, 10), x=Rat(1, 3), thresholds=(6, 6, 7), prior=prior)
+    with pytest.raises(InvalidParams, match="^repeated threshold 7$"):
+        RegimeParams(n=9, k=Rat(9, 10), x=Rat(1, 3), thresholds=(7, 6, 7), prior=prior)
+    params = RegimeParams(n=9, k=Rat(9, 10), x=Rat(1, 3), thresholds=(6, 7), prior=prior)
+    assert gap_closed_form(params) is True
+
+
 def test_build_game_shape_and_symmetry():
     params = _params()
     g = build_regime_game(params)
