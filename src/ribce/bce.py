@@ -26,7 +26,7 @@ def obedience_slack(game: BaseGame, outcome: Outcome, player, rec, dev):
     total = ZERO
     for (profile, state), q in outcome.p.items():
         if q and profile[k] == rec:
-            swapped = profile[:k] + (dev,) + profile[k + 1 :]
+            swapped = game.replace_action(profile, player, dev)
             total += (game.u(player, profile, state) - game.u(player, swapped, state)) * q
     return total
 
@@ -34,11 +34,10 @@ def obedience_slack(game: BaseGame, outcome: Outcome, player, rec, dev):
 def obedience_row(game: BaseGame, player, rec, dev) -> dict:
     """Coefficients of the obedience slack of (rec -> dev) as a linear
     functional of the outcome, over the cells where ``rec`` is recommended."""
-    k = game.player_index(player)
     coeffs = {}
     for opp in game.opponent_profiles(player):
-        profile = opp[:k] + (rec,) + opp[k:]
-        swapped = opp[:k] + (dev,) + opp[k:]
+        profile = game.insert_action(player, rec, opp)
+        swapped = game.insert_action(player, dev, opp)
         for state in game.states:
             diff = game.u(player, profile, state) - game.u(player, swapped, state)
             if diff:
@@ -142,17 +141,9 @@ def max_support_point(game: BaseGame) -> Outcome:
     sits in the relative interior of the BCE set.
     """
     poly = BcePolytope.of(game)
-    points = []
-    for cell in poly.variables:
-        outcome, _ = maximize_cell_over_bce(game, cell, poly)
-        points.append(outcome)
+    points = [maximize_cell_over_bce(game, cell, poly)[0] for cell in poly.variables]
     weight = Rat(1, len(points))
-    acc = {}
-    for outcome in points:
-        for key, q in outcome.p.items():
-            if q:
-                acc[key] = acc.get(key, ZERO) + q * weight
-    out = Outcome(p=acc)
+    out = mix_outcomes((weight, point) for point in points)
     validate_outcome(game, out)
     check = is_bce(game, out)
     if not check:
@@ -160,13 +151,12 @@ def max_support_point(game: BaseGame) -> Outcome:
     return out
 
 
-def mix_outcomes(a: Outcome, weight_a, b: Outcome, weight_b) -> Outcome:
-    """Exact convex combination weight_a*a + weight_b*b."""
+def mix_outcomes(pairs) -> Outcome:
+    """Exact weighted sum of outcomes from (weight, outcome) pairs.  Cells
+    appear in first-seen order; cells with zero total mass are dropped."""
     acc = {}
-    for key, q in a.p.items():
-        if q:
-            acc[key] = acc.get(key, ZERO) + weight_a * q
-    for key, q in b.p.items():
-        if q:
-            acc[key] = acc.get(key, ZERO) + weight_b * q
+    for weight, outcome in pairs:
+        for key, q in outcome.p.items():
+            if q:
+                acc[key] = acc.get(key, ZERO) + weight * q
     return Outcome(p={k: v for k, v in acc.items() if v})

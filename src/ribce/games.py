@@ -48,9 +48,22 @@ class BaseGame:
     def player_index(self, player) -> int:
         return self.players.index(player)
 
+    # Profile layout: player i's action sits at ``player_index(i)``, and an
+    # opponents' profile is the profile without that entry, in player order.
+
+    def opponents(self, player) -> tuple:
+        """The players other than ``player``, in player order."""
+        return tuple(j for j in self.players if j != player)
+
     def opponent_profiles(self, player):
-        others = [self.actions[j] for j in self.players if j != player]
-        return product(*others)
+        """All opponents' profiles of ``player``, in canonical order."""
+        return product(*(self.actions[j] for j in self.opponents(player)))
+
+    def opponent_profile(self, profile, player) -> tuple:
+        """The opponents' profile within a full profile: ``player``'s entry
+        dropped."""
+        k = self.player_index(player)
+        return profile[:k] + profile[k + 1 :]
 
     def insert_action(self, player, own_action, opp_profile) -> tuple:
         """Full profile from a player's action and an opponents' profile."""
@@ -58,8 +71,14 @@ class BaseGame:
         return opp_profile[:k] + (own_action,) + opp_profile[k:]
 
     def replace_action(self, profile, player, action) -> tuple:
+        """The full profile with ``player``'s action swapped for ``action``."""
         k = self.player_index(player)
         return profile[:k] + (action,) + profile[k + 1 :]
+
+    def belief_cells(self, player):
+        """The (opponents' profile, state) cells a belief of ``player`` lives
+        on, in canonical order."""
+        return product(self.opponent_profiles(player), self.states)
 
 
 @dataclass(frozen=True)
@@ -167,11 +186,10 @@ def gross_value(game: BaseGame, outcome: Outcome, player):
 def deviation_value(game: BaseGame, outcome: Outcome, player, action):
     """Payoff from ignoring all recommendations and always playing ``action``."""
     check_action(game, player, action)
-    k = game.player_index(player)
     total = ZERO
     for (profile, state), q in outcome.p.items():
         if q:
-            dev = profile[:k] + (action,) + profile[k + 1 :]
+            dev = game.replace_action(profile, player, action)
             total += game.u(player, dev, state) * q
     return total
 
@@ -179,11 +197,10 @@ def deviation_value(game: BaseGame, outcome: Outcome, player, action):
 def deviation_row(game: BaseGame, player, action) -> dict:
     """Coefficients of ``deviation_value`` as a linear functional of the
     outcome: each cell's payoff to ``player`` from playing ``action`` there."""
-    k = game.player_index(player)
     coeffs = {}
     for cell in game.cells():
         profile, state = cell
-        dev = profile[:k] + (action,) + profile[k + 1 :]
+        dev = game.replace_action(profile, player, action)
         val = game.u(player, dev, state)
         if val:
             coeffs[cell] = val

@@ -14,6 +14,7 @@ action, opponents on action 1 and state, and serves both the regime
 programs here and the symmetric gap test in ``welfare``.
 """
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from types import SimpleNamespace
@@ -30,6 +31,21 @@ GROSS_WELFARE = "gross_welfare"
 UNINFORMED_WELFARE = "uninformed_welfare"
 
 
+def _require_int(field, value):
+    """``value`` itself if it is an int (not a bool); thresholds are counts."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParams(f"{field} must be an int, not {value!r}")
+    return value
+
+
+def _require_exact(field, value):
+    """``value`` as a Rat if it is exact (an int or a Fraction); a float
+    would be silently rounded to its binary expansion."""
+    if not isinstance(value, numbers.Rational):
+        raise InvalidParams(f"{field} must be an exact rational, not {value!r}")
+    return Rat(value)
+
+
 @dataclass(frozen=True)
 class RegimeParams:
     n: int
@@ -39,11 +55,21 @@ class RegimeParams:
     prior: dict  # threshold -> Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "k", Rat(self.k))
-        object.__setattr__(self, "x", Rat(self.x))
-        object.__setattr__(self, "thresholds", tuple(sorted(int(t) for t in self.thresholds)))
+        _require_int("n", self.n)
+        object.__setattr__(self, "k", _require_exact("k", self.k))
+        object.__setattr__(self, "x", _require_exact("x", self.x))
         object.__setattr__(
-            self, "prior", {int(t): Rat(q) for t, q in self.prior.items()}
+            self,
+            "thresholds",
+            tuple(sorted(_require_int("thresholds", t) for t in self.thresholds)),
+        )
+        object.__setattr__(
+            self,
+            "prior",
+            {
+                _require_int("prior key", t): _require_exact(f"prior[{t}]", q)
+                for t, q in self.prior.items()
+            },
         )
         if self.n <= 3:
             raise InvalidParams("need n > 3 so that 1 < min(theta) <= max(theta) < n - 1")
@@ -320,27 +346,25 @@ def check_optimality_conditions(params: RegimeParams, outcome: Outcome, game: Ba
     game = game or build_regime_game(params)
     if not is_symmetric_outcome(game, outcome):
         raise NotSymmetricOutcome("optimality conditions apply to symmetric outcomes")
-    pivotal = ZERO
-    success = ZERO
-    for (profile, theta), q in outcome.p.items():
-        if not q:
-            continue
-        m = sum(1 for a in profile if a == ATTACK)
-        if theta - 1 <= m <= theta:
-            pivotal += q
-        if m > theta:
-            success += q
-    return pivotal == ZERO and success == params.kappa
+    return _meets_optimality(
+        params,
+        ((profile.count(ATTACK), theta, q) for (profile, theta), q in outcome.p.items() if q),
+    )
 
 
 def kernel_satisfies_optimality(params: RegimeParams, kernel: CountKernel) -> bool:
     """Count-space version of check_optimality_conditions."""
+    return _meets_optimality(
+        params,
+        ((m, theta, q * params.prior[theta]) for (m, theta), q in kernel.q.items() if q),
+    )
+
+
+def _meets_optimality(params: RegimeParams, masses) -> bool:
+    """The optimality conditions on (attackers, theta, joint mass) triples."""
     pivotal = ZERO
     success = ZERO
-    for (m, theta), q in kernel.q.items():
-        if not q:
-            continue
-        mass = q * params.prior[theta]
+    for m, theta, mass in masses:
         if theta - 1 <= m <= theta:
             pivotal += mass
         if m > theta:

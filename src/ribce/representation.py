@@ -171,7 +171,6 @@ def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player
     """Expected payoff when the player observes (z, theta) directly and best
     responds, while opponents follow their plans; an upper envelope for the
     value of any experiment."""
-    k = game.player_index(player)
     total = ZERO
     for state in game.states:
         pi = game.prior[state]
@@ -179,18 +178,14 @@ def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player
             zmass = rep.kernel[(state, z)] * pi
             if not zmass:
                 continue
-            opponents = []
-            for kk, j in enumerate(game.players):
-                if j == player:
-                    continue
-                cell = z[kk]
-                opponents.append(
-                    [
-                        (a, rep.action_plans[j][(a, cell)])
-                        for a in game.actions[j]
-                        if rep.action_plans[j][(a, cell)]
-                    ]
-                )
+            opponents = [
+                [
+                    (a, rep.action_plans[j][(a, cell)])
+                    for a in game.actions[j]
+                    if rep.action_plans[j][(a, cell)]
+                ]
+                for j, cell in zip(game.opponents(player), game.opponent_profile(z, player))
+            ]
             best = None
             for own in game.actions[player]:
                 val = ZERO
@@ -199,7 +194,7 @@ def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player
                     weight = ONE
                     for _, w in combo:
                         weight *= w
-                    profile = opp_profile[:k] + (own,) + opp_profile[k:]
+                    profile = game.insert_action(player, own, opp_profile)
                     val += weight * game.u(player, profile, state)
                 if best is None or val > best:
                     best = val

@@ -30,10 +30,15 @@ class ConditionalBelief:
         return all(not q for q in self.belief.values())
 
 
-def _belief_cells(game: BaseGame, player):
-    for opp in game.opponent_profiles(player):
-        for state in game.states:
-            yield (opp, state)
+def belief_vector(game: BaseGame, outcome: Outcome, player, action):
+    """(masses, total): the outcome's mass on each of ``game.belief_cells(player)``
+    where ``player`` plays ``action``, in that order, and their sum p(action).
+    Dividing by the total gives the belief ``action`` induces."""
+    vec = tuple(
+        outcome.mass(game.insert_action(player, action, opp), state)
+        for opp, state in game.belief_cells(player)
+    )
+    return vec, sum((q for q in vec if q), ZERO)
 
 
 def _best_responses(game: BaseGame, player, belief: dict) -> tuple:
@@ -59,43 +64,25 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
     all-zeros convention (used by the extreme-point equal-belief test).
     """
     check_action(game, player, rec)
-    k = game.player_index(player)
-    mass = outcome.action_marginal(game, player, rec)
-    if not mass:
-        if not allow_zero:
-            raise ZeroProbabilityRecommendation(f"{player!r} never plays {rec!r}")
-        belief = {cell: ZERO for cell in _belief_cells(game, player)}
-        return ConditionalBelief(
-            owner=player,
-            recommendation=rec,
-            belief=belief,
-            br_set=tuple(game.actions[player]),
-        )
-    belief = {cell: ZERO for cell in _belief_cells(game, player)}
-    for (profile, state), q in outcome.p.items():
-        if q and profile[k] == rec:
-            opp = profile[:k] + profile[k + 1 :]
-            belief[(opp, state)] += q / mass
+    vec, mass = belief_vector(game, outcome, player, rec)
+    if not mass and not allow_zero:
+        raise ZeroProbabilityRecommendation(f"{player!r} never plays {rec!r}")
+    belief = {
+        cell: q / mass if q else ZERO for cell, q in zip(game.belief_cells(player), vec)
+    }
     return ConditionalBelief(
         owner=player,
         recommendation=rec,
         belief=belief,
-        br_set=_best_responses(game, player, belief),
+        br_set=_best_responses(game, player, belief) if mass else tuple(game.actions[player]),
     )
 
 
 def beliefs_equal(game: BaseGame, outcome: Outcome, player, a, b) -> bool:
     """p_a == p_b for two supported recommendations, cross-multiplied."""
-    k = game.player_index(player)
-    mass_a = outcome.action_marginal(game, player, a)
-    mass_b = outcome.action_marginal(game, player, b)
-    for opp in game.opponent_profiles(player):
-        for state in game.states:
-            cell_a = outcome.mass(opp[:k] + (a,) + opp[k:], state)
-            cell_b = outcome.mass(opp[:k] + (b,) + opp[k:], state)
-            if mass_a * cell_b != mass_b * cell_a:
-                return False
-    return True
+    vec_a, mass_a = belief_vector(game, outcome, player, a)
+    vec_b, mass_b = belief_vector(game, outcome, player, b)
+    return all(mass_a * qb == mass_b * qa for qa, qb in zip(vec_a, vec_b))
 
 
 class SeparationCheck(NamedTuple):

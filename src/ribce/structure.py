@@ -31,7 +31,7 @@ from .errors import (
 )
 from .games import BaseGame, Outcome, check_action, utility_distance, validate_outcome
 from .rational import ONE, ZERO, Rat
-from .separation import beliefs_equal, conditional_belief, is_sbce, is_separated
+from .separation import belief_vector, beliefs_equal, conditional_belief, is_sbce, is_separated
 from .vertices import enumerate_vertices
 
 RANDOMIZED = "randomized"
@@ -80,18 +80,6 @@ def jeopardization_set(game: BaseGame, player, target, poly: Optional[BcePolytop
 # Equal beliefs across the whole BCE set (extreme-point test)
 
 
-def _belief_vectors(game: BaseGame, outcome: Outcome, player, action):
-    """(unnormalized vector over (opponent profile, state), marginal)."""
-    k = game.player_index(player)
-    vec = []
-    for opp in game.opponent_profiles(player):
-        profile = opp[:k] + (action,) + opp[k:]
-        for state in game.states:
-            vec.append(outcome.mass(profile, state))
-    total = sum(vec, ZERO)
-    return tuple(vec), total
-
-
 def bce_vertices(game: BaseGame, cap=None):
     """All vertices of the game's BCE polytope, as outcomes."""
     poly = BcePolytope.of(game)
@@ -120,8 +108,8 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None):
         vertices = bce_vertices(game)
     data = []
     for v in vertices:
-        vec_a, mass_a = _belief_vectors(game, v, player, a)
-        vec_b, mass_b = _belief_vectors(game, v, player, b)
+        vec_a, mass_a = belief_vector(game, v, player, a)
+        vec_b, mass_b = belief_vector(game, v, player, b)
         data.append((vec_a, mass_a, vec_b, mass_b))
     if all(not mass_a for _, mass_a, _, _ in data):
         raise NotCoherent(f"{a!r} has zero probability in every BCE")
@@ -205,7 +193,7 @@ def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None):
     if weights is None:
         weights = [Rat(1, d) for d in range(2, 2 * (len(keep_pairs) + 2) + 4)]
     for t in weights:
-        mixed = mix_outcomes(cand, ONE - t, other, t)
+        mixed = mix_outcomes(((ONE - t, cand), (t, other)))
         if want_pair is not None and not _pair_distinct(game, mixed, want_pair):
             continue
         if all(_pair_distinct(game, mixed, pair) for pair in keep_pairs):
@@ -221,7 +209,7 @@ def _distinct_witness(game: BaseGame, player, a, b, vertices):
     candidates = list(vertices)
     for idx, v in enumerate(vertices):
         for w in vertices[idx + 1 :]:
-            candidates.append(mix_outcomes(v, half, w, half))
+            candidates.append(mix_outcomes(((half, v), (half, w))))
     for cand in candidates:
         if _pair_distinct(game, cand, (player, a, b)):
             return cand
@@ -246,12 +234,7 @@ def find_minimally_mixed(game: BaseGame, retries: int = 64, seed: int = 0, mode:
         if len(vertices) == 1:
             return vertices[0]
         weight = Rat(1, len(vertices))
-        acc = {}
-        for v in vertices:
-            for key, q in v.p.items():
-                if q:
-                    acc[key] = acc.get(key, ZERO) + q * weight
-        cand = Outcome(p=acc)
+        cand = mix_outcomes((weight, v) for v in vertices)
         realized = _distinct_pairs(game, cand)
         for pair in sorted(_supported_pairs(game, cand), key=str):
             if pair in realized:
@@ -477,9 +460,7 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     max_abs = ZERO
     for i in game.players:
         support = outcome.support(game, i)
-        cells = [
-            (opp, state) for opp in game.opponent_profiles(i) for state in game.states
-        ]
+        cells = list(game.belief_cells(i))
         belief_of = {}
         distinct = []
         for a in support:
@@ -538,7 +519,7 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
             base = game.u(i, profile, state)
             extra = bonus.get((i, profile[k]), None)
             if extra:
-                opp = profile[:k] + profile[k + 1 :]
+                opp = game.opponent_profile(profile, i)
                 base = base + step * extra.get((opp, state), ZERO)
             table[(profile, state)] = base
         utilities[i] = table

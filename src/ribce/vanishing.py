@@ -70,21 +70,16 @@ def is_complete_info_nash(game: BaseGame, outcome: Outcome):
     # Per-state Nash: every action in a factor's support best responds to the
     # opponents' product mix.
     for state in game.states:
-        for k, i in enumerate(game.players):
+        for i in game.players:
             payoffs = {}
             for a in game.actions[i]:
                 total = ZERO
                 for opp in game.opponent_profiles(i):
                     weight = ONE
-                    idx = 0
-                    for kk, j in enumerate(game.players):
-                        if j == i:
-                            continue
-                        weight *= mixes[(state, j)][opp[idx]]
-                        idx += 1
+                    for j, a_j in zip(game.opponents(i), opp):
+                        weight *= mixes[(state, j)][a_j]
                     if weight:
-                        profile = opp[:k] + (a,) + opp[k:]
-                        total += weight * game.u(i, profile, state)
+                        total += weight * game.u(i, game.insert_action(i, a, opp), state)
                 payoffs[a] = total
             best = max(payoffs.values())
             for a in game.actions[i]:
@@ -195,18 +190,15 @@ def _verify_certificate(game: BaseGame, outcome: Outcome, cert: VceCertificate):
         return f"weights sum to {total}, not 1"
     if any(Rat(w) <= 0 for w in cert.weights):
         return "weights must be strictly positive"
-    mix = {}
-    for w, comp in zip(cert.weights, cert.components):
+    for comp in cert.components:
         validate_outcome(game, comp)
         nash, _ = is_complete_info_nash(game, comp)
         if not nash:
             return "a component is not a complete-information Nash equilibrium"
         if not is_decomposable(game, comp, cert.partition, outcome):
             return "a component fails measurability or cell-ratio matching"
-        for key, q in comp.p.items():
-            if q:
-                mix[key] = mix.get(key, ZERO) + Rat(w) * q
-    if {k: v for k, v in mix.items() if v} != {k: v for k, v in outcome.p.items() if v}:
+    mix = mix_outcomes(zip(map(Rat, cert.weights), cert.components))
+    if mix.p != {k: v for k, v in outcome.p.items() if v}:
         return "the weighted components do not reproduce the outcome"
     if not is_sbce(game, cert.sbce_witness):
         return "the sBCE witness is not a separated BCE"
@@ -311,7 +303,7 @@ def check_vce(
         cand = density.certificate
         span = _distance(outcome, cand, list(game.cells()))
         t = ONE if span == 0 else min(Rat(1, 2), Rat(epsilon) / span)
-        witness = mix_outcomes(outcome, ONE - t, cand, t)
+        witness = mix_outcomes(((ONE - t, outcome), (t, cand)))
         if is_sbce(game, witness):
             return Verdict(
                 kind=IS_VCE,

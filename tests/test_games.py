@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -212,3 +213,28 @@ def test_symmetrize_player_cap(monkeypatch):
     monkeypatch.setattr(games_mod, "MAX_SYMMETRIZE_PLAYERS", 1)
     with pytest.raises(TooManyPlayers):
         symmetrize(g, p)
+
+
+def test_profile_layout_round_trips():
+    # Player i's action sits at player_index(i); the opponents' profile is
+    # the rest, in player order, and every helper agrees with that layout.
+    rng = random.Random(7)
+    for n_players in (1, 2, 3, 4):
+        for _ in range(3):
+            g = random_game(rng, n_players=n_players, n_actions=(1, 3))
+            profiles = list(g.profiles())
+            for i in g.players:
+                k = g.player_index(i)
+                assert g.opponents(i) == tuple(j for j in g.players if j != i)
+                opps = list(g.opponent_profiles(i))
+                assert opps == list(product(*(g.actions[j] for j in g.opponents(i))))
+                assert list(g.belief_cells(i)) == [(o, s) for o in opps for s in g.states]
+                for a in g.actions[i]:
+                    own = [g.opponent_profile(p, i) for p in profiles if p[k] == a]
+                    assert own == opps
+                for profile in profiles:
+                    opp = g.opponent_profile(profile, i)
+                    assert opp == tuple(profile[g.player_index(j)] for j in g.opponents(i))
+                    assert g.insert_action(i, profile[k], opp) == profile
+                    for b in g.actions[i]:
+                        assert g.replace_action(profile, i, b) == g.insert_action(i, b, opp)

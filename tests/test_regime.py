@@ -41,6 +41,43 @@ def test_param_validation():
         _params(prior={2: Rat(1, 2)})
 
 
+def test_inexact_params_rejected_naming_the_field():
+    # A float threshold used to be truncated and a float k silently turned
+    # into its binary expansion.
+    with pytest.raises(InvalidParams, match="^k "):
+        RegimeParams(
+            n=9, k=0.1, x=1, thresholds=(2.7, 3), prior={2.7: Rat(1, 2), 3: Rat(1, 2)}
+        )
+    half = Rat(1, 2)
+    cases = [
+        ("n", dict(n=9.0)),
+        ("n", dict(n=True)),
+        ("x", dict(x=0.5)),
+        ("x", dict(x="1/2")),
+        ("thresholds", dict(thresholds=(2.0, 3), prior={2: half, 3: half})),
+        ("thresholds", dict(thresholds=(True, 3), prior={2: half, 3: half})),
+        ("prior key", dict(thresholds=(2, 3), prior={2.0: half, 3: half})),
+        ("prior key", dict(thresholds=(2, 3), prior={False: half, 3: half})),
+        (r"prior\[3\]", dict(thresholds=(2, 3), prior={2: half, 3: 0.5})),
+    ]
+    for field, changes in cases:
+        args = dict(n=5, k=half, x=Rat(1), thresholds=(2,), prior={2: Rat(1)})
+        args.update(changes)
+        with pytest.raises(InvalidParams, match=f"^{field} must be"):
+            RegimeParams(**args)
+
+
+def test_exact_params_accepted_and_coerced_to_rat():
+    params = RegimeParams(n=5, k=Rat(1, 2), x=1, thresholds=[2], prior={2: 1})
+    assert params.x == Rat(1) and type(params.x) is Rat
+    assert params.prior == {2: Rat(1)} and type(params.prior[2]) is Rat
+    params = RegimeParams(
+        n=5, k=Rat(1, 2), x=Rat(1), thresholds=[3, 2], prior={3: Rat(3, 4), 2: Rat(1, 4)}
+    )
+    assert params.thresholds == (2, 3)
+    assert params.prior == {2: Rat(1, 4), 3: Rat(3, 4)}
+
+
 def test_repeated_threshold_rejected():
     # A repeated threshold would be counted twice in E[theta].
     prior = {6: Rat(1, 4), 7: Rat(3, 4)}

@@ -5,8 +5,11 @@ import pytest
 from ribce.bce import is_bce, minimize_linear_over_bce
 from ribce.errors import ZeroProbabilityRecommendation
 from ribce.games import make_outcome
-from ribce.rational import Rat
+from ribce.rational import ZERO, Rat
 from ribce.separation import (
+    ConditionalBelief,
+    _best_responses,
+    belief_vector,
     beliefs_equal,
     conditional_belief,
     is_sbce,
@@ -147,3 +150,90 @@ def test_obedience_restated_on_beliefs():
         for i in g.players:
             for a in p.support(g, i):
                 assert a in conditional_belief(g, p, i, a).br_set
+
+
+# The belief code as it stood before ``belief_vector`` owned the cell order,
+# kept as the reference the current functions must reproduce exactly.
+
+
+def _reference_conditional_belief(game, outcome, player, rec, allow_zero=False):
+    k = game.player_index(player)
+    mass = outcome.action_marginal(game, player, rec)
+    cells = [(opp, state) for opp in game.opponent_profiles(player) for state in game.states]
+    belief = {cell: ZERO for cell in cells}
+    if not mass:
+        if not allow_zero:
+            raise ZeroProbabilityRecommendation(f"{player!r} never plays {rec!r}")
+        return ConditionalBelief(player, rec, belief, tuple(game.actions[player]))
+    for (profile, state), q in outcome.p.items():
+        if q and profile[k] == rec:
+            opp = profile[:k] + profile[k + 1 :]
+            belief[(opp, state)] += q / mass
+    return ConditionalBelief(player, rec, belief, _best_responses(game, player, belief))
+
+
+def _reference_beliefs_equal(game, outcome, player, a, b):
+    k = game.player_index(player)
+    mass_a = outcome.action_marginal(game, player, a)
+    mass_b = outcome.action_marginal(game, player, b)
+    for opp in game.opponent_profiles(player):
+        for state in game.states:
+            cell_a = outcome.mass(opp[:k] + (a,) + opp[k:], state)
+            cell_b = outcome.mass(opp[:k] + (b,) + opp[k:], state)
+            if mass_a * cell_b != mass_b * cell_a:
+                return False
+    return True
+
+
+def _reference_belief_vectors(game, outcome, player, action):
+    k = game.player_index(player)
+    vec = []
+    for opp in game.opponent_profiles(player):
+        profile = opp[:k] + (action,) + opp[k:]
+        for state in game.states:
+            vec.append(outcome.mass(profile, state))
+    return tuple(vec), sum(vec, ZERO)
+
+
+def _random_outcome(rng, game, idle):
+    """Sparse random outcome in which ``idle`` (player, action) never plays."""
+    player, action = idle
+    k = game.player_index(player)
+    live = [p for p in game.profiles() if p[k] != action]
+    entries = {}
+    for state in game.states:
+        weights = [rng.choice((0, 0, 1, 2, 5)) for _ in live]
+        weights[rng.randrange(len(weights))] += 1
+        total = sum(weights)
+        for profile, w in zip(live, weights):
+            if w:
+                entries[(profile, state)] = game.prior[state] * Rat(w, total)
+    return make_outcome(game, entries)
+
+
+def test_belief_code_matches_reference_on_random_outcomes():
+    rng = random.Random(2016)
+    for n_players in (1, 2, 3):
+        for _ in range(12):
+            g = random_game(rng, n_players=n_players, n_actions=(2, 3))
+            idle_player = rng.choice(g.players)
+            out = _random_outcome(rng, g, (idle_player, g.actions[idle_player][-1]))
+            for i in g.players:
+                for a in g.actions[i]:
+                    assert belief_vector(g, out, i, a) == _reference_belief_vectors(g, out, i, a)
+                    for allow_zero in (False, True):
+                        try:
+                            ref = _reference_conditional_belief(g, out, i, a, allow_zero)
+                        except ZeroProbabilityRecommendation:
+                            with pytest.raises(ZeroProbabilityRecommendation):
+                                conditional_belief(g, out, i, a, allow_zero)
+                            continue
+                        got = conditional_belief(g, out, i, a, allow_zero)
+                        assert list(got.belief.items()) == list(ref.belief.items())
+                        assert all(q is ZERO for q in got.belief.values() if not q)
+                        assert got.br_set == ref.br_set
+                    for b in g.actions[i]:
+                        assert beliefs_equal(g, out, i, a, b) == _reference_beliefs_equal(
+                            g, out, i, a, b
+                        )
+            assert not out.action_marginal(g, idle_player, g.actions[idle_player][-1])
