@@ -7,7 +7,7 @@ equilibrium of the prior-averaged game is obedient), so every optimizer here
 returns an exact optimum with its minimizer.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import lp as _lp
@@ -68,12 +68,21 @@ def is_bce(game: BaseGame, outcome: Outcome) -> BceCheck:
 
 @dataclass
 class BcePolytope:
-    """LP skeleton of a game's BCE set; variables are the (profile, state) cells."""
+    """LP skeleton of a game's BCE set; variables are the (profile, state) cells.
+
+    ``solve`` optimizes a linear objective over the set.  Phase 1 reads only
+    the constraints, so the first ``solve`` runs it and keeps the feasible
+    tableau (an ``lp.Polyhedron``) for every later objective; each answer is
+    the one ``lp.solve`` gives for ``lp(objective, sense)``.  That state is
+    left out of ``repr`` and ``==``, and assumes the constraints and bounds
+    no longer change.
+    """
 
     game: BaseGame
     variables: tuple
     constraints: list
     bounds: dict
+    _feasible: Optional[_lp.Polyhedron] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, game: BaseGame) -> "BcePolytope":
@@ -98,6 +107,11 @@ class BcePolytope:
             constraints=list(self.constraints),
             bounds=dict(self.bounds),
         )
+
+    def solve(self, objective: dict, sense: str = "min") -> _lp.LpSolution:
+        if self._feasible is None:
+            self._feasible = _lp.phase_one(self.variables, self.constraints, self.bounds)
+        return self._feasible.optimize(objective, sense)
 
     def outcome_from_point(self, point: dict) -> Outcome:
         out = Outcome(p={v: point[v] for v in self.variables if point[v]})
@@ -127,20 +141,21 @@ def minimize_linear_over_bce(game: BaseGame, objective: dict):
 
 def maximize_cell_over_bce(game: BaseGame, cell, poly: Optional[BcePolytope] = None):
     poly = poly or BcePolytope.of(game)
-    sol = _lp.solve(poly.lp({cell: ONE}, "max"))
+    sol = poly.solve({cell: ONE}, "max")
     if not sol.is_optimal:
         raise InternalInvariantError(f"BCE polytope should never be {sol.status}")
     return poly.outcome_from_point(sol.point), sol.value
 
 
-def max_support_point(game: BaseGame) -> Outcome:
+def max_support_point(game: BaseGame, poly: Optional[BcePolytope] = None) -> Outcome:
     """A BCE whose support contains the support of every BCE.
 
     Averages, with equal weights, one maximizer of each cell's probability;
     the average of feasible points supports the union of their supports and
-    sits in the relative interior of the BCE set.
+    sits in the relative interior of the BCE set.  ``poly``, the game's
+    polytope, is built when not given.
     """
-    poly = BcePolytope.of(game)
+    poly = poly or BcePolytope.of(game)
     points = [maximize_cell_over_bce(game, cell, poly)[0] for cell in poly.variables]
     weight = Rat(1, len(points))
     out = mix_outcomes((weight, point) for point in points)

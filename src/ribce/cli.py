@@ -7,6 +7,7 @@ invariant failures.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -471,11 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call and then reused:
+    parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Look the handler up by name on each call, so a wrapper bound to a
+    # ``cmd_*`` name after the parser was built still runs.
+    handler = globals()[args.func.__name__]
     try:
-        report = args.func(args)
+        report = handler(args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error[file_not_found]: {exc}\n")
         return 2

@@ -4,6 +4,15 @@ Two-phase dense simplex, exact throughout.  Everything downstream
 (obedience polytopes, worst-case welfare, jeopardization, separating
 hyperplanes, garbling feasibility) reduces to `solve`.
 
+The simplex is split where it first reads the objective.  ``phase_one``
+reads only the constraints and bounds: it writes the standard form, runs
+phase 1, drives the artificials out and drops redundant rows, and keeps the
+feasible tableau in a ``Polyhedron``.  ``Polyhedron.optimize`` writes the
+objective row, runs phase 2 on a copy of that tableau and reads out the
+point, so one phase 1 serves every objective over the same constraints and
+each answer is the one a cold solve gives.  ``solve`` is
+``phase_one(...).optimize(...)``.
+
 The program is rewritten in standard form straight into a fraction-free
 tableau: one sparse pass over each constraint's coefficients writes its row
 of Python ints, scaled by the lcm of the row's denominators, which is the
@@ -43,6 +52,15 @@ _STALL_LIMIT = 40
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+FEASIBLE = "feasible"  # a Polyhedron's status when phase 1 found a point
+
+
+def _check_objective(declared, objective, sense):
+    if sense not in ("min", "max"):
+        raise ValidationError(f"unknown sense {sense!r}")
+    for v in objective:
+        if v not in declared:
+            raise ValidationError(f"objective references unknown variable {v!r}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +96,7 @@ class LinearProgram:
         declared = set(self.variables)
         if len(declared) != len(self.variables):
             raise ValidationError("duplicate variable names")
-        if self.sense not in ("min", "max"):
-            raise ValidationError(f"unknown sense {self.sense!r}")
-        for v in self.objective:
-            if v not in declared:
-                raise ValidationError(f"objective references unknown variable {v!r}")
+        _check_objective(declared, self.objective, self.sense)
         normalized = []
         for con in self.constraints:
             if not isinstance(con, Constraint):
@@ -160,8 +174,9 @@ def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
     # Pivot the basis into the surviving rows, one free row per column.  Rows,
     # objective and every pivoted row are positive multiples of the rational
     # ones, so each reduced cost has its rational sign.
-    cols, rows, obj = _standard_form(lp)
+    cols, rows, terms = _standard_form(lp)
     n = len(cols)
+    obj = _objective_row(terms, n, lp.objective, lp.sense)
     dropped = set(sol.dropped_rows)
     surviving = [row[:n] + row[-1:] for r, row in enumerate(rows) if r not in dropped]
     index = {label: j for j, label in enumerate(cols)}
@@ -209,20 +224,20 @@ def _row_error(lp: LinearProgram, r: int, exc: Exception) -> ValidationError:
 def _standard_form(lp: LinearProgram):
     """Rewrite as min c·y, A y = b (b >= 0), y >= 0, straight into ints.
 
-    Returns (column labels, phase-1 rows, objective), or None when a bound
-    pair is inconsistent.  Columns are the structural ones (``lo``/``hi``
-    for a variable shifted by a bound, ``pos``/``neg`` for a free one) in
-    variable order, then one ``slack`` per inequality row.  Rows are the
-    constraints, then ``y <= hi - lo`` for each doubly bounded variable.  Row
-    ``r`` is the list of Python ints ``[A_r, artificial, b_r]`` with one
-    artificial column per row, negated first if its shifted rhs is
-    negative.  It is written scaled by the lcm L of the row's denominators,
-    its artificial entry being L, which makes it ``rows.primitive`` of the
-    rational row with a unit artificial: for each prime dividing L, the entry
-    whose denominator holds that prime's highest power is not divisible by
-    it.  The objective is a positive multiple of the rational one, negated
-    for ``max``.  Column labels are structural, so a certificate can be
-    re-derived later.
+    Returns (column labels, phase-1 rows, column terms), or None when a
+    bound pair is inconsistent.  The column terms map each variable to its
+    (column, sign) pairs; ``_objective_row`` writes an objective over them.
+    Columns are the structural ones (``lo``/``hi`` for a variable shifted by
+    a bound, ``pos``/``neg`` for a free one) in variable order, then one
+    ``slack`` per inequality row.  Rows are the constraints, then
+    ``y <= hi - lo`` for each doubly bounded variable.  Row ``r`` is the list
+    of Python ints ``[A_r, artificial, b_r]`` with one artificial column per
+    row, negated first if its shifted rhs is negative.  It is written scaled
+    by the lcm L of the row's denominators, its artificial entry being L,
+    which makes it ``rows.primitive`` of the rational row with a unit
+    artificial: for each prime dividing L, the entry whose denominator holds
+    that prime's highest power is not divisible by it.  Column labels are
+    structural, so a certificate can be re-derived later.
 
     Every coefficient, rhs and bound must carry an exact ``numerator`` and
     ``denominator``; anything else raises ``ValidationError`` naming it.
@@ -302,21 +317,28 @@ def _standard_form(lp: LinearProgram):
         slack += 1
         rows.append(row)
 
+    return cols, rows, terms
+
+
+def _objective_row(terms, n, objective, sense):
+    """The int objective row over the ``n`` standard-form columns that
+    ``terms`` maps the variables to: a positive multiple of the rational
+    objective, negated for ``max``.  An inexact coefficient raises
+    ``ValidationError`` naming it."""
     obj = [0] * n
-    objective = lp.objective
     try:
         scale = lcm(*[c.denominator for c in objective.values()])
-        sense = 1 if lp.sense == "min" else -1
+        sign = 1 if sense == "min" else -1
         for v, c in objective.items():
-            x = sense * int(c.numerator * (scale // c.denominator))
-            for j, sign in terms[v]:
-                obj[j] = x if sign > 0 else -x
+            x = sign * int(c.numerator * (scale // c.denominator))
+            for j, s in terms[v]:
+                obj[j] = x if s > 0 else -x
     except (AttributeError, TypeError):
         for v, c in objective.items():
             if _inexact(c):
                 raise _not_exact(f"objective coefficient of {v!r}", c) from None
         raise
-    return cols, rows, obj
+    return obj
 
 
 class _Tableau:
@@ -328,7 +350,8 @@ class _Tableau:
     runs its cost row rides as the last row, so each pivot updates it with the
     rest.  Every choice reads signs and ratios within a row or of one column
     across rows, which a positive row scale leaves alone: the pivots are
-    those of the rational tableau.
+    those of the rational tableau.  A pivot puts new row lists in ``T``
+    and never writes into an old one.
     """
 
     def __init__(self, rows, n, basis):
@@ -406,82 +429,136 @@ class _Tableau:
                 else:
                     stall = 0
 
-    def values(self):
-        """Basic column -> its exact value in the current basic solution."""
-        n = self.n
-        out = {}
-        for r, bj in enumerate(self.basis):
-            row = self.T[r]
-            if row[bj] <= 0:
-                raise InternalInvariantError(f"basic entry of row {r} is not positive")
-            out[bj] = Rat(row[n], row[bj])
-        return out
+    def value(self, r):
+        """The exact value of row ``r``'s basic column in the current basic
+        solution."""
+        row = self.T[r]
+        p = row[self.basis[r]]
+        if p <= 0:
+            raise InternalInvariantError(f"basic entry of row {r} is not positive")
+        return Rat(row[self.n], p)
+
+
+class Polyhedron:
+    """The constraints and bounds of a program after phase 1, ready to be
+    optimized under any objective (built by ``phase_one``).
+
+    ``status`` is ``FEASIBLE`` or ``INFEASIBLE``.  The feasible tableau over
+    the structural columns, its basis and the dropped rows are stored once
+    and never changed: ``optimize`` runs phase 2 on a copy, so it makes the
+    pivots, and gives the answer, of a cold ``solve`` with that objective.
+    """
+
+    def __init__(self, lp: LinearProgram, rule: str):
+        self._variables = lp.variables
+        self._bounds = lp.bounds
+        self._declared = frozenset(lp.variables)
+        self._rule = rule
+        self._terms = None
+        std = _standard_form(lp)
+        if std is None:
+            self.status = INFEASIBLE
+            return
+        cols, rows, self._terms = std
+        self._cols = cols
+        m = len(rows)
+        n = len(cols)
+
+        # Phase 1: minimize the sum of the artificials, which start as the basis.
+        tab = _Tableau(rows, n + m, list(range(n, n + m)))
+        tab.T.append(tab.cost_row([0] * n + [1] * m))
+        if tab.run(rule) != OPTIMAL:  # pragma: no cover
+            raise InternalInvariantError("phase 1 cannot be unbounded")
+        tab.T.pop()
+        # Each basic rhs is >= 0 and its row is positively scaled.
+        if any(tab.T[r][-1] > 0 for r in range(m) if tab.basis[r] >= n):
+            self.status = INFEASIBLE
+            return
+
+        # Drive leftover zero-value artificials out of the basis.
+        keep = []
+        dropped = []
+        for r in range(tab.m):
+            if tab.basis[r] >= n:
+                j = next((jj for jj in range(n) if tab.T[r][jj]), None)
+                if j is None:
+                    dropped.append(r)  # redundant row
+                    continue
+                tab.pivot(r, j)
+            keep.append(r)
+        self.status = FEASIBLE
+        self._dropped = tuple(dropped)
+        # Phase 2 runs on the structural columns: no artificial is basic any more.
+        self._rows = [tab.T[r][:n] + tab.T[r][-1:] for r in keep]
+        self._basis = [tab.basis[r] for r in keep]
+
+    def optimize(self, objective: dict, sense: str = "min") -> LpSolution:
+        """Exact optimum of ``objective`` (variable -> exact rational) over
+        the polyhedron, with a certified basis; ``sense`` is ``"min"`` or
+        ``"max"``.  The stored phase-1 state is left as it was."""
+        _check_objective(self._declared, objective, sense)
+        if self._terms is None:
+            return LpSolution(status=INFEASIBLE)
+        cols = self._cols
+        n = len(cols)
+        # Written before the status is read, so an inexact objective is
+        # rejected over infeasible constraints too.
+        obj = _objective_row(self._terms, n, objective, sense)
+        if self.status == INFEASIBLE:
+            return LpSolution(status=INFEASIBLE)
+        # A pivot replaces rows and never changes one in place, so a new list
+        # of the stored rows is a tableau of its own.
+        tab = _Tableau(list(self._rows), n, list(self._basis))
+        tab.T.append(tab.cost_row(obj))
+        if tab.run(self._rule) == UNBOUNDED:
+            return LpSolution(status=UNBOUNDED)
+
+        # A nonbasic column is zero, so only basic columns move a variable off
+        # its bound (or off zero, if it is free).
+        point = {}
+        for v in self._variables:
+            lo, hi = self._bounds.get(v, (None, None))
+            point[v] = lo if lo is not None else ZERO if hi is None else hi
+        for r, bj in enumerate(tab.basis):
+            x = tab.value(r)
+            kind, v = cols[bj]
+            if not x or kind == "slack":
+                continue
+            base = point[v]
+            if kind in ("lo", "pos"):
+                point[v] = base + x if base else x
+            else:
+                point[v] = base - x if base else -x
+        value = sum((c * point[v] for v, c in objective.items() if point[v]), ZERO)
+        return LpSolution(
+            status=OPTIMAL,
+            point=point,
+            value=value,
+            basis=tuple(cols[j] for j in tab.basis),
+            dropped_rows=self._dropped,
+        )
+
+
+def phase_one(variables, constraints, bounds=None, rule: str = "dantzig") -> Polyhedron:
+    """Phase 1 of the simplex on the constraints and bounds alone (see
+    ``LinearProgram`` for their form); the returned ``Polyhedron`` optimizes
+    any objective over them.  ``rule`` is ``"dantzig"`` or ``"bland"`` and
+    holds for both phases; any other raises ``ValidationError``."""
+    if rule not in ("dantzig", "bland"):
+        raise ValidationError(f"unknown pivot rule {rule!r}")
+    lp = LinearProgram(
+        variables=variables,
+        objective={},
+        constraints=constraints,
+        bounds=dict(bounds or {}),
+    )
+    return Polyhedron(lp, rule)
 
 
 def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
     """Exact optimum with a certified basis; deterministic for a fixed rule,
     ``"dantzig"`` or ``"bland"`` (any other raises ``ValidationError``)."""
-    if rule not in ("dantzig", "bland"):
-        raise ValidationError(f"unknown pivot rule {rule!r}")
-    std = _standard_form(lp)
-    if std is None:
-        return LpSolution(status=INFEASIBLE)
-    cols, rows, obj = std
-    m = len(rows)
-    n = len(cols)
-
-    # Phase 1: minimize the sum of the artificials, which start as the basis.
-    tab = _Tableau(rows, n + m, list(range(n, n + m)))
-    tab.T.append(tab.cost_row([0] * n + [1] * m))
-    if tab.run(rule) != OPTIMAL:  # pragma: no cover
-        raise InternalInvariantError("phase 1 cannot be unbounded")
-    tab.T.pop()
-    # Each basic rhs is >= 0 and its row is positively scaled.
-    if any(tab.T[r][-1] > 0 for r in range(m) if tab.basis[r] >= n):
-        return LpSolution(status=INFEASIBLE)
-
-    # Drive leftover zero-value artificials out of the basis.
-    keep = []
-    dropped = []
-    for r in range(tab.m):
-        if tab.basis[r] >= n:
-            j = next((jj for jj in range(n) if tab.T[r][jj]), None)
-            if j is None:
-                dropped.append(r)  # redundant row
-                continue
-            tab.pivot(r, j)
-        keep.append(r)
-    if dropped:
-        tab.T = [tab.T[r] for r in keep]
-        tab.basis = [tab.basis[r] for r in keep]
-        tab.m = len(keep)
-
-    # Phase 2 on the structural columns: no artificial is basic any more.
-    tab.T = [row[:n] + row[-1:] for row in tab.T]
-    tab.n = n
-    tab.T.append(tab.cost_row(obj))
-    if tab.run(rule) == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED)
-
-    yvals = {cols[bj]: y for bj, y in tab.values().items()}
-    point = {}
-    for v in lp.variables:
-        lo, hi = lp.bounds.get(v, (None, None))
-        if lo is not None:
-            point[v] = lo + yvals.get(("lo", v), ZERO)
-        elif hi is not None:
-            point[v] = hi - yvals.get(("hi", v), ZERO)
-        else:
-            point[v] = yvals.get(("pos", v), ZERO) - yvals.get(("neg", v), ZERO)
-    value = sum((c * point[v] for v, c in lp.objective.items()), ZERO)
-    basis_labels = tuple(cols[j] for j in tab.basis)
-    return LpSolution(
-        status=OPTIMAL,
-        point=point,
-        value=value,
-        basis=basis_labels,
-        dropped_rows=tuple(dropped),
-    )
+    return phase_one(lp.variables, lp.constraints, lp.bounds, rule).optimize(lp.objective, lp.sense)
 
 
 def feasible_point(variables, constraints, bounds=None) -> Optional[dict]:

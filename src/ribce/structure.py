@@ -56,7 +56,7 @@ def jeopardizes(game: BaseGame, player, action, target, poly: Optional[BcePolyto
     check_action(game, player, action)
     check_action(game, player, target)
     poly = poly or BcePolytope.of(game)
-    sol = _lp.solve(poly.lp(obedience_row(game, player, target, action), "max"))
+    sol = poly.solve(obedience_row(game, player, target, action), "max")
     if not sol.is_optimal:
         raise InternalInvariantError(f"jeopardization LP is {sol.status}")
     if sol.value < 0:
@@ -218,14 +218,21 @@ def _distinct_witness(game: BaseGame, player, a, b, vertices):
     )
 
 
-def find_minimally_mixed(game: BaseGame, retries: int = 64, seed: int = 0, mode: str = RANDOMIZED) -> Outcome:
+def find_minimally_mixed(
+    game: BaseGame,
+    retries: int = 64,
+    seed: int = 0,
+    mode: str = RANDOMIZED,
+    poly: Optional[BcePolytope] = None,
+) -> Outcome:
     """A maximal-support BCE realizing distinct beliefs wherever any BCE does.
 
     Exact mode enumerates the BCE vertices, decides realizability of each
     pair by the extreme-point test, and mixes witnesses into the candidate
     until every realizable pair is realized; the result is verified.  The
     randomized mode perturbs the maximal-support point with random
-    optimizer outputs and only guarantees maximal support.
+    optimizer outputs and only guarantees maximal support; it optimizes over
+    ``poly``, the game's polytope, built when not given.
     """
     if mode == EXACT:
         vertices = bce_vertices(game)
@@ -250,14 +257,14 @@ def find_minimally_mixed(game: BaseGame, retries: int = 64, seed: int = 0, mode:
     if mode != RANDOMIZED:
         raise ValidationError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    poly = BcePolytope.of(game)
-    cand = max_support_point(game)
+    poly = poly or BcePolytope.of(game)
+    cand = max_support_point(game, poly)
     realized = _distinct_pairs(game, cand)
     for _ in range(retries):
         objective = {
             cell: Rat(rng.randint(-6, 6)) for cell in poly.variables if rng.random() < 0.5
         }
-        sol = _lp.solve(poly.lp(objective, "min"))
+        sol = poly.solve(objective, "min")
         if not sol.is_optimal:
             raise InternalInvariantError(f"BCE polytope is {sol.status}")
         other = poly.outcome_from_point(sol.point)
@@ -325,8 +332,9 @@ class DensityVerdict:
             raise InternalInvariantError("witness outcome is not a BCE")
         if beliefs_equal(game, outcome, player, a, b):
             raise InternalInvariantError("witness beliefs are not distinct")
+        poly = BcePolytope.of(game)
         for target in (a, b):
-            hit, value, _ = jeopardizes(game, player, shared, target)
+            hit, value, _ = jeopardizes(game, player, shared, target, poly)
             if not hit:
                 raise InternalInvariantError(
                     f"{shared!r} does not jeopardize {target!r} (max slack {value})"
@@ -345,7 +353,7 @@ def classify_density(game: BaseGame, mode: str = RANDOMIZED, seed: int = 0, retr
     verified minimal mixing in exact mode only.
     """
     poly = BcePolytope.of(game)
-    cand = find_minimally_mixed(game, retries=retries, seed=seed, mode=mode)
+    cand = find_minimally_mixed(game, retries=retries, seed=seed, mode=mode, poly=poly)
     cand = _reduce_best_responses(game, cand, poly)
     mode_tag = {"kind": EXACT} if mode == EXACT else {
         "kind": RANDOMIZED,

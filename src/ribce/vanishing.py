@@ -11,7 +11,7 @@ Undetermined, and the undecided case is an honest value, not an error.
 from dataclasses import dataclass
 from typing import Optional
 
-from .bce import is_bce, mix_outcomes
+from .bce import BcePolytope, is_bce, mix_outcomes
 from .errors import InternalInvariantError
 from .games import BaseGame, Outcome, validate_outcome
 from .rational import ONE, ZERO, Rat
@@ -165,17 +165,19 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome):
     support the pair with distinct beliefs, forcing the shared jeopardizing
     action out of one best-response set; so an obstruction proves the outcome
     lies outside the closure of the sBCE set."""
+    poly = None
     for i in game.players:
         support = outcome.support(game, i)
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
                 if beliefs_equal(game, outcome, i, a, b):
                     continue
+                poly = poly or BcePolytope.of(game)
                 for c in game.actions[i]:
-                    hit_a, _, _ = jeopardizes(game, i, c, a)
+                    hit_a, _, _ = jeopardizes(game, i, c, a, poly)
                     if not hit_a:
                         continue
-                    hit_b, _, _ = jeopardizes(game, i, c, b)
+                    hit_b, _, _ = jeopardizes(game, i, c, b, poly)
                     if hit_b:
                         return (i, a, b, c)
     return None

@@ -5,10 +5,11 @@ import pytest
 from ribce.bce import (
     is_bce,
     max_support_point,
+    maximize_cell_over_bce,
     minimize_linear_over_bce,
     obedience_slack,
 )
-from ribce.errors import UnknownAction
+from ribce.errors import UnknownAction, ValidationError
 from ribce.games import gross_value, make_outcome, uninformed_value
 from ribce.rational import Rat, ZERO
 from ribce.vertices import enumerate_vertices
@@ -137,3 +138,44 @@ def test_uninformed_below_gross_on_optimizer_outputs():
         assert is_bce(g, p)
         for i in g.players:
             assert uninformed_value(g, p, i)[0] <= gross_value(g, p, i)
+
+
+def _sample_games():
+    rng = random.Random(41)
+    return [
+        investment_game(0),
+        investment_game(Rat(1, 10)),
+        coordination_game_3x3(),
+        matching_pennies(),
+    ] + [random_game(rng) for _ in range(4)]
+
+
+def test_maximize_cell_same_with_shared_polytope():
+    for g in _sample_games():
+        poly = BcePolytope.of(g)
+        for cell in g.cells():
+            shared, shared_value = maximize_cell_over_bce(g, cell, poly)
+            own, own_value = maximize_cell_over_bce(g, cell)
+            assert list(shared.p.items()) == list(own.p.items())
+            assert shared_value == own_value
+        assert poly == BcePolytope.of(g)
+        assert repr(poly) == repr(BcePolytope.of(g))
+
+
+def test_maximize_unknown_cell_rejected():
+    g = investment_game(0)
+    poly = BcePolytope.of(g)
+    maximize_cell_over_bce(g, next(iter(g.cells())), poly)
+    for p in (None, poly):
+        with pytest.raises(ValidationError, match="unknown variable"):
+            maximize_cell_over_bce(g, ((A, "nope"), "thetaA"), p)
+
+
+def test_max_support_point_runs_phase_one_once(phase_one_calls):
+    rng = random.Random(7)
+    for _ in range(3):
+        g = random_game(rng, n_players=2, n_actions=2, n_states=2)
+        phase_one_calls.clear()
+        out = max_support_point(g)
+        assert is_bce(g, out)
+        assert len(phase_one_calls) == 1

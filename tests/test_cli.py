@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -303,3 +304,25 @@ def test_seed_echoed_in_randomized_reports(files, capsys):
     code, out, _ = _run(capsys, "vce", str(files["game3x3"]), str(files["mixed_nash"]), "--seed", "7")
     report = json.loads(out)
     assert report["mode"]["seed"] == 7
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    from ribce import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    first = _run(capsys, *REGIME)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["regime", "--n", "six"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert _run(capsys, *REGIME) == first and first[0] == 0
+    assert builds == [1]
+    # The handler is looked up when main runs, not when the parser was built.
+    seen = []
+    handler = cli.cmd_regime
+    monkeypatch.setattr(cli, "cmd_regime", lambda args: seen.append(args.n) or handler(args))
+    assert _run(capsys, *REGIME) == first and seen == [6]
+    assert build() is not build()

@@ -203,7 +203,8 @@ def _assert_matches_reference(lp):
         assert built is None
         return
     cols, col_rows, b, obj = reference
-    got_cols, got_rows, got_obj = built
+    got_cols, got_rows, terms = built
+    got_obj = _lp._objective_row(terms, len(got_cols), lp.objective, lp.sense)
     assert got_cols == cols
     m = len(b)
     assert len(got_rows) == m
@@ -306,7 +307,8 @@ def _reference_verify_dual(lp, sol):
     ``lp._verify_dual``: solve B^T y = c_B by Gauss–Jordan over
     ``Fraction``s on the surviving standard-form rows, then test every
     reduced cost c_j - y·A_j."""
-    cols, std_rows, obj = _lp._standard_form(lp)
+    cols, std_rows, terms = _lp._standard_form(lp)
+    obj = _lp._objective_row(terms, len(cols), lp.objective, lp.sense)
     surviving = [row for r, row in enumerate(std_rows) if r not in set(sol.dropped_rows)]
     index = {label: j for j, label in enumerate(cols)}
     try:
@@ -408,3 +410,93 @@ def test_dual_check_matches_gauss_jordan_reference():
     assert seen["one short"] == {"basis does not match surviving rows"}
     assert seen["unknown"] == {"unknown basis column"}
     assert seen["random"] >= {"ok", "dual infeasible", "singular basis matrix"}
+
+
+def _answer(sol):
+    point = None if sol.point is None else list(sol.point.items())
+    return sol.status, point, sol.value, sol.basis, sol.dropped_rows
+
+
+def _objectives(lp, rng):
+    """The program's own objective, the zero objective and three random
+    ones, each in both senses."""
+    other = "max" if lp.sense == "min" else "min"
+    drawn = [
+        {v: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for v in lp.variables if rng.random() < 0.7}
+        for _ in range(3)
+    ]
+    out = [(lp.objective, lp.sense), (lp.objective, other)]
+    for objective in [{}] + drawn:
+        out += [(objective, "min"), (objective, "max")]
+    return out
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_phase_one_reuse_matches_cold_solve(family, rule):
+    statuses = set()
+    for seed in range(12):
+        lp = FAMILIES[family](random.Random(f"{family}-{seed}"))
+        region = _lp.phase_one(lp.variables, lp.constraints, lp.bounds, rule)
+        for objective, sense in _objectives(lp, random.Random(f"objectives {family}-{seed}")):
+            program = LinearProgram(lp.variables, objective, sense, lp.constraints, lp.bounds)
+            warm = region.optimize(objective, sense)
+            assert _answer(warm) == _answer(solve(program, rule)), (seed, objective, sense)
+            assert _answer(region.optimize(objective, sense)) == _answer(warm)
+            if warm.is_optimal:
+                assert warm.verify(program)
+            statuses.add(warm.status)
+    expected = {
+        "infeasible": {_lp.INFEASIBLE},
+        "unbounded": {_lp.OPTIMAL, _lp.UNBOUNDED},
+    }.get(family, {_lp.OPTIMAL})
+    assert statuses >= expected
+
+
+def test_phase_one_infeasible_for_every_objective():
+    rng = random.Random(31)
+    programs = [FAMILIES["infeasible"](rng) for _ in range(10)] + [_edge_lps()["hi below lo"]]
+    for lp in programs:
+        region = _lp.phase_one(lp.variables, lp.constraints, lp.bounds)
+        assert region.status == _lp.INFEASIBLE
+        for objective, sense in _objectives(lp, rng):
+            assert region.optimize(objective, sense).status == _lp.INFEASIBLE
+
+
+def test_phase_one_unbounded_along_improving_ray():
+    rng = random.Random(32)
+    for _ in range(10):
+        lp = FAMILIES["unbounded"](rng)
+        region = _lp.phase_one(lp.variables, lp.constraints, lp.bounds)
+        assert region.status == _lp.FEASIBLE
+        # The objective has positive weights on nonnegative variables: it
+        # grows without bound along the all-ones ray and is bounded below.
+        assert region.optimize(lp.objective, "max").status == _lp.UNBOUNDED
+        assert region.optimize(lp.objective, "min").is_optimal
+        assert region.optimize(lp.objective, "max").status == _lp.UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "objective, sense, message",
+    [
+        ({"y": Rat(1)}, "min", "objective references unknown variable 'y'"),
+        ({"x": Rat(1)}, "maximize", "unknown sense 'maximize'"),
+        ({"x": 0.5}, "max", "objective coefficient of 'x' is not an exact rational"),
+    ],
+)
+def test_optimize_rejects_what_linear_program_rejects(objective, sense, message):
+    region = _lp.phase_one(("x",), [({"x": Rat(1)}, "<=", Rat(3))], {"x": (Rat(0), None)})
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        region.optimize(objective, sense)
+    assert region.optimize({"x": Rat(1)}, "max").value == 3
+
+
+def test_phase_one_rejects_bad_input():
+    with pytest.raises(ValidationError, match="unknown pivot rule 'Bland'"):
+        _lp.phase_one(("x",), [], rule="Bland")
+    with pytest.raises(ValidationError, match="constraint references unknown variable 'y'"):
+        _lp.phase_one(("x",), [({"y": Rat(1)}, "<=", Rat(3))])
+    with pytest.raises(ValidationError, match="bound on unknown variable 'y'"):
+        _lp.phase_one(("x",), [], {"y": (Rat(0), None)})
+    with pytest.raises(ValidationError, match="^constraint 0: rhs is not an exact rational"):
+        _lp.phase_one(("x",), [({"x": Rat(1)}, "<=", 0.1)])

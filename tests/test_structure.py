@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ribce.bce import is_bce, minimize_linear_over_bce
+from ribce.bce import BcePolytope, is_bce, minimize_linear_over_bce
 from ribce.errors import NotABce, NotCoherent, ValidationError
 from ribce.games import BaseGame, Outcome
 from ribce.rational import Rat
@@ -39,6 +39,20 @@ def test_every_action_jeopardizes_itself():
     for action in (A, B, MKT):
         hit, value, _ = jeopardizes(g, "ann", action, action)
         assert hit and value == 0
+
+
+def test_jeopardizes_same_with_shared_polytope():
+    rng = random.Random(43)
+    games = [investment_game(Rat(1, 10)), coordination_game_3x3(), matching_pennies()]
+    for g in games + [random_game(rng) for _ in range(4)]:
+        poly = BcePolytope.of(g)
+        for i in g.players:
+            for target in g.actions[i]:
+                for action in g.actions[i]:
+                    hit, value, outcome = jeopardizes(g, i, action, target, poly)
+                    own_hit, own_value, own = jeopardizes(g, i, action, target)
+                    assert (hit, value) == (own_hit, own_value)
+                    assert list(outcome.p.items()) == list(own.p.items())
 
 
 def test_3x3_jeopardization_facts():
@@ -227,6 +241,20 @@ def test_randomized_candidate_support_is_seed_independent():
         out = find_minimally_mixed(g3, seed=seed, retries=6)
         supports.add(tuple(out.support(g3, i) for i in g3.players))
     assert len(supports) == 1
+
+
+def test_density_search_shares_one_phase_one(phase_one_calls):
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(6):
+        g = random_game(rng, n_actions=2)
+        phase_one_calls.clear()
+        verdict = classify_density(g, retries=4)
+        # The search, the maximal-support point and the jeopardization LPs
+        # share one polytope; a NowhereDense verdict re-checks on its own.
+        assert len(phase_one_calls) == (1 if verdict.verdict == DENSE else 2)
+        verdicts.add(verdict.verdict)
+    assert verdicts == {DENSE, NOWHERE_DENSE}
 
 
 def test_perturbation_requires_bce():
