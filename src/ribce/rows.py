@@ -4,8 +4,10 @@ These inner loops dominate runtime.  The simplex tableau and the
 double-description rays are fraction-free: each row is a list of Python
 ints, a positive multiple of the rational row it stands for, kept primitive
 (content 1) by ``primitive``.  ``pivot_eliminate`` pivots such rows without
-a division (Edmonds 1967; Bareiss, Math. Comp. 22, 1968), and ``dot`` and
-``row_combine`` serve the ray updates.  Every exact elimination (simplex,
+a division (Edmonds 1967; Bareiss, Math. Comp. 22, 1968).  In double
+description, ``dot`` signs each ray against the row being added (and gives
+the initial rays their incidence), and ``row_combine`` forms each new ray
+from an adjacent pair.  Every exact elimination (simplex,
 certificate check, initial cone) is a ``pivot_eliminate``; ``row_scale`` and
 ``row_eliminate`` have no caller and stay only because the benchmark names
 their call counters.  Callers go through the module attributes

@@ -80,9 +80,10 @@ def jeopardization_set(game: BaseGame, player, target, poly: Optional[BcePolytop
 # Equal beliefs across the whole BCE set (extreme-point test)
 
 
-def bce_vertices(game: BaseGame, cap=None):
-    """All vertices of the game's BCE polytope, as outcomes."""
-    poly = BcePolytope.of(game)
+def bce_vertices(game: BaseGame, cap=None, poly: Optional[BcePolytope] = None):
+    """All vertices of the game's BCE polytope, as outcomes; ``poly`` is that
+    polytope, built when not given."""
+    poly = poly or BcePolytope.of(game)
     pts = enumerate_vertices(poly.variables, poly.constraints, poly.bounds, cap=cap)
     out = []
     for pt in pts:
@@ -231,11 +232,11 @@ def find_minimally_mixed(
     pair by the extreme-point test, and mixes witnesses into the candidate
     until every realizable pair is realized; the result is verified.  The
     randomized mode perturbs the maximal-support point with random
-    optimizer outputs and only guarantees maximal support; it optimizes over
-    ``poly``, the game's polytope, built when not given.
+    optimizer outputs and only guarantees maximal support.  Both modes work
+    on ``poly``, the game's polytope, built when not given.
     """
     if mode == EXACT:
-        vertices = bce_vertices(game)
+        vertices = bce_vertices(game, poly=poly)
         if not vertices:
             raise InternalInvariantError("BCE polytope cannot be empty")
         if len(vertices) == 1:
@@ -461,7 +462,7 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     check = is_bce(game, outcome)
     if not check:
         raise NotABce(f"perturbation requires a BCE; violated at {check.witness}")
-    if is_sbce(game, outcome):
+    if is_separated(game, outcome):
         return game
 
     bonus = {}  # (player, action) -> dict cell -> Rat  (cell = (opp, state))

@@ -8,6 +8,14 @@ a positive multiple of its rational row, which leaves every sign test, every
 canonical ray and every vertex as it would be over the rationals, and the
 initial cone is one fraction-free Gauss–Jordan pass (``rows.pivot_eliminate``).
 
+Incidence lives in bitsets, as in Fukuda & Prodon, "Double description
+method revisited" (1996).  Each ray carries the mask of processed rows it is
+tight at; only the initial rays get it from dot products.  A new ray is a
+positive combination of two rays that are >= 0 on every processed row, so
+its mask is their common mask plus the new row.  Two rays are adjacent when
+no third ray is tight on all of their common rows: the per-row masks of
+tight rays, ANDed over those rows, leave only the pair.
+
 Only the exact density mode and small oracle tests need this, so a hard
 variable cap guards against accidental blowups (override with
 ``RIBCE_VERTEX_CAP``, also spelled ``RI_ROBUST_VERTEX_CAP`` for the CLI
@@ -58,7 +66,65 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     if feasible_point(variables, constraints, bounds) is None:
         return []
 
-    # Homogenize: rows M with M·(x, t) >= 0; the final coordinate is t.
+    mrows = _homogenize(variables, constraints, bounds)
+    chosen, rays = _initial_cone(mrows, d)
+
+    # Each ray carries its incidence: a bitmask of the processed rows it is
+    # tight at.  Only the initial rays need dot products for it.
+    ray_masks = []
+    for ray in rays:
+        mask = 0
+        for idx in chosen:
+            if _rows.dot(mrows[idx], ray) == 0:
+                mask |= 1 << idx
+        ray_masks.append(mask)
+
+    # Adjacent extreme rays share a 2-face: their common tight set must
+    # have rank d-1, so fewer than d-1 common rows rules a pair out
+    # before the combinatorial test.
+    min_common = d - 1
+
+    for idx in range(len(mrows)):
+        if idx in chosen:
+            continue
+        vals = [_rows.dot(mrows[idx], r) for r in rays]
+        plus, zero, minus = [], [], []
+        for k, val in enumerate(vals):
+            (plus if val > 0 else zero if val == 0 else minus).append(k)
+        bit = 1 << idx
+        new_rays = []
+        new_masks = []
+        by_row = everyone = None
+        for kp in plus:
+            for km in minus:
+                common = ray_masks[kp] & ray_masks[km]
+                if common.bit_count() < min_common:
+                    continue
+                if by_row is None:
+                    by_row = _rays_by_row(ray_masks)
+                    everyone = (1 << len(rays)) - 1
+                if not _adjacent(common, by_row, everyone, (1 << kp) | (1 << km)):
+                    continue
+                new_rays.append(
+                    _rows.primitive(_rows.row_combine(vals[kp], rays[km], -vals[km], rays[kp]))
+                )
+                # Both rays are >= 0 on every processed row and the
+                # combination is positive, so it is tight exactly where both
+                # are, and at the new row.
+                new_masks.append(common | bit)
+        rays, ray_masks = _dedup(
+            [rays[k] for k in plus + zero] + new_rays,
+            [ray_masks[k] for k in plus] + [ray_masks[k] | bit for k in zero] + new_masks,
+        )
+
+    return _vertices(rays, variables)
+
+
+def _homogenize(variables, constraints, bounds):
+    """The primitive int rows M with M·(x, t) >= 0 for the polytope: one row
+    per inequality, two per equality and per two-sided bound, then t >= 0.
+    The final coordinate is t."""
+    d = len(variables)
     vindex = {v: j for j, v in enumerate(variables)}
     mrows = []
 
@@ -85,18 +151,22 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     t_row = [ZERO] * (d + 1)
     t_row[d] = ONE
     mrows.append(t_row)
-    mrows = [_rows.primitive(row) for row in mrows]
+    return [_rows.primitive(row) for row in mrows]
 
-    nrows = len(mrows)
 
-    # Initial pointed cone from the first d+1 independent rows: one
-    # fraction-free Gauss–Jordan pass over the int rows [M_idx | unit], whose
-    # unit part records the combination of chosen rows a tableau row holds.
+def _initial_cone(mrows, d):
+    """The indices of the first d+1 independent rows and the extreme rays of
+    the pointed cone they cut out, as primitive int rows.
+
+    One fraction-free Gauss–Jordan pass over the int rows [M_idx | unit],
+    whose unit part records the combination of chosen rows a tableau row
+    holds.
+    """
     size = d + 1
     chosen = []
     tableau = []
     pivots = []  # pivot column of each tableau row
-    for idx in range(nrows):
+    for idx in range(len(mrows)):
         if len(chosen) == size:
             break
         k = len(tableau)
@@ -121,69 +191,54 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
         _rows.primitive([Rat(row[size + c], row[i]) for i, row in enumerate(inverse)])
         for c in range(size)
     ]
+    return chosen, rays
 
-    processed = set(chosen)
 
-    def tight_mask(ray):
-        mask = 0
-        for idx in processed:
-            if _rows.dot(mrows[idx], ray) == 0:
-                mask |= 1 << idx
-        return mask
+def _rays_by_row(ray_masks):
+    """Transpose ray incidence: a row's bit (1 << row index) -> bitmask of the
+    rays tight at that row."""
+    by_row = {}
+    for k, mask in enumerate(ray_masks):
+        kbit = 1 << k
+        while mask:
+            low = mask & -mask
+            by_row[low] = by_row.get(low, 0) | kbit
+            mask ^= low
+    return by_row
 
-    ray_masks = [tight_mask(r) for r in rays]
 
-    for idx in range(nrows):
-        if idx in processed:
-            continue
-        vals = [_rows.dot(mrows[idx], r) for r in rays]
-        plus, zero, minus = [], [], []
-        for k, val in enumerate(vals):
-            (plus if val > 0 else zero if val == 0 else minus).append(k)
-        processed.add(idx)
-        bit = 1 << idx
-        new_rays = []
-        new_masks = []
-        # Adjacent extreme rays share a 2-face: their common tight set must
-        # have rank d-1, so fewer than d-1 common rows rules a pair out
-        # before the full combinatorial test.
-        min_common = d - 1
-        for kp in plus:
-            for km in minus:
-                common = ray_masks[kp] & ray_masks[km]
-                if common.bit_count() < min_common:
-                    continue
-                adjacent = True
-                for ko in range(len(rays)):
-                    if ko in (kp, km):
-                        continue
-                    if common & ~ray_masks[ko] == 0:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = _rows.primitive(_rows.row_combine(vals[kp], rays[km], -vals[km], rays[kp]))
-                new_rays.append(combo)
-                new_masks.append(tight_mask(combo))
-        kept_rays = [rays[k] for k in plus + zero]
-        kept_masks = [
-            (ray_masks[k] | bit) if k in zero else ray_masks[k]
-            for k in plus + zero
-        ]
-        rays = kept_rays + new_rays
-        ray_masks = kept_masks + new_masks
-        # Deduplicate (identical canonical forms can arise from parallel pairs).
-        seen = {}
-        ded_rays, ded_masks = [], []
-        for r, mask in zip(rays, ray_masks):
-            key = tuple(r)
-            if key in seen:
-                continue
-            seen[key] = True
-            ded_rays.append(r)
-            ded_masks.append(mask)
-        rays, ray_masks = ded_rays, ded_masks
+def _adjacent(common, by_row, everyone, pair):
+    """The combinatorial adjacency test: no ray other than the ``pair`` itself
+    is tight on every row of the pair's ``common`` tight set.  The pair is
+    always among the rays left, so once only it is left the test passes."""
+    left = everyone
+    while common:
+        low = common & -common
+        left &= by_row[low]
+        if left == pair:
+            return True
+        common ^= low
+    return left == pair
 
+
+def _dedup(rays, ray_masks):
+    """Drop repeated rays, keeping the first (identical canonical forms can
+    arise from parallel pairs)."""
+    seen = set()
+    kept_rays, kept_masks = [], []
+    for r, mask in zip(rays, ray_masks):
+        key = tuple(r)
+        if key not in seen:
+            seen.add(key)
+            kept_rays.append(r)
+            kept_masks.append(mask)
+    return kept_rays, kept_masks
+
+
+def _vertices(rays, variables):
+    """The vertices the final rays stand for, in canonical order.  A ray with
+    t = 0 is a recession direction unless it is zero."""
+    d = len(variables)
     vertices = []
     for r in rays:
         t = r[d]

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from ribce.cli import main
-from ribce.io import game_to_dict, outcome_to_dict
+from ribce.io import game_to_dict, load_game, load_outcome, outcome_to_dict
 from ribce.rational import Rat
+from ribce.separation import is_sbce
 
 from sample_games import (
     coordination_3x3_segment_point,
@@ -126,6 +127,8 @@ def test_perturb_round_trip(files, capsys, tmp_path):
     assert report["outcome_is_sbce_in_perturbed_game"] is True
     saved = json.loads(out_path.read_text())
     assert saved["players"] == ["p1", "p2"]
+    perturbed = load_game(str(out_path))
+    assert is_sbce(perturbed, load_outcome(str(files["p_half"]), perturbed))
 
 
 def test_canonical_report(files, capsys):

@@ -3,9 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from ribce import rows as _rows
+from ribce import vertices as _vx
+from ribce.bce import BcePolytope
 from ribce.errors import DimensionCapExceeded, InvalidParams, UnboundedPolytope
+from ribce.lp import Constraint, feasible_point
 from ribce.rational import Rat
 from ribce.vertices import enumerate_vertices
+
+from sample_games import investment_game, random_game
 
 
 def test_unit_simplex_three_vars():
@@ -121,7 +127,7 @@ def _brute_force_vertices(names, constraints, bounds):
     for j, v in enumerate(names):
         lo, hi = bounds[v]
         unit = [int(k == j) for k in range(d)]
-        rows += [(unit, ">=", lo), (unit, "<=", hi)]
+        rows += [(unit, rel, b) for rel, b in ((">=", lo), ("<=", hi)) if b is not None]
 
     def feasible(x):
         for a, rel, b in rows:
@@ -130,7 +136,7 @@ def _brute_force_vertices(names, constraints, bounds):
                 return False
         return True
 
-    points = set()
+    points, tried = set(), set()
     for subset in combinations(rows, d):
         aug = [[Rat(p) for p in a] + [b] for a, _, b in subset]
         for col in range(d):
@@ -138,14 +144,17 @@ def _brute_force_vertices(names, constraints, bounds):
             if piv is None:
                 break
             aug[col], aug[piv] = aug[piv], aug[col]
-            aug[col] = [p / aug[col][col] for p in aug[col]]
+            source = aug[col] = [p / aug[col][col] for p in aug[col]]
             for r in range(d):
-                if r != col:
-                    aug[r] = [p - aug[r][col] * q for p, q in zip(aug[r], aug[col])]
+                f = aug[r][col]
+                if r != col and f:
+                    aug[r] = [p - f * q if q else p for p, q in zip(aug[r], source)]
         else:
             x = tuple(row[d] for row in aug)
-            if feasible(x):
-                points.add(x)
+            if x not in tried:
+                tried.add(x)
+                if feasible(x):
+                    points.add(x)
     return sorted(points)
 
 
@@ -161,3 +170,122 @@ def test_matches_brute_force_on_box_polytopes():
         assert got == _brute_force_vertices(names, constraints, bounds)
         sizes.append(len(got))
     assert sizes[::6] == [0] * 10 and max(sizes) >= 8
+
+
+def _reference_enumerate_vertices(variables, constraints, bounds):
+    """The former double-description loop, kept as the reference for
+    ``enumerate_vertices``: every new ray's incidence is recomputed with dot
+    products against every processed row, and a pair is adjacent when a scan
+    of every other ray finds none tight on all of the pair's common rows.
+
+    Returns the vertices and the number of rays alive as each row after the
+    initial cone is processed.
+    """
+    variables = tuple(variables)
+    d = len(variables)
+    constraints = [Constraint(*c) for c in constraints]
+    alive = []
+    if feasible_point(variables, constraints, bounds) is None:
+        return [], alive
+    mrows = _vx._homogenize(variables, constraints, bounds)
+    chosen, rays = _vx._initial_cone(mrows, d)
+    processed = set(chosen)
+
+    def tight_mask(ray):
+        mask = 0
+        for idx in processed:
+            if _rows.dot(mrows[idx], ray) == 0:
+                mask |= 1 << idx
+        return mask
+
+    ray_masks = [tight_mask(r) for r in rays]
+    for idx in range(len(mrows)):
+        if idx in processed:
+            continue
+        alive.append(len(rays))
+        vals = [_rows.dot(mrows[idx], r) for r in rays]
+        plus, zero, minus = [], [], []
+        for k, val in enumerate(vals):
+            (plus if val > 0 else zero if val == 0 else minus).append(k)
+        processed.add(idx)
+        bit = 1 << idx
+        new_rays, new_masks = [], []
+        for kp in plus:
+            for km in minus:
+                common = ray_masks[kp] & ray_masks[km]
+                if common.bit_count() < d - 1:
+                    continue
+                if any(
+                    common & ~ray_masks[ko] == 0
+                    for ko in range(len(rays))
+                    if ko not in (kp, km)
+                ):
+                    continue
+                combo = _rows.primitive(_rows.row_combine(vals[kp], rays[km], -vals[km], rays[kp]))
+                new_rays.append(combo)
+                new_masks.append(tight_mask(combo))
+        kept_masks = [(ray_masks[k] | bit) if k in zero else ray_masks[k] for k in plus + zero]
+        rays, ray_masks = _vx._dedup(
+            [rays[k] for k in plus + zero] + new_rays, kept_masks + new_masks
+        )
+    return _vx._vertices(rays, variables), alive
+
+
+def _bce_polytopes():
+    """BCE polytopes of the investment game at epsilon 0 and at a drawn
+    epsilon > 0, and of seeded random games with 2 players, 2 actions each
+    and 2 or 3 states."""
+    rng = random.Random(9)
+    games = [("investment-0", investment_game(0))]
+    games.append(("investment-eps", investment_game(Rat(rng.randint(1, 9), 10))))
+    games += [(f"2x2x2-{k}", random_game(rng, n_actions=2, n_states=2)) for k in range(4)]
+    games += [(f"2x2x3-{k}", random_game(rng, n_actions=2, n_states=3)) for k in range(3)]
+    return [pytest.param(BcePolytope.of(game), id=name) for name, game in games]
+
+
+@pytest.mark.parametrize("poly", _bce_polytopes())
+def test_matches_reference_on_bce_polytopes(poly):
+    args = (poly.variables, poly.constraints, poly.bounds)
+    assert enumerate_vertices(*args) == _reference_enumerate_vertices(*args)[0]
+
+
+def test_matches_brute_force_on_bce_polytopes():
+    # 8 variables and 14 rows each; 3 and 42 vertices, 11 of them tight at
+    # more than 8 rows.
+    rng = random.Random(5)
+    sizes = []
+    for _ in range(2):
+        poly = BcePolytope.of(random_game(rng, n_actions=2, n_states=2))
+        args = (poly.variables, poly.constraints, poly.bounds)
+        got = [tuple(pt[v] for v in poly.variables) for pt in enumerate_vertices(*args)]
+        assert got == _brute_force_vertices(*args)
+        sizes.append(len(got))
+    assert sizes == [3, 42]
+
+
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """A one-entry list counting ``rows.dot`` calls in the test."""
+    count = [0]
+    original = _rows.dot
+
+    def counting(xs, ys):
+        count[0] += 1
+        return original(xs, ys)
+
+    monkeypatch.setattr(_rows, "dot", counting)
+    return count
+
+
+def test_new_rays_cost_no_dot_products(dot_calls):
+    # Each processed row is tested once against every ray alive then, and
+    # the d+1 initial rays against the d+1 rows of the initial cone.  The
+    # incidence of a new ray is derived, so it adds no dot products.
+    poly = BcePolytope.of(investment_game(0))
+    args = (poly.variables, poly.constraints, poly.bounds)
+    want, alive = _reference_enumerate_vertices(*args)
+    reference_calls = dot_calls[0]
+    dot_calls[0] = 0
+    assert enumerate_vertices(*args) == want
+    bound = sum(alive) + (len(poly.variables) + 1) ** 2
+    assert dot_calls[0] <= bound < reference_calls
