@@ -197,9 +197,12 @@ def cmd_regime(args) -> dict:
         thresholds=thresholds,
         prior=dict(zip(thresholds, priors)),
     )
+    # The full game is built first, so that one too large fails at once.
+    game = _regime.build_regime_game(params) if args.full_check else None
     w_lower = _regime.wlower_closed_form(params)
-    red_u, kernel_u = _regime.reduced_symmetric_lp(params, _regime.UNINFORMED_WELFARE)
-    red_g, _ = _regime.reduced_symmetric_lp(params, _regime.GROSS_WELFARE)
+    space = _regime.regime_space(params)
+    red_u, kernel_u = _regime.reduced_symmetric_lp(params, _regime.UNINFORMED_WELFARE, space)
+    red_g, _ = _regime.reduced_symmetric_lp(params, _regime.GROSS_WELFARE, space)
     if red_u != w_lower:
         raise InternalInvariantError("reduced LP disagrees with the closed form")
     report = {
@@ -219,7 +222,6 @@ def cmd_regime(args) -> dict:
         "kernel_optimality_conditions": _regime.kernel_satisfies_optimality(params, kernel_u),
     }
     if args.full_check:
-        game = _regime.build_regime_game(params)
         from .welfare import worst_case_exogenous, worst_case_rational_inattention
 
         w_ex, _ = worst_case_exogenous(game)

@@ -11,16 +11,23 @@ threshold distribution.
 The count-space reduction holds for every symmetric binary-action game:
 ``count_space`` builds its LP pieces from a payoff table indexed by own
 action, opponents on action 1 and state, and serves both the regime
-programs here and the symmetric gap test in ``welfare``.
+programs here and the symmetric gap test in ``welfare``.  It scales the
+payoffs and the prior to int numerators once and makes each row entry a
+single ``Rat`` from one int product, so the rows cost little next to the LPs
+they feed.  One space serves every program over a game: ``regime_space``
+builds the regime's, which ``cli`` passes to both worst-case objectives, and
+each obedience row is built at most once per space.  The full game
+(``build_regime_game``) has 2^n profiles and is refused above
+``MAX_REGIME_PLAYERS``.
 """
 
 import numbers
 from dataclasses import dataclass
 from itertools import product
-from types import SimpleNamespace
+from math import comb, lcm
 
 from . import lp as _lp
-from .errors import InternalInvariantError, InvalidParams, NotSymmetricOutcome
+from .errors import InternalInvariantError, InvalidParams, NotSymmetricOutcome, TooManyPlayers
 from .games import BaseGame, Outcome, is_symmetric_outcome, validate_game
 from .rational import ONE, ZERO, Rat
 
@@ -29,6 +36,12 @@ STAY = "0"
 
 GROSS_WELFARE = "gross_welfare"
 UNINFORMED_WELFARE = "uninformed_welfare"
+
+# build_regime_game stores n utilities per profile and state, 2^n * n per
+# state: 49,152 at n=12, two players above the largest full check in use
+# (n=10, about 8 s of exact LP).  Far above the cap the table alone would
+# exhaust memory.
+MAX_REGIME_PLAYERS = 12
 
 
 def _require_int(field, value):
@@ -124,8 +137,8 @@ def count_space(n: int, states, prior: dict, payoff):
     player's utility from action ``own`` when ``opp`` opponents take action
     1; it is read once per own in {0, 1}, opp < n and theta.
 
-    Returns a namespace with the (m, theta) ``variables``, their ``bounds``,
-    the per-state normalisation rows sum_m q(m, theta) = 1 as
+    Returns a ``CountSpace`` with the (m, theta) ``variables``, their
+    ``bounds``, the per-state normalisation rows sum_m q(m, theta) = 1 as
     ``constraints``, and row builders whose coefficients carry the prior:
 
     - ``mass(rec)``: probability that a player is recommended ``rec``;
@@ -134,91 +147,153 @@ def count_space(n: int, states, prior: dict, payoff):
     - ``gross()``: total expected payoff of all n players;
     - ``epigraph()``: the rows EPIGRAPH >= payoff of always playing a, for
       a = 0, 1, so that n * EPIGRAPH bounds total uninformed welfare.
+
+    The payoffs are scaled once to ints over the lcm of their denominators,
+    and the prior over the lcm of its own.  Each row entry is then one int
+    product over the row's common denominator, made a ``Rat`` (in lowest
+    terms) once; zero entries are left out.  A space serves every program
+    over one game: build it once and pass it around.
     """
-    v = {
-        (own, opp, theta): payoff(own, opp, theta)
+    states = tuple(states)
+    table = {
+        theta: tuple([payoff(own, opp, theta) for opp in range(n)] for own in (0, 1))
         for theta in states
-        for own in (0, 1)
-        for opp in range(n)
     }
-    share = [Rat(m, n) for m in range(n + 1)]
-    variables = tuple((m, theta) for theta in states for m in range(n + 1))
+    scale = lcm(*(v.denominator for rows in table.values() for row in rows for v in row))
+    values = {
+        theta: tuple([v.numerator * (scale // v.denominator) for v in row] for row in rows)
+        for theta, rows in table.items()
+    }
+    prior_scale = lcm(*(prior[theta].denominator for theta in states))
+    weights = {
+        theta: prior[theta].numerator * (prior_scale // prior[theta].denominator)
+        for theta in states
+    }
+    return CountSpace(n, weights, prior_scale, values, scale)
 
-    def recommended(rec, value):
-        # m = opp + rec players take action 1 when this player plays rec.
+
+class CountSpace:
+    """The count-kernel LP pieces of one symmetric binary-action game, on
+    int numerators; ``count_space`` builds it and documents the rows.
+
+    ``weights[theta]`` over ``prior_scale`` is the prior and
+    ``values[theta][own][opp]`` over ``scale`` the payoff table."""
+
+    def __init__(self, n, weights, prior_scale, values, scale):
+        self.n = n
+        self.variables = tuple((m, theta) for theta in weights for m in range(n + 1))
+        self.bounds = {var: (ZERO, None) for var in self.variables}
+        self.constraints = [
+            ({(m, theta): ONE for m in range(n + 1)}, _lp.EQUAL, ONE) for theta in weights
+        ]
+        self._weights = weights
+        self._prior_scale = prior_scale
+        self._values = values
+        self._scale = scale
+        self._obedience = {}
+
+    def _recommended(self, rec, gains, den):
+        # m = opp + rec players take action 1 when this player plays rec, and
+        # the player's share of count m is m/n, or (n-m)/n for action 0.
+        n = self.n
         coeffs = {}
-        for theta in states:
-            pi = prior[theta]
-            for opp in range(n):
+        for theta, weight in self._weights.items():
+            for opp, gain in enumerate(gains[theta]):
                 m = opp + rec
-                val = pi * share[m if rec else n - m] * value(opp, theta)
-                if val:
-                    coeffs[(m, theta)] = val
+                num = weight * (m if rec else n - m) * gain
+                if num:
+                    coeffs[(m, theta)] = Rat(num, den)
         return coeffs
 
-    def mass(rec):
-        return recommended(rec, lambda opp, theta: ONE)
+    def mass(self, rec):
+        ones = {theta: [1] * self.n for theta in self._weights}
+        return self._recommended(rec, ones, self._prior_scale * self.n)
 
-    def obedience(rec):
-        return recommended(rec, lambda opp, theta: v[rec, opp, theta] - v[1 - rec, opp, theta])
+    def obedience(self, rec):
+        """Built once per space: every caller gets the same dict, which must
+        not be changed."""
+        row = self._obedience.get(rec)
+        if row is None:
+            row = self._obedience[rec] = self._obedience_row(rec)
+        return row
 
-    def weighted_sum(weight, own1, own0):
-        # pi * (weight[m] * v(own1 against m-1) + weight[n-m] * v(own0 against m))
+    def _obedience_row(self, rec):
+        gains = {
+            theta: [a - b for a, b in zip(rows[rec], rows[1 - rec])]
+            for theta, rows in self._values.items()
+        }
+        return self._recommended(rec, gains, self._prior_scale * self.n * self._scale)
+
+    def _weighted_sum(self, own1, own0, sign, den):
+        # sign * pi * (m * v(own1 against m-1) + (n-m) * v(own0 against m)) over den
+        n = self.n
         coeffs = {}
-        for theta in states:
-            pi = prior[theta]
+        for theta, weight in self._weights.items():
+            weight *= sign
+            rows = self._values[theta]
+            against_less = [0] + rows[own1]
+            against_m = rows[own0] + [0]
             for m in range(n + 1):
-                val = ZERO
-                if m:
-                    val += weight[m] * v[own1, m - 1, theta]
-                if m < n:
-                    val += weight[n - m] * v[own0, m, theta]
-                val *= pi
-                if val:
-                    coeffs[(m, theta)] = val
+                num = weight * (m * against_less[m] + (n - m) * against_m[m])
+                if num:
+                    coeffs[(m, theta)] = Rat(num, den)
         return coeffs
 
-    def gross():
-        return weighted_sum(range(n + 1), 1, 0)
+    def gross(self):
+        return self._weighted_sum(1, 0, 1, self._prior_scale * self._scale)
 
-    def epigraph():
+    def epigraph(self):
         rows = []
         for a in (0, 1):
-            coeffs = {key: -val for key, val in weighted_sum(share, a, a).items()}
+            coeffs = self._weighted_sum(a, a, -1, self._prior_scale * self._scale * self.n)
             coeffs[EPIGRAPH] = ONE
             rows.append((coeffs, _lp.GREATER, ZERO))
         return rows
 
-    return SimpleNamespace(
-        variables=variables,
-        bounds={var: (ZERO, None) for var in variables},
-        constraints=[
-            ({(m, theta): ONE for m in range(n + 1)}, _lp.EQUAL, ONE) for theta in states
-        ],
-        mass=mass,
-        obedience=obedience,
-        gross=gross,
-        epigraph=epigraph,
+
+def _payoff(params: RegimeParams):
+    """u(own, attackers, theta): an investor's payoff from attacking (own 1)
+    or staying (own 0) when ``attackers`` investors attack in all, with its
+    four values computed once."""
+    win, lose, hit = ONE - params.k, -params.k, -params.x
+
+    def payoff(own, attackers, theta):
+        if attackers >= theta:
+            return win if own else hit
+        return lose if own else ZERO
+
+    return payoff
+
+
+def regime_space(params: RegimeParams) -> CountSpace:
+    """The count space of the regime game, for ``reduced_symmetric_lp``."""
+    payoff = _payoff(params)
+    return count_space(
+        params.n,
+        params.thresholds,
+        params.prior,
+        lambda own, opp, theta: payoff(own, opp + own, theta),
     )
 
 
-def _attacker_payoff(params: RegimeParams, total_attackers: int, theta: int):
-    return (ONE - params.k) if total_attackers >= theta else -params.k
-
-
-def _passive_payoff(params: RegimeParams, total_attackers: int, theta: int):
-    return -params.x if total_attackers >= theta else ZERO
-
-
 def build_regime_game(params: RegimeParams) -> BaseGame:
+    """The full game, one utility per player, profile and state.  Raises
+    TooManyPlayers before building anything above MAX_REGIME_PLAYERS."""
+    if params.n > MAX_REGIME_PLAYERS:
+        cells = 2**params.n * len(params.thresholds)
+        raise TooManyPlayers(
+            f"the full regime game at n={params.n} has 2^{params.n}*{len(params.thresholds)}"
+            f" = {cells} profile-state cells; it is built only for n <= {MAX_REGIME_PLAYERS}"
+        )
+    payoff = _payoff(params)
     players = tuple(f"i{j + 1}" for j in range(params.n))
     actions = {i: (STAY, ATTACK) for i in players}
     utilities = {i: {} for i in players}
     for profile in product((STAY, ATTACK), repeat=params.n):
         m = sum(1 for a in profile if a == ATTACK)
         for theta in params.thresholds:
-            att = _attacker_payoff(params, m, theta)
-            pas = _passive_payoff(params, m, theta)
+            att = payoff(1, m, theta)
+            pas = payoff(0, m, theta)
             for j, i in enumerate(players):
                 utilities[i][(profile, theta)] = att if profile[j] == ATTACK else pas
     game = BaseGame(
@@ -283,22 +358,19 @@ def gap_closed_form(params: RegimeParams) -> bool:
     return gap
 
 
-def reduced_symmetric_lp(params: RegimeParams, objective: str):
+def reduced_symmetric_lp(params: RegimeParams, objective: str, space: CountSpace = None):
     """Exact worst-case welfare over symmetric BCEs in count space.
 
     Symmetric outcomes are exactly the count kernels, and the symmetric
     optimum equals the full-game optimum because both worst-case programs
-    admit symmetric minimizers.  Returns (value, CountKernel).
+    admit symmetric minimizers.  ``space`` is ``regime_space(params)``, built
+    here if not given; pass one to both objectives to build it once.
+    Returns (value, CountKernel).
     """
     if objective not in (GROSS_WELFARE, UNINFORMED_WELFARE):
         raise InvalidParams(f"unknown objective {objective!r}")
-
-    def payoff(own, opp, theta):
-        if own:
-            return _attacker_payoff(params, opp + 1, theta)
-        return _passive_payoff(params, opp, theta)
-
-    space = count_space(params.n, params.thresholds, params.prior, payoff)
+    if space is None:
+        space = regime_space(params)
     constraints = space.constraints + [
         (space.obedience(1), _lp.GREATER, ZERO),
         (space.obedience(0), _lp.GREATER, ZERO),
@@ -326,16 +398,16 @@ def reduced_symmetric_lp(params: RegimeParams, objective: str):
 def kernel_to_outcome(params: RegimeParams, kernel: CountKernel, game: BaseGame) -> Outcome:
     """Spread each count mass uniformly over the profiles with that many
     attackers; the result is the symmetric outcome the kernel represents."""
-    from math import comb
-
+    by_count = {}
+    for profile in product((STAY, ATTACK), repeat=params.n):
+        by_count.setdefault(profile.count(ATTACK), []).append(profile)
     p = {}
     for (m, theta), q in kernel.q.items():
         if not q:
             continue
         share = q * params.prior[theta] / comb(params.n, m)
-        for profile in product((STAY, ATTACK), repeat=params.n):
-            if sum(1 for a in profile if a == ATTACK) == m:
-                p[(profile, theta)] = share
+        for profile in by_count[m]:
+            p[(profile, theta)] = share
     return Outcome(p=p)
 
 

@@ -267,6 +267,18 @@ def test_exit_code_on_repeated_state(capsys, states, prior):
     assert "invalid_params" in err and "repeated threshold" in err
 
 
+def test_regime_full_check_too_large_exits_at_once(monkeypatch, capsys):
+    # Two states at n=40: 2^40 * 2 cells.  The full game would exhaust
+    # memory; it is refused before any profile or count-space LP is built.
+    from ribce import regime
+
+    monkeypatch.setattr(regime, "count_space", None)
+    argv = _regime_with("--n", "40") + ["--full-check"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "too_many_players" in err and f"{2**41} profile-state cells" in err
+
+
 def _coarsest_partition():
     g3 = coordination_game_3x3()
     return {str(i): [[str(a) for a in g3.actions[i]]] for i in g3.players}

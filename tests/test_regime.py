@@ -1,24 +1,41 @@
+import random
+from fractions import Fraction
+from itertools import product
+from math import comb
+from types import SimpleNamespace
+
 import pytest
 
-from ribce.errors import InvalidParams, NotSymmetricOutcome
+from ribce import cli, lp, regime, welfare
+from ribce.errors import InvalidParams, NotSymmetricOutcome, TooManyPlayers
 from ribce.games import Outcome, is_symmetric_game
-from ribce.rational import Rat
+from ribce.rational import ONE, ZERO, Rat
 from ribce.regime import (
     ATTACK,
+    EPIGRAPH,
     GROSS_WELFARE,
+    MAX_REGIME_PLAYERS,
     STAY,
     UNINFORMED_WELFARE,
     CountKernel,
+    CountSpace,
     RegimeParams,
     build_regime_game,
     check_optimality_conditions,
+    count_space,
     gap_closed_form,
     kernel_satisfies_optimality,
     kernel_to_outcome,
     reduced_symmetric_lp,
+    regime_space,
     wlower_closed_form,
 )
-from ribce.welfare import worst_case_exogenous, worst_case_rational_inattention
+from ribce.welfare import (
+    binary_symmetric_gap_test,
+    worst_case_exogenous,
+    worst_case_rational_inattention,
+)
+from sample_games import random_symmetric_binary_game
 
 
 def _params(n=4, k=Rat(1, 2), x=Rat(1), thresholds=(2,), prior=None):
@@ -231,3 +248,213 @@ def test_zero_attack_kernel_zero_welfare():
     assert sum(gross_value(g, outcome, i) for i in g.players) == 0
     # deviating to attack alone never reaches a threshold >= 2
     assert sum(uninformed_value(g, outcome, i)[0] for i in g.players) == 0
+
+
+def _reference_count_space(n, states, prior, payoff):
+    """``count_space`` as it was on Fraction arithmetic, cell by cell: the
+    reference the int-numerator rows must equal entry for entry."""
+    v = {
+        (own, opp, theta): payoff(own, opp, theta)
+        for theta in states
+        for own in (0, 1)
+        for opp in range(n)
+    }
+    share = [Rat(m, n) for m in range(n + 1)]
+    variables = tuple((m, theta) for theta in states for m in range(n + 1))
+
+    def recommended(rec, value):
+        coeffs = {}
+        for theta in states:
+            pi = prior[theta]
+            for opp in range(n):
+                m = opp + rec
+                val = pi * share[m if rec else n - m] * value(opp, theta)
+                if val:
+                    coeffs[(m, theta)] = val
+        return coeffs
+
+    def mass(rec):
+        return recommended(rec, lambda opp, theta: ONE)
+
+    def obedience(rec):
+        return recommended(rec, lambda opp, theta: v[rec, opp, theta] - v[1 - rec, opp, theta])
+
+    def weighted_sum(weight, own1, own0):
+        coeffs = {}
+        for theta in states:
+            pi = prior[theta]
+            for m in range(n + 1):
+                val = ZERO
+                if m:
+                    val += weight[m] * v[own1, m - 1, theta]
+                if m < n:
+                    val += weight[n - m] * v[own0, m, theta]
+                val *= pi
+                if val:
+                    coeffs[(m, theta)] = val
+        return coeffs
+
+    def gross():
+        return weighted_sum(range(n + 1), 1, 0)
+
+    def epigraph():
+        rows = []
+        for a in (0, 1):
+            coeffs = {key: -val for key, val in weighted_sum(share, a, a).items()}
+            coeffs[EPIGRAPH] = ONE
+            rows.append((coeffs, lp.GREATER, ZERO))
+        return rows
+
+    return SimpleNamespace(
+        variables=variables,
+        bounds={var: (ZERO, None) for var in variables},
+        constraints=[
+            ({(m, theta): ONE for m in range(n + 1)}, lp.EQUAL, ONE) for theta in states
+        ],
+        mass=mass,
+        obedience=obedience,
+        gross=gross,
+        epigraph=epigraph,
+    )
+
+
+def _assert_same_row(row, ref):
+    # Same values in the same key order, each a Fraction in lowest terms.
+    assert list(row.items()) == list(ref.items())
+    assert all(type(c) is Fraction for c in row.values())
+
+
+def _assert_same_space(space, ref):
+    assert space.variables == ref.variables
+    assert list(space.bounds.items()) == list(ref.bounds.items())
+    assert len(space.constraints) == len(ref.constraints)
+    for (row, sense, rhs), (ref_row, ref_sense, ref_rhs) in zip(space.constraints, ref.constraints):
+        _assert_same_row(row, ref_row)
+        assert (sense, rhs) == (ref_sense, ref_rhs)
+    for rec in (0, 1):
+        _assert_same_row(space.mass(rec), ref.mass(rec))
+        _assert_same_row(space.obedience(rec), ref.obedience(rec))
+    _assert_same_row(space.gross(), ref.gross())
+    epigraph, ref_epigraph = space.epigraph(), ref.epigraph()
+    assert len(epigraph) == len(ref_epigraph) == 2
+    for (row, sense, rhs), (ref_row, ref_sense, ref_rhs) in zip(epigraph, ref_epigraph):
+        _assert_same_row(row, ref_row)
+        assert (sense, rhs) == (ref_sense, ref_rhs)
+
+
+def _check_against_reference(n, states, prior, payoff):
+    space = count_space(n, states, prior, payoff)
+    _assert_same_space(space, _reference_count_space(n, states, prior, payoff))
+    return space
+
+
+def test_count_space_matches_fraction_reference_on_random_tables():
+    rng = random.Random(20260)
+    for _ in range(40):
+        n = rng.randint(4, 120)
+        states = tuple(f"s{k}" for k in range(rng.randint(1, 3)))
+        weights = [rng.randint(1, 7) for _ in states]
+        prior = {s: Rat(w, sum(weights)) for s, w in zip(states, weights)}
+        # Mixed denominators and zero entries; some tables are constant in
+        # own action, so their obedience rows are empty.
+        constant = rng.random() < 0.1
+        table = {
+            (own, opp, s): Rat(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 2, 3, 5, 12)))
+            for own in (0, 1)
+            for opp in range(n)
+            for s in states
+        }
+        if constant:
+            table = {(own, opp, s): table[0, opp, s] for own, opp, s in table}
+        _check_against_reference(n, states, prior, lambda own, opp, s: table[own, opp, s])
+    # Plain int payoffs and prior are read the same way.
+    _check_against_reference(5, (0,), {0: 1}, lambda own, opp, s: own * opp - 2)
+
+
+def test_count_space_matches_fraction_reference_on_regime_and_gap_readout(monkeypatch):
+    seen = []
+
+    def checked(n, states, prior, payoff):
+        seen.append(n)
+        return _check_against_reference(n, states, prior, payoff)
+
+    monkeypatch.setattr(regime, "count_space", checked)
+    monkeypatch.setattr(welfare, "count_space", checked)
+    for n, k, x, prior in (
+        (4, Rat(1, 2), Rat(1), {2: Rat(1)}),
+        (9, Rat(3, 5), Rat(1, 5), {2: Rat(1, 3), 5: Rat(2, 3)}),
+        (60, Rat(9, 10), Rat(7, 3), {2: Rat(1, 4), 30: Rat(1, 6), 57: Rat(7, 12)}),
+    ):
+        params = RegimeParams(n=n, k=k, x=x, thresholds=tuple(prior), prior=prior)
+        assert isinstance(regime_space(params), CountSpace)
+    rng = random.Random(7)
+    two_states = _params(n=5, thresholds=(2, 3), prior={2: Rat(1, 3), 3: Rat(2, 3)})
+    games = [build_regime_game(two_states)]
+    games += [
+        random_symmetric_binary_game(rng, n_players=p, n_states=s)
+        for p, s in ((2, 1), (3, 2), (4, 3))
+    ]
+    for game in games:
+        binary_symmetric_gap_test(game)
+    assert seen == [4, 9, 60, 5, 2, 3, 4]
+
+
+def test_regime_space_built_once_per_job(monkeypatch, capsys):
+    spaces, builds = [], []
+    build_space = regime.count_space
+    monkeypatch.setattr(
+        regime, "count_space", lambda *args: spaces.append(build_space(*args)) or spaces[-1]
+    )
+    build_row = CountSpace._obedience_row
+    monkeypatch.setattr(
+        CountSpace, "_obedience_row", lambda self, rec: builds.append(rec) or build_row(self, rec)
+    )
+    argv = ["regime", "--n", "7", "--k", "1/2", "--x", "1/5"]
+    assert cli.main(argv + ["--states", "2,4", "--prior", "1/3,2/3"]) == 0
+    capsys.readouterr()
+    assert len(spaces) == 1
+    assert sorted(builds) == [0, 1]
+
+
+def test_reduced_lp_on_a_given_space_matches_its_own():
+    prior = {2: Rat(1, 2), 5: Rat(1, 2)}
+    params = _params(n=9, k=Rat(3, 5), x=Rat(1, 5), thresholds=(2, 5), prior=prior)
+    space = regime_space(params)
+    for objective in (UNINFORMED_WELFARE, GROSS_WELFARE):
+        shared = reduced_symmetric_lp(params, objective, space)
+        assert shared == reduced_symmetric_lp(params, objective)
+
+
+def _reference_kernel_to_outcome(params, kernel):
+    # One scan of all 2^n profiles per kernel entry.
+    p = {}
+    for (m, theta), q in kernel.q.items():
+        if not q:
+            continue
+        share = q * params.prior[theta] / comb(params.n, m)
+        for profile in product((STAY, ATTACK), repeat=params.n):
+            if sum(1 for a in profile if a == ATTACK) == m:
+                p[(profile, theta)] = share
+    return Outcome(p=p)
+
+
+def test_kernel_to_outcome_matches_profile_scan():
+    params = _params(n=6, thresholds=(2, 3), prior={2: Rat(1, 3), 3: Rat(2, 3)})
+    game = build_regime_game(params)
+    # Counts out of order, one repeated across states, and a zero entry.
+    q = {(4, 3): Rat(1, 2), (0, 2): Rat(1, 4), (1, 3): Rat(1, 2), (6, 2): Rat(3, 4)}
+    kernel = CountKernel(n=6, q={**q, (2, 3): ZERO})
+    outcome = kernel_to_outcome(params, kernel, game)
+    assert list(outcome.p.items()) == list(_reference_kernel_to_outcome(params, kernel).p.items())
+    for objective in (UNINFORMED_WELFARE, GROSS_WELFARE):
+        _, kernel = reduced_symmetric_lp(params, objective)
+        outcome = kernel_to_outcome(params, kernel, game)
+        assert outcome.p == _reference_kernel_to_outcome(params, kernel).p
+
+
+def test_build_regime_game_fails_fast_above_the_cap(monkeypatch):
+    n = MAX_REGIME_PLAYERS + 1
+    params = _params(n=n, thresholds=(2, 5), prior={2: Rat(1, 2), 5: Rat(1, 2)})
+    monkeypatch.setattr(regime, "product", None)  # building any profile would fail
+    with pytest.raises(TooManyPlayers, match=f"= {2**n * 2} profile-state cells"):
+        build_regime_game(params)
