@@ -4,7 +4,8 @@ The BCE polytope of a game lives in outcome space: nonnegativity, one
 prior-marginal equality per state, and one obedience row per ordered action
 pair of each player.  It is never empty (a mediator replicating any Nash
 equilibrium of the prior-averaged game is obedient), so every optimizer here
-returns an exact optimum with its minimizer.
+returns an exact optimum, read out by ``BcePolytope.optimum`` on the polytope
+the caller passes as ``poly`` (built when not given).
 """
 
 from dataclasses import dataclass, field
@@ -113,38 +114,39 @@ class BcePolytope:
             self._feasible = _lp.phase_one(self.variables, self.constraints, self.bounds)
         return self._feasible.optimize(objective, sense)
 
+    def optimum(self, objective: dict, sense: str = "min"):
+        """(optimizer as an outcome, optimal value) of ``solve``."""
+        sol = self.solve(objective, sense)
+        if not sol.is_optimal:
+            raise InternalInvariantError(f"BCE polytope should never be {sol.status}")
+        return self.outcome_from_point(sol.point), sol.value
+
     def outcome_from_point(self, point: dict) -> Outcome:
         out = Outcome(p={v: point[v] for v in self.variables if point[v]})
         validate_outcome(self.game, out)
         return out
 
 
-def minimize_linear_over_bce(game: BaseGame, objective: dict):
+def minimize_linear_over_bce(game: BaseGame, objective: dict, poly: Optional[BcePolytope] = None):
     """Exact minimizer and value of a linear functional on the BCE set.
 
     ``objective`` maps (profile, state) cells to coefficients; missing cells
     count as zero.
     """
-    poly = BcePolytope.of(game)
+    poly = poly or BcePolytope.of(game)
     for key in objective:
         if key not in poly.bounds:
             raise UnknownAction(f"objective references unknown cell {key!r}")
-    sol = _lp.solve(poly.lp(objective, "min"))
-    if not sol.is_optimal:
-        raise InternalInvariantError(f"BCE polytope should never be {sol.status}")
-    outcome = poly.outcome_from_point(sol.point)
+    outcome, value = poly.optimum(objective)
     check = is_bce(game, outcome)
     if not check:
         raise InternalInvariantError(f"optimizer left the BCE set: {check.witness}")
-    return outcome, sol.value
+    return outcome, value
 
 
 def maximize_cell_over_bce(game: BaseGame, cell, poly: Optional[BcePolytope] = None):
     poly = poly or BcePolytope.of(game)
-    sol = poly.solve({cell: ONE}, "max")
-    if not sol.is_optimal:
-        raise InternalInvariantError(f"BCE polytope should never be {sol.status}")
-    return poly.outcome_from_point(sol.point), sol.value
+    return poly.optimum({cell: ONE}, "max")
 
 
 def max_support_point(game: BaseGame, poly: Optional[BcePolytope] = None) -> Outcome:

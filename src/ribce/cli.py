@@ -13,7 +13,7 @@ import sys
 
 from .errors import InternalInvariantError, InvalidParams, RibceError, ValidationError
 from .games import gross_value, is_symmetric_game, uninformed_value, utility_distance
-from .bce import is_bce
+from .bce import BcePolytope, is_bce
 from .io import (
     game_to_dict,
     load_game,
@@ -115,8 +115,8 @@ def _check_outcome_report(game, outcome) -> dict:
     return report
 
 
-def _welfare_block(game) -> dict:
-    rep = welfare_report(game)
+def _welfare_block(game, poly=None) -> dict:
+    rep = welfare_report(game, poly)
     return {
         "worst_case": {
             "exogenous_information": rational_to_json(rep.w_exogenous),
@@ -130,8 +130,8 @@ def _welfare_block(game) -> dict:
     }
 
 
-def _density_block(game, args) -> dict:
-    verdict = classify_density(game, mode=args.mode, seed=args.seed, retries=args.retries)
+def _density_block(game, args, poly=None) -> dict:
+    verdict = classify_density(game, args.mode, args.seed, args.retries, poly)
     block = {"verdict": verdict.verdict, "mode": verdict.mode}
     if verdict.certificate is not None:
         block["certificate"] = _outcome_block(verdict.certificate)
@@ -172,12 +172,13 @@ def cmd_density(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     game = load_game(args.game)
+    poly = BcePolytope.of(game)
     report = {
         "players": [str(i) for i in game.players],
         "states": [str(s) for s in game.states],
         "symmetric": is_symmetric_game(game),
-        "welfare": _welfare_block(game),
-        "density": _density_block(game, args),
+        "welfare": _welfare_block(game, poly),
+        "density": _density_block(game, args, poly),
     }
     if args.outcome:
         outcome = load_outcome(args.outcome, game)
@@ -222,13 +223,10 @@ def cmd_regime(args) -> dict:
         "kernel_optimality_conditions": _regime.kernel_satisfies_optimality(params, kernel_u),
     }
     if args.full_check:
-        from .welfare import worst_case_exogenous, worst_case_rational_inattention
-
-        w_ex, _ = worst_case_exogenous(game)
-        w_ri, _ = worst_case_rational_inattention(game)
+        rep = welfare_report(game)
         report["full_game"] = {
-            "exogenous_information": rational_to_json(w_ex),
-            "rational_inattention": rational_to_json(w_ri),
+            "exogenous_information": rational_to_json(rep.w_exogenous),
+            "rational_inattention": rational_to_json(rep.w_inattention),
         }
     return report
 
@@ -271,7 +269,7 @@ def cmd_canonical(args) -> dict:
             rational_to_json(rep.kernel[(state, z)]) for z in rep.correlation_states
         ]
     plans_block = {}
-    for k, i in enumerate(game.players):
+    for i in game.players:
         rows = {}
         for cell in rep.partition.cells[i]:
             label = ",".join(sorted(str(a) for a in cell))

@@ -2,7 +2,8 @@
 
 Two-phase dense simplex, exact throughout.  Everything downstream
 (obedience polytopes, worst-case welfare, jeopardization, separating
-hyperplanes, garbling feasibility) reduces to `solve`.
+hyperplanes, garbling feasibility) reduces to ``phase_one`` and
+``Polyhedron.optimize``.
 
 The simplex is split where it first reads the objective.  ``phase_one``
 reads only the constraints and bounds: it writes the standard form, runs

@@ -56,13 +56,10 @@ def jeopardizes(game: BaseGame, player, action, target, poly: Optional[BcePolyto
     check_action(game, player, action)
     check_action(game, player, target)
     poly = poly or BcePolytope.of(game)
-    sol = poly.solve(obedience_row(game, player, target, action), "max")
-    if not sol.is_optimal:
-        raise InternalInvariantError(f"jeopardization LP is {sol.status}")
-    if sol.value < 0:
+    outcome, value = poly.optimum(obedience_row(game, player, target, action), "max")
+    if value < 0:
         raise InternalInvariantError("obedience slack negative over the BCE set")
-    outcome = poly.outcome_from_point(sol.point)
-    return sol.value == 0, sol.value, outcome
+    return value == 0, value, outcome
 
 
 def jeopardization_set(game: BaseGame, player, target, poly: Optional[BcePolytope] = None):
@@ -265,10 +262,7 @@ def find_minimally_mixed(
         objective = {
             cell: Rat(rng.randint(-6, 6)) for cell in poly.variables if rng.random() < 0.5
         }
-        sol = poly.solve(objective, "min")
-        if not sol.is_optimal:
-            raise InternalInvariantError(f"BCE polytope is {sol.status}")
-        other = poly.outcome_from_point(sol.point)
+        other, _ = poly.optimum(objective)
         weights = []
         for _ in range(2 * len(realized) + 8):
             num = rng.randint(1, 7)
@@ -343,7 +337,13 @@ class DensityVerdict:
         return True
 
 
-def classify_density(game: BaseGame, mode: str = RANDOMIZED, seed: int = 0, retries: int = 64) -> DensityVerdict:
+def classify_density(
+    game: BaseGame,
+    mode: str = RANDOMIZED,
+    seed: int = 0,
+    retries: int = 64,
+    poly: Optional[BcePolytope] = None,
+) -> DensityVerdict:
     """Is the sBCE set dense in the BCE set, or nowhere dense?
 
     The candidate is a minimally mixed BCE whose best-response sets have been
@@ -351,9 +351,10 @@ def classify_density(game: BaseGame, mode: str = RANDOMIZED, seed: int = 0, retr
     density; a separation failure names two distinct-belief recommendations
     sharing a jeopardizing action, certifying nowhere-density.  NowhereDense
     witnesses are complete proofs in both modes; the Dense verdict relies on
-    verified minimal mixing in exact mode only.
+    verified minimal mixing in exact mode only.  The search runs on ``poly``
+    when given; the verdict's ``verify`` builds its own.
     """
-    poly = BcePolytope.of(game)
+    poly = poly or BcePolytope.of(game)
     cand = find_minimally_mixed(game, retries=retries, seed=seed, mode=mode, poly=poly)
     cand = _reduce_best_responses(game, cand, poly)
     mode_tag = {"kind": EXACT} if mode == EXACT else {

@@ -17,7 +17,7 @@ from .games import BaseGame, Outcome, validate_outcome
 from .rational import ONE, ZERO, Rat
 from .representation import PartitionProfile, belief_partition
 from .separation import beliefs_equal, is_sbce
-from .structure import DENSE, RANDOMIZED, classify_density, jeopardizes
+from .structure import DENSE, EXACT, RANDOMIZED, classify_density, jeopardizes
 
 IS_VCE = "is_vce"
 NOT_VCE = "not_vce"
@@ -159,20 +159,18 @@ def _partitions_equal(a: PartitionProfile, b: PartitionProfile, players) -> bool
     return True
 
 
-def _closure_obstruction(game: BaseGame, outcome: Outcome):
+def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
     """A supported pair with distinct beliefs whose jeopardization sets
     intersect.  Any sBCE sequence converging to the outcome would eventually
     support the pair with distinct beliefs, forcing the shared jeopardizing
     action out of one best-response set; so an obstruction proves the outcome
     lies outside the closure of the sBCE set."""
-    poly = None
     for i in game.players:
         support = outcome.support(game, i)
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
                 if beliefs_equal(game, outcome, i, a, b):
                     continue
-                poly = poly or BcePolytope.of(game)
                 for c in game.actions[i]:
                     hit_a, _, _ = jeopardizes(game, i, c, a, poly)
                     if not hit_a:
@@ -277,7 +275,8 @@ def check_vce(
             ),
         )
 
-    obstruction = _closure_obstruction(game, outcome)
+    poly = BcePolytope.of(game)
+    obstruction = _closure_obstruction(game, outcome, poly)
     if obstruction is not None:
         return Verdict(
             kind=NOT_VCE,
@@ -296,7 +295,7 @@ def check_vce(
             ),
         )
 
-    density = classify_density(game, mode=mode, seed=seed, retries=retries)
+    density = classify_density(game, mode=mode, seed=seed, retries=retries, poly=poly)
     if density.verdict == DENSE:
         # Density makes the closure of the sBCE set the whole BCE set; an
         # explicit sBCE within epsilon is attached as checkable evidence
@@ -314,7 +313,7 @@ def check_vce(
                     f"within {epsilon} of the outcome was constructed by mixing"
                 ),
             )
-        if density.mode["kind"] == "exact":
+        if density.mode["kind"] == EXACT:
             raise InternalInvariantError(
                 "mixture toward an exact-mode separated candidate failed separation"
             )

@@ -4,11 +4,13 @@ regimes.
 Exogenous information hands players the gross value of an outcome; acquired
 information pins each player between her uninformed value (ignore every
 recommendation, play the best constant action) and the gross value.  The two
-worst cases over the obedience polytope are a plain LP and an epigraph LP;
+worst cases over one obedience polytope are a plain LP and an epigraph LP;
 the gap between them is what separates the two regimes for a planner.
 """
 
 from dataclasses import dataclass
+from typing import Optional
+
 from . import lp as _lp
 from .bce import BcePolytope, is_bce, minimize_linear_over_bce
 from .errors import GameNotSymmetric, InternalInvariantError, NotABce, NotBinaryAction
@@ -80,15 +82,15 @@ def value_interval(game: BaseGame, outcome: Outcome, mode=RATIONAL_INATTENTION) 
     return ValueInterval(mode=mode, per_player=per_player)
 
 
-def worst_case_exogenous(game: BaseGame):
-    """min over the BCE set of total gross value; returns (value, minimizer)."""
+def worst_case_exogenous(game: BaseGame, poly: Optional[BcePolytope] = None):
+    """min over the BCE set (``poly``) of total gross value; returns (value, minimizer)."""
     objective = {}
     for cell in game.cells():
         profile, state = cell
         total = sum((game.u(i, profile, state) for i in game.players), ZERO)
         if total:
             objective[cell] = total
-    outcome, value = minimize_linear_over_bce(game, objective)
+    outcome, value = minimize_linear_over_bce(game, objective, poly)
     return value, outcome
 
 
@@ -111,10 +113,10 @@ def _epigraph_lp(game: BaseGame, poly: BcePolytope):
     )
 
 
-def worst_case_rational_inattention(game: BaseGame):
+def worst_case_rational_inattention(game: BaseGame, poly: Optional[BcePolytope] = None):
     """min over the BCE set of total uninformed value, via epigraph variables
     t_i >= every constant-action deviation payoff; returns (value, minimizer)."""
-    poly = BcePolytope.of(game)
+    poly = poly or BcePolytope.of(game)
     lp = _epigraph_lp(game, poly)
     sol = _lp.solve(lp)
     if not sol.is_optimal:
@@ -130,9 +132,10 @@ def worst_case_rational_inattention(game: BaseGame):
     return sol.value, outcome
 
 
-def welfare_report(game: BaseGame) -> WelfareReport:
-    w_ex, p_ex = worst_case_exogenous(game)
-    w_ri, p_ri = worst_case_rational_inattention(game)
+def welfare_report(game: BaseGame, poly: Optional[BcePolytope] = None) -> WelfareReport:
+    poly = poly or BcePolytope.of(game)
+    w_ex, p_ex = worst_case_exogenous(game, poly)
+    w_ri, p_ri = worst_case_rational_inattention(game, poly)
     if w_ri > w_ex:
         raise InternalInvariantError("uninformed worst case exceeded gross worst case")
     return WelfareReport(
@@ -157,6 +160,7 @@ def binary_symmetric_gap_test(game: BaseGame):
     second action, so every program runs in count space (``regime.count_space``)
     on n+1 variables per state and one epigraph variable, with payoffs read
     at one representative profile per (own action, opponent count, state).
+    The four per-action minima share the optimal face's phase 1.
 
     Returns (gap_strict, diagnostic dict).
     """
@@ -180,27 +184,21 @@ def binary_symmetric_gap_test(game: BaseGame):
     constraints = space.constraints + space.epigraph()
     uninformed = {EPIGRAPH: Rat(n)}
 
-    def minimize(objective, rows, name):
-        lp = _lp.LinearProgram(
-            variables=variables,
-            objective=objective,
-            sense="min",
-            constraints=rows,
-            bounds=space.bounds,
-        )
-        sol = _lp.solve(lp)
+    def minimize(feasible, objective, name):
+        sol = feasible.optimize(objective)
         if not sol.is_optimal:
             raise InternalInvariantError(f"{name} LP is {sol.status}")
         return sol.value
 
-    relaxed = minimize(uninformed, constraints, "relaxed symmetric")
-    face_rows = constraints + [(uninformed, _lp.EQUAL, relaxed)]
+    symmetric = _lp.phase_one(variables, constraints, space.bounds)
+    relaxed = minimize(symmetric, uninformed, "relaxed symmetric")
+    face = _lp.phase_one(variables, constraints + [(uninformed, _lp.EQUAL, relaxed)], space.bounds)
 
     diagnostics = {"relaxed_value": relaxed, "per_action": {}}
     gap = True
     for rec in (0, 1):
-        min_mass = minimize(space.mass(rec), face_rows, "optimal-face")
-        min_slack = minimize(space.obedience(rec), face_rows, "optimal-face")
+        min_mass = minimize(face, space.mass(rec), "optimal-face")
+        min_slack = minimize(face, space.obedience(rec), "optimal-face")
         diagnostics["per_action"][actions[rec]] = {
             "min_probability": min_mass,
             "min_strict_br_slack": min_slack,

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from ribce import lp as _lp
+from ribce.bce import BcePolytope
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -20,3 +21,17 @@ def phase_one_calls(monkeypatch):
 
     monkeypatch.setattr(_lp, "phase_one", counting)
     return calls
+
+
+@pytest.fixture
+def polytopes_built(monkeypatch):
+    """A list that gets one entry per ``BcePolytope.of`` call in the test."""
+    built = []
+    original = BcePolytope.of.__func__
+
+    def counting(cls, game):
+        built.append(game)
+        return original(cls, game)
+
+    monkeypatch.setattr(BcePolytope, "of", classmethod(counting))
+    return built

@@ -1,5 +1,6 @@
 import functools
 import json
+import pathlib
 
 import pytest
 
@@ -37,7 +38,33 @@ def files(tmp_path):
     paths["mixed_nash"].write_text(
         json.dumps(outcome_to_dict(coordination_3x3_segment_point(0)))
     )
+    paths["tie_game"] = tmp_path / "tie_game.json"
+    paths["tie_game"].write_text(json.dumps(TIE_GAME))
+    paths["tie_nash"] = tmp_path / "tie_nash.json"
+    paths["tie_nash"].write_text(json.dumps(TIE_NASH))
     return paths
+
+
+# A two-state game with a weak complete-information Nash outcome (each
+# player's action follows the state) that is not separated and has no closure
+# obstruction, so ``vce`` on it runs the density classification.
+TIE_GAME = {
+    "players": ["p1", "p2"],
+    "states": ["s1", "s2"],
+    "prior": {"s1": "3/7", "s2": "4/7"},
+    "actions": {"p1": ["a", "b"], "p2": ["a", "b"]},
+    "utilities": {
+        "p1": {
+            "a,a|s1": 1, "a,a|s2": 1, "a,b|s1": "-1/2", "a,b|s2": "-1/2",
+            "b,a|s1": 0, "b,a|s2": 0, "b,b|s1": "1/2", "b,b|s2": "-1/2",
+        },
+        "p2": {
+            "a,a|s1": "-1/2", "a,a|s2": "1/2", "a,b|s1": "1/2", "a,b|s2": 0,
+            "b,a|s1": 0, "b,a|s2": "1/2", "b,b|s1": 0, "b,b|s2": "-1/2",
+        },
+    },
+}
+TIE_NASH = {"outcome": {"b,b|s1": "3/7", "a,a|s2": "4/7"}}
 
 
 def _run(capsys, *argv):
@@ -166,8 +193,6 @@ def test_byte_stability(files, capsys):
 def test_regime_golden_bytes(capsys):
     # Frozen bytes: identical across runs, kernel stacks, and rational
     # backends for fixed inputs.
-    import pathlib
-
     golden = pathlib.Path(__file__).parent / "golden" / "regime_n4.json"
     code, out, _ = _run(
         capsys,
@@ -176,6 +201,59 @@ def test_regime_golden_bytes(capsys):
     )
     assert code == 0
     assert out == golden.read_text()
+
+
+# golden/cli_<name>.json holds the stdout of each command on the fixtures;
+# fixture names in the argv stand for their paths.
+CLI_GOLDEN = {
+    "welfare_intro": ("welfare", "perturbed_intro"),
+    "analyze_intro": ("analyze", "perturbed_intro", "inferior", "--seed", "2", "--retries", "8"),
+    "analyze_3x3_exact": ("analyze", "game3x3", "--mode", "exact"),
+    "density_3x3_exact": ("density", "game3x3", "--mode", "exact"),
+    "vce_3x3_mixed_nash": ("vce", "game3x3", "mixed_nash"),
+    "vce_3x3_p_half": ("vce", "game3x3", "p_half"),
+    "vce_tie": ("vce", "tie_game", "tie_nash"),
+    "vce_tie_exact": ("vce", "tie_game", "tie_nash", "--mode", "exact"),
+    "regime_n6_full_check": (
+        "regime", "--n", "6", "--k", "1/2", "--x", "1/10",
+        "--states", "2,3", "--prior", "1/2,1/2", "--full-check",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_golden_bytes(files, capsys, name):
+    golden = pathlib.Path(__file__).parent / "golden" / f"cli_{name}.json"
+    argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == golden.read_text()
+
+
+# (BCE polytopes built, phase 1 runs) per job.  Each polytope runs phase 1
+# at most once.  The other phase 1 runs are the epigraph LP of the
+# inattention worst case, the two count-space LPs of ``regime`` and the
+# emptiness check of exact-mode vertex enumeration.  A NowhereDense verdict
+# re-derives its own polytope in ``DensityVerdict.verify``.
+BUILT_ONCE = {
+    "welfare_intro": (1, 2),
+    "analyze_intro": (1, 2),
+    "analyze_3x3_exact": (2, 4),
+    "density_3x3_exact": (2, 3),
+    "vce_3x3_mixed_nash": (0, 0),
+    "vce_3x3_p_half": (1, 1),
+    "vce_tie": (1, 1),
+    "vce_tie_exact": (1, 2),
+    "regime_n6_full_check": (1, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_ONCE))
+def test_bce_polytope_built_once_per_job(files, capsys, polytopes_built, phase_one_calls, name):
+    argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert (len(polytopes_built), len(phase_one_calls)) == BUILT_ONCE[name]
 
 
 def test_table_rendering(files, capsys):

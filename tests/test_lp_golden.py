@@ -15,6 +15,7 @@ import random
 
 from ribce import cli
 from ribce import lp as _lp
+from ribce.bce import BcePolytope
 from ribce.rational import Rat
 from ribce.welfare import worst_case_exogenous, worst_case_rational_inattention
 
@@ -31,19 +32,27 @@ RULES = ("dantzig", "bland")
 
 
 def _lps_solved_by(run):
-    """Every LP that ``run()`` hands to ``lp.solve``, in call order."""
+    """Every LP that ``run()`` hands to ``lp.solve``, or solves over a BCE
+    polytope (as ``BcePolytope.lp(objective, sense)``), in call order."""
     seen = []
     original = _lp.solve
+    original_bce = BcePolytope.solve
 
     def capture(lp, rule="dantzig"):
         seen.append(lp)
         return original(lp, rule)
 
+    def capture_bce(poly, objective, sense="min"):
+        seen.append(poly.lp(objective, sense))
+        return original_bce(poly, objective, sense)
+
     _lp.solve = capture
+    BcePolytope.solve = capture_bce
     try:
         run()
     finally:
         _lp.solve = original
+        BcePolytope.solve = original_bce
     return seen
 
 

@@ -169,6 +169,20 @@ def test_gap_test_agrees_with_direct_comparison():
     assert binary_symmetric_gap_test(g)[0] == (rep.w_inattention < rep.w_exogenous) == True
 
 
+def test_gap_test_runs_phase_one_once_per_constraint_set(phase_one_calls):
+    rng = random.Random(31)
+    games = [random_symmetric_binary_game(rng, n_players=n) for n in (2, 3, 4)]
+    params = RegimeParams(
+        n=5, k=Rat(1, 2), x=Rat(1), thresholds=(2, 3), prior={2: Rat(1, 2), 3: Rat(1, 2)}
+    )
+    games.append(build_regime_game(params))
+    for g in games:
+        phase_one_calls.clear()
+        binary_symmetric_gap_test(g)
+        # One on the relaxed rows, one on the optimal face for all four minima.
+        assert len(phase_one_calls) == 2
+
+
 def test_wlower_never_exceeds_wbar():
     rng = random.Random(71)
     for _ in range(10):
