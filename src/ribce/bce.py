@@ -6,6 +6,10 @@ pair of each player.  It is never empty (a mediator replicating any Nash
 equilibrium of the prior-averaged game is obedient), so every optimizer here
 returns an exact optimum, read out by ``BcePolytope.optimum`` on the polytope
 the caller passes as ``poly`` (built when not given).
+
+Membership of one outcome is decided on ints: ``is_bce`` and
+``obedience_slack`` read each player's ``games.belief_table``, whose row
+V[rec] gives every slack of ``rec`` at once.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from . import lp as _lp
 from .errors import InternalInvariantError, UnknownAction
-from .games import BaseGame, Outcome, check_action, validate_outcome
+from .games import BaseGame, Outcome, belief_table, check_action, validate_outcome
 from .rational import ONE, ZERO, Rat
 
 
@@ -23,13 +27,7 @@ def obedience_slack(game: BaseGame, outcome: Outcome, player, rec, dev):
     for every ordered pair exactly when the outcome is a BCE."""
     check_action(game, player, rec)
     check_action(game, player, dev)
-    k = game.player_index(player)
-    total = ZERO
-    for (profile, state), q in outcome.p.items():
-        if q and profile[k] == rec:
-            swapped = game.replace_action(profile, player, dev)
-            total += (game.u(player, profile, state) - game.u(player, swapped, state)) * q
-    return total
+    return belief_table(game, outcome, player).slack(rec, dev)
 
 
 def obedience_row(game: BaseGame, player, rec, dev) -> dict:
@@ -55,15 +53,17 @@ class BceCheck(NamedTuple):
 
 
 def is_bce(game: BaseGame, outcome: Outcome) -> BceCheck:
-    """True iff every obedience slack is >= 0; reports the first violation."""
+    """True iff every obedience slack is >= 0; reports the first violation
+    in (player, rec, dev) order."""
     for i in game.players:
-        for rec in game.actions[i]:
-            for dev in game.actions[i]:
-                if rec == dev:
-                    continue
-                slack = obedience_slack(game, outcome, i, rec, dev)
-                if slack < 0:
-                    return BceCheck(False, (i, rec, dev, slack))
+        table = belief_table(game, outcome, i)
+        for rec, vec in table.masses.items():
+            if not any(vec):
+                continue
+            vals = table.values(rec)
+            for dev, val in vals.items():
+                if val > vals[rec]:
+                    return BceCheck(False, (i, rec, dev, table.slack(rec, dev)))
     return BceCheck(True, None)
 
 

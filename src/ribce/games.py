@@ -5,10 +5,21 @@ finite state set with a full-support prior, and an exact-rational utility for
 every (player, action profile, state) triple.  An outcome is a joint
 distribution over action profiles and states whose state marginal equals the
 prior.  Everything here is immutable after construction and exact.
+
+The belief layer runs on ints.  ``BaseGame.payoff_rows``, built once per
+game, holds each player's payoffs as int rows over ``belief_cells``, and
+``belief_table`` reads an outcome's masses into int rows over the same cells
+in one pass.  Their products decide obedience (``bce``), best responses,
+belief equality and separation (``separation``) and mixing (``structure``)
+exactly, without a ``Rat`` in the loop.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
+from math import lcm
+from operator import mul
+from typing import NamedTuple
 from .errors import (
     DimensionMismatch,
     GameNotSymmetric,
@@ -79,6 +90,113 @@ class BaseGame:
         """The (opponents' profile, state) cells a belief of ``player`` lives
         on, in canonical order."""
         return product(self.opponent_profiles(player), self.states)
+
+    @cached_property
+    def payoff_rows(self) -> dict:
+        """player -> ``PayoffRows``, built on first use and kept for the
+        game's lifetime (the game is immutable)."""
+        table = {}
+        for i in self.players:
+            cells = tuple(self.belief_cells(i))
+            position = {}
+            utilities = {}
+            for a in self.actions[i]:
+                row = []
+                for idx, (opp, state) in enumerate(cells):
+                    profile = self.insert_action(i, a, opp)
+                    position[(profile, state)] = idx
+                    row.append(self.u(i, profile, state))
+                utilities[a] = row
+            scale = lcm(*(q.denominator for row in utilities.values() for q in row))
+            rows = {
+                a: tuple(q.numerator * (scale // q.denominator) for q in row)
+                for a, row in utilities.items()
+            }
+            table[i] = PayoffRows(scale, rows, cells, position)
+        return table
+
+
+class PayoffRows(NamedTuple):
+    """One player's payoffs as int rows over ``BaseGame.belief_cells``:
+    ``rows[a][c]`` is ``scale`` (the lcm of the payoff denominators) times
+    u(a, opp, state) at belief cell c = (opp, state).  ``position`` maps each
+    (profile, state) cell of the game to the index of its belief cell."""
+
+    scale: int
+    rows: dict  # action -> tuple of ints
+    cells: tuple  # the belief cells, in canonical order
+    position: dict  # (profile, state) -> index into ``cells``
+
+
+def same_belief(vec_a, vec_b) -> bool:
+    """Whether two mass rows induce the same belief, cross-multiplied by each
+    other's total; an all-zero row matches any row."""
+    total_a, total_b = sum(vec_a), sum(vec_b)
+    return all(total_a * qb == total_b * qa for qa, qb in zip(vec_a, vec_b))
+
+
+class BeliefTable:
+    """One player's beliefs under an outcome, as int rows.
+
+    ``masses[a]`` is D·p(a, opp, state) over the player's belief cells, where
+    D = ``scale`` is the lcm of the outcome's denominators, and ``totals[a]``
+    is its sum, D·p(a).  ``values(rec)`` is the row V[rec] of L·D times each
+    action's expected payoff against the mass ``rec`` carries (L the payoff
+    scale), from which obedience slacks and best responses are read.
+    """
+
+    __slots__ = ("payoffs", "scale", "masses", "totals", "_values")
+
+    def __init__(self, payoffs: PayoffRows, scale: int, masses: dict):
+        self.payoffs = payoffs
+        self.scale = scale
+        self.masses = masses
+        self.totals = {a: sum(vec) for a, vec in masses.items()}
+        self._values = {}
+
+    @property
+    def support(self) -> tuple:
+        """Actions with positive probability, in action order."""
+        return tuple(a for a, vec in self.masses.items() if any(vec))
+
+    def values(self, rec) -> dict:
+        """V[rec]: action -> L·D·sum over cells of u(action, cell)·p(rec, cell)."""
+        vals = self._values.get(rec)
+        if vals is None:
+            vec = self.masses[rec]
+            vals = self._values[rec] = {
+                a: sum(map(mul, row, vec)) for a, row in self.payoffs.rows.items()
+            }
+        return vals
+
+    def slack(self, rec, dev):
+        """The obedience slack of (rec -> dev), exactly."""
+        vals = self.values(rec)
+        return Rat(vals[rec] - vals[dev], self.payoffs.scale * self.scale)
+
+    def best_responses(self, rec) -> tuple:
+        """The maximizers of V[rec], in action order (every action when
+        ``rec`` is never played)."""
+        vals = self.values(rec)
+        best = max(vals.values())
+        return tuple(a for a, val in vals.items() if val == best)
+
+    def same_belief(self, a, b) -> bool:
+        return same_belief(self.masses[a], self.masses[b])
+
+
+def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
+    """``player``'s ``BeliefTable`` under ``outcome``, read in one pass."""
+    payoffs = game.payoff_rows[player]
+    position = payoffs.position
+    k = game.player_index(player)
+    scale = lcm(*(q.denominator for q in outcome.p.values()))
+    size = len(payoffs.cells)
+    masses = {a: [0] * size for a in game.actions[player]}
+    for cell, q in outcome.p.items():
+        if q:
+            masses[cell[0][k]][position[cell]] = q.numerator * (scale // q.denominator)
+    return BeliefTable(payoffs, scale, masses)
 
 
 @dataclass(frozen=True)

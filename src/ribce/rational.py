@@ -5,9 +5,11 @@ no floating point anywhere in the core.  ``Rat`` is ``fractions.Fraction``,
 which keeps values in lowest terms with a positive denominator and
 interoperates with Python ints.
 
-The LP inner loops do not run on this type: the simplex tableau, the
+The inner loops do not run on this type: the simplex tableau, the
 certificate check and the double-description cone are rows of Python ints
-(``ribce.rows``).  ``Rat`` carries inputs and read-outs.
+(``ribce.rows``), and so are the payoff rows and belief tables that decide
+obedience, best responses, belief equality and separation
+(``games.belief_table``).  ``Rat`` carries inputs and read-outs.
 """
 
 from fractions import Fraction

@@ -16,9 +16,9 @@ from itertools import product
 
 from . import lp as _lp
 from .errors import DimensionMismatch, NotSeparatedBce, ValidationError
-from .games import BaseGame, Outcome, gross_value, uninformed_value
+from .games import BaseGame, Outcome, belief_table, gross_value, uninformed_value
 from .rational import ONE, ZERO, Rat
-from .separation import beliefs_equal, is_sbce
+from .separation import is_sbce
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,6 @@ class PartitionProfile:
 
     cells: dict  # player -> tuple of frozensets
 
-    def cell_of(self, player, action):
-        for cell in self.cells[player]:
-            if action in cell:
-                return cell
-        raise ValidationError(f"{action!r} not covered by partition of {player!r}")
-
 
 def belief_partition(game: BaseGame, outcome: Outcome) -> PartitionProfile:
     """Equal-belief partition: supported actions share a cell iff they induce
@@ -41,12 +35,13 @@ def belief_partition(game: BaseGame, outcome: Outcome) -> PartitionProfile:
     one residual cell."""
     cells = {}
     for i in game.players:
-        support = outcome.support(game, i)
+        table = belief_table(game, outcome, i)
+        support = table.support
         groups = []
         for a in support:
             placed = False
             for group in groups:
-                if beliefs_equal(game, outcome, i, a, group[0]):
+                if table.same_belief(a, group[0]):
                     group.append(a)
                     placed = True
                     break

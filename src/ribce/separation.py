@@ -6,7 +6,11 @@ best-response sets; outcomes that are both obedient and separated are exactly
 the behaviors consistent with costly, flexible information acquisition.
 
 Belief equality is always tested in cross-multiplied form
-p(a_i)*p(b_i, cell) == p(b_i)*p(a_i, cell), never by dividing.
+p(a_i)*p(b_i, cell) == p(b_i)*p(a_i, cell), never by dividing.  Every test
+here reads each player's ``games.belief_table`` once: best responses are the
+maximizers of its int rows V[rec], and equal beliefs are int rows equal after
+cross-multiplying.  Only ``conditional_belief`` and ``belief_vector`` turn
+the rows back into ``Rat`` values.
 """
 
 from dataclasses import dataclass
@@ -14,8 +18,8 @@ from typing import NamedTuple, Optional
 
 from .bce import is_bce
 from .errors import ZeroProbabilityRecommendation
-from .games import BaseGame, Outcome, check_action
-from .rational import ZERO
+from .games import BaseGame, Outcome, belief_table, check_action
+from .rational import ZERO, Rat
 
 
 @dataclass(frozen=True)
@@ -34,27 +38,10 @@ def belief_vector(game: BaseGame, outcome: Outcome, player, action):
     """(masses, total): the outcome's mass on each of ``game.belief_cells(player)``
     where ``player`` plays ``action``, in that order, and their sum p(action).
     Dividing by the total gives the belief ``action`` induces."""
-    vec = tuple(
-        outcome.mass(game.insert_action(player, action, opp), state)
-        for opp, state in game.belief_cells(player)
-    )
-    return vec, sum((q for q in vec if q), ZERO)
-
-
-def _best_responses(game: BaseGame, player, belief: dict) -> tuple:
-    best_val = None
-    values = []
-    for action in game.actions[player]:
-        total = ZERO
-        for (opp, state), q in belief.items():
-            if q:
-                total += game.u(player, game.insert_action(player, action, opp), state) * q
-        values.append(total)
-        if best_val is None or total > best_val:
-            best_val = total
-    return tuple(
-        a for a, val in zip(game.actions[player], values) if val == best_val
-    )
+    table = belief_table(game, outcome, player)
+    scale = table.scale
+    vec = tuple(Rat(m, scale) if m else ZERO for m in table.masses[action])
+    return vec, Rat(table.totals[action], scale)
 
 
 def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero=False):
@@ -64,25 +51,25 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
     all-zeros convention (used by the extreme-point equal-belief test).
     """
     check_action(game, player, rec)
-    vec, mass = belief_vector(game, outcome, player, rec)
+    table = belief_table(game, outcome, player)
+    mass = table.totals[rec]
     if not mass and not allow_zero:
         raise ZeroProbabilityRecommendation(f"{player!r} never plays {rec!r}")
     belief = {
-        cell: q / mass if q else ZERO for cell, q in zip(game.belief_cells(player), vec)
+        cell: Rat(m, mass) if m else ZERO
+        for cell, m in zip(table.payoffs.cells, table.masses[rec])
     }
     return ConditionalBelief(
         owner=player,
         recommendation=rec,
         belief=belief,
-        br_set=_best_responses(game, player, belief) if mass else tuple(game.actions[player]),
+        br_set=table.best_responses(rec),
     )
 
 
 def beliefs_equal(game: BaseGame, outcome: Outcome, player, a, b) -> bool:
     """p_a == p_b for two supported recommendations, cross-multiplied."""
-    vec_a, mass_a = belief_vector(game, outcome, player, a)
-    vec_b, mass_b = belief_vector(game, outcome, player, b)
-    return all(mass_a * qb == mass_b * qa for qa, qb in zip(vec_a, vec_b))
+    return belief_table(game, outcome, player).same_belief(a, b)
 
 
 class SeparationCheck(NamedTuple):
@@ -99,16 +86,14 @@ def is_separated(game: BaseGame, outcome: Outcome) -> SeparationCheck:
     On failure returns the lexicographically first witness
     (player, rec_a, rec_b, shared action), ordered by indices.
     """
-    beliefs = {}
     for i in game.players:
-        supported = outcome.support(game, i)
-        for a in supported:
-            beliefs[(i, a)] = conditional_belief(game, outcome, i, a)
+        table = belief_table(game, outcome, i)
+        supported = table.support
         for ai, a in enumerate(supported):
             for b in supported[ai + 1 :]:
-                if beliefs_equal(game, outcome, i, a, b):
+                if table.same_belief(a, b):
                     continue
-                shared = set(beliefs[(i, a)].br_set) & set(beliefs[(i, b)].br_set)
+                shared = set(table.best_responses(a)) & set(table.best_responses(b))
                 if shared:
                     first = next(c for c in game.actions[i] if c in shared)
                     return SeparationCheck(False, (i, a, b, first))
@@ -123,11 +108,12 @@ def is_sbce(game: BaseGame, outcome: Outcome) -> bool:
 
 def is_strict_bce(game: BaseGame, outcome: Outcome) -> bool:
     """Every supported recommendation is its own unique best response.
-    Strictness implies separation."""
-    if not is_bce(game, outcome):
-        return False
+    That makes every obedience slack of a supported recommendation positive
+    (unsupported ones have slack zero), so strictness implies obedience, and
+    it implies separation."""
     for i in game.players:
-        for a in outcome.support(game, i):
-            if conditional_belief(game, outcome, i, a).br_set != (a,):
+        table = belief_table(game, outcome, i)
+        for a in table.support:
+            if table.best_responses(a) != (a,):
                 return False
     return True

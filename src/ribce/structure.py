@@ -29,9 +29,17 @@ from .errors import (
     RetriesExhausted,
     ValidationError,
 )
-from .games import BaseGame, Outcome, check_action, utility_distance, validate_outcome
+from .games import (
+    BaseGame,
+    Outcome,
+    belief_table,
+    check_action,
+    same_belief,
+    utility_distance,
+    validate_outcome,
+)
 from .rational import ONE, ZERO, Rat
-from .separation import belief_vector, beliefs_equal, conditional_belief, is_sbce, is_separated
+from .separation import belief_vector, beliefs_equal, is_sbce, is_separated
 from .vertices import enumerate_vertices
 
 RANDOMIZED = "randomized"
@@ -168,34 +176,57 @@ def _supported_pairs(game: BaseGame, outcome: Outcome):
 
 
 def _distinct_pairs(game: BaseGame, outcome: Outcome):
-    return {
-        (i, a, b)
-        for (i, a, b) in _supported_pairs(game, outcome)
-        if not beliefs_equal(game, outcome, i, a, b)
-    }
+    pairs = set()
+    for i in game.players:
+        table = belief_table(game, outcome, i)
+        support = table.support
+        for ai, a in enumerate(support):
+            for b in support[ai + 1 :]:
+                if not table.same_belief(a, b):
+                    pairs.add((i, a, b))
+    return pairs
+
+
+def _distinct(vec_a, vec_b) -> bool:
+    """Both mass rows are supported and induce different beliefs."""
+    return any(vec_a) and any(vec_b) and not same_belief(vec_a, vec_b)
 
 
 def _pair_distinct(game: BaseGame, outcome: Outcome, pair) -> bool:
     i, a, b = pair
-    support = outcome.support(game, i)
-    if a not in support or b not in support:
-        return False
-    return not beliefs_equal(game, outcome, i, a, b)
+    table = belief_table(game, outcome, i)
+    return _distinct(table.masses[a], table.masses[b])
+
+
+def _mixed_pair_distinct(ends, n, d, a, b) -> bool:
+    """``_pair_distinct`` at the mixture (1 - n/d)·cand + (n/d)·other, read
+    from the two endpoint tables: d·D_c·D_o times the mixture's masses are
+    (d - n)·D_o·v_cand + n·D_c·v_other, and the test is scale-free."""
+    cand, other = ends
+    wc, wo = (d - n) * other.scale, n * cand.scale
+    return _distinct(
+        [wc * x + wo * y for x, y in zip(cand.masses[a], other.masses[a])],
+        [wc * x + wo * y for x, y in zip(cand.masses[b], other.masses[b])],
+    )
 
 
 def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None):
     """Convex combination of two BCEs that keeps every pair in ``keep_pairs``
     belief-distinct (and makes ``want_pair`` distinct).  Each pair rules out
     at most two mixing weights, so small-denominator weights are tried until
-    one verifies."""
+    one verifies.  Weights are tested on the endpoints' belief tables; only
+    the chosen mixture is built."""
     if weights is None:
         weights = [Rat(1, d) for d in range(2, 2 * (len(keep_pairs) + 2) + 4)]
+    pairs = list(keep_pairs) if want_pair is None else [want_pair, *keep_pairs]
+    ends = {
+        i: (belief_table(game, cand, i), belief_table(game, other, i))
+        for i in {pair[0] for pair in pairs}
+    }
     for t in weights:
-        mixed = mix_outcomes(((ONE - t, cand), (t, other)))
-        if want_pair is not None and not _pair_distinct(game, mixed, want_pair):
-            continue
-        if all(_pair_distinct(game, mixed, pair) for pair in keep_pairs):
-            return mixed
+        n, d = t.numerator, t.denominator
+        if all(_mixed_pair_distinct(ends[i], n, d, a, b) for i, a, b in pairs):
+            return mix_outcomes(((ONE - t, cand), (t, other)))
     raise RetriesExhausted("no admissible mixing weight found")
 
 
@@ -288,8 +319,9 @@ def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope):
     while True:
         culprit = None
         for i in game.players:
-            for a in cand.support(game, i):
-                for c in conditional_belief(game, cand, i, a).br_set:
+            table = belief_table(game, cand, i)
+            for a in table.support:
+                for c in table.best_responses(a):
                     if c == a:
                         continue
                     key = (i, c, a)
@@ -469,13 +501,14 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     bonus = {}  # (player, action) -> dict cell -> Rat  (cell = (opp, state))
     max_abs = ZERO
     for i in game.players:
-        support = outcome.support(game, i)
-        cells = list(game.belief_cells(i))
+        table = belief_table(game, outcome, i)
+        support = table.support
+        cells = table.payoffs.cells
         belief_of = {}
         distinct = []
         for a in support:
-            cb = conditional_belief(game, outcome, i, a)
-            vec = tuple(cb.belief[cell] for cell in cells)
+            mass = table.totals[a]
+            vec = tuple(Rat(m, mass) if m else ZERO for m in table.masses[a])
             belief_of[a] = vec
             if vec not in distinct:
                 distinct.append(vec)

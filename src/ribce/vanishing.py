@@ -13,10 +13,10 @@ from typing import Optional
 
 from .bce import BcePolytope, is_bce, mix_outcomes
 from .errors import InternalInvariantError
-from .games import BaseGame, Outcome, validate_outcome
+from .games import BaseGame, Outcome, belief_table, validate_outcome
 from .rational import ONE, ZERO, Rat
 from .representation import PartitionProfile, belief_partition
-from .separation import beliefs_equal, is_sbce
+from .separation import is_sbce
 from .structure import DENSE, EXACT, RANDOMIZED, classify_density, jeopardizes
 
 IS_VCE = "is_vce"
@@ -91,12 +91,13 @@ def is_complete_info_nash(game: BaseGame, outcome: Outcome):
 def is_measurable(game: BaseGame, outcome: Outcome, partition: PartitionProfile) -> bool:
     """Supported actions sharing a partition cell must induce equal beliefs."""
     for i in game.players:
-        support = set(outcome.support(game, i))
+        table = belief_table(game, outcome, i)
+        support = set(table.support)
         for cell in partition.cells[i]:
             live = [a for a in game.actions[i] if a in cell and a in support]
             for idx, a in enumerate(live):
                 for b in live[idx + 1 :]:
-                    if not beliefs_equal(game, outcome, i, a, b):
+                    if not table.same_belief(a, b):
                         return False
     return True
 
@@ -166,10 +167,11 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
     action out of one best-response set; so an obstruction proves the outcome
     lies outside the closure of the sBCE set."""
     for i in game.players:
-        support = outcome.support(game, i)
+        table = belief_table(game, outcome, i)
+        support = table.support
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
-                if beliefs_equal(game, outcome, i, a, b):
+                if table.same_belief(a, b):
                     continue
                 for c in game.actions[i]:
                     hit_a, _, _ = jeopardizes(game, i, c, a, poly)

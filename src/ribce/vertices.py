@@ -30,7 +30,7 @@ enumeration on anything beyond desk-size games.
 import os
 
 from . import rows as _rows
-from .errors import DimensionCapExceeded, InvalidParams, UnboundedPolytope
+from .errors import DimensionCapExceeded, InternalInvariantError, InvalidParams, UnboundedPolytope
 from .lp import GREATER, LESS, Constraint, feasible_point
 from .rational import ONE, ZERO, Rat
 
@@ -54,6 +54,11 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     Raises DimensionCapExceeded past the variable cap and UnboundedPolytope
     when a recession direction survives (the input promise is a bounded set).
     Returns [] for an empty polytope.
+
+    An empty polytope homogenizes to a cone with no ray of positive t, so the
+    enumeration either finds a recession direction or no vertex.  Only then
+    does phase 1 (``lp.feasible_point``) run, to tell the empty polytope
+    from an unbounded one.
     """
     variables = tuple(variables)
     d = len(variables)
@@ -62,10 +67,22 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
         raise DimensionCapExceeded(f"{d} variables exceeds cap {limit}")
     bounds = dict(bounds or {})
     constraints = [c if isinstance(c, Constraint) else Constraint(*c) for c in constraints]
+    try:
+        vertices = _enumerate(variables, constraints, bounds)
+    except UnboundedPolytope:
+        if feasible_point(variables, constraints, bounds) is None:
+            return []
+        raise
+    if not vertices and feasible_point(variables, constraints, bounds) is not None:
+        raise InternalInvariantError("a nonempty pointed polytope yielded no vertex")
+    return vertices
 
-    if feasible_point(variables, constraints, bounds) is None:
-        return []
 
+def _enumerate(variables, constraints, bounds):
+    """The double-description pass: the vertices of the polytope, or
+    UnboundedPolytope when the cone has a lineality direction or a ray with
+    t = 0."""
+    d = len(variables)
     mrows = _homogenize(variables, constraints, bounds)
     chosen, rays = _initial_cone(mrows, d)
 

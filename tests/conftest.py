@@ -1,12 +1,22 @@
+import functools
 import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 from ribce import lp as _lp
 from ribce.bce import BcePolytope
+from ribce.games import BaseGame
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a pass or a failure is reproducible.
+settings.register_profile(
+    "ribce", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("ribce")
 
 
 @pytest.fixture
@@ -34,4 +44,21 @@ def polytopes_built(monkeypatch):
         return original(cls, game)
 
     monkeypatch.setattr(BcePolytope, "of", classmethod(counting))
+    return built
+
+
+@pytest.fixture
+def payoff_rows_built(monkeypatch):
+    """A list that gets one entry (the game) per ``BaseGame.payoff_rows``
+    build in the test."""
+    built = []
+    original = BaseGame.__dict__["payoff_rows"].func
+
+    def counting(game):
+        built.append(game)
+        return original(game)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(BaseGame, "payoff_rows")
+    monkeypatch.setattr(BaseGame, "payoff_rows", prop)
     return built

@@ -42,6 +42,8 @@ def files(tmp_path):
     paths["tie_game"].write_text(json.dumps(TIE_GAME))
     paths["tie_nash"] = tmp_path / "tie_nash.json"
     paths["tie_nash"].write_text(json.dumps(TIE_NASH))
+    paths["not_bce"] = tmp_path / "not_bce.json"
+    paths["not_bce"].write_text(json.dumps(NOT_BCE_3X3))
     return paths
 
 
@@ -65,6 +67,8 @@ TIE_GAME = {
     },
 }
 TIE_NASH = {"outcome": {"b,b|s1": "3/7", "a,a|s2": "4/7"}}
+# In the 3x3 coordination game, p2 told to play b gains 2/3 by playing a.
+NOT_BCE_3X3 = {"outcome": {"b,b|s": "1/3", "c,c|s": "2/3"}}
 
 
 def _run(capsys, *argv):
@@ -214,6 +218,11 @@ CLI_GOLDEN = {
     "vce_3x3_p_half": ("vce", "game3x3", "p_half"),
     "vce_tie": ("vce", "tie_game", "tie_nash"),
     "vce_tie_exact": ("vce", "tie_game", "tie_nash", "--mode", "exact"),
+    "check_outcome_3x3_not_bce": ("check-outcome", "game3x3", "not_bce"),
+    "check_outcome_3x3_p_half": ("check-outcome", "game3x3", "p_half"),
+    "perturb_3x3_p_half": ("perturb", "game3x3", "p_half", "--epsilon", "1/10"),
+    "canonical_intro": ("canonical", "perturbed_intro", "inferior"),
+    "canonical_3x3_p_half": ("canonical", "game3x3", "p_half"),
     "regime_n6_full_check": (
         "regime", "--n", "6", "--k", "1/2", "--x", "1/10",
         "--states", "2,3", "--prior", "1/2,1/2", "--full-check",
@@ -232,18 +241,18 @@ def test_cli_golden_bytes(files, capsys, name):
 
 # (BCE polytopes built, phase 1 runs) per job.  Each polytope runs phase 1
 # at most once.  The other phase 1 runs are the epigraph LP of the
-# inattention worst case, the two count-space LPs of ``regime`` and the
-# emptiness check of exact-mode vertex enumeration.  A NowhereDense verdict
-# re-derives its own polytope in ``DensityVerdict.verify``.
+# inattention worst case and the two count-space LPs of ``regime``; exact-mode
+# vertex enumeration of the never-empty BCE polytope runs none.  A
+# NowhereDense verdict re-derives its own polytope in ``DensityVerdict.verify``.
 BUILT_ONCE = {
     "welfare_intro": (1, 2),
     "analyze_intro": (1, 2),
-    "analyze_3x3_exact": (2, 4),
-    "density_3x3_exact": (2, 3),
+    "analyze_3x3_exact": (2, 3),
+    "density_3x3_exact": (2, 2),
     "vce_3x3_mixed_nash": (0, 0),
     "vce_3x3_p_half": (1, 1),
     "vce_tie": (1, 1),
-    "vce_tie_exact": (1, 2),
+    "vce_tie_exact": (1, 1),
     "regime_n6_full_check": (1, 4),
 }
 
@@ -254,6 +263,26 @@ def test_bce_polytope_built_once_per_job(files, capsys, polytopes_built, phase_o
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert (len(polytopes_built), len(phase_one_calls)) == BUILT_ONCE[name]
+
+
+# ``BaseGame.payoff_rows`` builds per job: one per game the job reads or
+# makes (``perturb`` checks the outcome in the perturbed game too).
+PAYOFF_ROWS_BUILT = {
+    "analyze_intro": 1,
+    "analyze_3x3_exact": 1,
+    "check_outcome_3x3_not_bce": 1,
+    "check_outcome_3x3_p_half": 1,
+    "perturb_3x3_p_half": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYOFF_ROWS_BUILT))
+def test_payoff_rows_built_once_per_game(files, capsys, payoff_rows_built, name):
+    argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    assert len(payoff_rows_built) == PAYOFF_ROWS_BUILT[name]
+    assert len({id(game) for game in payoff_rows_built}) == len(payoff_rows_built)
 
 
 def test_table_rendering(files, capsys):

@@ -8,7 +8,6 @@ from ribce.games import make_outcome
 from ribce.rational import ZERO, Rat
 from ribce.separation import (
     ConditionalBelief,
-    _best_responses,
     belief_vector,
     beliefs_equal,
     conditional_belief,
@@ -17,6 +16,7 @@ from ribce.separation import (
     is_strict_bce,
 )
 
+from belief_reference import _best_responses
 from sample_games import (
     A,
     B,

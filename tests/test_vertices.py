@@ -43,6 +43,60 @@ def test_unbounded_raises():
         enumerate_vertices(("x",), [({"x": 1}, ">=", 0)])
 
 
+@pytest.fixture
+def feasibility_checks(monkeypatch):
+    """A list that gets one entry per phase 1 emptiness check of
+    ``enumerate_vertices``."""
+    calls = []
+    original = _vx.feasible_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_vx, "feasible_point", counting)
+    return calls
+
+
+NONNEG_XY = {"x": (Rat(0), None), "y": (Rat(0), None)}
+
+
+@pytest.mark.parametrize(
+    "variables, constraints, bounds, failure",
+    [
+        # x + y = 1 and x + y = 2: the rows leave a lineality direction, so
+        # the initial cone cannot be built.
+        (("x", "y"), [({"x": 1, "y": 1}, "=", 1), ({"x": 1, "y": 1}, "=", 2)], {},
+         "lineality"),
+        # 1 <= x - y <= 0 on the orthant: the only ray is (1, 1) at t = 0.
+        (("x", "y"), [({"x": 1, "y": -1}, ">=", 1), ({"x": 1, "y": -1}, "<=", 0)],
+         NONNEG_XY, "recession"),
+        # 1 <= x <= 0: the cone is the origin, with no ray at all.
+        (("x",), [({"x": 1}, ">=", 1), ({"x": 1}, "<=", 0)], {}, None),
+    ],
+)
+def test_empty_polytope_runs_phase_one_only_when_enumeration_fails(
+    feasibility_checks, variables, constraints, bounds, failure
+):
+    args = (variables, [Constraint(*c) for c in constraints], bounds)
+    if failure is None:
+        assert _vx._enumerate(*args) == []
+    else:
+        with pytest.raises(UnboundedPolytope, match=failure):
+            _vx._enumerate(*args)
+    assert enumerate_vertices(*args) == []
+    assert len(feasibility_checks) == 1
+
+
+def test_nonempty_polytope_runs_no_phase_one(feasibility_checks):
+    vs = enumerate_vertices(("x", "y"), [({"x": 1, "y": 1}, "<=", 1)], bounds=NONNEG_XY)
+    assert len(vs) == 3
+    with pytest.raises(UnboundedPolytope):
+        enumerate_vertices(("x", "y"), [({"x": 1, "y": 1}, ">=", 1)], bounds=NONNEG_XY)
+    # only the unbounded polytope needed phase 1, to show it is not empty
+    assert len(feasibility_checks) == 1
+
+
 def test_dimension_cap(monkeypatch):
     names = tuple(f"x{i}" for i in range(30))
     with pytest.raises(DimensionCapExceeded):
