@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from . import lp as _lp
 from .errors import InternalInvariantError, UnknownAction
-from .games import BaseGame, Outcome, belief_table, check_action, validate_outcome
+from .games import BaseGame, BeliefTables, Outcome, belief_table, check_action, validate_outcome
 from .rational import ONE, ZERO, Rat
 
 
@@ -30,18 +30,19 @@ def obedience_slack(game: BaseGame, outcome: Outcome, player, rec, dev):
     return belief_table(game, outcome, player).slack(rec, dev)
 
 
-def obedience_row(game: BaseGame, player, rec, dev) -> dict:
+def obedience_row(game: BaseGame, player, rec, dev) -> _lp.IntRow:
     """Coefficients of the obedience slack of (rec -> dev) as a linear
-    functional of the outcome, over the cells where ``rec`` is recommended."""
-    coeffs = {}
-    for opp in game.opponent_profiles(player):
-        profile = game.insert_action(player, rec, opp)
-        swapped = game.insert_action(player, dev, opp)
-        for state in game.states:
-            diff = game.u(player, profile, state) - game.u(player, swapped, state)
-            if diff:
-                coeffs[(profile, state)] = diff
-    return coeffs
+    functional of the outcome, over the cells where ``rec`` is recommended:
+    the difference of the two payoff rows (``BaseGame.payoff_rows``), over
+    the payoff scale, in belief-cell order."""
+    check_action(game, player, rec)
+    check_action(game, player, dev)
+    payoffs = game.payoff_rows[player]
+    nums = {}
+    for (opp, state), a, b in zip(payoffs.cells, payoffs.rows[rec], payoffs.rows[dev]):
+        if a != b:
+            nums[(game.insert_action(player, rec, opp), state)] = a - b
+    return _lp.IntRow(nums, payoffs.scale)
 
 
 class BceCheck(NamedTuple):
@@ -52,11 +53,14 @@ class BceCheck(NamedTuple):
         return self.ok
 
 
-def is_bce(game: BaseGame, outcome: Outcome) -> BceCheck:
+def is_bce(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None) -> BceCheck:
     """True iff every obedience slack is >= 0; reports the first violation
-    in (player, rec, dev) order."""
+    in (player, rec, dev) order.  ``tables`` are the outcome's belief tables,
+    made here when not given."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         for rec, vec in table.masses.items():
             if not any(vec):
                 continue
@@ -90,7 +94,7 @@ class BcePolytope:
         variables = tuple(game.cells())
         constraints = []
         for state in game.states:
-            coeffs = {(profile, state): ONE for profile in game.profiles()}
+            coeffs = _lp.IntRow({(profile, state): 1 for profile in game.profiles()}, 1)
             constraints.append((coeffs, _lp.EQUAL, game.prior[state]))
         for i in game.players:
             for rec in game.actions[i]:

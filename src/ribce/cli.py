@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import InternalInvariantError, InvalidParams, RibceError, ValidationError
-from .games import gross_value, is_symmetric_game, uninformed_value, utility_distance
+from .games import BeliefTables, gross_value, is_symmetric_game, uninformed_value, utility_distance
 from .bce import BcePolytope, is_bce
 from .io import (
     game_to_dict,
@@ -70,8 +70,9 @@ def _outcome_block(outcome) -> dict:
 
 
 def _check_outcome_report(game, outcome) -> dict:
-    bce = is_bce(game, outcome)
-    sep = is_separated(game, outcome)
+    tables = BeliefTables(game, outcome)
+    bce = is_bce(game, outcome, tables)
+    sep = is_separated(game, outcome, tables)
     values = {}
     for i in game.players:
         lo, action = uninformed_value(game, outcome, i)
@@ -84,7 +85,7 @@ def _check_outcome_report(game, outcome) -> dict:
         "is_bce": bool(bce),
         "is_separated": bool(sep),
         "is_sbce": bool(bce) and bool(sep),
-        "is_strict_bce": is_strict_bce(game, outcome),
+        "is_strict_bce": is_strict_bce(game, outcome, tables),
         "values": values,
     }
     if not bce:
@@ -103,7 +104,7 @@ def _check_outcome_report(game, outcome) -> dict:
             "shared_best_response": str(shared),
         }
     if bool(bce):
-        vi = value_interval(game, outcome)
+        vi = value_interval(game, outcome, tables=tables)
         report["value_intervals"] = {
             str(i): {
                 "lower": rational_to_json(pi.lower),

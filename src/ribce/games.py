@@ -9,9 +9,10 @@ prior.  Everything here is immutable after construction and exact.
 The belief layer runs on ints.  ``BaseGame.payoff_rows``, built once per
 game, holds each player's payoffs as int rows over ``belief_cells``, and
 ``belief_table`` reads an outcome's masses into int rows over the same cells
-in one pass.  Their products decide obedience (``bce``), best responses,
-belief equality and separation (``separation``) and mixing (``structure``)
-exactly, without a ``Rat`` in the loop.
+in one pass; ``BeliefTables`` holds them per player, so the checks that read
+one outcome build each table once.  Their products decide obedience
+(``bce``), best responses, belief equality and separation (``separation``)
+and mixing (``structure``) exactly, without a ``Rat`` in the loop.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .errors import (
     UnknownAction,
     ValidationError,
 )
+from .lp import IntRow
 from .rational import ONE, ZERO, Rat
 
 MAX_SYMMETRIZE_PLAYERS = 8
@@ -199,6 +201,23 @@ def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
     return BeliefTable(payoffs, scale, masses)
 
 
+class BeliefTables(dict):
+    """player -> ``belief_table(game, outcome, player)``, each built on first
+    read.  Checks that read the same outcome share one, so each table is
+    built once however many of them run."""
+
+    __slots__ = ("game", "outcome")
+
+    def __init__(self, game: BaseGame, outcome: "Outcome"):
+        super().__init__()
+        self.game = game
+        self.outcome = outcome
+
+    def __missing__(self, player):
+        table = self[player] = belief_table(self.game, self.outcome, player)
+        return table
+
+
 @dataclass(frozen=True)
 class Outcome:
     p: dict  # (profile, state) -> Rat
@@ -312,17 +331,20 @@ def deviation_value(game: BaseGame, outcome: Outcome, player, action):
     return total
 
 
-def deviation_row(game: BaseGame, player, action) -> dict:
+def deviation_row(game: BaseGame, player, action) -> IntRow:
     """Coefficients of ``deviation_value`` as a linear functional of the
-    outcome: each cell's payoff to ``player`` from playing ``action`` there."""
-    coeffs = {}
+    outcome: each cell's payoff to ``player`` from playing ``action`` there,
+    read from ``BaseGame.payoff_rows`` over the payoff scale, in cell order."""
+    check_action(game, player, action)
+    payoffs = game.payoff_rows[player]
+    row = payoffs.rows[action]
+    position = payoffs.position
+    nums = {}
     for cell in game.cells():
-        profile, state = cell
-        dev = game.replace_action(profile, player, action)
-        val = game.u(player, dev, state)
-        if val:
-            coeffs[cell] = val
-    return coeffs
+        x = row[position[cell]]
+        if x:
+            nums[cell] = x
+    return IntRow(nums, payoffs.scale)
 
 
 def uninformed_value(game: BaseGame, outcome: Outcome, player):

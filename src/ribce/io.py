@@ -26,23 +26,30 @@ def _profile_key(profile, state):
     return ",".join(str(a) for a in profile) + "|" + str(state)
 
 
-def _parse_profile_key(key, game: BaseGame):
-    if "|" not in key:
-        raise SchemaViolation(f"cell key {key!r} lacks the |state separator")
-    left, state = key.rsplit("|", 1)
-    actions = tuple(left.split(","))
-    if len(actions) != len(game.players):
-        raise SchemaViolation(f"cell key {key!r} names {len(actions)} actions")
+def _cell_key_parser(game: BaseGame):
+    """The parser of ``game``'s cell keys into (profile, state) pairs, with
+    its state and action lookups built once for every key it reads."""
+    n_players = len(game.players)
     state_map = {str(s): s for s in game.states}
-    if state not in state_map:
-        raise SchemaViolation(f"cell key {key!r} names unknown state {state!r}")
-    resolved = []
-    for i, a in zip(game.players, actions):
-        amap = {str(x): x for x in game.actions[i]}
-        if a not in amap:
-            raise SchemaViolation(f"cell key {key!r}: {a!r} is not an action of {i!r}")
-        resolved.append(amap[a])
-    return tuple(resolved), state_map[state]
+    action_maps = [(i, {str(x): x for x in game.actions[i]}) for i in game.players]
+
+    def parse(key):
+        if "|" not in key:
+            raise SchemaViolation(f"cell key {key!r} lacks the |state separator")
+        left, state = key.rsplit("|", 1)
+        actions = left.split(",")
+        if len(actions) != n_players:
+            raise SchemaViolation(f"cell key {key!r} names {len(actions)} actions")
+        if state not in state_map:
+            raise SchemaViolation(f"cell key {key!r} names unknown state {state!r}")
+        resolved = []
+        for (i, amap), a in zip(action_maps, actions):
+            if a not in amap:
+                raise SchemaViolation(f"cell key {key!r}: {a!r} is not an action of {i!r}")
+            resolved.append(amap[a])
+        return tuple(resolved), state_map[state]
+
+    return parse
 
 
 def game_from_dict(data: dict) -> BaseGame:
@@ -56,6 +63,7 @@ def game_from_dict(data: dict) -> BaseGame:
     stub = BaseGame(
         players=players, states=states, prior=prior, actions=actions, utilities={}
     )
+    parse_key = _cell_key_parser(stub)
     utilities = {}
     for i in players:
         raw = data.get("utilities", {}).get(str(i))
@@ -63,7 +71,7 @@ def game_from_dict(data: dict) -> BaseGame:
             raise SchemaViolation(f"missing utilities for player {i!r}")
         table = {}
         for key, value in raw.items():
-            cell = _parse_profile_key(key, stub)
+            cell = parse_key(key)
             try:
                 table[cell] = parse_rational(value)
             except ValueError as exc:
@@ -96,9 +104,10 @@ def outcome_from_dict(game: BaseGame, data: dict) -> Outcome:
     raw = data.get("outcome")
     if raw is None:
         raise SchemaViolation('outcome files carry their map under an "outcome" key')
+    parse_key = _cell_key_parser(game)
     entries = {}
     for key, value in raw.items():
-        cell = _parse_profile_key(key, game)
+        cell = parse_key(key)
         try:
             entries[cell] = parse_rational(value)
         except ValueError as exc:

@@ -14,16 +14,25 @@ point, so one phase 1 serves every objective over the same constraints and
 each answer is the one a cold solve gives.  ``solve`` is
 ``phase_one(...).optimize(...)``.
 
+A coefficient row is any mapping from variable to exact rational.  The
+row builders (``regime.CountSpace``, ``bce.obedience_row``,
+``games.deviation_row``, ``BcePolytope.of`` and the epigraph rows of
+``welfare``) hand over an ``IntRow``: int numerators over one positive int
+denominator, the ints they already hold, with no ``Rat`` made per entry.
+Every reader inside this module takes a row apart with ``int_parts``, which
+returns an ``IntRow``'s own fields and puts any other mapping over the lcm
+of its denominators; readers outside it see exact rationals either way.
+
 The program is rewritten in standard form straight into a fraction-free
-tableau: one sparse pass over each constraint's coefficients writes its row
-of Python ints, scaled by the lcm of the row's denominators, which is the
-primitive row that is a positive multiple of the rational one
-(``rows.primitive``); no dense rational matrix is built.  A pivot combines
-rows without dividing (``rows.pivot_eliminate``).  A positive row scale
-changes no sign and no ratio, so the pivots, the basis and the answer are
-those of the rational tableau; rationals come back only when the basic
-values are read out.  ``LpSolution.verify`` pivots the claimed basis into a
-fresh standard form on the same tableau.
+tableau: one sparse pass over each constraint's numerators writes its row of
+Python ints, divided by their common content, which is the primitive row
+that is a positive multiple of the rational one (``rows.primitive``); no
+dense rational matrix is built.  A pivot combines rows without dividing
+(``rows.pivot_eliminate``).  A positive row scale changes no sign and no
+ratio, so the pivots, the basis and the answer are those of the rational
+tableau; rationals come back only when the basic values are read out.
+``LpSolution.verify`` pivots the claimed basis into a fresh standard form on
+the same tableau.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
@@ -33,8 +42,9 @@ the solver is deterministic: entering ties break on the lowest column index,
 leaving ties on the lowest basic column index.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from . import rows as _rows
@@ -64,6 +74,49 @@ def _check_objective(declared, objective, sense):
             raise ValidationError(f"objective references unknown variable {v!r}")
 
 
+class IntRow(Mapping):
+    """A read-only coefficient row stored as int numerators over one
+    positive int denominator: ``row[v]`` is ``Rat(nums[v], den)``.
+
+    ``nums`` maps each variable to its int numerator, in the row's key
+    order.  The builders leave zero entries out, and ``den`` need not be
+    the least common denominator.  Read as a mapping, the row yields exact
+    rationals, and it equals the dict of them.  The row takes ``nums`` over
+    as its own, and nothing may change it afterwards.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: dict, den: int):
+        if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+            raise ValidationError(f"row denominator must be a positive int, not {den!r}")
+        self.nums = nums
+        self.den = den
+
+    def __getitem__(self, v):
+        return Rat(self.nums[v], self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __repr__(self):
+        return f"IntRow({self.nums!r}, {self.den!r})"
+
+
+def int_parts(coeffs):
+    """(nums, den): the int numerators of a coefficient mapping over one
+    positive int denominator.  An ``IntRow`` gives its own fields; any other
+    mapping of exact rationals is put over the lcm of its denominators.  An
+    entry without ``numerator`` and ``denominator`` raises AttributeError."""
+    if isinstance(coeffs, IntRow):
+        return coeffs.nums, coeffs.den
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return {v: int(c.numerator * (den // c.denominator)) for v, c in coeffs.items()}, den
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: dict
@@ -83,7 +136,9 @@ class LinearProgram:
     solve).  Bounds map a variable to a (lower, upper) pair where ``None``
     means unbounded on that side; unlisted variables are free.  Every
     coefficient, rhs and bound is an exact rational (``Rat`` or ``int``);
-    ``solve`` rejects anything else with a ``ValidationError``.
+    ``solve`` rejects anything else with a ``ValidationError``.  A
+    coefficient row (the objective or a constraint's) is a dict or an
+    ``IntRow``.
     """
 
     variables: tuple
@@ -233,11 +288,13 @@ def _standard_form(lp: LinearProgram):
     ``slack`` per inequality row.  Rows are the constraints, then
     ``y <= hi - lo`` for each doubly bounded variable.  Row ``r`` is the list
     of Python ints ``[A_r, artificial, b_r]`` with one artificial column per
-    row, negated first if its shifted rhs is negative.  It is written scaled
-    by the lcm L of the row's denominators, its artificial entry being L,
-    which makes it ``rows.primitive`` of the rational row with a unit
-    artificial: for each prime dividing L, the entry whose denominator holds
-    that prime's highest power is not divisible by it.  Column labels are
+    row, negated first if its shifted rhs is negative.  It is written from
+    the constraint's numerators over one denominator (``int_parts``): with
+    the rhs over a common multiple L of both denominators, the numerators,
+    L for the artificial and the rhs numerator are divided by their gcd.
+    That makes the row ``rows.primitive`` of the rational row with a unit
+    artificial, whatever denominator the row came over, so an ``IntRow``
+    and the dict of its rationals write the same ints.  Column labels are
     structural, so a certificate can be re-derived later.
 
     Every coefficient, rhs and bound must carry an exact ``numerator`` and
@@ -284,31 +341,34 @@ def _standard_form(lp: LinearProgram):
 
     rows = []
     for r, con in enumerate(constraints):
-        coeffs = con.coeffs
         try:
+            nums, den = int_parts(con.coeffs)
             rhs = con.rhs
             if shifts:
-                for v, c in coeffs.items():
-                    s = shifts.get(v)
-                    if s is not None and c:
-                        rhs = rhs - c * s
-            scale = lcm(*[c.denominator for c in coeffs.values()], rhs.denominator)
-            flip = rhs < 0
-            row = [0] * width
-            for v, c in coeffs.items():
-                x = int(c.numerator * (scale // c.denominator))
-                if flip:
-                    x = -x
-                for j, sign in terms[v]:
-                    row[j] = x if sign > 0 else -x
+                shift = sum((x * shifts[v] for v, x in nums.items() if x and v in shifts), ZERO)
+                if shift:
+                    rhs = rhs - shift / den
+            scale = lcm(den, rhs.denominator)
             rhs_int = int(rhs.numerator * (scale // rhs.denominator))
+            flip = rhs < 0
         except (AttributeError, TypeError) as exc:
             raise _row_error(lp, r, exc) from None
+        up = scale // den
+        g = gcd(gcd(den, *nums.values()) * up, rhs_int)
+        if flip:
+            up = -up
+            rhs_int = -rhs_int
+        row = [0] * width
+        for v, x in nums.items():
+            x = x * up // g
+            for j, sign in terms[v]:
+                row[j] = x if sign > 0 else -x
+        unit = scale // g
         if con.relation != EQUAL:
-            row[slack] = -scale if (con.relation == GREATER) != flip else scale
+            row[slack] = -unit if (con.relation == GREATER) != flip else unit
             slack += 1
-        row[n + r] = scale
-        row[-1] = -rhs_int if flip else rhs_int
+        row[n + r] = unit
+        row[-1] = rhs_int // g
         rows.append(row)
     for r, (j, gap) in enumerate(bound_rows, first_bound):
         scale = int(gap.denominator)
@@ -323,22 +383,26 @@ def _standard_form(lp: LinearProgram):
 
 def _objective_row(terms, n, objective, sense):
     """The int objective row over the ``n`` standard-form columns that
-    ``terms`` maps the variables to: a positive multiple of the rational
-    objective, negated for ``max``.  An inexact coefficient raises
-    ``ValidationError`` naming it."""
-    obj = [0] * n
+    ``terms`` maps the variables to: the objective's numerators over one
+    denominator (``int_parts``) divided by their common content with that
+    denominator, negated for ``max``.  That is the objective scaled by the
+    lcm of its reduced denominators, whatever denominator it came over.  An
+    inexact coefficient raises ``ValidationError`` naming it."""
     try:
-        scale = lcm(*[c.denominator for c in objective.values()])
-        sign = 1 if sense == "min" else -1
-        for v, c in objective.items():
-            x = sign * int(c.numerator * (scale // c.denominator))
-            for j, s in terms[v]:
-                obj[j] = x if s > 0 else -x
+        nums, den = int_parts(objective)
     except (AttributeError, TypeError):
         for v, c in objective.items():
             if _inexact(c):
                 raise _not_exact(f"objective coefficient of {v!r}", c) from None
         raise
+    g = gcd(den, *nums.values())
+    if sense != "min":
+        g = -g
+    obj = [0] * n
+    for v, x in nums.items():
+        x //= g
+        for j, s in terms[v]:
+            obj[j] = x if s > 0 else -x
     return obj
 
 
@@ -530,7 +594,9 @@ class Polyhedron:
                 point[v] = base + x if base else x
             else:
                 point[v] = base - x if base else -x
-        value = sum((c * point[v] for v, c in objective.items() if point[v]), ZERO)
+        # Only the nonzero coordinates read their coefficient, which an
+        # ``IntRow`` makes a ``Rat`` on each read.
+        value = sum((objective[v] * point[v] for v in objective if point[v]), ZERO)
         return LpSolution(
             status=OPTIMAL,
             point=point,

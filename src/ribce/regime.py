@@ -12,8 +12,9 @@ The count-space reduction holds for every symmetric binary-action game:
 ``count_space`` builds its LP pieces from a payoff table indexed by own
 action, opponents on action 1 and state, and serves both the regime
 programs here and the symmetric gap test in ``welfare``.  It scales the
-payoffs and the prior to int numerators once and makes each row entry a
-single ``Rat`` from one int product, so the rows cost little next to the LPs
+payoffs and the prior to int numerators once and hands each row to the LP as
+an ``lp.IntRow``: one int product per entry over the row's common
+denominator, with no ``Rat`` made, so the rows cost little next to the LPs
 they feed.  One space serves every program over a game: ``regime_space``
 builds the regime's, which ``cli`` passes to both worst-case objectives, and
 each obedience row is built at most once per space.  The full game
@@ -149,10 +150,10 @@ def count_space(n: int, states, prior: dict, payoff):
       a = 0, 1, so that n * EPIGRAPH bounds total uninformed welfare.
 
     The payoffs are scaled once to ints over the lcm of their denominators,
-    and the prior over the lcm of its own.  Each row entry is then one int
-    product over the row's common denominator, made a ``Rat`` (in lowest
-    terms) once; zero entries are left out.  A space serves every program
-    over one game: build it once and pass it around.
+    and the prior over the lcm of its own.  Each row is an ``lp.IntRow``:
+    every entry one int product over the row's common denominator, zero
+    entries left out.  A space serves every program over one game: build it
+    once and pass it around.
     """
     states = tuple(states)
     table = {
@@ -184,7 +185,8 @@ class CountSpace:
         self.variables = tuple((m, theta) for theta in weights for m in range(n + 1))
         self.bounds = {var: (ZERO, None) for var in self.variables}
         self.constraints = [
-            ({(m, theta): ONE for m in range(n + 1)}, _lp.EQUAL, ONE) for theta in weights
+            (_lp.IntRow({(m, theta): 1 for m in range(n + 1)}, 1), _lp.EQUAL, ONE)
+            for theta in weights
         ]
         self._weights = weights
         self._prior_scale = prior_scale
@@ -196,22 +198,21 @@ class CountSpace:
         # m = opp + rec players take action 1 when this player plays rec, and
         # the player's share of count m is m/n, or (n-m)/n for action 0.
         n = self.n
-        coeffs = {}
+        nums = {}
         for theta, weight in self._weights.items():
             for opp, gain in enumerate(gains[theta]):
                 m = opp + rec
                 num = weight * (m if rec else n - m) * gain
                 if num:
-                    coeffs[(m, theta)] = Rat(num, den)
-        return coeffs
+                    nums[(m, theta)] = num
+        return _lp.IntRow(nums, den)
 
     def mass(self, rec):
         ones = {theta: [1] * self.n for theta in self._weights}
         return self._recommended(rec, ones, self._prior_scale * self.n)
 
     def obedience(self, rec):
-        """Built once per space: every caller gets the same dict, which must
-        not be changed."""
+        """Built once per space: every caller gets the same row."""
         row = self._obedience.get(rec)
         if row is None:
             row = self._obedience[rec] = self._obedience_row(rec)
@@ -224,10 +225,11 @@ class CountSpace:
         }
         return self._recommended(rec, gains, self._prior_scale * self.n * self._scale)
 
-    def _weighted_sum(self, own1, own0, sign, den):
-        # sign * pi * (m * v(own1 against m-1) + (n-m) * v(own0 against m)) over den
+    def _weighted_sum(self, own1, own0, sign):
+        # The numerators, over prior_scale * scale, of
+        # sign * pi * (m * v(own1 against m-1) + (n-m) * v(own0 against m))
         n = self.n
-        coeffs = {}
+        nums = {}
         for theta, weight in self._weights.items():
             weight *= sign
             rows = self._values[theta]
@@ -236,18 +238,19 @@ class CountSpace:
             for m in range(n + 1):
                 num = weight * (m * against_less[m] + (n - m) * against_m[m])
                 if num:
-                    coeffs[(m, theta)] = Rat(num, den)
-        return coeffs
+                    nums[(m, theta)] = num
+        return nums
 
     def gross(self):
-        return self._weighted_sum(1, 0, 1, self._prior_scale * self._scale)
+        return _lp.IntRow(self._weighted_sum(1, 0, 1), self._prior_scale * self._scale)
 
     def epigraph(self):
+        den = self._prior_scale * self._scale * self.n
         rows = []
         for a in (0, 1):
-            coeffs = self._weighted_sum(a, a, -1, self._prior_scale * self._scale * self.n)
-            coeffs[EPIGRAPH] = ONE
-            rows.append((coeffs, _lp.GREATER, ZERO))
+            nums = self._weighted_sum(a, a, -1)
+            nums[EPIGRAPH] = den
+            rows.append((_lp.IntRow(nums, den), _lp.GREATER, ZERO))
         return rows
 
 

@@ -9,7 +9,8 @@ Belief equality is always tested in cross-multiplied form
 p(a_i)*p(b_i, cell) == p(b_i)*p(a_i, cell), never by dividing.  Every test
 here reads each player's ``games.belief_table`` once: best responses are the
 maximizers of its int rows V[rec], and equal beliefs are int rows equal after
-cross-multiplying.  Only ``conditional_belief`` and ``belief_vector`` turn
+cross-multiplying.  Tests run on one outcome share its tables through the
+``tables`` argument (``games.BeliefTables``).  Only ``conditional_belief`` and ``belief_vector`` turn
 the rows back into ``Rat`` values.
 """
 
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .bce import is_bce
 from .errors import ZeroProbabilityRecommendation
-from .games import BaseGame, Outcome, belief_table, check_action
+from .games import BaseGame, BeliefTables, Outcome, belief_table, check_action
 from .rational import ZERO, Rat
 
 
@@ -80,14 +81,19 @@ class SeparationCheck(NamedTuple):
         return self.ok
 
 
-def is_separated(game: BaseGame, outcome: Outcome) -> SeparationCheck:
+def is_separated(
+    game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None
+) -> SeparationCheck:
     """Distinct supported beliefs must have disjoint best responses.
 
     On failure returns the lexicographically first witness
-    (player, rec_a, rec_b, shared action), ordered by indices.
+    (player, rec_a, rec_b, shared action), ordered by indices.  ``tables``
+    are the outcome's belief tables, made here when not given.
     """
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         supported = table.support
         for ai, a in enumerate(supported):
             for b in supported[ai + 1 :]:
@@ -102,17 +108,22 @@ def is_separated(game: BaseGame, outcome: Outcome) -> SeparationCheck:
 
 def is_sbce(game: BaseGame, outcome: Outcome) -> bool:
     """Obedient and separated: exactly the outcomes consistent with costly
-    flexible information acquisition."""
-    return bool(is_bce(game, outcome)) and bool(is_separated(game, outcome))
+    flexible information acquisition.  Both checks read one set of belief
+    tables."""
+    tables = BeliefTables(game, outcome)
+    return bool(is_bce(game, outcome, tables)) and bool(is_separated(game, outcome, tables))
 
 
-def is_strict_bce(game: BaseGame, outcome: Outcome) -> bool:
+def is_strict_bce(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None) -> bool:
     """Every supported recommendation is its own unique best response.
     That makes every obedience slack of a supported recommendation positive
     (unsupported ones have slack zero), so strictness implies obedience, and
-    it implies separation."""
+    it implies separation.  ``tables`` are the outcome's belief tables, made
+    here when not given."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         for a in table.support:
             if table.best_responses(a) != (a,):
                 return False

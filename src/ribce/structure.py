@@ -31,6 +31,7 @@ from .errors import (
 )
 from .games import (
     BaseGame,
+    BeliefTables,
     Outcome,
     belief_table,
     check_action,
@@ -175,10 +176,14 @@ def _supported_pairs(game: BaseGame, outcome: Outcome):
                 yield (i, a, b)
 
 
-def _distinct_pairs(game: BaseGame, outcome: Outcome):
+def _distinct_pairs(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None):
+    """The (player, a, b) pairs of supported actions with distinct beliefs,
+    read from ``tables``, the outcome's belief tables (made when not given)."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     pairs = set()
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         support = table.support
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
@@ -210,18 +215,20 @@ def _mixed_pair_distinct(ends, n, d, a, b) -> bool:
     )
 
 
-def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None):
+def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None, tables=None):
     """Convex combination of two BCEs that keeps every pair in ``keep_pairs``
     belief-distinct (and makes ``want_pair`` distinct).  Each pair rules out
     at most two mixing weights, so small-denominator weights are tried until
-    one verifies.  Weights are tested on the endpoints' belief tables; only
-    the chosen mixture is built."""
+    one verifies.  Weights are tested on the endpoints' belief tables, the
+    candidate's read from ``tables`` when given; only the chosen mixture is
+    built."""
     if weights is None:
         weights = [Rat(1, d) for d in range(2, 2 * (len(keep_pairs) + 2) + 4)]
+    if tables is None:
+        tables = BeliefTables(game, cand)
     pairs = list(keep_pairs) if want_pair is None else [want_pair, *keep_pairs]
     ends = {
-        i: (belief_table(game, cand, i), belief_table(game, other, i))
-        for i in {pair[0] for pair in pairs}
+        i: (tables[i], belief_table(game, other, i)) for i in {pair[0] for pair in pairs}
     }
     for t in weights:
         n, d = t.numerator, t.denominator
@@ -271,7 +278,8 @@ def find_minimally_mixed(
             return vertices[0]
         weight = Rat(1, len(vertices))
         cand = mix_outcomes((weight, v) for v in vertices)
-        realized = _distinct_pairs(game, cand)
+        tables = BeliefTables(game, cand)
+        realized = _distinct_pairs(game, cand, tables)
         for pair in sorted(_supported_pairs(game, cand), key=str):
             if pair in realized:
                 continue
@@ -279,8 +287,9 @@ def find_minimally_mixed(
             if equal_beliefs_in_all_bce(game, i, a, b, vertices):
                 continue
             witness = _distinct_witness(game, i, a, b, vertices)
-            cand = _mix_keeping(game, cand, witness, realized, want_pair=pair)
-            realized = _distinct_pairs(game, cand)
+            cand = _mix_keeping(game, cand, witness, realized, want_pair=pair, tables=tables)
+            tables = BeliefTables(game, cand)
+            realized = _distinct_pairs(game, cand, tables)
         return cand
 
     if mode != RANDOMIZED:
@@ -288,7 +297,8 @@ def find_minimally_mixed(
     rng = random.Random(seed)
     poly = poly or BcePolytope.of(game)
     cand = max_support_point(game, poly)
-    realized = _distinct_pairs(game, cand)
+    tables = BeliefTables(game, cand)
+    realized = _distinct_pairs(game, cand, tables)
     for _ in range(retries):
         objective = {
             cell: Rat(rng.randint(-6, 6)) for cell in poly.variables if rng.random() < 0.5
@@ -300,12 +310,13 @@ def find_minimally_mixed(
             den = rng.randint(num * 2 + 1, num * 2 + 40)
             weights.append(Rat(num, den))
         try:
-            cand = _mix_keeping(game, cand, other, realized, weights=weights)
+            cand = _mix_keeping(game, cand, other, realized, weights=weights, tables=tables)
         except RetriesExhausted as exc:
             raise RetriesExhausted(
                 f"randomized mixing could not keep realized pairs within {retries} retries"
             ) from exc
-        realized = _distinct_pairs(game, cand)
+        tables = BeliefTables(game, cand)
+        realized = _distinct_pairs(game, cand, tables)
     return cand
 
 
@@ -318,8 +329,9 @@ def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope):
     jeopardy = {}
     while True:
         culprit = None
+        tables = BeliefTables(game, cand)
         for i in game.players:
-            table = belief_table(game, cand, i)
+            table = tables[i]
             for a in table.support:
                 for c in table.best_responses(a):
                     if c == a:
@@ -338,7 +350,9 @@ def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope):
         if culprit is None:
             return cand
         _, _, _, maximizer = culprit
-        cand = _mix_keeping(game, cand, maximizer, _distinct_pairs(game, cand))
+        cand = _mix_keeping(
+            game, cand, maximizer, _distinct_pairs(game, cand, tables), tables=tables
+        )
 
 
 @dataclass
@@ -492,16 +506,17 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     epsilon = Rat(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    check = is_bce(game, outcome)
+    tables = BeliefTables(game, outcome)
+    check = is_bce(game, outcome, tables)
     if not check:
         raise NotABce(f"perturbation requires a BCE; violated at {check.witness}")
-    if is_separated(game, outcome):
+    if is_separated(game, outcome, tables):
         return game
 
     bonus = {}  # (player, action) -> dict cell -> Rat  (cell = (opp, state))
     max_abs = ZERO
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         support = table.support
         cells = table.payoffs.cells
         belief_of = {}

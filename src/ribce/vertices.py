@@ -31,8 +31,8 @@ import os
 
 from . import rows as _rows
 from .errors import DimensionCapExceeded, InternalInvariantError, InvalidParams, UnboundedPolytope
-from .lp import GREATER, LESS, Constraint, feasible_point
-from .rational import ONE, ZERO, Rat
+from .lp import GREATER, LESS, Constraint, feasible_point, int_parts
+from .rational import ONE, Rat
 
 DEFAULT_CAP = 24
 
@@ -146,13 +146,16 @@ def _homogenize(variables, constraints, bounds):
     mrows = []
 
     def add_row(coeffs, rhs, sense):
-        # sense GREATER: coeffs.x >= rhs  ->  (coeffs, -rhs) >= 0
-        row = [ZERO] * (d + 1)
-        for v, c in coeffs.items():
-            row[vindex[v]] += Rat(c)
-        row[d] = -Rat(rhs)
-        if sense == LESS:
-            row = [-c for c in row]
+        # sense GREATER: coeffs.x >= rhs  ->  (coeffs, -rhs) >= 0, times the
+        # product of the two denominators
+        nums, den = int_parts(coeffs)
+        rhs = Rat(rhs)
+        sign = 1 if sense == GREATER else -1
+        up = sign * rhs.denominator
+        row = [0] * (d + 1)
+        for v, x in nums.items():
+            row[vindex[v]] = x * up
+        row[d] = -sign * rhs.numerator * den
         mrows.append(row)
 
     for con in constraints:
@@ -165,8 +168,8 @@ def _homogenize(variables, constraints, bounds):
             add_row({v: ONE}, lo, GREATER)
         if hi is not None:
             add_row({v: ONE}, hi, LESS)
-    t_row = [ZERO] * (d + 1)
-    t_row[d] = ONE
+    t_row = [0] * (d + 1)
+    t_row[d] = 1
     mrows.append(t_row)
     return [_rows.primitive(row) for row in mrows]
 

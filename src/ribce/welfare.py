@@ -16,6 +16,7 @@ from .bce import BcePolytope, is_bce, minimize_linear_over_bce
 from .errors import GameNotSymmetric, InternalInvariantError, NotABce, NotBinaryAction
 from .games import (
     BaseGame,
+    BeliefTables,
     Outcome,
     deviation_row,
     gross_value,
@@ -58,16 +59,22 @@ class WelfareReport:
         return self.w_exogenous - self.w_inattention
 
 
-def value_interval(game: BaseGame, outcome: Outcome, mode=RATIONAL_INATTENTION) -> ValueInterval:
+def value_interval(
+    game: BaseGame,
+    outcome: Outcome,
+    mode=RATIONAL_INATTENTION,
+    tables: Optional[BeliefTables] = None,
+) -> ValueInterval:
     """Attainable net payoffs per player from this equilibrium outcome.
 
-    Requires a BCE.  Under flexible costly acquisition the interval is
-    [uninformed, gross) unless the endpoints coincide; if arbitrary (possibly
+    Requires a BCE, checked on ``tables`` (the outcome's belief tables) when
+    given.  Under flexible costly acquisition the interval is [uninformed,
+    gross) unless the endpoints coincide; if arbitrary (possibly
     non-monotone) technologies are allowed, the interval closes.
     """
     if mode not in (RATIONAL_INATTENTION, ARBITRARY_TECHNOLOGY):
         raise ValueError(f"unknown mode {mode!r}")
-    check = is_bce(game, outcome)
+    check = is_bce(game, outcome, tables)
     if not check:
         raise NotABce(f"value intervals require obedience; violated at {check.witness}")
     per_player = {}
@@ -100,9 +107,10 @@ def _epigraph_lp(game: BaseGame, poly: BcePolytope):
     constraints = list(poly.constraints)
     for i in game.players:
         for action in game.actions[i]:
-            coeffs = {cell: -c for cell, c in deviation_row(game, i, action).items()}
-            coeffs[("t", i)] = ONE
-            constraints.append((coeffs, _lp.GREATER, ZERO))
+            payoff = deviation_row(game, i, action)
+            nums = {cell: -x for cell, x in payoff.nums.items()}
+            nums[("t", i)] = payoff.den
+            constraints.append((_lp.IntRow(nums, payoff.den), _lp.GREATER, ZERO))
     objective = {("t", i): ONE for i in game.players}
     return _lp.LinearProgram(
         variables=variables,

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import settings
 
+from ribce import games as _games
 from ribce import lp as _lp
 from ribce.bce import BcePolytope
 from ribce.games import BaseGame
@@ -61,4 +62,22 @@ def payoff_rows_built(monkeypatch):
     prop = functools.cached_property(counting)
     prop.__set_name__(BaseGame, "payoff_rows")
     monkeypatch.setattr(BaseGame, "payoff_rows", prop)
+    return built
+
+
+@pytest.fixture
+def belief_tables_built(monkeypatch):
+    """A list that gets one (game, outcome, player) entry per
+    ``games.belief_table`` call in the test, from every ``ribce`` module
+    that calls it."""
+    built = []
+    original = _games.belief_table
+
+    def counting(game, outcome, player):
+        built.append((game, outcome, player))
+        return original(game, outcome, player)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ribce") and getattr(module, "belief_table", None) is original:
+            monkeypatch.setattr(module, "belief_table", counting)
     return built

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
+import row_reference as ref
 from ribce.bce import (
     is_bce,
     max_support_point,
     maximize_cell_over_bce,
     minimize_linear_over_bce,
+    obedience_row,
     obedience_slack,
 )
 from ribce.errors import UnknownAction, ValidationError
-from ribce.games import gross_value, make_outcome, uninformed_value
+from ribce.games import deviation_row, gross_value, make_outcome, uninformed_value
 from ribce.rational import Rat, ZERO
 from ribce.vertices import enumerate_vertices
 from ribce.bce import BcePolytope
@@ -179,3 +181,22 @@ def test_max_support_point_runs_phase_one_once(phase_one_calls):
         out = max_support_point(g)
         assert is_bce(g, out)
         assert len(phase_one_calls) == 1
+
+
+def test_int_rows_match_fraction_builders_on_random_games():
+    rng = random.Random(13)
+    for _ in range(30):
+        game = random_game(
+            rng, n_players=rng.choice((1, 2, 3)), n_actions=(2, 3), n_states=rng.randint(1, 3), span=2
+        )
+        for i in game.players:
+            for a in game.actions[i]:
+                ref.assert_same_row(deviation_row(game, i, a), ref.deviation_row(game, i, a))
+                for b in game.actions[i]:
+                    ref.assert_same_row(obedience_row(game, i, a, b), ref.obedience_row(game, i, a, b))
+        poly = BcePolytope.of(game)
+        want = ref.bce_constraints(game)
+        assert len(poly.constraints) == len(want)
+        for (row, relation, rhs), (want_row, want_relation, want_rhs) in zip(poly.constraints, want):
+            ref.assert_same_row(row, want_row)
+            assert (relation, rhs) == (want_relation, want_rhs)

@@ -285,6 +285,26 @@ def test_payoff_rows_built_once_per_game(files, capsys, payoff_rows_built, name)
     assert len({id(game) for game in payoff_rows_built}) == len(payoff_rows_built)
 
 
+# ``games.belief_table`` builds per job: one per player and (game, outcome)
+# pair the job checks, shared by every check of that pair (``perturb`` checks
+# the outcome in the perturbed game too).
+BELIEF_TABLES_BUILT = {
+    "check_outcome_3x3_not_bce": 2,
+    "check_outcome_3x3_p_half": 2,
+    "perturb_3x3_p_half": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BELIEF_TABLES_BUILT))
+def test_belief_table_built_once_per_key(files, capsys, belief_tables_built, name):
+    argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    assert len(belief_tables_built) == BELIEF_TABLES_BUILT[name]
+    keys = {(id(game), id(outcome), player) for game, outcome, player in belief_tables_built}
+    assert len(keys) == len(belief_tables_built)
+
+
 def test_table_rendering(files, capsys):
     code, out, _ = _run(capsys, "--table", "welfare", str(files["perturbed_intro"]))
     assert code == 0

@@ -1,12 +1,15 @@
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ribce import lp as _lp
 from ribce import rows
 from ribce.bce import BcePolytope
 from ribce.errors import ValidationError
-from ribce.lp import LinearProgram, solve
+from ribce.lp import IntRow, LinearProgram, solve
 from ribce.rational import ONE, ZERO, Rat
 from ribce.vertices import enumerate_vertices
 
@@ -500,3 +503,79 @@ def test_phase_one_rejects_bad_input():
         _lp.phase_one(("x",), [], {"y": (Rat(0), None)})
     with pytest.raises(ValidationError, match="^constraint 0: rhs is not an exact rational"):
         _lp.phase_one(("x",), [({"x": Rat(1)}, "<=", 0.1)])
+
+
+# Rationals with mixed denominators; zero and negative values are common.
+RATS = st.builds(Rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 10)))
+
+
+@st.composite
+def int_row_programs(draw):
+    """(program over dicts, the same program over ``IntRow``s): random rows
+    with zero entries, all three relations, negative rhs, shifted and free
+    variables, each ``IntRow`` over a random multiple of its least common
+    denominator."""
+    variables = tuple(f"x{k}" for k in range(draw(st.integers(1, 4))))
+
+    def coeff_row():
+        keys = draw(st.lists(st.sampled_from(variables), unique=True, max_size=len(variables)))
+        return {v: draw(RATS) for v in keys}
+
+    def as_int_row(row):
+        den = lcm(*(c.denominator for c in row.values())) * draw(st.integers(1, 6))
+        return IntRow({v: int(c * den) for v, c in row.items()}, den)
+
+    bounds = {}
+    for v in variables:
+        lo, hi = draw(RATS), draw(RATS)
+        kind = draw(st.sampled_from(("free", "lower", "upper", "both")))
+        if kind == "both":
+            bounds[v] = (min(lo, hi), max(lo, hi))
+        elif kind != "free":
+            bounds[v] = (lo, None) if kind == "lower" else (None, hi)
+    rows = [
+        (coeff_row(), draw(st.sampled_from((_lp.LESS, _lp.EQUAL, _lp.GREATER))), draw(RATS))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    objective = coeff_row()
+    sense = draw(st.sampled_from(("min", "max")))
+    plain = LinearProgram(variables, objective, sense, rows, bounds)
+    ints = LinearProgram(
+        variables,
+        as_int_row(objective),
+        sense,
+        [(as_int_row(row), rel, rhs) for row, rel, rhs in rows],
+        bounds,
+    )
+    return plain, ints
+
+
+@given(int_row_programs())
+def test_int_rows_write_and_solve_as_their_rationals(programs):
+    plain, ints = programs
+    rows = [(ints.objective, plain.objective)]
+    rows += [(a.coeffs, b.coeffs) for a, b in zip(ints.constraints, plain.constraints)]
+    for row, ref in rows:
+        assert list(row.items()) == list(ref.items()) and row == ref
+    std = _lp._standard_form(plain)
+    assert _lp._standard_form(ints) == std
+    if std is not None:
+        cols, _, terms = std
+        obj = _lp._objective_row(terms, len(cols), plain.objective, plain.sense)
+        assert _lp._objective_row(terms, len(cols), ints.objective, ints.sense) == obj
+        assert all(type(x) is int for x in obj)
+    got, want = solve(ints), solve(plain)
+    assert _answer(got) == _answer(want)
+    if got.is_optimal:
+        assert got.verify(ints)
+
+
+def test_int_row_reads_as_rationals():
+    row = IntRow({"x": 4, "y": -3, "z": 0}, 6)
+    assert list(row.items()) == [("x", Rat(2, 3)), ("y", Rat(-1, 2)), ("z", ZERO)]
+    assert row == {"x": Rat(2, 3), "y": Rat(-1, 2), "z": 0} and len(row) == 3
+    assert _lp.int_parts(row) == ({"x": 4, "y": -3, "z": 0}, 6)
+    assert _lp.int_parts({"x": Rat(2, 3), "y": Rat(-1, 2)}) == ({"x": 4, "y": -3}, 6)
+    for den in (0, -2, Rat(1), True):
+        with pytest.raises(ValidationError, match="row denominator must be a positive int"):
+            IntRow({"x": 1}, den)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 from math import comb
 from types import SimpleNamespace
@@ -35,6 +34,7 @@ from ribce.welfare import (
     worst_case_exogenous,
     worst_case_rational_inattention,
 )
+from row_reference import assert_same_row
 from sample_games import random_symmetric_binary_game
 
 
@@ -318,27 +318,21 @@ def _reference_count_space(n, states, prior, payoff):
     )
 
 
-def _assert_same_row(row, ref):
-    # Same values in the same key order, each a Fraction in lowest terms.
-    assert list(row.items()) == list(ref.items())
-    assert all(type(c) is Fraction for c in row.values())
-
-
 def _assert_same_space(space, ref):
     assert space.variables == ref.variables
     assert list(space.bounds.items()) == list(ref.bounds.items())
     assert len(space.constraints) == len(ref.constraints)
     for (row, sense, rhs), (ref_row, ref_sense, ref_rhs) in zip(space.constraints, ref.constraints):
-        _assert_same_row(row, ref_row)
+        assert_same_row(row, ref_row)
         assert (sense, rhs) == (ref_sense, ref_rhs)
     for rec in (0, 1):
-        _assert_same_row(space.mass(rec), ref.mass(rec))
-        _assert_same_row(space.obedience(rec), ref.obedience(rec))
-    _assert_same_row(space.gross(), ref.gross())
+        assert_same_row(space.mass(rec), ref.mass(rec))
+        assert_same_row(space.obedience(rec), ref.obedience(rec))
+    assert_same_row(space.gross(), ref.gross())
     epigraph, ref_epigraph = space.epigraph(), ref.epigraph()
     assert len(epigraph) == len(ref_epigraph) == 2
     for (row, sense, rhs), (ref_row, ref_sense, ref_rhs) in zip(epigraph, ref_epigraph):
-        _assert_same_row(row, ref_row)
+        assert_same_row(row, ref_row)
         assert (sense, rhs) == (ref_sense, ref_rhs)
 
 
