@@ -299,16 +299,22 @@ def _standard_form(lp: LinearProgram):
 
     Every coefficient, rhs and bound must carry an exact ``numerator`` and
     ``denominator``; anything else raises ``ValidationError`` naming it.
+    Whether a value has them is a property of its type, so the bounds are
+    checked once per distinct pair of bound types.
     """
     cols = []
     terms = {}  # var -> ((column, sign), ...)
     shifts = {}  # var -> its bound, when the bound is not zero
     bound_rows = []  # (column, hi - lo)
+    exact_kinds = set()  # (type(lo), type(hi)) pairs already checked
     for v in lp.variables:
         lo, hi = lp.bounds.get(v, (None, None))
-        for side, x in (("lower", lo), ("upper", hi)):
-            if x is not None and _inexact(x):
-                raise _not_exact(f"{side} bound of {v!r}", x)
+        kinds = (type(lo), type(hi))
+        if kinds not in exact_kinds:
+            for side, x in (("lower", lo), ("upper", hi)):
+                if x is not None and _inexact(x):
+                    raise _not_exact(f"{side} bound of {v!r}", x)
+            exact_kinds.add(kinds)
         if lo is not None and hi is not None and hi < lo:
             return None
         j = len(cols)

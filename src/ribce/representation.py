@@ -13,10 +13,11 @@ bound on the cost of any experiment.
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 from . import lp as _lp
 from .errors import DimensionMismatch, NotSeparatedBce, ValidationError
-from .games import BaseGame, Outcome, belief_table, gross_value, uninformed_value
+from .games import BaseGame, BeliefTables, Outcome, gross_value, uninformed_value
 from .rational import ONE, ZERO, Rat
 from .separation import is_sbce
 
@@ -29,13 +30,18 @@ class PartitionProfile:
     cells: dict  # player -> tuple of frozensets
 
 
-def belief_partition(game: BaseGame, outcome: Outcome) -> PartitionProfile:
+def belief_partition(
+    game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None
+) -> PartitionProfile:
     """Equal-belief partition: supported actions share a cell iff they induce
     the same posterior (cross-multiplied equality); unsupported actions form
-    one residual cell."""
+    one residual cell.  ``tables`` are the outcome's belief tables, made here
+    when not given."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     cells = {}
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         support = table.support
         groups = []
         for a in support:

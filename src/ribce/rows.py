@@ -16,20 +16,33 @@ their call counters.  Callers go through the module attributes
 
 from math import gcd as _gcd
 from math import lcm as _lcm
+from operator import mul as _mul
 
 IMPL = "python"
 
 
 def primitive(row):
     """The primitive row of ints that is a positive multiple of ``row``, a row
-    of exact rationals or ints: scale by the lcm of the denominators, then
-    divide by the gcd of the entries.  A zero row stays zero."""
+    of exact rationals or ints; a zero row stays zero.
+
+    An int row is divided by the gcd of its entries and needs no
+    denominator pass.  A row with ``Rat`` entries (``math.gcd`` refuses
+    them) is first scaled by the lcm of its denominators."""
+    try:
+        g = _gcd(*row)
+    except TypeError:
+        return _divide_content(_int_multiple(row))
+    return [z // g for z in row] if g > 1 else list(row)
+
+
+def _int_multiple(row):
+    """``row`` times the lcm of its denominators, as ints."""
     nonzero = [(j, x) for j, x in enumerate(row) if x]
     den = _lcm(*[int(x.denominator) for _, x in nonzero])
     ints = [0] * len(row)
     for j, x in nonzero:
         ints[j] = int(x.numerator * (den // x.denominator))
-    return _divide_content(ints)
+    return ints
 
 
 def _divide_content(ints):
@@ -76,11 +89,6 @@ def row_combine(alpha, xs, beta, ys):
 
 
 def dot(xs, ys):
-    """Exact inner product of two equal-length rows."""
-    total = None
-    for x, y in zip(xs, ys):
-        if x and y:
-            total = x * y if total is None else total + x * y
-    if total is None:
-        return 0
-    return total
+    """Exact inner product of two equal-length rows: an int for int rows, and
+    equal to the ``Fraction`` sum for rows of exact rationals."""
+    return sum(map(_mul, xs, ys))

@@ -106,11 +106,12 @@ def is_separated(
     return SeparationCheck(True, None)
 
 
-def is_sbce(game: BaseGame, outcome: Outcome) -> bool:
+def is_sbce(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None) -> bool:
     """Obedient and separated: exactly the outcomes consistent with costly
     flexible information acquisition.  Both checks read one set of belief
-    tables."""
-    tables = BeliefTables(game, outcome)
+    tables, ``tables`` when given."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     return bool(is_bce(game, outcome, tables)) and bool(is_separated(game, outcome, tables))
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .bce import BcePolytope, is_bce, mix_outcomes
 from .errors import InternalInvariantError
-from .games import BaseGame, Outcome, belief_table, validate_outcome
+from .games import BaseGame, BeliefTables, Outcome, validate_outcome
 from .rational import ONE, ZERO, Rat
 from .representation import PartitionProfile, belief_partition
 from .separation import is_sbce
@@ -88,10 +88,18 @@ def is_complete_info_nash(game: BaseGame, outcome: Outcome):
     return True, NashProfile(mixes=mixes)
 
 
-def is_measurable(game: BaseGame, outcome: Outcome, partition: PartitionProfile) -> bool:
-    """Supported actions sharing a partition cell must induce equal beliefs."""
+def is_measurable(
+    game: BaseGame,
+    outcome: Outcome,
+    partition: PartitionProfile,
+    tables: Optional[BeliefTables] = None,
+) -> bool:
+    """Supported actions sharing a partition cell must induce equal beliefs.
+    ``tables`` are the outcome's belief tables, made here when not given."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         support = set(table.support)
         for cell in partition.cells[i]:
             live = [a for a in game.actions[i] if a in cell and a in support]
@@ -103,11 +111,16 @@ def is_measurable(game: BaseGame, outcome: Outcome, partition: PartitionProfile)
 
 
 def is_decomposable(
-    game: BaseGame, q: Outcome, partition: PartitionProfile, p: Outcome
+    game: BaseGame,
+    q: Outcome,
+    partition: PartitionProfile,
+    p: Outcome,
+    tables: Optional[BeliefTables] = None,
 ) -> bool:
     """q is measurable w.r.t. the partition and matches p's within-cell action
-    ratios: q(a_i) p(b_i) == p(a_i) q(b_i) for same-cell actions."""
-    if not is_measurable(game, q, partition):
+    ratios: q(a_i) p(b_i) == p(a_i) q(b_i) for same-cell actions.  ``tables``
+    are q's belief tables, made here when not given."""
+    if not is_measurable(game, q, partition, tables):
         return False
     for i in game.players:
         for cell in partition.cells[i]:
@@ -160,14 +173,17 @@ def _partitions_equal(a: PartitionProfile, b: PartitionProfile, players) -> bool
     return True
 
 
-def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
+def _closure_obstruction(
+    game: BaseGame, outcome: Outcome, poly: BcePolytope, tables: BeliefTables
+):
     """A supported pair with distinct beliefs whose jeopardization sets
     intersect.  Any sBCE sequence converging to the outcome would eventually
     support the pair with distinct beliefs, forcing the shared jeopardizing
     action out of one best-response set; so an obstruction proves the outcome
-    lies outside the closure of the sBCE set."""
+    lies outside the closure of the sBCE set.  ``tables`` are the outcome's
+    belief tables."""
     for i in game.players:
-        table = belief_table(game, outcome, i)
+        table = tables[i]
         support = table.support
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
@@ -183,8 +199,17 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
     return None
 
 
-def _verify_certificate(game: BaseGame, outcome: Outcome, cert: VceCertificate):
-    """Check every certificate invariant; returns an error string or None."""
+def _tables_of(game: BaseGame, outcome: Outcome, tables: BeliefTables) -> BeliefTables:
+    """``tables`` when they are ``outcome``'s, else new ones for it."""
+    return tables if tables.outcome is outcome else BeliefTables(game, outcome)
+
+
+def _verify_certificate(
+    game: BaseGame, outcome: Outcome, cert: VceCertificate, tables: BeliefTables
+):
+    """Check every certificate invariant; returns an error string or None.
+    ``tables`` are the outcome's belief tables, read again by a component or
+    witness that is the outcome itself."""
     if len(cert.weights) != len(cert.components) or not cert.weights:
         return "weights and components must align and be nonempty"
     total = sum((Rat(w) for w in cert.weights), ZERO)
@@ -197,15 +222,17 @@ def _verify_certificate(game: BaseGame, outcome: Outcome, cert: VceCertificate):
         nash, _ = is_complete_info_nash(game, comp)
         if not nash:
             return "a component is not a complete-information Nash equilibrium"
-        if not is_decomposable(game, comp, cert.partition, outcome):
+        comp_tables = _tables_of(game, comp, tables)
+        if not is_decomposable(game, comp, cert.partition, outcome, comp_tables):
             return "a component fails measurability or cell-ratio matching"
     mix = mix_outcomes(zip(map(Rat, cert.weights), cert.components))
     if mix.p != {k: v for k, v in outcome.p.items() if v}:
         return "the weighted components do not reproduce the outcome"
-    if not is_sbce(game, cert.sbce_witness):
+    witness_tables = _tables_of(game, cert.sbce_witness, tables)
+    if not is_sbce(game, cert.sbce_witness, witness_tables):
         return "the sBCE witness is not a separated BCE"
     if not _partitions_equal(
-        belief_partition(game, cert.sbce_witness), cert.partition, game.players
+        belief_partition(game, cert.sbce_witness, witness_tables), cert.partition, game.players
     ):
         return "the sBCE witness does not induce the certificate partition"
     dist = _distance(outcome, cert.sbce_witness, list(game.cells()))
@@ -232,8 +259,10 @@ def check_vce(
     honestly Undetermined.
     """
     validate_outcome(game, outcome)
+    # Built on first read, then shared by every check of the outcome.
+    tables = BeliefTables(game, outcome)
     if certificate is not None:
-        problem = _verify_certificate(game, outcome, certificate)
+        problem = _verify_certificate(game, outcome, certificate, tables)
         if problem is None:
             return Verdict(
                 kind=IS_VCE,
@@ -242,7 +271,7 @@ def check_vce(
             )
         return Verdict(kind=UNDETERMINED, reason=f"certificate rejected: {problem}")
 
-    bce = is_bce(game, outcome)
+    bce = is_bce(game, outcome, tables)
     if not bce:
         return Verdict(
             kind=NOT_VCE,
@@ -250,17 +279,17 @@ def check_vce(
             witness=bce.witness,
         )
     nash, _ = is_complete_info_nash(game, outcome)
-    separated = is_sbce(game, outcome)
+    separated = is_sbce(game, outcome, tables)
 
     if separated and nash:
         cert = VceCertificate(
-            partition=belief_partition(game, outcome),
+            partition=belief_partition(game, outcome, tables),
             weights=(ONE,),
             components=(outcome,),
             sbce_witness=outcome,
             witness_distance=ZERO,
         )
-        problem = _verify_certificate(game, outcome, cert)
+        problem = _verify_certificate(game, outcome, cert, tables)
         if problem is not None:  # pragma: no cover - construction is trivial
             raise InternalInvariantError(f"trivial certificate failed: {problem}")
         return Verdict(
@@ -278,7 +307,7 @@ def check_vce(
         )
 
     poly = BcePolytope.of(game)
-    obstruction = _closure_obstruction(game, outcome, poly)
+    obstruction = _closure_obstruction(game, outcome, poly, tables)
     if obstruction is not None:
         return Verdict(
             kind=NOT_VCE,

@@ -16,6 +16,17 @@ its mask is their common mask plus the new row.  Two rays are adjacent when
 no third ray is tight on all of their common rows: the per-row masks of
 tight rays, ANDed over those rows, leave only the pair.
 
+The rows are inserted sparsest first (a stable sort on the nonzero count).
+The order sets how large the intermediate cones grow (Fukuda & Prodon), but
+not the answer: the extreme rays of a pointed cone are the same whatever
+order its rows arrive in, and the vertices come out sorted.  Sparsest first
+puts the unit rows (zero lower bounds and t >= 0) at the front, so the
+initial cone of a BCE polytope is the identity, and its obedience rows
+follow, sparsest first.  On the investment game at epsilon 4/5 the largest
+intermediate cone holds 83 rays for 46 vertices, against 1,613 in
+construction order.  The vertices are sorted on exact int keys built from
+the rays (``_vertices``), in the order of their ``Rat`` coordinate tuples.
+
 Only the exact density mode and small oracle tests need this, so a hard
 variable cap guards against accidental blowups (override with
 ``RIBCE_VERTEX_CAP``, also spelled ``RI_ROBUST_VERTEX_CAP`` for the CLI
@@ -28,11 +39,12 @@ enumeration on anything beyond desk-size games.
 """
 
 import os
+from math import lcm
 
 from . import rows as _rows
 from .errors import DimensionCapExceeded, InternalInvariantError, InvalidParams, UnboundedPolytope
 from .lp import GREATER, LESS, Constraint, feasible_point, int_parts
-from .rational import ONE, Rat
+from .rational import ONE, ZERO, Rat
 
 DEFAULT_CAP = 24
 
@@ -139,8 +151,9 @@ def _enumerate(variables, constraints, bounds):
 
 def _homogenize(variables, constraints, bounds):
     """The primitive int rows M with M·(x, t) >= 0 for the polytope: one row
-    per inequality, two per equality and per two-sided bound, then t >= 0.
-    The final coordinate is t."""
+    per inequality, two per equality and per two-sided bound, and t >= 0.
+    The final coordinate is t.  The rows come sparsest first, in a stable
+    sort on their nonzero count, which is the order the pass inserts them."""
     d = len(variables)
     vindex = {v: j for j, v in enumerate(variables)}
     mrows = []
@@ -171,7 +184,9 @@ def _homogenize(variables, constraints, bounds):
     t_row = [0] * (d + 1)
     t_row[d] = 1
     mrows.append(t_row)
-    return [_rows.primitive(row) for row in mrows]
+    mrows = [_rows.primitive(row) for row in mrows]
+    mrows.sort(key=lambda row: len(row) - row.count(0))
+    return mrows
 
 
 def _initial_cone(mrows, d):
@@ -205,10 +220,13 @@ def _initial_cone(mrows, d):
         raise UnboundedPolytope("constraint system has a lineality direction")
 
     # Extreme rays of {y : B y >= 0} are the columns of B^{-1}; a tableau row
-    # reads u·B = p·e_col with p > 0, so u/p is row col of B^{-1}.
+    # reads u·B = p·e_col with p > 0, so u/p is row col of B^{-1}.  Over the
+    # lcm L of the pivots, ray c is the ints u[c]·(L/p), up to its content.
     inverse = [row for _, row in sorted(zip(pivots, tableau))]
+    common = lcm(*[row[i] for i, row in enumerate(inverse)])
+    scales = [common // row[i] for i, row in enumerate(inverse)]
     rays = [
-        _rows.primitive([Rat(row[size + c], row[i]) for i, row in enumerate(inverse)])
+        _rows.primitive([row[size + c] * s for row, s in zip(inverse, scales)])
         for c in range(size)
     ]
     return chosen, rays
@@ -257,16 +275,26 @@ def _dedup(rays, ray_masks):
 
 def _vertices(rays, variables):
     """The vertices the final rays stand for, in canonical order.  A ray with
-    t = 0 is a recession direction unless it is zero."""
+    t = 0 is a recession direction unless it is zero.
+
+    The order is that of the vertices' coordinate tuples, read on exact int
+    keys: coordinate x/t becomes floor(x·S/t) with S = T², T the largest t
+    (every t is positive, since t >= 0 is a row of the cone).  Two distinct
+    coordinates x/t < y/u differ by at least 1/(t·u) >= 1/S, so their keys
+    differ in the same direction, and equal coordinates get equal keys.
+    The keys stay a few bits wider than the rays, where scaling to a common
+    multiple of thousands of t's would not."""
     d = len(variables)
-    vertices = []
+    points = []
     for r in rays:
+        if r[d]:
+            points.append(r)
+        elif any(r[:d]):
+            raise UnboundedPolytope("recession direction found")
+    scale = max([r[d] for r in points], default=1) ** 2
+    points.sort(key=lambda r: [x * scale // r[d] for x in r[:d]])
+    vertices = []
+    for r in points:
         t = r[d]
-        if t == 0:
-            nonzero = any(x != 0 for x in r[:d])
-            if nonzero:
-                raise UnboundedPolytope("recession direction found")
-            continue
-        vertices.append({v: Rat(r[j], t) for j, v in enumerate(variables)})
-    vertices.sort(key=lambda pt: tuple(pt[v] for v in variables))
+        vertices.append({v: Rat(x, t) if x else ZERO for v, x in zip(variables, r)})
     return vertices

@@ -305,6 +305,38 @@ def test_inexact_input_rejected(objective, constraint, bounds, field):
         solve(lp)
 
 
+def test_bounds_checked_once_per_kind_of_pair(monkeypatch):
+    # Exactness is a property of a value's type: one check per distinct
+    # (type(lo), type(hi)) pair, and still the first variable carrying an
+    # inexact bound is named, even when it equals an exact bound seen before.
+    checked = []
+    original = _lp._inexact
+    monkeypatch.setattr(_lp, "_inexact", lambda x: checked.append(x) or original(x))
+    names = tuple(f"x{k}" for k in range(6))
+
+    def lp(bounds):
+        return LinearProgram(
+            variables=names,
+            objective={"x0": Rat(1)},
+            sense="min",
+            constraints=[({v: Rat(1) for v in names}, "=", Rat(1))],
+            bounds=bounds,
+        )
+
+    assert solve(lp({v: (Rat(0), None) for v in names})).is_optimal
+    assert checked == [Rat(0)]
+    checked.clear()
+    boxed = {v: (Rat(0), Rat(1)) for v in names}
+    assert solve(lp({**boxed, "x5": (Rat(0), None)})).is_optimal
+    assert checked == [Rat(0), Rat(1), Rat(0)]
+    for bounds, field in [
+        ({**boxed, "x3": (0.0, Rat(1)), "x4": (0.0, Rat(1))}, "lower bound of 'x3'"),
+        ({**boxed, "x2": (Rat(0), 1.0)}, "upper bound of 'x2'"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{field} is not an exact rational"):
+            solve(lp(bounds))
+
+
 def _reference_verify_dual(lp, sol):
     """The former rational dual check, kept as the reference for
     ``lp._verify_dual``: solve B^T y = c_B by Gauss–Jordan over

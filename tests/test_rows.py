@@ -86,3 +86,23 @@ def test_row_kernels():
     assert rows.dot([ZERO] * 4, [ZERO] * 4) == 0
     assert rows.dot([ZERO] * 4, _random_row(rng, 4)) == 0
     assert rows.primitive([ZERO] * 3) == [0, 0, 0]
+
+
+def test_row_kernels_on_int_rows():
+    # DD rows and rays are int rows, which ``primitive`` reduces with no
+    # denominator pass; rows with Rat entries take the lcm of their
+    # denominators first.  Either way the result is ``_canonical``'s.
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.randint(1, 19)
+        scale = rng.choice((1, 2, 6, 35))
+        ints = [rng.choice((0, 0, rng.randint(-50, 50))) * scale for _ in range(n)]
+        mixed = [x if rng.random() < 0.5 else Rat(x, rng.randint(1, 9)) for x in ints]
+        for row in (ints, mixed, [0] * n, [ZERO if k % 2 else 0 for k in range(n)]):
+            got = rows.primitive(row)
+            assert _is_primitive(got)
+            assert got == list(_canonical([Rat(x) for x in row]))
+            assert got is not row
+        other = [rng.randint(-9, 9) for _ in range(n)]
+        assert rows.dot(ints, other) == sum((Rat(p) * q for p, q in zip(ints, other)), ZERO)
+        assert type(rows.dot(ints, other)) is int
