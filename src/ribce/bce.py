@@ -5,7 +5,8 @@ prior-marginal equality per state, and one obedience row per ordered action
 pair of each player.  It is never empty (a mediator replicating any Nash
 equilibrium of the prior-averaged game is obedient), so every optimizer here
 returns an exact optimum, read out by ``BcePolytope.optimum`` on the polytope
-the caller passes as ``poly`` (built when not given).
+the caller passes as ``poly`` (built when not given): an outcome whose masses
+are the LP point's nonzero int numerators over its denominator.
 
 Membership of one outcome is decided on ints: ``is_bce`` and
 ``obedience_slack`` read each player's ``games.belief_table``, whose row
@@ -13,11 +14,20 @@ V[rec] gives every slack of ``rec`` at once.
 """
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import NamedTuple, Optional
 
 from . import lp as _lp
 from .errors import InternalInvariantError, UnknownAction
-from .games import BaseGame, BeliefTables, Outcome, belief_table, check_action, validate_outcome
+from .games import (
+    BaseGame,
+    BeliefTables,
+    Outcome,
+    belief_table,
+    check_action,
+    mass_parts,
+    validate_outcome,
+)
 from .rational import ONE, ZERO, Rat
 
 
@@ -125,8 +135,12 @@ class BcePolytope:
             raise InternalInvariantError(f"BCE polytope should never be {sol.status}")
         return self.outcome_from_point(sol.point), sol.value
 
-    def outcome_from_point(self, point: dict) -> Outcome:
-        out = Outcome(p={v: point[v] for v in self.variables if point[v]})
+    def outcome_from_point(self, point) -> Outcome:
+        """The validated outcome at an LP point over (at least) the polytope's
+        variables: its nonzero int numerators, in variable order, over the
+        point's denominator."""
+        nums, den = _lp.int_parts(point)
+        out = Outcome(p=_lp.IntRow({v: x for v in self.variables if (x := nums[v])}, den))
         validate_outcome(self.game, out)
         return out
 
@@ -161,23 +175,37 @@ def max_support_point(game: BaseGame, poly: Optional[BcePolytope] = None) -> Out
     sits in the relative interior of the BCE set.  ``poly``, the game's
     polytope, is built when not given.
     """
-    poly = poly or BcePolytope.of(game)
+    return _max_support_point(game, poly or BcePolytope.of(game))[0]
+
+
+def _max_support_point(game: BaseGame, poly: BcePolytope):
+    """``max_support_point`` on ``poly``, with the belief tables its BCE
+    check read: (point, tables)."""
     points = [maximize_cell_over_bce(game, cell, poly)[0] for cell in poly.variables]
     weight = Rat(1, len(points))
     out = mix_outcomes((weight, point) for point in points)
     validate_outcome(game, out)
-    check = is_bce(game, out)
+    tables = BeliefTables(game, out)
+    check = is_bce(game, out, tables)
     if not check:
         raise InternalInvariantError(f"max-support average left the BCE set: {check.witness}")
-    return out
+    return out, tables
 
 
 def mix_outcomes(pairs) -> Outcome:
-    """Exact weighted sum of outcomes from (weight, outcome) pairs.  Cells
-    appear in first-seen order; cells with zero total mass are dropped."""
+    """Exact weighted sum of outcomes from (weight, outcome) pairs, on ints.
+    Each outcome's int masses (``games.mass_parts``) are put over one common
+    denominator, the lcm of weight denominator times outcome denominator
+    over the pairs, and summed as ints.  Cells appear in first-seen order
+    (among nonzero masses); cells with zero total mass are dropped.  The
+    result's masses are an ``lp.IntRow`` over that denominator."""
+    parts = [(weight, *mass_parts(outcome)) for weight, outcome in pairs]
+    scales = [weight.denominator * den for weight, _, den in parts]
+    common = lcm(*scales)
     acc = {}
-    for weight, outcome in pairs:
-        for key, q in outcome.p.items():
-            if q:
-                acc[key] = acc.get(key, ZERO) + weight * q
-    return Outcome(p={k: v for k, v in acc.items() if v})
+    for (weight, nums, _), scale in zip(parts, scales):
+        k = weight.numerator * (common // scale)
+        for key, x in nums.items():
+            if x:
+                acc[key] = acc.get(key, 0) + k * x
+    return Outcome(p=_lp.IntRow({key: x for key, x in acc.items() if x}, common))

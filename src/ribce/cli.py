@@ -255,7 +255,8 @@ def cmd_perturb(args) -> dict:
 def cmd_canonical(args) -> dict:
     game = load_game(args.game)
     outcome = load_outcome(args.outcome, game)
-    rep = build_canonical(game, outcome)
+    tables = BeliefTables(game, outcome)
+    rep = build_canonical(game, outcome, tables)
     round_trip = induced_outcome(rep, game)
     partition = {
         str(i): [sorted(str(a) for a in cell) for cell in rep.partition.cells[i]]
@@ -299,9 +300,9 @@ def cmd_canonical(args) -> dict:
         "signal_counts": {str(i): len(rep.signals[i]) for i in game.players},
         "round_trip_exact": round_trip.p == outcome.p,
     }
-    if is_sbce(game, outcome):
+    if is_sbce(game, outcome, tables):
         lam = _flag("--lam", args.lam)
-        cert = cost_certificate(game, outcome, lam)
+        cert = cost_certificate(game, outcome, lam, tables)
         report["cost_certificate"] = {
             str(i): {key: rational_to_json(val) for key, val in entry.items()}
             for i, entry in cert.per_player.items()

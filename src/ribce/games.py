@@ -6,6 +6,15 @@ every (player, action profile, state) triple.  An outcome is a joint
 distribution over action profiles and states whose state marginal equals the
 prior.  Everything here is immutable after construction and exact.
 
+An outcome's masses are a mapping from cell to exact rational.  Every
+outcome the library makes holds an ``lp.IntRow``, int numerators over one
+denominator, and ``lp.int_parts(outcome.p)`` is the one reader of the ints.
+``validate_outcome``, ``belief_table`` and ``bce.mix_outcomes`` read them
+through ``mass_parts``; ``validate_outcome`` checks cells, signs and state
+marginals on them against the game's cached cell set.  Dict outcomes (from
+files, tests and callers) go through the same path.  A mass without an exact
+numerator and denominator raises ``ValidationError`` naming its cell.
+
 The belief layer runs on ints.  ``BaseGame.payoff_rows``, built once per
 game, holds each player's payoffs as int rows over ``belief_cells``, and
 ``belief_table`` reads an outcome's masses into int rows over the same cells
@@ -31,7 +40,7 @@ from .errors import (
     UnknownAction,
     ValidationError,
 )
-from .lp import IntRow
+from .lp import IntRow, _inexact, int_parts
 from .rational import ONE, ZERO, Rat
 
 MAX_SYMMETRIZE_PLAYERS = 8
@@ -57,6 +66,12 @@ class BaseGame:
     def cells(self):
         """All (profile, state) coordinates, in canonical order."""
         return product(self.profiles(), self.states)
+
+    @cached_property
+    def cell_set(self) -> frozenset:
+        """The cells as a set, built on first use and kept (the game is
+        immutable)."""
+        return frozenset(self.cells())
 
     def player_index(self, player) -> int:
         return self.players.index(player)
@@ -141,7 +156,8 @@ class BeliefTable:
     """One player's beliefs under an outcome, as int rows.
 
     ``masses[a]`` is D·p(a, opp, state) over the player's belief cells, where
-    D = ``scale`` is the lcm of the outcome's denominators, and ``totals[a]``
+    D = ``scale`` is the denominator of the outcome's int masses
+    (``lp.int_parts``), and ``totals[a]``
     is its sum, D·p(a).  ``values(rec)`` is the row V[rec] of L·D times each
     action's expected payoff against the mass ``rec`` carries (L the payoff
     scale), from which obedience slacks and best responses are read.
@@ -187,17 +203,35 @@ class BeliefTable:
         return same_belief(self.masses[a], self.masses[b])
 
 
+def mass_parts(outcome: "Outcome"):
+    """``int_parts(outcome.p)``: the masses as int numerators over one
+    denominator.  A mass without an exact numerator and denominator raises
+    ``ValidationError`` naming its cell."""
+    try:
+        return int_parts(outcome.p)
+    except (AttributeError, TypeError):
+        for key, q in outcome.p.items():
+            if _inexact(q):
+                raise _not_exact(key, q) from None
+        raise
+
+
+def _not_exact(key, q) -> ValidationError:
+    return ValidationError(f"probability at {key!r} is not an exact rational: {q!r}")
+
+
 def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
-    """``player``'s ``BeliefTable`` under ``outcome``, read in one pass."""
+    """``player``'s ``BeliefTable`` under ``outcome``, read in one pass over
+    the outcome's int masses."""
     payoffs = game.payoff_rows[player]
     position = payoffs.position
     k = game.player_index(player)
-    scale = lcm(*(q.denominator for q in outcome.p.values()))
+    nums, scale = mass_parts(outcome)
     size = len(payoffs.cells)
     masses = {a: [0] * size for a in game.actions[player]}
-    for cell, q in outcome.p.items():
-        if q:
-            masses[cell[0][k]][position[cell]] = q.numerator * (scale // q.denominator)
+    for cell, x in nums.items():
+        if x:
+            masses[cell[0][k]][position[cell]] = x
     return BeliefTable(payoffs, scale, masses)
 
 
@@ -220,7 +254,7 @@ class BeliefTables(dict):
 
 @dataclass(frozen=True)
 class Outcome:
-    p: dict  # (profile, state) -> Rat
+    p: dict  # (profile, state) -> Rat; an ``lp.IntRow`` when the library made it
 
     def mass(self, profile, state):
         return self.p.get((profile, state), ZERO)
@@ -245,9 +279,15 @@ class Outcome:
 
 
 def make_outcome(game: BaseGame, entries: dict) -> Outcome:
-    """Build and validate an outcome from a {(profile, state): Rat} map."""
+    """Build and validate an outcome from a {(profile, state): Rat} map.
+    A mass that is not an exact rational (a float, say) raises
+    ``ValidationError`` naming its cell."""
     p = {}
     for (profile, state), q in entries.items():
+        if _inexact(q):
+            raise ValidationError(
+                f"probability at {profile},{state} is not an exact rational: {q!r}"
+            )
         q = Rat(q)
         if q < 0:
             raise ValidationError(f"negative probability at {profile},{state}")
@@ -287,19 +327,24 @@ def validate_game(game: BaseGame) -> None:
 
 
 def validate_outcome(game: BaseGame, outcome: Outcome) -> None:
-    cells = set(game.cells())
-    for key, q in outcome.p.items():
+    """Every mass is an exact rational, every cell is the game's and its mass
+    is >= 0, and each state's masses sum to its prior; raises on the first
+    failure: an inexact mass, then cell by cell, then state by state.
+    Decided on the int masses."""
+    cells = game.cell_set
+    nums, den = mass_parts(outcome)
+    totals = dict.fromkeys(game.states, 0)
+    for key, x in nums.items():
         if key not in cells:
             raise DimensionMismatch(f"unknown cell {key!r}")
-        if q < 0:
+        if x < 0:
             raise ValidationError(f"negative probability at {key!r}")
-    for state in game.states:
-        mass = sum(
-            (q for (profile, s), q in outcome.p.items() if s == state), ZERO
-        )
-        if mass != game.prior[state]:
+        totals[key[1]] += x
+    for state, total in totals.items():
+        prior = game.prior[state]
+        if total * prior.denominator != prior.numerator * den:
             raise DimensionMismatch(
-                f"state {state!r} marginal {mass} != prior {game.prior[state]}"
+                f"state {state!r} marginal {Rat(total, den)} != prior {prior}"
             )
 
 

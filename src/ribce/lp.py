@@ -30,9 +30,17 @@ that is a positive multiple of the rational one (``rows.primitive``); no
 dense rational matrix is built.  A pivot combines rows without dividing
 (``rows.pivot_eliminate``).  A positive row scale changes no sign and no
 ratio, so the pivots, the basis and the answer are those of the rational
-tableau; rationals come back only when the basic values are read out.
-``LpSolution.verify`` pivots the claimed basis into a fresh standard form on
-the same tableau.
+tableau.
+
+The read-out stays on ints too.  ``Polyhedron.optimize`` returns the point
+as an ``IntRow`` over every variable, in variable order, zeros included:
+the bound base point, put over one denominator once per polyhedron, plus
+each basic value rhs/p over the lcm of those denominators, with no ``Rat``
+made per variable.  The objective value is one int dot product of the
+objective's numerators with the point's; it is the one ``Rat`` made.
+Callers read the point through ``int_parts`` (outcomes, the count kernel)
+or as a mapping of exact rationals.  ``LpSolution.verify`` pivots the
+claimed basis into a fresh standard form on the same tableau.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
@@ -184,7 +192,7 @@ class LinearProgram:
 @dataclass
 class LpSolution:
     status: str
-    point: Optional[dict] = None
+    point: Optional[Mapping] = None  # an ``IntRow`` over every variable
     value: object = None
     basis: Optional[tuple] = None
     dropped_rows: tuple = ()  # redundant standard-form rows removed in phase 1
@@ -230,9 +238,9 @@ def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
     # Pivot the basis into the surviving rows, one free row per column.  Rows,
     # objective and every pivoted row are positive multiples of the rational
     # ones, so each reduced cost has its rational sign.
-    cols, rows, terms = _standard_form(lp)
+    cols, rows, terms, _ = _standard_form(lp)
     n = len(cols)
-    obj = _objective_row(terms, n, lp.objective, lp.sense)
+    obj = _objective_row(terms, n, _objective_parts(lp.objective), lp.sense)
     dropped = set(sol.dropped_rows)
     surviving = [row[:n] + row[-1:] for r, row in enumerate(rows) if r not in dropped]
     index = {label: j for j, label in enumerate(cols)}
@@ -280,9 +288,11 @@ def _row_error(lp: LinearProgram, r: int, exc: Exception) -> ValidationError:
 def _standard_form(lp: LinearProgram):
     """Rewrite as min c·y, A y = b (b >= 0), y >= 0, straight into ints.
 
-    Returns (column labels, phase-1 rows, column terms), or None when a
-    bound pair is inconsistent.  The column terms map each variable to its
-    (column, sign) pairs; ``_objective_row`` writes an objective over them.
+    Returns (column labels, phase-1 rows, column terms, shifts), or None
+    when a bound pair is inconsistent.  The column terms map each variable
+    to its (column, sign) pairs; ``_objective_row`` writes an objective over
+    them.  The shifts map each variable whose base (its lower bound, else
+    its upper bound, else zero) is not zero to that base.
     Columns are the structural ones (``lo``/``hi`` for a variable shifted by
     a bound, ``pos``/``neg`` for a free one) in variable order, then one
     ``slack`` per inequality row.  Rows are the constraints, then
@@ -384,23 +394,29 @@ def _standard_form(lp: LinearProgram):
         slack += 1
         rows.append(row)
 
-    return cols, rows, terms
+    return cols, rows, terms, shifts
 
 
-def _objective_row(terms, n, objective, sense):
-    """The int objective row over the ``n`` standard-form columns that
-    ``terms`` maps the variables to: the objective's numerators over one
-    denominator (``int_parts``) divided by their common content with that
-    denominator, negated for ``max``.  That is the objective scaled by the
-    lcm of its reduced denominators, whatever denominator it came over.  An
-    inexact coefficient raises ``ValidationError`` naming it."""
+def _objective_parts(objective):
+    """``int_parts`` of the objective; an inexact coefficient raises
+    ``ValidationError`` naming it."""
     try:
-        nums, den = int_parts(objective)
+        return int_parts(objective)
     except (AttributeError, TypeError):
         for v, c in objective.items():
             if _inexact(c):
                 raise _not_exact(f"objective coefficient of {v!r}", c) from None
         raise
+
+
+def _objective_row(terms, n, parts, sense):
+    """The int objective row over the ``n`` standard-form columns that
+    ``terms`` maps the variables to: ``parts``, the objective's numerators
+    over one denominator (``_objective_parts``), divided by their common
+    content with that denominator, negated for ``max``.  That is the
+    objective scaled by the lcm of its reduced denominators, whatever
+    denominator it came over."""
+    nums, den = parts
     g = gcd(den, *nums.values())
     if sense != "min":
         g = -g
@@ -500,15 +516,6 @@ class _Tableau:
                 else:
                     stall = 0
 
-    def value(self, r):
-        """The exact value of row ``r``'s basic column in the current basic
-        solution."""
-        row = self.T[r]
-        p = row[self.basis[r]]
-        if p <= 0:
-            raise InternalInvariantError(f"basic entry of row {r} is not positive")
-        return Rat(row[self.n], p)
-
 
 class Polyhedron:
     """The constraints and bounds of a program after phase 1, ready to be
@@ -518,11 +525,13 @@ class Polyhedron:
     the structural columns, its basis and the dropped rows are stored once
     and never changed: ``optimize`` runs phase 2 on a copy, so it makes the
     pivots, and gives the answer, of a cold ``solve`` with that objective.
+    So is the base point every read-out starts from: each variable at its
+    lower bound, else at its upper bound, else at zero, as int numerators
+    over one denominator.
     """
 
     def __init__(self, lp: LinearProgram, rule: str):
         self._variables = lp.variables
-        self._bounds = lp.bounds
         self._declared = frozenset(lp.variables)
         self._rule = rule
         self._terms = None
@@ -530,10 +539,21 @@ class Polyhedron:
         if std is None:
             self.status = INFEASIBLE
             return
-        cols, rows, self._terms = std
+        cols, rows, self._terms, shifts = std
         self._cols = cols
         m = len(rows)
         n = len(cols)
+        # A basic column moves its variable by +-(its value) off the base
+        # point; a slack column moves none.
+        position = {v: k for k, v in enumerate(lp.variables)}
+        self._moves = [None] * n
+        for v, pairs in self._terms.items():
+            for j, sign in pairs:
+                self._moves[j] = (position[v], sign)
+        den = self._base_den = lcm(*[x.denominator for x in shifts.values()])
+        self._base = [0] * len(lp.variables)
+        for v, x in shifts.items():
+            self._base[position[v]] = x.numerator * (den // x.denominator)
 
         # Phase 1: minimize the sum of the artificials, which start as the basis.
         tab = _Tableau(rows, n + m, list(range(n, n + m)))
@@ -574,7 +594,8 @@ class Polyhedron:
         n = len(cols)
         # Written before the status is read, so an inexact objective is
         # rejected over infeasible constraints too.
-        obj = _objective_row(self._terms, n, objective, sense)
+        onums, oden = parts = _objective_parts(objective)
+        obj = _objective_row(self._terms, n, parts, sense)
         if self.status == INFEASIBLE:
             return LpSolution(status=INFEASIBLE)
         # A pivot replaces rows and never changes one in place, so a new list
@@ -584,25 +605,29 @@ class Polyhedron:
         if tab.run(self._rule) == UNBOUNDED:
             return LpSolution(status=UNBOUNDED)
 
-        # A nonbasic column is zero, so only basic columns move a variable off
-        # its bound (or off zero, if it is free).
-        point = {}
-        for v in self._variables:
-            lo, hi = self._bounds.get(v, (None, None))
-            point[v] = lo if lo is not None else ZERO if hi is None else hi
+        # A nonbasic column is zero, so only basic columns with a nonzero
+        # value move a variable off its base; row r's value is rhs/p, which
+        # is a/q in lowest terms.
+        moves = []
         for r, bj in enumerate(tab.basis):
-            x = tab.value(r)
-            kind, v = cols[bj]
-            if not x or kind == "slack":
-                continue
-            base = point[v]
-            if kind in ("lo", "pos"):
-                point[v] = base + x if base else x
-            else:
-                point[v] = base - x if base else -x
-        # Only the nonzero coordinates read their coefficient, which an
-        # ``IntRow`` makes a ``Rat`` on each read.
-        value = sum((objective[v] * point[v] for v in objective if point[v]), ZERO)
+            row = tab.T[r]
+            p = row[bj]
+            if p <= 0:
+                raise InternalInvariantError(f"basic entry of row {r} is not positive")
+            rhs = row[n]
+            move = self._moves[bj]
+            if rhs and move is not None:
+                g = gcd(rhs, p)
+                moves.append((move, rhs // g, p // g))
+        base_den = self._base_den
+        den = lcm(base_den, *[q for _, _, q in moves])
+        up = den // base_den
+        point = [x * up for x in self._base] if up > 1 else list(self._base)
+        for (k, sign), a, q in moves:
+            point[k] += sign * a * (den // q)
+        point = IntRow(dict(zip(self._variables, point)), den)
+        pnums = point.nums
+        value = Rat(sum([x * pnums[v] for v, x in onums.items()]), oden * den)
         return LpSolution(
             status=OPTIMAL,
             point=point,

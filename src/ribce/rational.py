@@ -9,7 +9,11 @@ The inner loops do not run on this type: the simplex tableau, the
 certificate check and the double-description cone are rows of Python ints
 (``ribce.rows``), and so are the payoff rows and belief tables that decide
 obedience, best responses, belief equality and separation
-(``games.belief_table``).  ``Rat`` carries inputs and read-outs.
+(``games.belief_table``).  Outcomes and LP points are int numerators over
+one denominator (``lp.IntRow``), read through ``lp.int_parts``: the LP
+point, every optimal outcome, vertex and mixture is validated, mixed and
+read into belief tables without a ``Rat`` per mass.  ``Rat`` carries inputs
+and read-outs: what a caller passes in and what a report prints.
 """
 
 from fractions import Fraction

@@ -394,7 +394,8 @@ def reduced_symmetric_lp(params: RegimeParams, objective: str, space: CountSpace
     sol = _lp.solve(lp)
     if not sol.is_optimal:
         raise InternalInvariantError(f"reduced LP is {sol.status}")
-    kernel = CountKernel(n=params.n, q={v: sol.point[v] for v in space.variables if sol.point[v]})
+    nums, den = sol.point.nums, sol.point.den
+    kernel = CountKernel(n=params.n, q={v: Rat(x, den) for v in space.variables if (x := nums[v])})
     return sol.value, kernel
 
 

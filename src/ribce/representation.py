@@ -81,10 +81,16 @@ class CanonicalRepresentation:
         return plans
 
 
-def build_canonical(game: BaseGame, outcome: Outcome) -> CanonicalRepresentation:
+def build_canonical(
+    game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None
+) -> CanonicalRepresentation:
     """The Dirac canonical representation of an outcome (exists for every
-    outcome, BCE or not)."""
-    partition = belief_partition(game, outcome)
+    outcome, BCE or not).  The partition, supports and action marginals are
+    read from ``tables``, the outcome's belief tables, made here when not
+    given."""
+    if tables is None:
+        tables = BeliefTables(game, outcome)
+    partition = belief_partition(game, outcome, tables)
     per_player_cells = [partition.cells[i] for i in game.players]
     correlation_states = tuple(product(*per_player_cells))
     kernel = {}
@@ -106,7 +112,9 @@ def build_canonical(game: BaseGame, outcome: Outcome) -> CanonicalRepresentation
         cells = partition.cells[i]
         pad_count = max(len(game.actions[i]), n_states) + 1 - len(cells)
         signals[i] = tuple(cells) + tuple(("pad", j) for j in range(pad_count))
-        support = outcome.support(game, i)
+        table = tables[i]
+        support = table.support
+        marginal = {a: Rat(table.totals[a], table.scale) for a in support}
         off_count = len(game.actions[i]) - len(support)
         plan = {}
         for signal in signals[i]:
@@ -115,12 +123,12 @@ def build_canonical(game: BaseGame, outcome: Outcome) -> CanonicalRepresentation
                 for a in game.actions[i]:
                     plan[(a, signal)] = Rat(1, len(game.actions[i]))
                 continue
-            cell_mass = sum((outcome.action_marginal(game, i, a) for a in signal), ZERO)
+            cell_mass = sum((marginal.get(a, ZERO) for a in signal), ZERO)
             for a in game.actions[i]:
                 if a not in signal:
                     plan[(a, signal)] = ZERO
                 elif a in support:
-                    plan[(a, signal)] = outcome.action_marginal(game, i, a) / cell_mass
+                    plan[(a, signal)] = marginal[a] / cell_mass
                 else:
                     plan[(a, signal)] = Rat(1, off_count)
         plans[i] = plan
@@ -203,18 +211,23 @@ def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player
     return total
 
 
-def cost_certificate(game: BaseGame, outcome: Outcome, lam) -> CostCertificate:
+def cost_certificate(
+    game: BaseGame, outcome: Outcome, lam, tables: Optional[BeliefTables] = None
+) -> CostCertificate:
     """Finite cost certificates for a separated BCE.
 
     ``lam`` maps players to scalars in (0,1] (or is a single scalar).  The
     equilibrium cost of the canonical experiment is lam*(gross - uninformed);
     the upper bound caps the whole cost function that rationalizes it.
+    ``tables`` are the outcome's belief tables, made here when not given.
     """
-    if not is_sbce(game, outcome):
+    if tables is None:
+        tables = BeliefTables(game, outcome)
+    if not is_sbce(game, outcome, tables):
         raise NotSeparatedBce("cost certificates exist for separated BCEs only")
     if not isinstance(lam, dict):
         lam = {i: Rat(lam) for i in game.players}
-    rep = build_canonical(game, outcome)
+    rep = build_canonical(game, outcome, tables)
     per_player = {}
     for i in game.players:
         li = Rat(lam[i])

@@ -63,7 +63,9 @@ def pivot_eliminate(tableau, pivot_row, col):
     The pivot row is negated if its entry ``p`` in ``col`` is negative.  Every
     other row with ``f = row[col] != 0`` becomes the primitive form of
     ``p * row - f * pivot``: a positive multiple of the rational row that
-    dividing the pivot row by its pivot and eliminating would give.
+    dividing the pivot row by its pivot and eliminating would give.  The
+    primitive form is unique, so ``p`` and ``f`` are first divided by their
+    gcd, which takes out that factor of the content before the row is built.
     """
     source = tableau[pivot_row]
     p = source[col]
@@ -73,7 +75,9 @@ def pivot_eliminate(tableau, pivot_row, col):
     for r, row in enumerate(tableau):
         f = row[col]
         if f and r != pivot_row:
-            tableau[r] = _divide_content([p * x - f * s for x, s in zip(row, source)])
+            g = _gcd(p, f)
+            pg, fg = p // g, f // g
+            tableau[r] = _divide_content([pg * x - fg * s for x, s in zip(row, source)])
 
 
 def row_scale(row, factor):

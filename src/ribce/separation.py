@@ -10,8 +10,8 @@ p(a_i)*p(b_i, cell) == p(b_i)*p(a_i, cell), never by dividing.  Every test
 here reads each player's ``games.belief_table`` once: best responses are the
 maximizers of its int rows V[rec], and equal beliefs are int rows equal after
 cross-multiplying.  Tests run on one outcome share its tables through the
-``tables`` argument (``games.BeliefTables``).  Only ``conditional_belief`` and ``belief_vector`` turn
-the rows back into ``Rat`` values.
+``tables`` argument (``games.BeliefTables``).  Only ``conditional_belief``
+turns the rows back into ``Rat`` values.
 """
 
 from dataclasses import dataclass
@@ -33,16 +33,6 @@ class ConditionalBelief:
     @property
     def is_zero(self) -> bool:
         return all(not q for q in self.belief.values())
-
-
-def belief_vector(game: BaseGame, outcome: Outcome, player, action):
-    """(masses, total): the outcome's mass on each of ``game.belief_cells(player)``
-    where ``player`` plays ``action``, in that order, and their sum p(action).
-    Dividing by the total gives the belief ``action`` induces."""
-    table = belief_table(game, outcome, player)
-    scale = table.scale
-    vec = tuple(Rat(m, scale) if m else ZERO for m in table.masses[action])
-    return vec, Rat(table.totals[action], scale)
 
 
 def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero=False):
@@ -69,7 +59,8 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
 
 
 def beliefs_equal(game: BaseGame, outcome: Outcome, player, a, b) -> bool:
-    """p_a == p_b for two supported recommendations, cross-multiplied."""
+    """p_a == p_b for two supported recommendations, cross-multiplied.  Public,
+    for callers asking about one pair; the checks below share ``tables``."""
     return belief_table(game, outcome, player).same_belief(a, b)
 
 

@@ -17,8 +17,8 @@ from typing import Optional
 from . import lp as _lp
 from .bce import (
     BcePolytope,
+    _max_support_point,
     is_bce,
-    max_support_point,
     mix_outcomes,
     obedience_row,
 )
@@ -33,14 +33,12 @@ from .games import (
     BaseGame,
     BeliefTables,
     Outcome,
-    belief_table,
     check_action,
     same_belief,
     utility_distance,
-    validate_outcome,
 )
 from .rational import ONE, ZERO, Rat
-from .separation import belief_vector, beliefs_equal, is_sbce, is_separated
+from .separation import is_sbce, is_separated
 from .vertices import enumerate_vertices
 
 RANDOMIZED = "randomized"
@@ -91,21 +89,18 @@ def bce_vertices(game: BaseGame, cap=None, poly: Optional[BcePolytope] = None):
     polytope, built when not given."""
     poly = poly or BcePolytope.of(game)
     pts = enumerate_vertices(poly.variables, poly.constraints, poly.bounds, cap=cap)
-    out = []
-    for pt in pts:
-        o = Outcome(p={v: q for v, q in pt.items() if q})
-        validate_outcome(game, o)
-        out.append(o)
-    return out
+    return [poly.outcome_from_point(pt) for pt in pts]
 
 
-def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None):
+def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None, tables=None):
     """Whether every BCE supporting both actions gives them the same belief.
 
     Exact-mode test over the polytope's extreme points: either all nonzero
     induced beliefs coincide (with the all-zeros convention for unsupported
     actions), or the two unnormalized belief vectors are proportional with one
-    positive constant across every vertex.
+    positive constant across every vertex.  Decided on the vertices' int
+    belief tables: ``tables`` holds one ``games.BeliefTables`` per vertex, in
+    order, made here when not given.
     """
     check_action(game, player, a)
     check_action(game, player, b)
@@ -113,27 +108,27 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None):
         return True
     if vertices is None:
         vertices = bce_vertices(game)
+    if tables is None:
+        tables = [BeliefTables(game, v) for v in vertices]
     data = []
-    for v in vertices:
-        vec_a, mass_a = belief_vector(game, v, player, a)
-        vec_b, mass_b = belief_vector(game, v, player, b)
-        data.append((vec_a, mass_a, vec_b, mass_b))
+    for vertex_tables in tables:
+        table = vertex_tables[player]
+        data.append((table.masses[a], table.totals[a], table.masses[b], table.totals[b]))
     if all(not mass_a for _, mass_a, _, _ in data):
         raise NotCoherent(f"{a!r} has zero probability in every BCE")
     if all(not mass_b for _, _, _, mass_b in data):
         raise NotCoherent(f"{b!r} has zero probability in every BCE")
 
     # Condition (i): a single common posterior, zeros allowed.
-    mu = None
+    first = None
     cond_one = True
     for vec_a, mass_a, vec_b, mass_b in data:
         for vec, mass in ((vec_a, mass_a), (vec_b, mass_b)):
             if not mass:
                 continue
-            normalized = tuple(q / mass for q in vec)
-            if mu is None:
-                mu = normalized
-            elif normalized != mu:
+            if first is None:
+                first = vec
+            elif not same_belief(vec, first):
                 cond_one = False
                 break
         if not cond_one:
@@ -141,22 +136,21 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None):
     if cond_one:
         return True
 
-    # Condition (ii): one positive likelihood ratio across all vertices.
+    # Condition (ii): one positive likelihood ratio across all vertices.  Both
+    # rows of a vertex share its scale, so the ratio is read off the ints.
     lam = None
     for vec_a, mass_a, vec_b, mass_b in data:
         if not mass_a and not mass_b:
             continue
         if not mass_a or not mass_b:
             return False
-        ratio = None
-        for qa, qb in zip(vec_a, vec_b):
-            if qb:
-                ratio = qa / qb
-                break
-        if ratio is None or ratio <= 0:
+        j = next(j for j, qb in enumerate(vec_b) if qb)
+        num, den = vec_a[j], vec_b[j]
+        if num <= 0:
             return False
-        if any(qa != ratio * qb for qa, qb in zip(vec_a, vec_b)):
+        if any(qa * den != num * qb for qa, qb in zip(vec_a, vec_b)):
             return False
+        ratio = Rat(num, den)
         if lam is None:
             lam = ratio
         elif lam != ratio:
@@ -197,16 +191,11 @@ def _distinct(vec_a, vec_b) -> bool:
     return any(vec_a) and any(vec_b) and not same_belief(vec_a, vec_b)
 
 
-def _pair_distinct(game: BaseGame, outcome: Outcome, pair) -> bool:
-    i, a, b = pair
-    table = belief_table(game, outcome, i)
-    return _distinct(table.masses[a], table.masses[b])
-
-
 def _mixed_pair_distinct(ends, n, d, a, b) -> bool:
-    """``_pair_distinct`` at the mixture (1 - n/d)·cand + (n/d)·other, read
-    from the two endpoint tables: d·D_c·D_o times the mixture's masses are
-    (d - n)·D_o·v_cand + n·D_c·v_other, and the test is scale-free."""
+    """``_distinct`` on the pair's mass rows at the mixture
+    (1 - n/d)·cand + (n/d)·other, read from the two endpoint tables:
+    d·D_c·D_o times the mixture's masses are (d - n)·D_o·v_cand +
+    n·D_c·v_other, and the test is scale-free."""
     cand, other = ends
     wc, wo = (d - n) * other.scale, n * cand.scale
     return _distinct(
@@ -215,21 +204,23 @@ def _mixed_pair_distinct(ends, n, d, a, b) -> bool:
     )
 
 
-def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None, tables=None):
+def _mix_keeping(
+    game, cand, other, keep_pairs, want_pair=None, weights=None, tables=None, other_tables=None
+):
     """Convex combination of two BCEs that keeps every pair in ``keep_pairs``
     belief-distinct (and makes ``want_pair`` distinct).  Each pair rules out
     at most two mixing weights, so small-denominator weights are tried until
-    one verifies.  Weights are tested on the endpoints' belief tables, the
-    candidate's read from ``tables`` when given; only the chosen mixture is
-    built."""
+    one verifies.  Weights are tested on the endpoints' belief tables, read
+    from ``tables`` (the candidate's) and ``other_tables`` when given; only
+    the chosen mixture is built."""
     if weights is None:
         weights = [Rat(1, d) for d in range(2, 2 * (len(keep_pairs) + 2) + 4)]
     if tables is None:
         tables = BeliefTables(game, cand)
+    if other_tables is None:
+        other_tables = BeliefTables(game, other)
     pairs = list(keep_pairs) if want_pair is None else [want_pair, *keep_pairs]
-    ends = {
-        i: (tables[i], belief_table(game, other, i)) for i in {pair[0] for pair in pairs}
-    }
+    ends = {i: (tables[i], other_tables[i]) for i in {pair[0] for pair in pairs}}
     for t in weights:
         n, d = t.numerator, t.denominator
         if all(_mixed_pair_distinct(ends[i], n, d, a, b) for i, a, b in pairs):
@@ -237,18 +228,25 @@ def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None, ta
     raise RetriesExhausted("no admissible mixing weight found")
 
 
-def _distinct_witness(game: BaseGame, player, a, b, vertices):
-    """An outcome in the BCE set realizing distinct beliefs for the pair.
-    When the extreme-point test fails, a witness exists among the vertices or
-    their pairwise midpoints."""
-    half = Rat(1, 2)
-    candidates = list(vertices)
-    for idx, v in enumerate(vertices):
-        for w in vertices[idx + 1 :]:
-            candidates.append(mix_outcomes(((half, v), (half, w))))
-    for cand in candidates:
-        if _pair_distinct(game, cand, (player, a, b)):
-            return cand
+def _distinct_witness(game: BaseGame, player, a, b, vertices, tables):
+    """An outcome in the BCE set realizing distinct beliefs for the pair, and
+    its belief tables.  When the extreme-point test fails, a witness exists
+    among the vertices (whose tables are ``tables``, in order) or their
+    pairwise midpoints, tried in that order; a midpoint is built only when
+    every vertex and earlier midpoint has failed."""
+
+    def candidates():
+        yield from zip(vertices, tables)
+        half = Rat(1, 2)
+        for idx, v in enumerate(vertices):
+            for w in vertices[idx + 1 :]:
+                mid = mix_outcomes(((half, v), (half, w)))
+                yield mid, BeliefTables(game, mid)
+
+    for cand, cand_tables in candidates():
+        table = cand_tables[player]
+        if _distinct(table.masses[a], table.masses[b]):
+            return cand, cand_tables
     raise InternalInvariantError(
         f"no distinct-belief witness for {(player, a, b)} despite failed equal-belief test"
     )
@@ -268,14 +266,22 @@ def find_minimally_mixed(
     until every realizable pair is realized; the result is verified.  The
     randomized mode perturbs the maximal-support point with random
     optimizer outputs and only guarantees maximal support.  Both modes work
-    on ``poly``, the game's polytope, built when not given.
+    on ``poly``, the game's polytope, built when not given.  Each outcome
+    the search reads (vertex, witness, candidate) gets one set of belief
+    tables.
     """
+    return _minimally_mixed(game, retries, seed, mode, poly)[0]
+
+
+def _minimally_mixed(game, retries, seed, mode, poly):
+    """The search of ``find_minimally_mixed``: the candidate and its tables."""
     if mode == EXACT:
         vertices = bce_vertices(game, poly=poly)
         if not vertices:
             raise InternalInvariantError("BCE polytope cannot be empty")
         if len(vertices) == 1:
-            return vertices[0]
+            return vertices[0], BeliefTables(game, vertices[0])
+        vertex_tables = [BeliefTables(game, v) for v in vertices]
         weight = Rat(1, len(vertices))
         cand = mix_outcomes((weight, v) for v in vertices)
         tables = BeliefTables(game, cand)
@@ -284,20 +290,27 @@ def find_minimally_mixed(
             if pair in realized:
                 continue
             i, a, b = pair
-            if equal_beliefs_in_all_bce(game, i, a, b, vertices):
+            if equal_beliefs_in_all_bce(game, i, a, b, vertices, vertex_tables):
                 continue
-            witness = _distinct_witness(game, i, a, b, vertices)
-            cand = _mix_keeping(game, cand, witness, realized, want_pair=pair, tables=tables)
+            witness, witness_tables = _distinct_witness(game, i, a, b, vertices, vertex_tables)
+            cand = _mix_keeping(
+                game,
+                cand,
+                witness,
+                realized,
+                want_pair=pair,
+                tables=tables,
+                other_tables=witness_tables,
+            )
             tables = BeliefTables(game, cand)
             realized = _distinct_pairs(game, cand, tables)
-        return cand
+        return cand, tables
 
     if mode != RANDOMIZED:
         raise ValidationError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     poly = poly or BcePolytope.of(game)
-    cand = max_support_point(game, poly)
-    tables = BeliefTables(game, cand)
+    cand, tables = _max_support_point(game, poly)
     realized = _distinct_pairs(game, cand, tables)
     for _ in range(retries):
         objective = {
@@ -317,19 +330,23 @@ def find_minimally_mixed(
             ) from exc
         tables = BeliefTables(game, cand)
         realized = _distinct_pairs(game, cand, tables)
-    return cand
+    return cand, tables
 
 
-def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope):
+def _reduce_best_responses(
+    game: BaseGame, cand: Outcome, poly: BcePolytope, tables: BeliefTables
+):
     """Mix BCEs into the candidate until every supported recommendation's
     best-response set equals its jeopardization set, without losing any
     realized distinct-belief pair.  Jeopardization sets are lower bounds for
     best-response sets at any BCE, so termination is forced by the total
-    best-response mass strictly shrinking."""
+    best-response mass strictly shrinking.  ``tables`` are the candidate's
+    belief tables; returns the reduced candidate and its tables."""
     jeopardy = {}
     while True:
         culprit = None
-        tables = BeliefTables(game, cand)
+        if tables is None:
+            tables = BeliefTables(game, cand)
         for i in game.players:
             table = tables[i]
             for a in table.support:
@@ -348,11 +365,12 @@ def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope):
             if culprit:
                 break
         if culprit is None:
-            return cand
+            return cand, tables
         _, _, _, maximizer = culprit
         cand = _mix_keeping(
             game, cand, maximizer, _distinct_pairs(game, cand, tables), tables=tables
         )
+        tables = None
 
 
 @dataclass
@@ -362,16 +380,25 @@ class DensityVerdict:
     certificate: Optional[Outcome] = None  # Dense: a separated candidate
     witness: Optional[tuple] = None  # NowhereDense: (outcome, player, a, b, shared)
 
-    def verify(self, game: BaseGame) -> bool:
-        """Re-check the certificate from scratch; raises on failure."""
+    def verify(self, game: BaseGame, tables: Optional[BeliefTables] = None) -> bool:
+        """Re-check the certificate; raises on failure.  ``tables`` are the
+        belief tables of the certificate (or of the witness outcome), made
+        here when not given.  Given tables are read, not rebuilt: the check
+        confirms they are this outcome's, but shares any fault in how the
+        caller built them."""
+        outcome = self.certificate if self.verdict == DENSE else self.witness[0]
+        if tables is None:
+            tables = BeliefTables(game, outcome)
+        elif tables.game is not game or tables.outcome is not outcome:
+            raise InternalInvariantError("belief tables are not the certificate's")
         if self.verdict == DENSE:
-            if not is_sbce(game, self.certificate):
+            if not is_sbce(game, outcome, tables):
                 raise InternalInvariantError("dense certificate is not an sBCE")
             return True
-        outcome, player, a, b, shared = self.witness
-        if not is_bce(game, outcome):
+        _, player, a, b, shared = self.witness
+        if not is_bce(game, outcome, tables):
             raise InternalInvariantError("witness outcome is not a BCE")
-        if beliefs_equal(game, outcome, player, a, b):
+        if tables[player].same_belief(a, b):
             raise InternalInvariantError("witness beliefs are not distinct")
         poly = BcePolytope.of(game)
         for target in (a, b):
@@ -398,26 +425,27 @@ def classify_density(
     sharing a jeopardizing action, certifying nowhere-density.  NowhereDense
     witnesses are complete proofs in both modes; the Dense verdict relies on
     verified minimal mixing in exact mode only.  The search runs on ``poly``
-    when given; the verdict's ``verify`` builds its own.
+    when given; the verdict's ``verify`` builds its own, and reads the
+    candidate's belief tables, which every step here shares.
     """
     poly = poly or BcePolytope.of(game)
-    cand = find_minimally_mixed(game, retries=retries, seed=seed, mode=mode, poly=poly)
-    cand = _reduce_best_responses(game, cand, poly)
+    cand, tables = _minimally_mixed(game, retries, seed, mode, poly)
+    cand, tables = _reduce_best_responses(game, cand, poly, tables)
     mode_tag = {"kind": EXACT} if mode == EXACT else {
         "kind": RANDOMIZED,
         "seed": seed,
         "retries": retries,
     }
-    sep = is_separated(game, cand)
+    sep = is_separated(game, cand, tables)
     if sep:
         verdict = DensityVerdict(verdict=DENSE, mode=mode_tag, certificate=cand)
-        verdict.verify(game)
+        verdict.verify(game, tables)
         return verdict
     player, a, b, shared = sep.witness
     verdict = DensityVerdict(
         verdict=NOWHERE_DENSE, mode=mode_tag, witness=(cand, player, a, b, shared)
     )
-    verdict.verify(game)
+    verdict.verify(game, tables)
     return verdict
 
 

@@ -26,6 +26,8 @@ follow, sparsest first.  On the investment game at epsilon 4/5 the largest
 intermediate cone holds 83 rays for 46 vertices, against 1,613 in
 construction order.  The vertices are sorted on exact int keys built from
 the rays (``_vertices``), in the order of their ``Rat`` coordinate tuples.
+A vertex is its ray over t: an ``lp.IntRow`` of the ray's int coordinates
+over its homogenizing coordinate, with no ``Rat`` made per coordinate.
 
 Only the exact density mode and small oracle tests need this, so a hard
 variable cap guards against accidental blowups (override with
@@ -43,8 +45,8 @@ from math import lcm
 
 from . import rows as _rows
 from .errors import DimensionCapExceeded, InternalInvariantError, InvalidParams, UnboundedPolytope
-from .lp import GREATER, LESS, Constraint, feasible_point, int_parts
-from .rational import ONE, ZERO, Rat
+from .lp import GREATER, LESS, Constraint, IntRow, feasible_point, int_parts
+from .rational import ONE, Rat
 
 DEFAULT_CAP = 24
 
@@ -61,7 +63,8 @@ def _cap_from_env():
 
 
 def enumerate_vertices(variables, constraints, bounds=None, cap=None):
-    """All vertices of the polytope, deduplicated, in canonical order.
+    """All vertices of the polytope, deduplicated, in canonical order, each
+    an ``lp.IntRow`` over every variable, zeros included.
 
     Raises DimensionCapExceeded past the variable cap and UnboundedPolytope
     when a recession direction survives (the input promise is a bounded set).
@@ -293,8 +296,4 @@ def _vertices(rays, variables):
             raise UnboundedPolytope("recession direction found")
     scale = max([r[d] for r in points], default=1) ** 2
     points.sort(key=lambda r: [x * scale // r[d] for x in r[:d]])
-    vertices = []
-    for r in points:
-        t = r[d]
-        vertices.append({v: Rat(x, t) if x else ZERO for v, x in zip(variables, r)})
-    return vertices
+    return [IntRow(dict(zip(variables, r)), r[d]) for r in points]

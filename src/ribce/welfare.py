@@ -129,7 +129,7 @@ def worst_case_rational_inattention(game: BaseGame, poly: Optional[BcePolytope] 
     sol = _lp.solve(lp)
     if not sol.is_optimal:
         raise InternalInvariantError(f"uninformed-welfare LP is {sol.status}")
-    outcome = poly.outcome_from_point({v: sol.point[v] for v in poly.variables})
+    outcome = poly.outcome_from_point(sol.point)
     check = is_bce(game, outcome)
     if not check:
         raise InternalInvariantError(f"optimizer left the BCE set: {check.witness}")

@@ -1,6 +1,9 @@
 """The Fraction row builders that fed the LP before the int rows, kept as
 references the ``lp.IntRow`` builders must reproduce exactly: the same
-rationals in the same key order (``assert_same_row``)."""
+rationals in the same key order (``assert_same_row``); and the pivot kernel
+as it was before its gcd step, which the kernel must reproduce row for row."""
+
+from math import gcd
 
 from ribce import lp as _lp
 from ribce.rational import ONE, ZERO
@@ -50,3 +53,20 @@ def assert_same_row(row, want):
     assert type(row.den) is int and row.den > 0
     assert all(type(x) is int for x in row.nums.values())
     assert list(row.items()) == list(want.items())
+
+
+def pivot_eliminate(tableau, pivot_row, col):
+    """``rows.pivot_eliminate`` before it divided ``p`` and ``f`` by their
+    gcd: each other row becomes the primitive form of ``p * row - f * pivot``
+    with the whole content taken out after the row is built."""
+    source = tableau[pivot_row]
+    p = source[col]
+    if p < 0:
+        p = -p
+        source = tableau[pivot_row] = [-s for s in source]
+    for r, row in enumerate(tableau):
+        f = row[col]
+        if f and r != pivot_row:
+            combined = [p * x - f * s for x, s in zip(row, source)]
+            g = gcd(*combined)
+            tableau[r] = [z // g for z in combined] if g > 1 else combined

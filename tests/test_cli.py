@@ -288,17 +288,22 @@ def test_payoff_rows_built_once_per_game(files, capsys, payoff_rows_built, name)
 # ``games.belief_table`` builds per job, and the distinct (game, outcome,
 # player) keys they are for: one per player and (game, outcome) pair the job
 # checks, shared by every check of that pair (``perturb`` checks the outcome
-# in the perturbed game too; ``vce`` shares one set across its checks of the
-# outcome).  The ``vce_tie`` repeats are the density classification's, which
-# re-reads its candidates.
+# in the perturbed game too; ``vce`` and ``canonical`` share one set across
+# their checks of the outcome, and the density classification one per
+# candidate, vertex and witness it reads).
 BELIEF_TABLES_BUILT = {
+    "analyze_3x3_exact": (10, 10),
+    "analyze_intro": (40, 40),
+    "canonical_3x3_p_half": (2, 2),
+    "canonical_intro": (2, 2),
     "check_outcome_3x3_not_bce": (2, 2),
     "check_outcome_3x3_p_half": (2, 2),
+    "density_3x3_exact": (6, 6),
     "perturb_3x3_p_half": (4, 4),
     "vce_3x3_mixed_nash": (2, 2),
     "vce_3x3_p_half": (2, 2),
-    "vce_tie": (270, 262),
-    "vce_tie_exact": (12, 6),
+    "vce_tie": (262, 262),
+    "vce_tie_exact": (6, 6),
 }
 
 

@@ -206,8 +206,8 @@ def _assert_matches_reference(lp):
         assert built is None
         return
     cols, col_rows, b, obj = reference
-    got_cols, got_rows, terms = built
-    got_obj = _lp._objective_row(terms, len(got_cols), lp.objective, lp.sense)
+    got_cols, got_rows, terms, _ = built
+    got_obj = _lp._objective_row(terms, len(got_cols), _lp._objective_parts(lp.objective), lp.sense)
     assert got_cols == cols
     m = len(b)
     assert len(got_rows) == m
@@ -274,7 +274,7 @@ def test_standard_form_matches_dense_reference():
     for lp in edges.values():
         _assert_matches_reference(lp)
     # The upper-bound-only case really flips its row: 3/2 (4 - y) >= 1.
-    cols, built, _ = _lp._standard_form(edges["upper bound only, negative shifted rhs"])
+    cols, built, _, _ = _lp._standard_form(edges["upper bound only, negative shifted rhs"])
     assert cols == [("hi", "x"), ("slack", 0)] and built == [[3, 2, 2, 10]]
     assert solve(edges["hi below lo"]).status == _lp.INFEASIBLE
     for name, lp in edges.items():
@@ -342,8 +342,8 @@ def _reference_verify_dual(lp, sol):
     ``lp._verify_dual``: solve B^T y = c_B by Gauss–Jordan over
     ``Fraction``s on the surviving standard-form rows, then test every
     reduced cost c_j - y·A_j."""
-    cols, std_rows, terms = _lp._standard_form(lp)
-    obj = _lp._objective_row(terms, len(cols), lp.objective, lp.sense)
+    cols, std_rows, terms, _ = _lp._standard_form(lp)
+    obj = _lp._objective_row(terms, len(cols), _lp._objective_parts(lp.objective), lp.sense)
     surviving = [row for r, row in enumerate(std_rows) if r not in set(sol.dropped_rows)]
     index = {label: j for j, label in enumerate(cols)}
     try:
@@ -422,7 +422,7 @@ def _claims(lp, rng):
             claims.append((kind, lp if sol.is_optimal else second, claim))
     std = _lp._standard_form(lp)
     if std is not None:
-        cols, std_rows, _ = std
+        cols, std_rows, _, _ = std
         basis = tuple(rng.sample(cols, min(len(cols), len(std_rows))))
         claims.append(("random", lp, _lp.LpSolution(_lp.OPTIMAL, None, None, basis, ())))
     return claims
@@ -592,9 +592,11 @@ def test_int_rows_write_and_solve_as_their_rationals(programs):
     std = _lp._standard_form(plain)
     assert _lp._standard_form(ints) == std
     if std is not None:
-        cols, _, terms = std
-        obj = _lp._objective_row(terms, len(cols), plain.objective, plain.sense)
-        assert _lp._objective_row(terms, len(cols), ints.objective, ints.sense) == obj
+        cols, _, terms, _ = std
+        parts = _lp._objective_parts(plain.objective)
+        obj = _lp._objective_row(terms, len(cols), parts, plain.sense)
+        parts = _lp._objective_parts(ints.objective)
+        assert _lp._objective_row(terms, len(cols), parts, ints.sense) == obj
         assert all(type(x) is int for x in obj)
     got, want = solve(ints), solve(plain)
     assert _answer(got) == _answer(want)

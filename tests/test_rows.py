@@ -3,6 +3,7 @@
 import random
 from math import gcd
 
+import row_reference
 from ribce import rows
 from ribce.rational import ZERO, Rat
 
@@ -106,3 +107,29 @@ def test_row_kernels_on_int_rows():
         other = [rng.randint(-9, 9) for _ in range(n)]
         assert rows.dot(ints, other) == sum((Rat(p) * q for p, q in zip(ints, other)), ZERO)
         assert type(rows.dot(ints, other)) is int
+
+
+def test_pivot_eliminate_matches_reference():
+    # Dividing p and f by their gcd before combining leaves the unique
+    # primitive row, so every row matches the kernel without that step,
+    # negative pivots and already-zero entries included.
+    rng = random.Random(2)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        scale = rng.choice((1, 2, 6, 12))
+        tableau = [
+            [rng.choice((0, rng.randint(-30, 30))) * rng.choice((1, scale)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        nonzero = [(r, j) for r in range(m) for j in range(n) if tableau[r][j]]
+        if not nonzero:
+            continue
+        r, j = rng.choice(nonzero)
+        if rng.random() < 0.5 and tableau[r][j] > 0:
+            tableau[r] = [-x for x in tableau[r]]
+        touched = [k for k in range(m) if k != r and tableau[k][j]]
+        want = [list(row) for row in tableau]
+        row_reference.pivot_eliminate(want, r, j)
+        rows.pivot_eliminate(tableau, r, j)
+        assert tableau == want
+        assert all(_is_primitive(tableau[k]) and not tableau[k][j] for k in touched)

@@ -8,7 +8,6 @@ from ribce.games import make_outcome
 from ribce.rational import ZERO, Rat
 from ribce.separation import (
     ConditionalBelief,
-    belief_vector,
     beliefs_equal,
     conditional_belief,
     is_sbce,
@@ -152,7 +151,7 @@ def test_obedience_restated_on_beliefs():
                 assert a in conditional_belief(g, p, i, a).br_set
 
 
-# The belief code as it stood before ``belief_vector`` owned the cell order,
+# The belief code as it stood before beliefs were read from belief tables,
 # kept as the reference the current functions must reproduce exactly.
 
 
@@ -185,16 +184,6 @@ def _reference_beliefs_equal(game, outcome, player, a, b):
     return True
 
 
-def _reference_belief_vectors(game, outcome, player, action):
-    k = game.player_index(player)
-    vec = []
-    for opp in game.opponent_profiles(player):
-        profile = opp[:k] + (action,) + opp[k:]
-        for state in game.states:
-            vec.append(outcome.mass(profile, state))
-    return tuple(vec), sum(vec, ZERO)
-
-
 def _random_outcome(rng, game, idle):
     """Sparse random outcome in which ``idle`` (player, action) never plays."""
     player, action = idle
@@ -220,7 +209,6 @@ def test_belief_code_matches_reference_on_random_outcomes():
             out = _random_outcome(rng, g, (idle_player, g.actions[idle_player][-1]))
             for i in g.players:
                 for a in g.actions[i]:
-                    assert belief_vector(g, out, i, a) == _reference_belief_vectors(g, out, i, a)
                     for allow_zero in (False, True):
                         try:
                             ref = _reference_conditional_belief(g, out, i, a, allow_zero)

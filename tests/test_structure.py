@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ribce.bce import BcePolytope, is_bce, minimize_linear_over_bce
-from ribce.errors import NotABce, NotCoherent, ValidationError
-from ribce.games import BaseGame, Outcome
+from ribce.errors import InternalInvariantError, NotABce, NotCoherent, ValidationError
+from ribce.games import BaseGame, BeliefTables, Outcome
 from ribce.rational import Rat
 from ribce.separation import is_sbce, is_separated
 from ribce.structure import (
@@ -155,6 +155,15 @@ def test_classify_density_dense_cases():
     verdict = classify_density(mp, mode=EXACT)
     assert verdict.verdict == DENSE
     verdict.verify(mp)
+
+
+def test_verify_refuses_tables_of_another_outcome():
+    mp = matching_pennies()
+    verdict = classify_density(mp, mode=EXACT)
+    cert = verdict.certificate
+    assert verdict.verify(mp, BeliefTables(mp, cert))
+    with pytest.raises(InternalInvariantError, match="not the certificate's"):
+        verdict.verify(mp, BeliefTables(mp, Outcome(p=dict(cert.p))))
 
 
 def test_classify_density_unperturbed_intro_nowhere_dense():
