@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import InternalInvariantError, InvalidParams, RibceError, ValidationError
-from .games import BeliefTables, gross_value, is_symmetric_game, uninformed_value, utility_distance
+from .games import BeliefTables, is_symmetric_game, utility_distance
 from .bce import BcePolytope, is_bce
 from .io import (
     game_to_dict,
@@ -75,9 +75,9 @@ def _check_outcome_report(game, outcome) -> dict:
     sep = is_separated(game, outcome, tables)
     values = {}
     for i in game.players:
-        lo, action = uninformed_value(game, outcome, i)
+        lo, action = tables[i].uninformed()
         values[str(i)] = {
-            "gross": rational_to_json(gross_value(game, outcome, i)),
+            "gross": rational_to_json(tables[i].gross()),
             "uninformed": rational_to_json(lo),
             "best_constant_action": str(action),
         }

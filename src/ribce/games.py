@@ -21,7 +21,8 @@ game, holds each player's payoffs as int rows over ``belief_cells``, and
 in one pass; ``BeliefTables`` holds them per player, so the checks that read
 one outcome build each table once.  Their products decide obedience
 (``bce``), best responses, belief equality and separation (``separation``)
-and mixing (``structure``) exactly, without a ``Rat`` in the loop.
+and mixing (``structure``) exactly, without a ``Rat`` in the loop, and give
+the gross and uninformed values (``BeliefTable.gross`` and ``uninformed``).
 """
 
 from dataclasses import dataclass
@@ -160,7 +161,7 @@ class BeliefTable:
     (``lp.int_parts``), and ``totals[a]``
     is its sum, D·p(a).  ``values(rec)`` is the row V[rec] of L·D times each
     action's expected payoff against the mass ``rec`` carries (L the payoff
-    scale), from which obedience slacks and best responses are read.
+    scale), from which obedience slacks, best responses and values are read.
     """
 
     __slots__ = ("payoffs", "scale", "masses", "totals", "_values")
@@ -202,6 +203,21 @@ class BeliefTable:
     def same_belief(self, a, b) -> bool:
         return same_belief(self.masses[a], self.masses[b])
 
+    def gross(self):
+        """Expected payoff: the sum of V[rec][rec] over supported rec, / L·D."""
+        total = sum(self.values(rec)[rec] for rec in self.support)
+        return Rat(total, self.payoffs.scale * self.scale)
+
+    def uninformed(self):
+        """(value, action): the best constant action's payoff, the largest
+        sum over rec of V[rec][action], / L·D; ties go to the lowest index."""
+        totals = dict.fromkeys(self.payoffs.rows, 0)
+        for rec in self.support:
+            for a, val in self.values(rec).items():
+                totals[a] += val
+        action = max(totals, key=totals.get)
+        return Rat(totals[action], self.payoffs.scale * self.scale), action
+
 
 def mass_parts(outcome: "Outcome"):
     """``int_parts(outcome.p)``: the masses as int numerators over one
@@ -222,16 +238,20 @@ def _not_exact(key, q) -> ValidationError:
 
 def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
     """``player``'s ``BeliefTable`` under ``outcome``, read in one pass over
-    the outcome's int masses."""
+    the outcome's int masses.  A cell outside the game raises
+    ``DimensionMismatch`` naming it."""
     payoffs = game.payoff_rows[player]
     position = payoffs.position
     k = game.player_index(player)
     nums, scale = mass_parts(outcome)
     size = len(payoffs.cells)
     masses = {a: [0] * size for a in game.actions[player]}
-    for cell, x in nums.items():
-        if x:
-            masses[cell[0][k]][position[cell]] = x
+    try:
+        for cell, x in nums.items():
+            if x:
+                masses[cell[0][k]][position[cell]] = x
+    except (KeyError, IndexError):
+        raise DimensionMismatch(f"unknown cell {cell!r}") from None
     return BeliefTable(payoffs, scale, masses)
 
 
@@ -355,31 +375,16 @@ def check_action(game: BaseGame, player, action) -> None:
 
 def gross_value(game: BaseGame, outcome: Outcome, player):
     """Expected utility of ``player`` under the outcome, ignoring any
-    information costs."""
+    information costs (``BeliefTable.gross``)."""
     if player not in game.players:
         raise DimensionMismatch(f"unknown player {player!r}")
-    total = ZERO
-    for (profile, state), q in outcome.p.items():
-        if q:
-            total += game.u(player, profile, state) * q
-    return total
-
-
-def deviation_value(game: BaseGame, outcome: Outcome, player, action):
-    """Payoff from ignoring all recommendations and always playing ``action``."""
-    check_action(game, player, action)
-    total = ZERO
-    for (profile, state), q in outcome.p.items():
-        if q:
-            dev = game.replace_action(profile, player, action)
-            total += game.u(player, dev, state) * q
-    return total
+    return belief_table(game, outcome, player).gross()
 
 
 def deviation_row(game: BaseGame, player, action) -> IntRow:
-    """Coefficients of ``deviation_value`` as a linear functional of the
-    outcome: each cell's payoff to ``player`` from playing ``action`` there,
-    read from ``BaseGame.payoff_rows`` over the payoff scale, in cell order."""
+    """``player``'s payoff from always playing ``action``, a linear functional
+    of the outcome: each cell's payoff from ``action`` there, read from
+    ``BaseGame.payoff_rows`` over the payoff scale, in cell order."""
     check_action(game, player, action)
     payoffs = game.payoff_rows[player]
     row = payoffs.rows[action]
@@ -393,20 +398,13 @@ def deviation_row(game: BaseGame, player, action) -> IntRow:
 
 
 def uninformed_value(game: BaseGame, outcome: Outcome, player):
-    """Best constant-action payoff against the outcome.
+    """Best constant-action payoff against the outcome (``BeliefTable.uninformed``).
 
     Returns (value, action); ties resolve to the lowest action index.
     """
     if player not in game.players:
         raise DimensionMismatch(f"unknown player {player!r}")
-    best = None
-    best_action = None
-    for action in game.actions[player]:
-        val = deviation_value(game, outcome, player, action)
-        if best is None or val > best:
-            best = val
-            best_action = action
-    return best, best_action
+    return belief_table(game, outcome, player).uninformed()
 
 
 def utility_distance(a: BaseGame, b: BaseGame):

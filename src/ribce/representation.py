@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import lp as _lp
 from .errors import DimensionMismatch, NotSeparatedBce, ValidationError
-from .games import BaseGame, BeliefTables, Outcome, gross_value, uninformed_value
+from .games import BaseGame, BeliefTables, Outcome
 from .rational import ONE, ZERO, Rat
 from .separation import is_sbce
 
@@ -211,30 +211,37 @@ def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player
     return total
 
 
+def _lambda(lam, player):
+    """``player``'s cost scale in ``lam`` (a dict or one scalar), checked."""
+    if isinstance(lam, dict) and player not in lam:
+        raise ValidationError(f"lambda for {player!r} is missing")
+    li = lam[player] if isinstance(lam, dict) else lam
+    if _lp._inexact(li) or not 0 < li <= 1:
+        raise ValidationError(f"lambda for {player!r} must be an exact rational in (0,1]: {li}")
+    return Rat(li)
+
+
 def cost_certificate(
     game: BaseGame, outcome: Outcome, lam, tables: Optional[BeliefTables] = None
 ) -> CostCertificate:
     """Finite cost certificates for a separated BCE.
 
-    ``lam`` maps players to scalars in (0,1] (or is a single scalar).  The
-    equilibrium cost of the canonical experiment is lam*(gross - uninformed);
-    the upper bound caps the whole cost function that rationalizes it.
-    ``tables`` are the outcome's belief tables, made here when not given.
+    ``lam`` maps every player to an exact rational in (0,1] (or is a single
+    one); else ``ValidationError`` names the player.  The equilibrium cost of
+    the canonical experiment is lam*(gross - uninformed), both read off
+    ``tables`` (the outcome's belief tables, made here when not given); the
+    upper bound caps the whole cost function that rationalizes it.
     """
+    lam = {i: _lambda(lam, i) for i in game.players}
     if tables is None:
         tables = BeliefTables(game, outcome)
     if not is_sbce(game, outcome, tables):
         raise NotSeparatedBce("cost certificates exist for separated BCEs only")
-    if not isinstance(lam, dict):
-        lam = {i: Rat(lam) for i in game.players}
     rep = build_canonical(game, outcome, tables)
     per_player = {}
-    for i in game.players:
-        li = Rat(lam[i])
-        if not (0 < li <= 1):
-            raise ValidationError(f"lambda for {i!r} must lie in (0,1]")
-        gross = gross_value(game, outcome, i)
-        uninformed, _ = uninformed_value(game, outcome, i)
+    for i, li in lam.items():
+        gross = tables[i].gross()
+        uninformed, _ = tables[i].uninformed()
         hat = _state_best_reply_value(game, rep, i)
         cost = li * (gross - uninformed)
         upper = li + hat - ((ONE - li) * gross + li * uninformed)

@@ -162,9 +162,11 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None, tables
 # Minimally mixed candidates
 
 
-def _supported_pairs(game: BaseGame, outcome: Outcome):
+def _supported_pairs(game: BaseGame, tables: BeliefTables):
+    """The (player, a, b) pairs of supported actions, a before b, read from
+    ``tables``, an outcome's belief tables."""
     for i in game.players:
-        support = outcome.support(game, i)
+        support = tables[i].support
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
                 yield (i, a, b)
@@ -175,15 +177,11 @@ def _distinct_pairs(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTab
     read from ``tables``, the outcome's belief tables (made when not given)."""
     if tables is None:
         tables = BeliefTables(game, outcome)
-    pairs = set()
-    for i in game.players:
-        table = tables[i]
-        support = table.support
-        for ai, a in enumerate(support):
-            for b in support[ai + 1 :]:
-                if not table.same_belief(a, b):
-                    pairs.add((i, a, b))
-    return pairs
+    return {
+        (i, a, b)
+        for i, a, b in _supported_pairs(game, tables)
+        if not tables[i].same_belief(a, b)
+    }
 
 
 def _distinct(vec_a, vec_b) -> bool:
@@ -286,7 +284,7 @@ def _minimally_mixed(game, retries, seed, mode, poly):
         cand = mix_outcomes((weight, v) for v in vertices)
         tables = BeliefTables(game, cand)
         realized = _distinct_pairs(game, cand, tables)
-        for pair in sorted(_supported_pairs(game, cand), key=str):
+        for pair in sorted(_supported_pairs(game, tables), key=str):
             if pair in realized:
                 continue
             i, a, b = pair

@@ -2,8 +2,9 @@
 regimes.
 
 Exogenous information hands players the gross value of an outcome; acquired
-information pins each player between her uninformed value (ignore every
-recommendation, play the best constant action) and the gross value.  The two
+information pins each player between the uninformed value (ignore every
+recommendation, play the best constant action) and the gross value, both
+read off the belief tables the outcome's obedience check reads.  The two
 worst cases over one obedience polytope are a plain LP and an epigraph LP;
 the gap between them is what separates the two regimes for a planner.
 """
@@ -14,15 +15,7 @@ from typing import Optional
 from . import lp as _lp
 from .bce import BcePolytope, is_bce, minimize_linear_over_bce
 from .errors import GameNotSymmetric, InternalInvariantError, NotABce, NotBinaryAction
-from .games import (
-    BaseGame,
-    BeliefTables,
-    Outcome,
-    deviation_row,
-    gross_value,
-    is_symmetric_game,
-    uninformed_value,
-)
+from .games import BaseGame, BeliefTables, Outcome, deviation_row, is_symmetric_game
 from .rational import ONE, ZERO, Rat
 from .regime import EPIGRAPH, count_space
 
@@ -67,20 +60,22 @@ def value_interval(
 ) -> ValueInterval:
     """Attainable net payoffs per player from this equilibrium outcome.
 
-    Requires a BCE, checked on ``tables`` (the outcome's belief tables) when
-    given.  Under flexible costly acquisition the interval is [uninformed,
-    gross) unless the endpoints coincide; if arbitrary (possibly
-    non-monotone) technologies are allowed, the interval closes.
+    Requires a BCE; obedience and both endpoints are read off ``tables``,
+    the outcome's belief tables (made when not given).  Under flexible costly
+    acquisition the interval is [uninformed, gross) unless the endpoints
+    coincide; if arbitrary (possibly non-monotone) technologies are allowed,
+    the interval closes.
     """
     if mode not in (RATIONAL_INATTENTION, ARBITRARY_TECHNOLOGY):
         raise ValueError(f"unknown mode {mode!r}")
+    tables = BeliefTables(game, outcome) if tables is None else tables
     check = is_bce(game, outcome, tables)
     if not check:
         raise NotABce(f"value intervals require obedience; violated at {check.witness}")
     per_player = {}
     for i in game.players:
-        lo, _ = uninformed_value(game, outcome, i)
-        hi = gross_value(game, outcome, i)
+        lo, _ = tables[i].uninformed()
+        hi = tables[i].gross()
         if mode == ARBITRARY_TECHNOLOGY:
             kind = CLOSED
         else:
@@ -130,11 +125,12 @@ def worst_case_rational_inattention(game: BaseGame, poly: Optional[BcePolytope] 
     if not sol.is_optimal:
         raise InternalInvariantError(f"uninformed-welfare LP is {sol.status}")
     outcome = poly.outcome_from_point(sol.point)
-    check = is_bce(game, outcome)
+    tables = BeliefTables(game, outcome)
+    check = is_bce(game, outcome, tables)
     if not check:
         raise InternalInvariantError(f"optimizer left the BCE set: {check.witness}")
     # Tightness: at the optimum each t_i equals the max deviation payoff.
-    total = sum((uninformed_value(game, outcome, i)[0] for i in game.players), ZERO)
+    total = sum((tables[i].uninformed()[0] for i in game.players), ZERO)
     if total != sol.value:
         raise InternalInvariantError("epigraph variables not tight at optimum")
     return sol.value, outcome

@@ -1,6 +1,7 @@
-"""The Fraction loops that decided obedience, best responses, separation and
-mixing before the int belief tables, kept as references the table-based
-functions must reproduce exactly (answers and witnesses)."""
+"""The Fraction loops that decided obedience, best responses, separation,
+mixing and the gross and uninformed values before the int belief tables,
+kept as references the table-based functions must reproduce exactly
+(answers, witnesses and tie-breaks)."""
 
 from ribce.bce import BceCheck, mix_outcomes
 from ribce.errors import RetriesExhausted
@@ -28,6 +29,38 @@ def is_bce(game, outcome):
                 if slack < 0:
                     return BceCheck(False, (i, rec, dev, slack))
     return BceCheck(True, None)
+
+
+def gross_value(game, outcome, player):
+    total = ZERO
+    for (profile, state), q in outcome.p.items():
+        if q:
+            total += game.u(player, profile, state) * q
+    return total
+
+
+def deviation_value(game, outcome, player, action):
+    """The payoff from ignoring every recommendation and always playing
+    ``action``."""
+    total = ZERO
+    for (profile, state), q in outcome.p.items():
+        if q:
+            dev = game.replace_action(profile, player, action)
+            total += game.u(player, dev, state) * q
+    return total
+
+
+def uninformed_value(game, outcome, player):
+    """(value, action): the best ``deviation_value``, ties to the lowest
+    action index."""
+    best = None
+    best_action = None
+    for action in game.actions[player]:
+        val = deviation_value(game, outcome, player, action)
+        if best is None or val > best:
+            best = val
+            best_action = action
+    return best, best_action
 
 
 def _belief_vector(game, outcome, player, action):

@@ -289,8 +289,10 @@ def test_payoff_rows_built_once_per_game(files, capsys, payoff_rows_built, name)
 # player) keys they are for: one per player and (game, outcome) pair the job
 # checks, shared by every check of that pair (``perturb`` checks the outcome
 # in the perturbed game too; ``vce`` and ``canonical`` share one set across
-# their checks of the outcome, and the density classification one per
-# candidate, vertex and witness it reads).
+# their checks of the outcome, the density classification one per
+# candidate, vertex and witness it reads, and ``welfare`` one per minimizer,
+# read by its obedience check and, for the epigraph minimizer, by the
+# tightness check).
 BELIEF_TABLES_BUILT = {
     "analyze_3x3_exact": (10, 10),
     "analyze_intro": (40, 40),
@@ -300,10 +302,12 @@ BELIEF_TABLES_BUILT = {
     "check_outcome_3x3_p_half": (2, 2),
     "density_3x3_exact": (6, 6),
     "perturb_3x3_p_half": (4, 4),
+    "regime_n6_full_check": (12, 12),
     "vce_3x3_mixed_nash": (2, 2),
     "vce_3x3_p_half": (2, 2),
     "vce_tie": (262, 262),
     "vce_tie_exact": (6, 6),
+    "welfare_intro": (4, 4),
 }
 
 

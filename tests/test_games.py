@@ -5,6 +5,7 @@ import pytest
 
 from ribce.bce import is_bce, minimize_linear_over_bce
 from ribce.errors import (
+    DimensionMismatch,
     GameNotSymmetric,
     PriorNotFullSupport,
     PriorNotNormalized,
@@ -14,7 +15,6 @@ from ribce.games import (
     BaseGame,
     Outcome,
     deviation_row,
-    deviation_value,
     gross_value,
     is_symmetric_game,
     is_symmetric_outcome,
@@ -24,6 +24,8 @@ from ribce.games import (
     validate_game,
 )
 from ribce.rational import Rat, ZERO
+
+import belief_reference as ref
 
 from sample_games import (
     A,
@@ -92,6 +94,20 @@ def test_gross_value_degenerate_outcome():
     assert gross_value(g, out, "ann") == expected
 
 
+@pytest.mark.parametrize(
+    "cell", [(("zzz", A), "thetaA"), ((A, A), "thetaZ"), ((A,), "thetaA")]
+)
+def test_values_name_a_cell_outside_the_game(cell):
+    g = investment_game(Rat(1, 10))
+    out = Outcome(p={cell: Rat(1)})
+    for value in (gross_value, uninformed_value):
+        for player in g.players:
+            with pytest.raises(DimensionMismatch, match="unknown cell"):
+                value(g, out, player)
+        with pytest.raises(DimensionMismatch, match="unknown player"):
+            value(g, out, "cy")
+
+
 def test_uninformed_value_inferior_coordination():
     g = investment_game(Rat(1, 10))
     val, action = uninformed_value(g, inferior_coordination_outcome(g), "ann")
@@ -125,7 +141,7 @@ def test_deviation_row_evaluates_to_deviation_value():
                 row = deviation_row(g, i, action)
                 assert all(c for c in row.values())
                 value = sum((c * p.mass(*cell) for cell, c in row.items()), ZERO)
-                assert value == deviation_value(g, p, i, action)
+                assert value == ref.deviation_value(g, p, i, action)
 
 
 def test_uninformed_equals_gross_for_single_action():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ribce.errors import DimensionMismatch, NotSeparatedBce
+from ribce.errors import DimensionMismatch, NotSeparatedBce, ValidationError
 from ribce.games import gross_value, make_outcome, uninformed_value
 from ribce.rational import ONE, Rat, ZERO
 from ribce.representation import (
@@ -145,6 +145,25 @@ def test_cost_certificate_ordering_invariants():
             assert entry["equilibrium_cost"] == lam * (hi - lo)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (0.1, "lambda for 'ann' must be an exact rational in (0,1]: 0.1"),
+        ({"bob": Rat(1, 2)}, "lambda for 'ann' is missing"),
+        ({"ann": Rat(1, 2)}, "lambda for 'bob' is missing"),
+        ({"ann": Rat(1, 2), "bob": 0.5}, "lambda for 'bob' must be an exact rational in (0,1]: 0.5"),
+        (Rat(3, 2), "lambda for 'ann' must be an exact rational in (0,1]: 3/2"),
+        ({"ann": Rat(1), "bob": 0}, "lambda for 'bob' must be an exact rational in (0,1]: 0"),
+    ],
+)
+def test_cost_certificate_rejects_bad_lambda(lam, message):
+    g = investment_game(Rat(1, 10))
+    out = inferior_coordination_outcome(g)
+    with pytest.raises(ValidationError) as info:
+        cost_certificate(g, out, lam)
+    assert str(info.value) == message
 
 
 def test_cost_certificate_requires_sbce():
