@@ -9,8 +9,8 @@ the caller passes as ``poly`` (built when not given): an outcome whose masses
 are the LP point's nonzero int numerators over its denominator.
 
 Membership of one outcome is decided on ints: ``is_bce`` and
-``obedience_slack`` read each player's ``games.belief_table``, whose row
-V[rec] gives every slack of ``rec`` at once.
+``obedience_slack`` read each player's belief table (``Outcome.beliefs``),
+whose row V[rec] gives every slack of ``rec`` at once.
 """
 
 from dataclasses import dataclass, field
@@ -19,15 +19,7 @@ from typing import NamedTuple, Optional
 
 from . import lp as _lp
 from .errors import InternalInvariantError, UnknownAction
-from .games import (
-    BaseGame,
-    BeliefTables,
-    Outcome,
-    belief_table,
-    check_action,
-    mass_parts,
-    validate_outcome,
-)
+from .games import BaseGame, Outcome, check_action, mass_parts, validate_outcome
 from .rational import ONE, ZERO, Rat
 
 
@@ -37,7 +29,7 @@ def obedience_slack(game: BaseGame, outcome: Outcome, player, rec, dev):
     for every ordered pair exactly when the outcome is a BCE."""
     check_action(game, player, rec)
     check_action(game, player, dev)
-    return belief_table(game, outcome, player).slack(rec, dev)
+    return outcome.beliefs(game)[player].slack(rec, dev)
 
 
 def obedience_row(game: BaseGame, player, rec, dev) -> _lp.IntRow:
@@ -63,12 +55,10 @@ class BceCheck(NamedTuple):
         return self.ok
 
 
-def is_bce(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None) -> BceCheck:
+def is_bce(game: BaseGame, outcome: Outcome) -> BceCheck:
     """True iff every obedience slack is >= 0; reports the first violation
-    in (player, rec, dev) order.  ``tables`` are the outcome's belief tables,
-    made here when not given."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
+    in (player, rec, dev) order."""
+    tables = outcome.beliefs(game)
     for i in game.players:
         table = tables[i]
         for rec, vec in table.masses.items():
@@ -175,21 +165,15 @@ def max_support_point(game: BaseGame, poly: Optional[BcePolytope] = None) -> Out
     sits in the relative interior of the BCE set.  ``poly``, the game's
     polytope, is built when not given.
     """
-    return _max_support_point(game, poly or BcePolytope.of(game))[0]
-
-
-def _max_support_point(game: BaseGame, poly: BcePolytope):
-    """``max_support_point`` on ``poly``, with the belief tables its BCE
-    check read: (point, tables)."""
+    poly = poly or BcePolytope.of(game)
     points = [maximize_cell_over_bce(game, cell, poly)[0] for cell in poly.variables]
     weight = Rat(1, len(points))
     out = mix_outcomes((weight, point) for point in points)
     validate_outcome(game, out)
-    tables = BeliefTables(game, out)
-    check = is_bce(game, out, tables)
+    check = is_bce(game, out)
     if not check:
         raise InternalInvariantError(f"max-support average left the BCE set: {check.witness}")
-    return out, tables
+    return out
 
 
 def mix_outcomes(pairs) -> Outcome:

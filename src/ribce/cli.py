@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import InternalInvariantError, InvalidParams, RibceError, ValidationError
-from .games import BeliefTables, is_symmetric_game, utility_distance
+from .games import is_symmetric_game, utility_distance
 from .bce import BcePolytope, is_bce
 from .io import (
     game_to_dict,
@@ -70,9 +70,9 @@ def _outcome_block(outcome) -> dict:
 
 
 def _check_outcome_report(game, outcome) -> dict:
-    tables = BeliefTables(game, outcome)
-    bce = is_bce(game, outcome, tables)
-    sep = is_separated(game, outcome, tables)
+    bce = is_bce(game, outcome)
+    sep = is_separated(game, outcome)
+    tables = outcome.beliefs(game)
     values = {}
     for i in game.players:
         lo, action = tables[i].uninformed()
@@ -85,7 +85,7 @@ def _check_outcome_report(game, outcome) -> dict:
         "is_bce": bool(bce),
         "is_separated": bool(sep),
         "is_sbce": bool(bce) and bool(sep),
-        "is_strict_bce": is_strict_bce(game, outcome, tables),
+        "is_strict_bce": is_strict_bce(game, outcome),
         "values": values,
     }
     if not bce:
@@ -104,7 +104,7 @@ def _check_outcome_report(game, outcome) -> dict:
             "shared_best_response": str(shared),
         }
     if bool(bce):
-        vi = value_interval(game, outcome, tables=tables)
+        vi = value_interval(game, outcome)
         report["value_intervals"] = {
             str(i): {
                 "lower": rational_to_json(pi.lower),
@@ -255,8 +255,7 @@ def cmd_perturb(args) -> dict:
 def cmd_canonical(args) -> dict:
     game = load_game(args.game)
     outcome = load_outcome(args.outcome, game)
-    tables = BeliefTables(game, outcome)
-    rep = build_canonical(game, outcome, tables)
+    rep = build_canonical(game, outcome)
     round_trip = induced_outcome(rep, game)
     partition = {
         str(i): [sorted(str(a) for a in cell) for cell in rep.partition.cells[i]]
@@ -300,9 +299,9 @@ def cmd_canonical(args) -> dict:
         "signal_counts": {str(i): len(rep.signals[i]) for i in game.players},
         "round_trip_exact": round_trip.p == outcome.p,
     }
-    if is_sbce(game, outcome, tables):
+    if is_sbce(game, outcome):
         lam = _flag("--lam", args.lam)
-        cert = cost_certificate(game, outcome, lam, tables)
+        cert = cost_certificate(game, outcome, lam)
         report["cost_certificate"] = {
             str(i): {key: rational_to_json(val) for key, val in entry.items()}
             for i, entry in cert.per_player.items()

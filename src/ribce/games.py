@@ -18,14 +18,16 @@ numerator and denominator raises ``ValidationError`` naming its cell.
 The belief layer runs on ints.  ``BaseGame.payoff_rows``, built once per
 game, holds each player's payoffs as int rows over ``belief_cells``, and
 ``belief_table`` reads an outcome's masses into int rows over the same cells
-in one pass; ``BeliefTables`` holds them per player, so the checks that read
-one outcome build each table once.  Their products decide obedience
-(``bce``), best responses, belief equality and separation (``separation``)
-and mixing (``structure``) exactly, without a ``Rat`` in the loop, and give
-the gross and uninformed values (``BeliefTable.gross`` and ``uninformed``).
+in one pass.  ``Outcome.beliefs(game)`` is the one way in: it holds one
+``BeliefTables`` per game on the outcome, and that builds each player's table
+on first read, so every check of an outcome shares one table per (game,
+outcome, player).  Their products decide obedience (``bce``), best
+responses, belief equality and separation (``separation``) and mixing
+(``structure``) exactly, without a ``Rat`` in the loop, and give the gross
+and uninformed values (``BeliefTable.gross`` and ``uninformed``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 from math import lcm
@@ -257,8 +259,8 @@ def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
 
 class BeliefTables(dict):
     """player -> ``belief_table(game, outcome, player)``, each built on first
-    read.  Checks that read the same outcome share one, so each table is
-    built once however many of them run."""
+    read.  Made only by ``Outcome.beliefs``, which keeps one per game on the
+    outcome, so each table is built once however many checks read it."""
 
     __slots__ = ("game", "outcome")
 
@@ -275,6 +277,16 @@ class BeliefTables(dict):
 @dataclass(frozen=True)
 class Outcome:
     p: dict  # (profile, state) -> Rat; an ``lp.IntRow`` when the library made it
+    # id(game) -> BeliefTables; each holds its game, so the id stays its own.
+    _beliefs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def beliefs(self, game: BaseGame) -> BeliefTables:
+        """The outcome's ``BeliefTables`` under ``game``, made on the first
+        call for that game and kept (the outcome is immutable)."""
+        tables = self._beliefs.get(id(game))
+        if tables is None:
+            tables = self._beliefs[id(game)] = BeliefTables(game, self)
+        return tables
 
     def mass(self, profile, state):
         return self.p.get((profile, state), ZERO)
@@ -378,7 +390,7 @@ def gross_value(game: BaseGame, outcome: Outcome, player):
     information costs (``BeliefTable.gross``)."""
     if player not in game.players:
         raise DimensionMismatch(f"unknown player {player!r}")
-    return belief_table(game, outcome, player).gross()
+    return outcome.beliefs(game)[player].gross()
 
 
 def deviation_row(game: BaseGame, player, action) -> IntRow:
@@ -404,7 +416,7 @@ def uninformed_value(game: BaseGame, outcome: Outcome, player):
     """
     if player not in game.players:
         raise DimensionMismatch(f"unknown player {player!r}")
-    return belief_table(game, outcome, player).uninformed()
+    return outcome.beliefs(game)[player].uninformed()
 
 
 def utility_distance(a: BaseGame, b: BaseGame):

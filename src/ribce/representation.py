@@ -8,16 +8,17 @@ The cells are the equal-belief classes, so only payoff-relevant information
 is transmitted; round-tripping through the representation reproduces the
 outcome exactly.  For separated BCEs the same object yields finite cost
 certificates: the equilibrium cost lambda*(gross - uninformed) and an upper
-bound on the cost of any experiment.
+bound on the cost of any experiment.  The partition, supports, action
+marginals and both values are read off the outcome's own belief tables
+(``Outcome.beliefs``), which its separation check reads too.
 """
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from . import lp as _lp
 from .errors import DimensionMismatch, NotSeparatedBce, ValidationError
-from .games import BaseGame, BeliefTables, Outcome
+from .games import BaseGame, Outcome
 from .rational import ONE, ZERO, Rat
 from .separation import is_sbce
 
@@ -30,15 +31,11 @@ class PartitionProfile:
     cells: dict  # player -> tuple of frozensets
 
 
-def belief_partition(
-    game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None
-) -> PartitionProfile:
+def belief_partition(game: BaseGame, outcome: Outcome) -> PartitionProfile:
     """Equal-belief partition: supported actions share a cell iff they induce
     the same posterior (cross-multiplied equality); unsupported actions form
-    one residual cell.  ``tables`` are the outcome's belief tables, made here
-    when not given."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
+    one residual cell."""
+    tables = outcome.beliefs(game)
     cells = {}
     for i in game.players:
         table = tables[i]
@@ -81,16 +78,11 @@ class CanonicalRepresentation:
         return plans
 
 
-def build_canonical(
-    game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None
-) -> CanonicalRepresentation:
+def build_canonical(game: BaseGame, outcome: Outcome) -> CanonicalRepresentation:
     """The Dirac canonical representation of an outcome (exists for every
-    outcome, BCE or not).  The partition, supports and action marginals are
-    read from ``tables``, the outcome's belief tables, made here when not
-    given."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
-    partition = belief_partition(game, outcome, tables)
+    outcome, BCE or not)."""
+    tables = outcome.beliefs(game)
+    partition = belief_partition(game, outcome)
     per_player_cells = [partition.cells[i] for i in game.players]
     correlation_states = tuple(product(*per_player_cells))
     kernel = {}
@@ -221,23 +213,19 @@ def _lambda(lam, player):
     return Rat(li)
 
 
-def cost_certificate(
-    game: BaseGame, outcome: Outcome, lam, tables: Optional[BeliefTables] = None
-) -> CostCertificate:
+def cost_certificate(game: BaseGame, outcome: Outcome, lam) -> CostCertificate:
     """Finite cost certificates for a separated BCE.
 
     ``lam`` maps every player to an exact rational in (0,1] (or is a single
     one); else ``ValidationError`` names the player.  The equilibrium cost of
-    the canonical experiment is lam*(gross - uninformed), both read off
-    ``tables`` (the outcome's belief tables, made here when not given); the
-    upper bound caps the whole cost function that rationalizes it.
+    the canonical experiment is lam*(gross - uninformed); the upper bound
+    caps the whole cost function that rationalizes it.
     """
     lam = {i: _lambda(lam, i) for i in game.players}
-    if tables is None:
-        tables = BeliefTables(game, outcome)
-    if not is_sbce(game, outcome, tables):
+    if not is_sbce(game, outcome):
         raise NotSeparatedBce("cost certificates exist for separated BCEs only")
-    rep = build_canonical(game, outcome, tables)
+    rep = build_canonical(game, outcome)
+    tables = outcome.beliefs(game)
     per_player = {}
     for i, li in lam.items():
         gross = tables[i].gross()

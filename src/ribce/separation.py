@@ -7,11 +7,11 @@ the behaviors consistent with costly, flexible information acquisition.
 
 Belief equality is always tested in cross-multiplied form
 p(a_i)*p(b_i, cell) == p(b_i)*p(a_i, cell), never by dividing.  Every test
-here reads each player's ``games.belief_table`` once: best responses are the
-maximizers of its int rows V[rec], and equal beliefs are int rows equal after
-cross-multiplying.  Tests run on one outcome share its tables through the
-``tables`` argument (``games.BeliefTables``).  Only ``conditional_belief``
-turns the rows back into ``Rat`` values.
+here reads each player's belief table (``games.BeliefTable``): best
+responses are the maximizers of its int rows V[rec], and equal beliefs are
+int rows equal after cross-multiplying.  The tables are the outcome's own
+(``Outcome.beliefs``), so every test run on one outcome shares them.  Only
+``conditional_belief`` turns the rows back into ``Rat`` values.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .bce import is_bce
 from .errors import ZeroProbabilityRecommendation
-from .games import BaseGame, BeliefTables, Outcome, belief_table, check_action
+from .games import BaseGame, Outcome, check_action
 from .rational import ZERO, Rat
 
 
@@ -42,7 +42,7 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
     all-zeros convention (used by the extreme-point equal-belief test).
     """
     check_action(game, player, rec)
-    table = belief_table(game, outcome, player)
+    table = outcome.beliefs(game)[player]
     mass = table.totals[rec]
     if not mass and not allow_zero:
         raise ZeroProbabilityRecommendation(f"{player!r} never plays {rec!r}")
@@ -59,9 +59,8 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
 
 
 def beliefs_equal(game: BaseGame, outcome: Outcome, player, a, b) -> bool:
-    """p_a == p_b for two supported recommendations, cross-multiplied.  Public,
-    for callers asking about one pair; the checks below share ``tables``."""
-    return belief_table(game, outcome, player).same_belief(a, b)
+    """p_a == p_b for two supported recommendations, cross-multiplied."""
+    return outcome.beliefs(game)[player].same_belief(a, b)
 
 
 class SeparationCheck(NamedTuple):
@@ -72,17 +71,13 @@ class SeparationCheck(NamedTuple):
         return self.ok
 
 
-def is_separated(
-    game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None
-) -> SeparationCheck:
+def is_separated(game: BaseGame, outcome: Outcome) -> SeparationCheck:
     """Distinct supported beliefs must have disjoint best responses.
 
     On failure returns the lexicographically first witness
-    (player, rec_a, rec_b, shared action), ordered by indices.  ``tables``
-    are the outcome's belief tables, made here when not given.
+    (player, rec_a, rec_b, shared action), ordered by indices.
     """
-    if tables is None:
-        tables = BeliefTables(game, outcome)
+    tables = outcome.beliefs(game)
     for i in game.players:
         table = tables[i]
         supported = table.support
@@ -97,23 +92,18 @@ def is_separated(
     return SeparationCheck(True, None)
 
 
-def is_sbce(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None) -> bool:
+def is_sbce(game: BaseGame, outcome: Outcome) -> bool:
     """Obedient and separated: exactly the outcomes consistent with costly
-    flexible information acquisition.  Both checks read one set of belief
-    tables, ``tables`` when given."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
-    return bool(is_bce(game, outcome, tables)) and bool(is_separated(game, outcome, tables))
+    flexible information acquisition."""
+    return bool(is_bce(game, outcome)) and bool(is_separated(game, outcome))
 
 
-def is_strict_bce(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None) -> bool:
+def is_strict_bce(game: BaseGame, outcome: Outcome) -> bool:
     """Every supported recommendation is its own unique best response.
     That makes every obedience slack of a supported recommendation positive
     (unsupported ones have slack zero), so strictness implies obedience, and
-    it implies separation.  ``tables`` are the outcome's belief tables, made
-    here when not given."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
+    it implies separation."""
+    tables = outcome.beliefs(game)
     for i in game.players:
         table = tables[i]
         for a in table.support:

@@ -7,7 +7,9 @@ beliefs wherever any BCE does (minimal mixing), whose best-response sets are
 reduced to the jeopardization sets by mixing.  If that candidate is separated
 the sBCE set is dense; otherwise its separation failure exhibits two
 recommendations with distinct beliefs sharing a jeopardizing action, which is
-a complete nowhere-density certificate.
+a complete nowhere-density certificate.  Every step reads the belief tables
+of the outcome it looks at (candidate, vertex, witness, maximizer) through
+``Outcome.beliefs``, so each is built once however many steps read it.
 """
 
 import random
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp as _lp
-from .bce import (
-    BcePolytope,
-    _max_support_point,
-    is_bce,
-    mix_outcomes,
-    obedience_row,
-)
+from .bce import BcePolytope, is_bce, max_support_point, mix_outcomes, obedience_row
 from .errors import (
     InternalInvariantError,
     NotABce,
@@ -29,14 +25,7 @@ from .errors import (
     RetriesExhausted,
     ValidationError,
 )
-from .games import (
-    BaseGame,
-    BeliefTables,
-    Outcome,
-    check_action,
-    same_belief,
-    utility_distance,
-)
+from .games import BaseGame, Outcome, check_action, same_belief, utility_distance
 from .rational import ONE, ZERO, Rat
 from .separation import is_sbce, is_separated
 from .vertices import enumerate_vertices
@@ -92,15 +81,14 @@ def bce_vertices(game: BaseGame, cap=None, poly: Optional[BcePolytope] = None):
     return [poly.outcome_from_point(pt) for pt in pts]
 
 
-def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None, tables=None):
+def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None):
     """Whether every BCE supporting both actions gives them the same belief.
 
     Exact-mode test over the polytope's extreme points: either all nonzero
     induced beliefs coincide (with the all-zeros convention for unsupported
     actions), or the two unnormalized belief vectors are proportional with one
     positive constant across every vertex.  Decided on the vertices' int
-    belief tables: ``tables`` holds one ``games.BeliefTables`` per vertex, in
-    order, made here when not given.
+    belief tables (``Outcome.beliefs``).
     """
     check_action(game, player, a)
     check_action(game, player, b)
@@ -108,11 +96,9 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None, tables
         return True
     if vertices is None:
         vertices = bce_vertices(game)
-    if tables is None:
-        tables = [BeliefTables(game, v) for v in vertices]
     data = []
-    for vertex_tables in tables:
-        table = vertex_tables[player]
+    for vertex in vertices:
+        table = vertex.beliefs(game)[player]
         data.append((table.masses[a], table.totals[a], table.masses[b], table.totals[b]))
     if all(not mass_a for _, mass_a, _, _ in data):
         raise NotCoherent(f"{a!r} has zero probability in every BCE")
@@ -162,9 +148,9 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None, tables
 # Minimally mixed candidates
 
 
-def _supported_pairs(game: BaseGame, tables: BeliefTables):
-    """The (player, a, b) pairs of supported actions, a before b, read from
-    ``tables``, an outcome's belief tables."""
+def _supported_pairs(game: BaseGame, outcome: Outcome):
+    """The outcome's (player, a, b) pairs of supported actions, a before b."""
+    tables = outcome.beliefs(game)
     for i in game.players:
         support = tables[i].support
         for ai, a in enumerate(support):
@@ -172,14 +158,13 @@ def _supported_pairs(game: BaseGame, tables: BeliefTables):
                 yield (i, a, b)
 
 
-def _distinct_pairs(game: BaseGame, outcome: Outcome, tables: Optional[BeliefTables] = None):
-    """The (player, a, b) pairs of supported actions with distinct beliefs,
-    read from ``tables``, the outcome's belief tables (made when not given)."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
+def _distinct_pairs(game: BaseGame, outcome: Outcome):
+    """The outcome's (player, a, b) pairs of supported actions with distinct
+    beliefs."""
+    tables = outcome.beliefs(game)
     return {
         (i, a, b)
-        for i, a, b in _supported_pairs(game, tables)
+        for i, a, b in _supported_pairs(game, outcome)
         if not tables[i].same_belief(a, b)
     }
 
@@ -202,22 +187,16 @@ def _mixed_pair_distinct(ends, n, d, a, b) -> bool:
     )
 
 
-def _mix_keeping(
-    game, cand, other, keep_pairs, want_pair=None, weights=None, tables=None, other_tables=None
-):
+def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None):
     """Convex combination of two BCEs that keeps every pair in ``keep_pairs``
     belief-distinct (and makes ``want_pair`` distinct).  Each pair rules out
     at most two mixing weights, so small-denominator weights are tried until
-    one verifies.  Weights are tested on the endpoints' belief tables, read
-    from ``tables`` (the candidate's) and ``other_tables`` when given; only
+    one verifies.  Weights are tested on the endpoints' belief tables; only
     the chosen mixture is built."""
     if weights is None:
         weights = [Rat(1, d) for d in range(2, 2 * (len(keep_pairs) + 2) + 4)]
-    if tables is None:
-        tables = BeliefTables(game, cand)
-    if other_tables is None:
-        other_tables = BeliefTables(game, other)
     pairs = list(keep_pairs) if want_pair is None else [want_pair, *keep_pairs]
+    tables, other_tables = cand.beliefs(game), other.beliefs(game)
     ends = {i: (tables[i], other_tables[i]) for i in {pair[0] for pair in pairs}}
     for t in weights:
         n, d = t.numerator, t.denominator
@@ -226,25 +205,23 @@ def _mix_keeping(
     raise RetriesExhausted("no admissible mixing weight found")
 
 
-def _distinct_witness(game: BaseGame, player, a, b, vertices, tables):
-    """An outcome in the BCE set realizing distinct beliefs for the pair, and
-    its belief tables.  When the extreme-point test fails, a witness exists
-    among the vertices (whose tables are ``tables``, in order) or their
-    pairwise midpoints, tried in that order; a midpoint is built only when
-    every vertex and earlier midpoint has failed."""
+def _distinct_witness(game: BaseGame, player, a, b, vertices):
+    """An outcome in the BCE set realizing distinct beliefs for the pair.
+    When the extreme-point test fails, a witness exists among the vertices
+    or their pairwise midpoints, tried in that order; a midpoint is built
+    only when every vertex and earlier midpoint has failed."""
 
     def candidates():
-        yield from zip(vertices, tables)
+        yield from vertices
         half = Rat(1, 2)
         for idx, v in enumerate(vertices):
             for w in vertices[idx + 1 :]:
-                mid = mix_outcomes(((half, v), (half, w)))
-                yield mid, BeliefTables(game, mid)
+                yield mix_outcomes(((half, v), (half, w)))
 
-    for cand, cand_tables in candidates():
-        table = cand_tables[player]
+    for cand in candidates():
+        table = cand.beliefs(game)[player]
         if _distinct(table.masses[a], table.masses[b]):
-            return cand, cand_tables
+            return cand
     raise InternalInvariantError(
         f"no distinct-belief witness for {(player, a, b)} despite failed equal-belief test"
     )
@@ -264,52 +241,34 @@ def find_minimally_mixed(
     until every realizable pair is realized; the result is verified.  The
     randomized mode perturbs the maximal-support point with random
     optimizer outputs and only guarantees maximal support.  Both modes work
-    on ``poly``, the game's polytope, built when not given.  Each outcome
-    the search reads (vertex, witness, candidate) gets one set of belief
-    tables.
+    on ``poly``, the game's polytope, built when not given.
     """
-    return _minimally_mixed(game, retries, seed, mode, poly)[0]
-
-
-def _minimally_mixed(game, retries, seed, mode, poly):
-    """The search of ``find_minimally_mixed``: the candidate and its tables."""
     if mode == EXACT:
         vertices = bce_vertices(game, poly=poly)
         if not vertices:
             raise InternalInvariantError("BCE polytope cannot be empty")
         if len(vertices) == 1:
-            return vertices[0], BeliefTables(game, vertices[0])
-        vertex_tables = [BeliefTables(game, v) for v in vertices]
+            return vertices[0]
         weight = Rat(1, len(vertices))
         cand = mix_outcomes((weight, v) for v in vertices)
-        tables = BeliefTables(game, cand)
-        realized = _distinct_pairs(game, cand, tables)
-        for pair in sorted(_supported_pairs(game, tables), key=str):
+        realized = _distinct_pairs(game, cand)
+        for pair in sorted(_supported_pairs(game, cand), key=str):
             if pair in realized:
                 continue
             i, a, b = pair
-            if equal_beliefs_in_all_bce(game, i, a, b, vertices, vertex_tables):
+            if equal_beliefs_in_all_bce(game, i, a, b, vertices):
                 continue
-            witness, witness_tables = _distinct_witness(game, i, a, b, vertices, vertex_tables)
-            cand = _mix_keeping(
-                game,
-                cand,
-                witness,
-                realized,
-                want_pair=pair,
-                tables=tables,
-                other_tables=witness_tables,
-            )
-            tables = BeliefTables(game, cand)
-            realized = _distinct_pairs(game, cand, tables)
-        return cand, tables
+            witness = _distinct_witness(game, i, a, b, vertices)
+            cand = _mix_keeping(game, cand, witness, realized, want_pair=pair)
+            realized = _distinct_pairs(game, cand)
+        return cand
 
     if mode != RANDOMIZED:
         raise ValidationError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     poly = poly or BcePolytope.of(game)
-    cand, tables = _max_support_point(game, poly)
-    realized = _distinct_pairs(game, cand, tables)
+    cand = max_support_point(game, poly)
+    realized = _distinct_pairs(game, cand)
     for _ in range(retries):
         objective = {
             cell: Rat(rng.randint(-6, 6)) for cell in poly.variables if rng.random() < 0.5
@@ -321,30 +280,25 @@ def _minimally_mixed(game, retries, seed, mode, poly):
             den = rng.randint(num * 2 + 1, num * 2 + 40)
             weights.append(Rat(num, den))
         try:
-            cand = _mix_keeping(game, cand, other, realized, weights=weights, tables=tables)
+            cand = _mix_keeping(game, cand, other, realized, weights=weights)
         except RetriesExhausted as exc:
             raise RetriesExhausted(
                 f"randomized mixing could not keep realized pairs within {retries} retries"
             ) from exc
-        tables = BeliefTables(game, cand)
-        realized = _distinct_pairs(game, cand, tables)
-    return cand, tables
+        realized = _distinct_pairs(game, cand)
+    return cand
 
 
-def _reduce_best_responses(
-    game: BaseGame, cand: Outcome, poly: BcePolytope, tables: BeliefTables
-):
+def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope) -> Outcome:
     """Mix BCEs into the candidate until every supported recommendation's
     best-response set equals its jeopardization set, without losing any
     realized distinct-belief pair.  Jeopardization sets are lower bounds for
     best-response sets at any BCE, so termination is forced by the total
-    best-response mass strictly shrinking.  ``tables`` are the candidate's
-    belief tables; returns the reduced candidate and its tables."""
+    best-response mass strictly shrinking."""
     jeopardy = {}
     while True:
         culprit = None
-        if tables is None:
-            tables = BeliefTables(game, cand)
+        tables = cand.beliefs(game)
         for i in game.players:
             table = tables[i]
             for a in table.support:
@@ -363,12 +317,9 @@ def _reduce_best_responses(
             if culprit:
                 break
         if culprit is None:
-            return cand, tables
+            return cand
         _, _, _, maximizer = culprit
-        cand = _mix_keeping(
-            game, cand, maximizer, _distinct_pairs(game, cand, tables), tables=tables
-        )
-        tables = None
+        cand = _mix_keeping(game, cand, maximizer, _distinct_pairs(game, cand))
 
 
 @dataclass
@@ -378,25 +329,19 @@ class DensityVerdict:
     certificate: Optional[Outcome] = None  # Dense: a separated candidate
     witness: Optional[tuple] = None  # NowhereDense: (outcome, player, a, b, shared)
 
-    def verify(self, game: BaseGame, tables: Optional[BeliefTables] = None) -> bool:
-        """Re-check the certificate; raises on failure.  ``tables`` are the
-        belief tables of the certificate (or of the witness outcome), made
-        here when not given.  Given tables are read, not rebuilt: the check
-        confirms they are this outcome's, but shares any fault in how the
-        caller built them."""
+    def verify(self, game: BaseGame) -> bool:
+        """Re-check the certificate; raises on failure.  The checks read the
+        outcome's own belief tables (``Outcome.beliefs``), so they share any
+        fault in the tables the search read."""
         outcome = self.certificate if self.verdict == DENSE else self.witness[0]
-        if tables is None:
-            tables = BeliefTables(game, outcome)
-        elif tables.game is not game or tables.outcome is not outcome:
-            raise InternalInvariantError("belief tables are not the certificate's")
         if self.verdict == DENSE:
-            if not is_sbce(game, outcome, tables):
+            if not is_sbce(game, outcome):
                 raise InternalInvariantError("dense certificate is not an sBCE")
             return True
         _, player, a, b, shared = self.witness
-        if not is_bce(game, outcome, tables):
+        if not is_bce(game, outcome):
             raise InternalInvariantError("witness outcome is not a BCE")
-        if tables[player].same_belief(a, b):
+        if outcome.beliefs(game)[player].same_belief(a, b):
             raise InternalInvariantError("witness beliefs are not distinct")
         poly = BcePolytope.of(game)
         for target in (a, b):
@@ -423,27 +368,26 @@ def classify_density(
     sharing a jeopardizing action, certifying nowhere-density.  NowhereDense
     witnesses are complete proofs in both modes; the Dense verdict relies on
     verified minimal mixing in exact mode only.  The search runs on ``poly``
-    when given; the verdict's ``verify`` builds its own, and reads the
-    candidate's belief tables, which every step here shares.
+    when given; the verdict's ``verify`` builds its own polytope.
     """
     poly = poly or BcePolytope.of(game)
-    cand, tables = _minimally_mixed(game, retries, seed, mode, poly)
-    cand, tables = _reduce_best_responses(game, cand, poly, tables)
+    cand = find_minimally_mixed(game, retries, seed, mode, poly)
+    cand = _reduce_best_responses(game, cand, poly)
     mode_tag = {"kind": EXACT} if mode == EXACT else {
         "kind": RANDOMIZED,
         "seed": seed,
         "retries": retries,
     }
-    sep = is_separated(game, cand, tables)
+    sep = is_separated(game, cand)
     if sep:
         verdict = DensityVerdict(verdict=DENSE, mode=mode_tag, certificate=cand)
-        verdict.verify(game, tables)
+        verdict.verify(game)
         return verdict
     player, a, b, shared = sep.witness
     verdict = DensityVerdict(
         verdict=NOWHERE_DENSE, mode=mode_tag, witness=(cand, player, a, b, shared)
     )
-    verdict.verify(game, tables)
+    verdict.verify(game)
     return verdict
 
 
@@ -529,15 +473,18 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     utilities with a small enough step.  Both postconditions are re-verified
     exactly before returning.
     """
+    if _lp._inexact(epsilon):
+        raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
     epsilon = Rat(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    tables = BeliefTables(game, outcome)
-    check = is_bce(game, outcome, tables)
+    check = is_bce(game, outcome)
     if not check:
         raise NotABce(f"perturbation requires a BCE; violated at {check.witness}")
-    if is_separated(game, outcome, tables):
+    if is_separated(game, outcome):
         return game
+
+    tables = outcome.beliefs(game)
 
     bonus = {}  # (player, action) -> dict cell -> Rat  (cell = (opp, state))
     max_abs = ZERO

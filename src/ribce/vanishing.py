@@ -6,14 +6,20 @@ set.  General outcomes additionally need a decomposition into measurable
 complete-information equilibria; we verify caller-supplied certificates of
 that shape rather than searching for them.  Verdicts are IsVce / NotVce /
 Undetermined, and the undecided case is an honest value, not an error.
+
+Every test of an outcome here (obedience, separation, measurability, the
+within-cell action ratios, the closure obstruction) reads the outcome's own
+belief tables (``Outcome.beliefs``), so a certificate component or witness
+that is the outcome itself shares them with the outcome's checks.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
+from . import lp as _lp
 from .bce import BcePolytope, is_bce, mix_outcomes
-from .errors import InternalInvariantError
-from .games import BaseGame, BeliefTables, Outcome, validate_outcome
+from .errors import InternalInvariantError, ValidationError
+from .games import BaseGame, Outcome, validate_outcome
 from .rational import ONE, ZERO, Rat
 from .representation import PartitionProfile, belief_partition
 from .separation import is_sbce
@@ -88,16 +94,9 @@ def is_complete_info_nash(game: BaseGame, outcome: Outcome):
     return True, NashProfile(mixes=mixes)
 
 
-def is_measurable(
-    game: BaseGame,
-    outcome: Outcome,
-    partition: PartitionProfile,
-    tables: Optional[BeliefTables] = None,
-) -> bool:
-    """Supported actions sharing a partition cell must induce equal beliefs.
-    ``tables`` are the outcome's belief tables, made here when not given."""
-    if tables is None:
-        tables = BeliefTables(game, outcome)
+def is_measurable(game: BaseGame, outcome: Outcome, partition: PartitionProfile) -> bool:
+    """Supported actions sharing a partition cell must induce equal beliefs."""
+    tables = outcome.beliefs(game)
     for i in game.players:
         table = tables[i]
         support = set(table.support)
@@ -110,28 +109,20 @@ def is_measurable(
     return True
 
 
-def is_decomposable(
-    game: BaseGame,
-    q: Outcome,
-    partition: PartitionProfile,
-    p: Outcome,
-    tables: Optional[BeliefTables] = None,
-) -> bool:
+def is_decomposable(game: BaseGame, q: Outcome, partition: PartitionProfile, p: Outcome) -> bool:
     """q is measurable w.r.t. the partition and matches p's within-cell action
-    ratios: q(a_i) p(b_i) == p(a_i) q(b_i) for same-cell actions.  ``tables``
-    are q's belief tables, made here when not given."""
-    if not is_measurable(game, q, partition, tables):
+    ratios: q(a_i) p(b_i) == p(a_i) q(b_i) for same-cell actions, decided on
+    the belief tables' int action masses (each outcome's denominator times
+    its marginal; the two denominators cancel from both sides)."""
+    if not is_measurable(game, q, partition):
         return False
     for i in game.players:
+        q_mass, p_mass = q.beliefs(game)[i].totals, p.beliefs(game)[i].totals
         for cell in partition.cells[i]:
             members = [a for a in game.actions[i] if a in cell]
             for idx, a in enumerate(members):
-                qa = q.action_marginal(game, i, a)
-                pa = p.action_marginal(game, i, a)
                 for b in members[idx + 1 :]:
-                    qb = q.action_marginal(game, i, b)
-                    pb = p.action_marginal(game, i, b)
-                    if qa * pb != pa * qb:
+                    if q_mass[a] * p_mass[b] != p_mass[a] * q_mass[b]:
                         return False
     return True
 
@@ -173,17 +164,14 @@ def _partitions_equal(a: PartitionProfile, b: PartitionProfile, players) -> bool
     return True
 
 
-def _closure_obstruction(
-    game: BaseGame, outcome: Outcome, poly: BcePolytope, tables: BeliefTables
-):
+def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
     """A supported pair with distinct beliefs whose jeopardization sets
     intersect.  Any sBCE sequence converging to the outcome would eventually
     support the pair with distinct beliefs, forcing the shared jeopardizing
     action out of one best-response set; so an obstruction proves the outcome
-    lies outside the closure of the sBCE set.  ``tables`` are the outcome's
-    belief tables."""
+    lies outside the closure of the sBCE set."""
     for i in game.players:
-        table = tables[i]
+        table = outcome.beliefs(game)[i]
         support = table.support
         for ai, a in enumerate(support):
             for b in support[ai + 1 :]:
@@ -199,17 +187,8 @@ def _closure_obstruction(
     return None
 
 
-def _tables_of(game: BaseGame, outcome: Outcome, tables: BeliefTables) -> BeliefTables:
-    """``tables`` when they are ``outcome``'s, else new ones for it."""
-    return tables if tables.outcome is outcome else BeliefTables(game, outcome)
-
-
-def _verify_certificate(
-    game: BaseGame, outcome: Outcome, cert: VceCertificate, tables: BeliefTables
-):
-    """Check every certificate invariant; returns an error string or None.
-    ``tables`` are the outcome's belief tables, read again by a component or
-    witness that is the outcome itself."""
+def _verify_certificate(game: BaseGame, outcome: Outcome, cert: VceCertificate):
+    """Check every certificate invariant; returns an error string or None."""
     if len(cert.weights) != len(cert.components) or not cert.weights:
         return "weights and components must align and be nonempty"
     total = sum((Rat(w) for w in cert.weights), ZERO)
@@ -222,17 +201,15 @@ def _verify_certificate(
         nash, _ = is_complete_info_nash(game, comp)
         if not nash:
             return "a component is not a complete-information Nash equilibrium"
-        comp_tables = _tables_of(game, comp, tables)
-        if not is_decomposable(game, comp, cert.partition, outcome, comp_tables):
+        if not is_decomposable(game, comp, cert.partition, outcome):
             return "a component fails measurability or cell-ratio matching"
     mix = mix_outcomes(zip(map(Rat, cert.weights), cert.components))
     if mix.p != {k: v for k, v in outcome.p.items() if v}:
         return "the weighted components do not reproduce the outcome"
-    witness_tables = _tables_of(game, cert.sbce_witness, tables)
-    if not is_sbce(game, cert.sbce_witness, witness_tables):
+    if not is_sbce(game, cert.sbce_witness):
         return "the sBCE witness is not a separated BCE"
     if not _partitions_equal(
-        belief_partition(game, cert.sbce_witness, witness_tables), cert.partition, game.players
+        belief_partition(game, cert.sbce_witness), cert.partition, game.players
     ):
         return "the sBCE witness does not induce the certificate partition"
     dist = _distance(outcome, cert.sbce_witness, list(game.cells()))
@@ -258,11 +235,11 @@ def check_vce(
     toward the minimally mixed candidate) gives IsVce.  Everything else is
     honestly Undetermined.
     """
+    if _lp._inexact(epsilon):
+        raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
     validate_outcome(game, outcome)
-    # Built on first read, then shared by every check of the outcome.
-    tables = BeliefTables(game, outcome)
     if certificate is not None:
-        problem = _verify_certificate(game, outcome, certificate, tables)
+        problem = _verify_certificate(game, outcome, certificate)
         if problem is None:
             return Verdict(
                 kind=IS_VCE,
@@ -271,7 +248,7 @@ def check_vce(
             )
         return Verdict(kind=UNDETERMINED, reason=f"certificate rejected: {problem}")
 
-    bce = is_bce(game, outcome, tables)
+    bce = is_bce(game, outcome)
     if not bce:
         return Verdict(
             kind=NOT_VCE,
@@ -279,17 +256,17 @@ def check_vce(
             witness=bce.witness,
         )
     nash, _ = is_complete_info_nash(game, outcome)
-    separated = is_sbce(game, outcome, tables)
+    separated = is_sbce(game, outcome)
 
     if separated and nash:
         cert = VceCertificate(
-            partition=belief_partition(game, outcome, tables),
+            partition=belief_partition(game, outcome),
             weights=(ONE,),
             components=(outcome,),
             sbce_witness=outcome,
             witness_distance=ZERO,
         )
-        problem = _verify_certificate(game, outcome, cert, tables)
+        problem = _verify_certificate(game, outcome, cert)
         if problem is not None:  # pragma: no cover - construction is trivial
             raise InternalInvariantError(f"trivial certificate failed: {problem}")
         return Verdict(
@@ -307,7 +284,7 @@ def check_vce(
         )
 
     poly = BcePolytope.of(game)
-    obstruction = _closure_obstruction(game, outcome, poly, tables)
+    obstruction = _closure_obstruction(game, outcome, poly)
     if obstruction is not None:
         return Verdict(
             kind=NOT_VCE,

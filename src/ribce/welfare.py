@@ -4,9 +4,10 @@ regimes.
 Exogenous information hands players the gross value of an outcome; acquired
 information pins each player between the uninformed value (ignore every
 recommendation, play the best constant action) and the gross value, both
-read off the belief tables the outcome's obedience check reads.  The two
-worst cases over one obedience polytope are a plain LP and an epigraph LP;
-the gap between them is what separates the two regimes for a planner.
+read off the outcome's own belief tables (``Outcome.beliefs``), which its
+obedience check reads too.  The two worst cases over one obedience polytope
+are a plain LP and an epigraph LP; the gap between them is what separates
+the two regimes for a planner.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,14 @@ from typing import Optional
 
 from . import lp as _lp
 from .bce import BcePolytope, is_bce, minimize_linear_over_bce
-from .errors import GameNotSymmetric, InternalInvariantError, NotABce, NotBinaryAction
-from .games import BaseGame, BeliefTables, Outcome, deviation_row, is_symmetric_game
+from .errors import (
+    GameNotSymmetric,
+    InternalInvariantError,
+    InvalidParams,
+    NotABce,
+    NotBinaryAction,
+)
+from .games import BaseGame, Outcome, deviation_row, is_symmetric_game
 from .rational import ONE, ZERO, Rat
 from .regime import EPIGRAPH, count_space
 
@@ -52,26 +59,20 @@ class WelfareReport:
         return self.w_exogenous - self.w_inattention
 
 
-def value_interval(
-    game: BaseGame,
-    outcome: Outcome,
-    mode=RATIONAL_INATTENTION,
-    tables: Optional[BeliefTables] = None,
-) -> ValueInterval:
+def value_interval(game: BaseGame, outcome: Outcome, mode=RATIONAL_INATTENTION) -> ValueInterval:
     """Attainable net payoffs per player from this equilibrium outcome.
 
-    Requires a BCE; obedience and both endpoints are read off ``tables``,
-    the outcome's belief tables (made when not given).  Under flexible costly
-    acquisition the interval is [uninformed, gross) unless the endpoints
-    coincide; if arbitrary (possibly non-monotone) technologies are allowed,
-    the interval closes.
+    Requires a BCE; an unknown ``mode`` raises ``InvalidParams``.  Under
+    flexible costly acquisition the interval is [uninformed, gross) unless
+    the endpoints coincide; if arbitrary (possibly non-monotone) technologies
+    are allowed, the interval closes.
     """
     if mode not in (RATIONAL_INATTENTION, ARBITRARY_TECHNOLOGY):
-        raise ValueError(f"unknown mode {mode!r}")
-    tables = BeliefTables(game, outcome) if tables is None else tables
-    check = is_bce(game, outcome, tables)
+        raise InvalidParams(f"unknown mode {mode!r}")
+    check = is_bce(game, outcome)
     if not check:
         raise NotABce(f"value intervals require obedience; violated at {check.witness}")
+    tables = outcome.beliefs(game)
     per_player = {}
     for i in game.players:
         lo, _ = tables[i].uninformed()
@@ -125,11 +126,11 @@ def worst_case_rational_inattention(game: BaseGame, poly: Optional[BcePolytope] 
     if not sol.is_optimal:
         raise InternalInvariantError(f"uninformed-welfare LP is {sol.status}")
     outcome = poly.outcome_from_point(sol.point)
-    tables = BeliefTables(game, outcome)
-    check = is_bce(game, outcome, tables)
+    check = is_bce(game, outcome)
     if not check:
         raise InternalInvariantError(f"optimizer left the BCE set: {check.witness}")
     # Tightness: at the optimum each t_i equals the max deviation payoff.
+    tables = outcome.beliefs(game)
     total = sum((tables[i].uninformed()[0] for i in game.players), ZERO)
     if total != sol.value:
         raise InternalInvariantError("epigraph variables not tight at optimum")

@@ -174,7 +174,7 @@ def mixing_cases(draw):
     game = draw(games())
     cand, other = draw(outcomes(game)), draw(outcomes(game))
     keep = _distinct_pairs(game, cand)
-    pairs = sorted(_supported_pairs(game, BeliefTables(game, other)), key=str)
+    pairs = sorted(_supported_pairs(game, other), key=str)
     want = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else None
     weights = None
     if draw(st.booleans()):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ribce.bce import BcePolytope, is_bce, minimize_linear_over_bce
-from ribce.errors import InternalInvariantError, NotABce, NotCoherent, ValidationError
-from ribce.games import BaseGame, BeliefTables, Outcome
+from ribce.errors import NotABce, NotCoherent, ValidationError
+from ribce.games import BaseGame, Outcome
 from ribce.rational import Rat
 from ribce.separation import is_sbce, is_separated
 from ribce.structure import (
@@ -157,15 +157,6 @@ def test_classify_density_dense_cases():
     verdict.verify(mp)
 
 
-def test_verify_refuses_tables_of_another_outcome():
-    mp = matching_pennies()
-    verdict = classify_density(mp, mode=EXACT)
-    cert = verdict.certificate
-    assert verdict.verify(mp, BeliefTables(mp, cert))
-    with pytest.raises(InternalInvariantError, match="not the certificate's"):
-        verdict.verify(mp, BeliefTables(mp, Outcome(p=dict(cert.p))))
-
-
 def test_classify_density_unperturbed_intro_nowhere_dense():
     # The all-market BCE plus project coordination violates separation, and
     # funding a project jeopardizes the market recommendation.
@@ -314,6 +305,14 @@ def test_perturbation_rejects_nonpositive_epsilon():
     mix = coordination_mixture_outcome(g, Rat(1, 3))
     with pytest.raises(ValidationError):
         separating_perturbation(g, mix, 0)
+
+
+def test_perturbation_rejects_inexact_epsilon():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10.
+    g3 = coordination_game_3x3()
+    p_half = coordination_3x3_segment_point(Rat(1, 2))
+    with pytest.raises(ValidationError, match=r"epsilon must be an exact rational: 0\.1$"):
+        separating_perturbation(g3, p_half, 0.1)
 
 
 def test_perturbation_with_collinear_beliefs():

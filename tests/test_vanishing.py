@@ -1,7 +1,11 @@
 import random
 from itertools import product
 
+import pytest
+
+from ribce.errors import ValidationError
 from ribce.games import Outcome
+from ribce.lp import IntRow
 from ribce.rational import ONE, Rat, ZERO
 from ribce.representation import PartitionProfile, belief_partition
 from ribce.separation import is_sbce
@@ -88,6 +92,28 @@ def test_decomposability():
     assert not is_decomposable(g3, q, part, p_half)
 
 
+def test_decomposability_across_denominators():
+    # p_half's masses are over 8, q's over 30 and 18: the within-cell action
+    # masses are compared cross-multiplied, so the denominators cancel.
+    g3 = coordination_game_3x3()
+    p_half = coordination_3x3_segment_point(Rat(1, 2))
+    part = belief_partition(g3, p_half)
+    corners = (("b", "b"), ("b", "c"), ("c", "b"), ("c", "c"))
+    same_ratios = Outcome(
+        p=IntRow({(("a", "a"), "s"): 10, **{(pr, "s"): 5 for pr in corners}}, 30)
+    )
+    assert is_decomposable(g3, same_ratios, part, p_half)
+    assert is_decomposable(g3, p_half, part, same_ratios)
+    # measurable (each player's b and c share a belief), but c is played
+    # twice as often as b
+    skewed = Outcome(
+        p=IntRow({(("a", "a"), "s"): 9, **{(pr, "s"): 2 ** pr.count("c") for pr in corners}}, 18)
+    )
+    assert is_measurable(g3, skewed, part)
+    assert not is_decomposable(g3, skewed, part, p_half)
+    assert not is_decomposable(g3, p_half, part, skewed)
+
+
 def test_check_vce_mixed_nash_of_3x3():
     g3 = coordination_game_3x3()
     verdict = check_vce(g3, coordination_3x3_segment_point(0))
@@ -100,6 +126,12 @@ def test_check_vce_interior_segment_point_rejected():
     verdict = check_vce(g3, coordination_3x3_segment_point(Rat(1, 2)))
     assert verdict.kind == NOT_VCE
     assert verdict.witness == ("p1", "a", "b", "a")
+
+
+def test_check_vce_rejects_inexact_epsilon():
+    g3 = coordination_game_3x3()
+    with pytest.raises(ValidationError, match=r"epsilon must be an exact rational: 0\.001$"):
+        check_vce(g3, coordination_3x3_segment_point(0), epsilon=0.001)
 
 
 def test_check_vce_non_bce():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ribce.errors import GameNotSymmetric, NotABce, NotBinaryAction
+from ribce.errors import GameNotSymmetric, InvalidParams, NotABce, NotBinaryAction
 from ribce.games import make_outcome
 from ribce.rational import Rat
 from ribce.regime import RegimeParams, build_regime_game
@@ -65,6 +65,12 @@ def test_value_interval_requires_bce():
     )
     with pytest.raises(NotABce):
         value_interval(g, bad)
+
+
+def test_value_interval_rejects_unknown_mode():
+    g = investment_game(Rat(1, 10))
+    with pytest.raises(InvalidParams, match="unknown mode 'bogus'"):
+        value_interval(g, inferior_coordination_outcome(g), mode="bogus")
 
 
 def test_worst_cases_perturbed_intro():
