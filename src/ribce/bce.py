@@ -4,9 +4,9 @@ The BCE polytope of a game lives in outcome space: nonnegativity, one
 prior-marginal equality per state, and one obedience row per ordered action
 pair of each player.  It is never empty (a mediator replicating any Nash
 equilibrium of the prior-averaged game is obedient), so every optimizer here
-returns an exact optimum, read out by ``BcePolytope.optimum`` on the polytope
-the caller passes as ``poly`` (built when not given): an outcome whose masses
-are the LP point's nonzero int numerators over its denominator.
+returns an exact optimum, read out by ``BcePolytope.optimum`` on the game's
+``BaseGame.bce_polytope``: an outcome whose masses are the LP point's nonzero
+int numerators over its denominator.
 
 Membership of one outcome is decided on ints: ``is_bce`` and
 ``obedience_slack`` read each player's belief table (``Outcome.beliefs``),
@@ -80,7 +80,7 @@ class BcePolytope:
     tableau (an ``lp.Polyhedron``) for every later objective; each answer is
     the one ``lp.solve`` gives for ``lp(objective, sense)``.  That state is
     left out of ``repr`` and ``==``, and assumes the constraints and bounds
-    no longer change.
+    no longer change.  ``BaseGame.bce_polytope`` keeps one per game.
     """
 
     game: BaseGame
@@ -135,13 +135,13 @@ class BcePolytope:
         return out
 
 
-def minimize_linear_over_bce(game: BaseGame, objective: dict, poly: Optional[BcePolytope] = None):
+def minimize_linear_over_bce(game: BaseGame, objective: dict):
     """Exact minimizer and value of a linear functional on the BCE set.
 
     ``objective`` maps (profile, state) cells to coefficients; missing cells
     count as zero.
     """
-    poly = poly or BcePolytope.of(game)
+    poly = game.bce_polytope
     for key in objective:
         if key not in poly.bounds:
             raise UnknownAction(f"objective references unknown cell {key!r}")
@@ -152,21 +152,18 @@ def minimize_linear_over_bce(game: BaseGame, objective: dict, poly: Optional[Bce
     return outcome, value
 
 
-def maximize_cell_over_bce(game: BaseGame, cell, poly: Optional[BcePolytope] = None):
-    poly = poly or BcePolytope.of(game)
-    return poly.optimum({cell: ONE}, "max")
+def maximize_cell_over_bce(game: BaseGame, cell):
+    return game.bce_polytope.optimum({cell: ONE}, "max")
 
 
-def max_support_point(game: BaseGame, poly: Optional[BcePolytope] = None) -> Outcome:
+def max_support_point(game: BaseGame) -> Outcome:
     """A BCE whose support contains the support of every BCE.
 
     Averages, with equal weights, one maximizer of each cell's probability;
     the average of feasible points supports the union of their supports and
-    sits in the relative interior of the BCE set.  ``poly``, the game's
-    polytope, is built when not given.
+    sits in the relative interior of the BCE set.
     """
-    poly = poly or BcePolytope.of(game)
-    points = [maximize_cell_over_bce(game, cell, poly)[0] for cell in poly.variables]
+    points = [maximize_cell_over_bce(game, cell)[0] for cell in game.bce_polytope.variables]
     weight = Rat(1, len(points))
     out = mix_outcomes((weight, point) for point in points)
     validate_outcome(game, out)

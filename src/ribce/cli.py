@@ -13,7 +13,7 @@ import sys
 
 from .errors import InternalInvariantError, InvalidParams, RibceError, ValidationError
 from .games import is_symmetric_game, utility_distance
-from .bce import BcePolytope, is_bce
+from .bce import is_bce
 from .io import (
     game_to_dict,
     load_game,
@@ -116,8 +116,8 @@ def _check_outcome_report(game, outcome) -> dict:
     return report
 
 
-def _welfare_block(game, poly=None) -> dict:
-    rep = welfare_report(game, poly)
+def _welfare_block(game) -> dict:
+    rep = welfare_report(game)
     return {
         "worst_case": {
             "exogenous_information": rational_to_json(rep.w_exogenous),
@@ -131,8 +131,8 @@ def _welfare_block(game, poly=None) -> dict:
     }
 
 
-def _density_block(game, args, poly=None) -> dict:
-    verdict = classify_density(game, args.mode, args.seed, args.retries, poly)
+def _density_block(game, args) -> dict:
+    verdict = classify_density(game, args.mode, args.seed, args.retries)
     block = {"verdict": verdict.verdict, "mode": verdict.mode}
     if verdict.certificate is not None:
         block["certificate"] = _outcome_block(verdict.certificate)
@@ -173,13 +173,12 @@ def cmd_density(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     game = load_game(args.game)
-    poly = BcePolytope.of(game)
     report = {
         "players": [str(i) for i in game.players],
         "states": [str(s) for s in game.states],
         "symmetric": is_symmetric_game(game),
-        "welfare": _welfare_block(game, poly),
-        "density": _density_block(game, args, poly),
+        "welfare": _welfare_block(game),
+        "density": _density_block(game, args),
     }
     if args.outcome:
         outcome = load_outcome(args.outcome, game)
@@ -280,16 +279,12 @@ def cmd_canonical(args) -> dict:
             }
         plans_block[str(i)] = rows
     experiments_block = {}
-    for k, i in enumerate(game.players):
-        rows = []
-        for z in rep.correlation_states:
-            rows.append(
-                [
-                    rational_to_json(Rat(1) if signal == z[k] else Rat(0))
-                    for signal in rep.signals[i]
-                ]
-            )
-        experiments_block[str(i)] = rows
+    for i in game.players:
+        experiment = rep.experiment(i)
+        experiments_block[str(i)] = [
+            [rational_to_json(experiment[(signal, z)]) for signal in rep.signals[i]]
+            for z in rep.correlation_states
+        ]
     report = {
         "partition": partition,
         "correlation_states": states_block,
@@ -495,9 +490,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 2
-    except InternalInvariantError as exc:
-        sys.stderr.write(f"error[{exc.code}]: {exc}\n")
-        return 1
     except RibceError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 1

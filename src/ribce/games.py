@@ -135,6 +135,14 @@ class BaseGame:
             table[i] = PayoffRows(scale, rows, cells, position)
         return table
 
+    @cached_property
+    def bce_polytope(self):
+        """The game's ``bce.BcePolytope``, built on first use and kept with
+        its phase 1 for the game's lifetime."""
+        from .bce import BcePolytope
+
+        return BcePolytope.of(self)
+
 
 class PayoffRows(NamedTuple):
     """One player's payoffs as int rows over ``BaseGame.belief_cells``:

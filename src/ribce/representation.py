@@ -85,18 +85,18 @@ def build_canonical(game: BaseGame, outcome: Outcome) -> CanonicalRepresentation
     partition = belief_partition(game, outcome)
     per_player_cells = [partition.cells[i] for i in game.players]
     correlation_states = tuple(product(*per_player_cells))
-    kernel = {}
-    for state in game.states:
-        pi = game.prior[state]
-        for z in correlation_states:
-            mass = ZERO
-            for key, q in outcome.p.items():
-                profile, s = key
-                if s != state or not q:
-                    continue
-                if all(profile[k] in z[k] for k in range(len(game.players))):
-                    mass += q
-            kernel[(state, z)] = mass / pi
+    # The cells partition each player's actions: one correlation state per profile.
+    cell_of = [{a: cell for cell in cells for a in cell} for cells in per_player_cells]
+    mass = {}
+    for (profile, state), q in outcome.p.items():
+        if q:
+            key = (state, tuple(cells[a] for cells, a in zip(cell_of, profile)))
+            mass[key] = mass.get(key, ZERO) + q
+    kernel = {
+        (state, z): mass.get((state, z), ZERO) / game.prior[state]
+        for state in game.states
+        for z in correlation_states
+    }
     signals = {}
     plans = {}
     n_states = len(correlation_states) * len(game.states)

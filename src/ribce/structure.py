@@ -9,7 +9,8 @@ the sBCE set is dense; otherwise its separation failure exhibits two
 recommendations with distinct beliefs sharing a jeopardizing action, which is
 a complete nowhere-density certificate.  Every step reads the belief tables
 of the outcome it looks at (candidate, vertex, witness, maximizer) through
-``Outcome.beliefs``, so each is built once however many steps read it.
+``Outcome.beliefs``, and every LP on the game's ``BaseGame.bce_polytope``,
+so each is built once however many steps read it.
 """
 
 import random
@@ -41,7 +42,7 @@ NOWHERE_DENSE = "nowhere_dense"
 # Jeopardization
 
 
-def jeopardizes(game: BaseGame, player, action, target, poly: Optional[BcePolytope] = None):
+def jeopardizes(game: BaseGame, player, action, target):
     """Does ``action`` jeopardize ``target``: is ``action`` a best response to
     the belief induced by ``target`` in every BCE that recommends it?
 
@@ -51,19 +52,17 @@ def jeopardizes(game: BaseGame, player, action, target, poly: Optional[BcePolyto
     """
     check_action(game, player, action)
     check_action(game, player, target)
-    poly = poly or BcePolytope.of(game)
-    outcome, value = poly.optimum(obedience_row(game, player, target, action), "max")
+    outcome, value = game.bce_polytope.optimum(obedience_row(game, player, target, action), "max")
     if value < 0:
         raise InternalInvariantError("obedience slack negative over the BCE set")
     return value == 0, value, outcome
 
 
-def jeopardization_set(game: BaseGame, player, target, poly: Optional[BcePolytope] = None):
+def jeopardization_set(game: BaseGame, player, target):
     """All actions that jeopardize ``target``, in action order."""
-    poly = poly or BcePolytope.of(game)
     out = []
     for action in game.actions[player]:
-        hit, _, _ = jeopardizes(game, player, action, target, poly)
+        hit, _, _ = jeopardizes(game, player, action, target)
         if hit:
             out.append(action)
     return tuple(out)
@@ -73,11 +72,10 @@ def jeopardization_set(game: BaseGame, player, target, poly: Optional[BcePolytop
 # Equal beliefs across the whole BCE set (extreme-point test)
 
 
-def bce_vertices(game: BaseGame, cap=None, poly: Optional[BcePolytope] = None):
-    """All vertices of the game's BCE polytope, as outcomes; ``poly`` is that
-    polytope, built when not given."""
-    poly = poly or BcePolytope.of(game)
-    pts = enumerate_vertices(poly.variables, poly.constraints, poly.bounds, cap=cap)
+def bce_vertices(game: BaseGame):
+    """All vertices of the game's BCE polytope, as outcomes."""
+    poly = game.bce_polytope
+    pts = enumerate_vertices(poly.variables, poly.constraints, poly.bounds)
     return [poly.outcome_from_point(pt) for pt in pts]
 
 
@@ -232,7 +230,6 @@ def find_minimally_mixed(
     retries: int = 64,
     seed: int = 0,
     mode: str = RANDOMIZED,
-    poly: Optional[BcePolytope] = None,
 ) -> Outcome:
     """A maximal-support BCE realizing distinct beliefs wherever any BCE does.
 
@@ -240,11 +237,10 @@ def find_minimally_mixed(
     pair by the extreme-point test, and mixes witnesses into the candidate
     until every realizable pair is realized; the result is verified.  The
     randomized mode perturbs the maximal-support point with random
-    optimizer outputs and only guarantees maximal support.  Both modes work
-    on ``poly``, the game's polytope, built when not given.
+    optimizer outputs and only guarantees maximal support.
     """
     if mode == EXACT:
-        vertices = bce_vertices(game, poly=poly)
+        vertices = bce_vertices(game)
         if not vertices:
             raise InternalInvariantError("BCE polytope cannot be empty")
         if len(vertices) == 1:
@@ -266,8 +262,8 @@ def find_minimally_mixed(
     if mode != RANDOMIZED:
         raise ValidationError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    poly = poly or BcePolytope.of(game)
-    cand = max_support_point(game, poly)
+    poly = game.bce_polytope
+    cand = max_support_point(game)
     realized = _distinct_pairs(game, cand)
     for _ in range(retries):
         objective = {
@@ -289,7 +285,7 @@ def find_minimally_mixed(
     return cand
 
 
-def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope) -> Outcome:
+def _reduce_best_responses(game: BaseGame, cand: Outcome) -> Outcome:
     """Mix BCEs into the candidate until every supported recommendation's
     best-response set equals its jeopardization set, without losing any
     realized distinct-belief pair.  Jeopardization sets are lower bounds for
@@ -307,7 +303,7 @@ def _reduce_best_responses(game: BaseGame, cand: Outcome, poly: BcePolytope) -> 
                         continue
                     key = (i, c, a)
                     if key not in jeopardy:
-                        jeopardy[key] = jeopardizes(game, i, c, a, poly)
+                        jeopardy[key] = jeopardizes(game, i, c, a)
                     hit, _, maximizer = jeopardy[key]
                     if not hit:
                         culprit = (i, a, c, maximizer)
@@ -332,7 +328,8 @@ class DensityVerdict:
     def verify(self, game: BaseGame) -> bool:
         """Re-check the certificate; raises on failure.  The checks read the
         outcome's own belief tables (``Outcome.beliefs``), so they share any
-        fault in the tables the search read."""
+        fault in the tables the search read.  Its LPs run on a polytope of
+        their own, so a fresh phase 1 catches a fault in the game's."""
         outcome = self.certificate if self.verdict == DENSE else self.witness[0]
         if self.verdict == DENSE:
             if not is_sbce(game, outcome):
@@ -345,8 +342,8 @@ class DensityVerdict:
             raise InternalInvariantError("witness beliefs are not distinct")
         poly = BcePolytope.of(game)
         for target in (a, b):
-            hit, value, _ = jeopardizes(game, player, shared, target, poly)
-            if not hit:
+            _, value = poly.optimum(obedience_row(game, player, target, shared), "max")
+            if value != 0:
                 raise InternalInvariantError(
                     f"{shared!r} does not jeopardize {target!r} (max slack {value})"
                 )
@@ -358,7 +355,6 @@ def classify_density(
     mode: str = RANDOMIZED,
     seed: int = 0,
     retries: int = 64,
-    poly: Optional[BcePolytope] = None,
 ) -> DensityVerdict:
     """Is the sBCE set dense in the BCE set, or nowhere dense?
 
@@ -367,12 +363,11 @@ def classify_density(
     density; a separation failure names two distinct-belief recommendations
     sharing a jeopardizing action, certifying nowhere-density.  NowhereDense
     witnesses are complete proofs in both modes; the Dense verdict relies on
-    verified minimal mixing in exact mode only.  The search runs on ``poly``
-    when given; the verdict's ``verify`` builds its own polytope.
+    verified minimal mixing in exact mode only.  The search runs on the
+    game's ``bce_polytope``; the verdict's ``verify`` builds its own.
     """
-    poly = poly or BcePolytope.of(game)
-    cand = find_minimally_mixed(game, retries, seed, mode, poly)
-    cand = _reduce_best_responses(game, cand, poly)
+    cand = find_minimally_mixed(game, retries, seed, mode)
+    cand = _reduce_best_responses(game, cand)
     mode_tag = {"kind": EXACT} if mode == EXACT else {
         "kind": RANDOMIZED,
         "seed": seed,

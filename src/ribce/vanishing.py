@@ -10,14 +10,15 @@ Undetermined, and the undecided case is an honest value, not an error.
 Every test of an outcome here (obedience, separation, measurability, the
 within-cell action ratios, the closure obstruction) reads the outcome's own
 belief tables (``Outcome.beliefs``), so a certificate component or witness
-that is the outcome itself shares them with the outcome's checks.
+that is the outcome itself shares them with the outcome's checks; every LP
+runs on the game's ``BaseGame.bce_polytope``.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from . import lp as _lp
-from .bce import BcePolytope, is_bce, mix_outcomes
+from .bce import is_bce, mix_outcomes
 from .errors import InternalInvariantError, ValidationError
 from .games import BaseGame, Outcome, validate_outcome
 from .rational import ONE, ZERO, Rat
@@ -164,7 +165,7 @@ def _partitions_equal(a: PartitionProfile, b: PartitionProfile, players) -> bool
     return True
 
 
-def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
+def _closure_obstruction(game: BaseGame, outcome: Outcome):
     """A supported pair with distinct beliefs whose jeopardization sets
     intersect.  Any sBCE sequence converging to the outcome would eventually
     support the pair with distinct beliefs, forcing the shared jeopardizing
@@ -178,10 +179,10 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome, poly: BcePolytope):
                 if table.same_belief(a, b):
                     continue
                 for c in game.actions[i]:
-                    hit_a, _, _ = jeopardizes(game, i, c, a, poly)
+                    hit_a, _, _ = jeopardizes(game, i, c, a)
                     if not hit_a:
                         continue
-                    hit_b, _, _ = jeopardizes(game, i, c, b, poly)
+                    hit_b, _, _ = jeopardizes(game, i, c, b)
                     if hit_b:
                         return (i, a, b, c)
     return None
@@ -237,6 +238,8 @@ def check_vce(
     """
     if _lp._inexact(epsilon):
         raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
+    if epsilon <= 0:
+        raise ValidationError("epsilon must be positive")
     validate_outcome(game, outcome)
     if certificate is not None:
         problem = _verify_certificate(game, outcome, certificate)
@@ -283,8 +286,7 @@ def check_vce(
             ),
         )
 
-    poly = BcePolytope.of(game)
-    obstruction = _closure_obstruction(game, outcome, poly)
+    obstruction = _closure_obstruction(game, outcome)
     if obstruction is not None:
         return Verdict(
             kind=NOT_VCE,
@@ -303,7 +305,7 @@ def check_vce(
             ),
         )
 
-    density = classify_density(game, mode=mode, seed=seed, retries=retries, poly=poly)
+    density = classify_density(game, mode=mode, seed=seed, retries=retries)
     if density.verdict == DENSE:
         # Density makes the closure of the sBCE set the whole BCE set; an
         # explicit sBCE within epsilon is attached as checkable evidence

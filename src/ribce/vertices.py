@@ -63,7 +63,7 @@ def _cap_from_env():
 
 
 def enumerate_vertices(variables, constraints, bounds=None, cap=None):
-    """All vertices of the polytope, deduplicated, in canonical order, each
+    """All vertices of the polytope, without repeats, in canonical order, each
     an ``lp.IntRow`` over every variable, zeros included.
 
     Raises DimensionCapExceeded past the variable cap and UnboundedPolytope
@@ -96,7 +96,9 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
 def _enumerate(variables, constraints, bounds):
     """The double-description pass: the vertices of the polytope, or
     UnboundedPolytope when the cone has a lineality direction or a ray with
-    t = 0."""
+    t = 0.  The rays stay distinct unchecked: an adjacent pair spans one
+    2-face, and a new ray lies inside its pair's, so it is no other new ray
+    and no kept (extreme) ray."""
     d = len(variables)
     mrows = _homogenize(variables, constraints, bounds)
     chosen, rays = _initial_cone(mrows, d)
@@ -144,10 +146,8 @@ def _enumerate(variables, constraints, bounds):
                 # combination is positive, so it is tight exactly where both
                 # are, and at the new row.
                 new_masks.append(common | bit)
-        rays, ray_masks = _dedup(
-            [rays[k] for k in plus + zero] + new_rays,
-            [ray_masks[k] for k in plus] + [ray_masks[k] | bit for k in zero] + new_masks,
-        )
+        ray_masks = [ray_masks[k] for k in plus] + [ray_masks[k] | bit for k in zero] + new_masks
+        rays = [rays[k] for k in plus + zero] + new_rays
 
     return _vertices(rays, variables)
 
@@ -260,20 +260,6 @@ def _adjacent(common, by_row, everyone, pair):
             return True
         common ^= low
     return left == pair
-
-
-def _dedup(rays, ray_masks):
-    """Drop repeated rays, keeping the first (identical canonical forms can
-    arise from parallel pairs)."""
-    seen = set()
-    kept_rays, kept_masks = [], []
-    for r, mask in zip(rays, ray_masks):
-        key = tuple(r)
-        if key not in seen:
-            seen.add(key)
-            kept_rays.append(r)
-            kept_masks.append(mask)
-    return kept_rays, kept_masks
 
 
 def _vertices(rays, variables):

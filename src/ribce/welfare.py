@@ -5,16 +5,15 @@ Exogenous information hands players the gross value of an outcome; acquired
 information pins each player between the uninformed value (ignore every
 recommendation, play the best constant action) and the gross value, both
 read off the outcome's own belief tables (``Outcome.beliefs``), which its
-obedience check reads too.  The two worst cases over one obedience polytope
-are a plain LP and an epigraph LP; the gap between them is what separates
-the two regimes for a planner.
+obedience check reads too.  The two worst cases over the game's polytope
+(``BaseGame.bce_polytope``) are a plain LP and an epigraph LP; the gap
+between them is what separates the two regimes for a planner.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import lp as _lp
-from .bce import BcePolytope, is_bce, minimize_linear_over_bce
+from .bce import is_bce, minimize_linear_over_bce
 from .errors import (
     GameNotSymmetric,
     InternalInvariantError,
@@ -85,21 +84,22 @@ def value_interval(game: BaseGame, outcome: Outcome, mode=RATIONAL_INATTENTION) 
     return ValueInterval(mode=mode, per_player=per_player)
 
 
-def worst_case_exogenous(game: BaseGame, poly: Optional[BcePolytope] = None):
-    """min over the BCE set (``poly``) of total gross value; returns (value, minimizer)."""
+def worst_case_exogenous(game: BaseGame):
+    """min over the BCE set of total gross value; returns (value, minimizer)."""
     objective = {}
     for cell in game.cells():
         profile, state = cell
         total = sum((game.u(i, profile, state) for i in game.players), ZERO)
         if total:
             objective[cell] = total
-    outcome, value = minimize_linear_over_bce(game, objective, poly)
+    outcome, value = minimize_linear_over_bce(game, objective)
     return value, outcome
 
 
-def _epigraph_lp(game: BaseGame, poly: BcePolytope):
-    tvars = tuple(("t", i) for i in game.players)
-    variables = poly.variables + tvars
+def worst_case_rational_inattention(game: BaseGame):
+    """min over the BCE set of total uninformed value, via epigraph variables
+    t_i >= every constant-action deviation payoff; returns (value, minimizer)."""
+    poly = game.bce_polytope
     constraints = list(poly.constraints)
     for i in game.players:
         for action in game.actions[i]:
@@ -107,21 +107,13 @@ def _epigraph_lp(game: BaseGame, poly: BcePolytope):
             nums = {cell: -x for cell, x in payoff.nums.items()}
             nums[("t", i)] = payoff.den
             constraints.append((_lp.IntRow(nums, payoff.den), _lp.GREATER, ZERO))
-    objective = {("t", i): ONE for i in game.players}
-    return _lp.LinearProgram(
-        variables=variables,
-        objective=objective,
+    lp = _lp.LinearProgram(
+        variables=poly.variables + tuple(("t", i) for i in game.players),
+        objective={("t", i): ONE for i in game.players},
         sense="min",
         constraints=constraints,
         bounds=dict(poly.bounds),
     )
-
-
-def worst_case_rational_inattention(game: BaseGame, poly: Optional[BcePolytope] = None):
-    """min over the BCE set of total uninformed value, via epigraph variables
-    t_i >= every constant-action deviation payoff; returns (value, minimizer)."""
-    poly = poly or BcePolytope.of(game)
-    lp = _epigraph_lp(game, poly)
     sol = _lp.solve(lp)
     if not sol.is_optimal:
         raise InternalInvariantError(f"uninformed-welfare LP is {sol.status}")
@@ -137,10 +129,9 @@ def worst_case_rational_inattention(game: BaseGame, poly: Optional[BcePolytope] 
     return sol.value, outcome
 
 
-def welfare_report(game: BaseGame, poly: Optional[BcePolytope] = None) -> WelfareReport:
-    poly = poly or BcePolytope.of(game)
-    w_ex, p_ex = worst_case_exogenous(game, poly)
-    w_ri, p_ri = worst_case_rational_inattention(game, poly)
+def welfare_report(game: BaseGame) -> WelfareReport:
+    w_ex, p_ex = worst_case_exogenous(game)
+    w_ri, p_ri = worst_case_rational_inattention(game)
     if w_ri > w_ex:
         raise InternalInvariantError("uninformed worst case exceeded gross worst case")
     return WelfareReport(

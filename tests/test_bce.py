@@ -13,7 +13,8 @@ from ribce.bce import (
 )
 from ribce.errors import UnknownAction, ValidationError
 from ribce.games import deviation_row, gross_value, make_outcome, uninformed_value
-from ribce.rational import Rat, ZERO
+from ribce.lp import solve
+from ribce.rational import ONE, Rat, ZERO
 from ribce.vertices import enumerate_vertices
 from ribce.bce import BcePolytope
 
@@ -153,24 +154,24 @@ def _sample_games():
 
 
 def test_maximize_cell_same_with_shared_polytope():
+    # The game's polytope answers every objective after the first from its
+    # stored phase 1, and each answer is the one a cold solve gives.
     for g in _sample_games():
-        poly = BcePolytope.of(g)
+        cold = BcePolytope.of(g)
         for cell in g.cells():
-            shared, shared_value = maximize_cell_over_bce(g, cell, poly)
-            own, own_value = maximize_cell_over_bce(g, cell)
-            assert list(shared.p.items()) == list(own.p.items())
-            assert shared_value == own_value
-        assert poly == BcePolytope.of(g)
-        assert repr(poly) == repr(BcePolytope.of(g))
+            shared, shared_value = maximize_cell_over_bce(g, cell)
+            sol = solve(cold.lp({cell: ONE}, "max"))
+            assert list(shared.p.items()) == list(cold.outcome_from_point(sol.point).p.items())
+            assert shared_value == sol.value
+        assert g.bce_polytope == cold
+        assert repr(g.bce_polytope) == repr(cold)
 
 
 def test_maximize_unknown_cell_rejected():
     g = investment_game(0)
-    poly = BcePolytope.of(g)
-    maximize_cell_over_bce(g, next(iter(g.cells())), poly)
-    for p in (None, poly):
-        with pytest.raises(ValidationError, match="unknown variable"):
-            maximize_cell_over_bce(g, ((A, "nope"), "thetaA"), p)
+    maximize_cell_over_bce(g, next(iter(g.cells())))
+    with pytest.raises(ValidationError, match="unknown variable"):
+        maximize_cell_over_bce(g, ((A, "nope"), "thetaA"))
 
 
 def test_max_support_point_runs_phase_one_once(phase_one_calls):

@@ -5,9 +5,11 @@ import pathlib
 import pytest
 
 from ribce.cli import main
+from ribce.errors import ValidationError
 from ribce.io import game_to_dict, load_game, load_outcome, outcome_to_dict
 from ribce.rational import Rat
 from ribce.separation import is_sbce
+from ribce.vanishing import check_vce
 
 from sample_games import (
     coordination_3x3_segment_point,
@@ -395,6 +397,23 @@ def test_exit_code_on_malformed_flag(files, capsys, flag, argv):
     argv = [str(files[a]) if a in files else a for a in argv]
     code, out, err = _run(capsys, *argv)
     assert code == 2 and "invalid_params" in err and f"{flag}:" in err
+
+
+# On the tie game, exact mode finds the sBCE set dense and mixes toward its
+# candidate with weight epsilon/span, which is no mixture unless epsilon > 0.
+@pytest.mark.parametrize("epsilon", [Rat(0), Rat(-1, 1000)])
+def test_vce_rejects_nonpositive_epsilon(files, epsilon):
+    game = load_game(files["tie_game"])
+    outcome = load_outcome(files["tie_nash"], game)
+    with pytest.raises(ValidationError, match="^epsilon must be positive$"):
+        check_vce(game, outcome, epsilon=epsilon, mode="exact")
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/1000"])
+def test_vce_nonpositive_epsilon_exits_2(files, capsys, epsilon):
+    argv = ["vce", str(files["tie_game"]), str(files["tie_nash"]), "--mode", "exact"]
+    code, out, err = _run(capsys, *argv, f"--epsilon={epsilon}")
+    assert code == 2 and out == "" and "epsilon must be positive" in err
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from ribce.bce import BcePolytope, is_bce, minimize_linear_over_bce
+from ribce.bce import BcePolytope, is_bce, minimize_linear_over_bce, obedience_row
 from ribce.errors import NotABce, NotCoherent, ValidationError
 from ribce.games import BaseGame, Outcome
+from ribce.lp import solve
 from ribce.rational import Rat
 from ribce.separation import is_sbce, is_separated
 from ribce.structure import (
@@ -42,17 +43,20 @@ def test_every_action_jeopardizes_itself():
 
 
 def test_jeopardizes_same_with_shared_polytope():
+    # Every jeopardization LP on a game runs on its one polytope; each
+    # answer is the one a cold solve gives.
     rng = random.Random(43)
     games = [investment_game(Rat(1, 10)), coordination_game_3x3(), matching_pennies()]
     for g in games + [random_game(rng) for _ in range(4)]:
-        poly = BcePolytope.of(g)
+        cold = BcePolytope.of(g)
         for i in g.players:
             for target in g.actions[i]:
                 for action in g.actions[i]:
-                    hit, value, outcome = jeopardizes(g, i, action, target, poly)
-                    own_hit, own_value, own = jeopardizes(g, i, action, target)
-                    assert (hit, value) == (own_hit, own_value)
-                    assert list(outcome.p.items()) == list(own.p.items())
+                    hit, value, outcome = jeopardizes(g, i, action, target)
+                    sol = solve(cold.lp(obedience_row(g, i, target, action), "max"))
+                    assert (hit, value) == (sol.value == 0, sol.value)
+                    want = cold.outcome_from_point(sol.point)
+                    assert list(outcome.p.items()) == list(want.p.items())
 
 
 def test_3x3_jeopardization_facts():

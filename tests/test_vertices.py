@@ -281,9 +281,11 @@ def _reference_enumerate_vertices(variables, constraints, bounds):
                 new_rays.append(combo)
                 new_masks.append(tight_mask(combo))
         kept_masks = [(ray_masks[k] | bit) if k in zero else ray_masks[k] for k in plus + zero]
-        rays, ray_masks = _vx._dedup(
-            [rays[k] for k in plus + zero] + new_rays, kept_masks + new_masks
-        )
+        rays = [rays[k] for k in plus + zero] + new_rays
+        ray_masks = kept_masks + new_masks
+        # Distinct adjacent pairs span distinct 2-faces, so no two new rays
+        # are parallel and no new ray is a kept one.
+        assert len({tuple(r) for r in rays}) == len(rays)
     return _vx._vertices(rays, variables), alive
 
 
