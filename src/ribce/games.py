@@ -24,7 +24,9 @@ on first read, so every check of an outcome shares one table per (game,
 outcome, player).  Their products decide obedience (``bce``), best
 responses, belief equality and separation (``separation``) and mixing
 (``structure``) exactly, without a ``Rat`` in the loop, and give the gross
-and uninformed values (``BeliefTable.gross`` and ``uninformed``).
+and uninformed values (``BeliefTable.gross`` and ``uninformed``).  Two
+games' payoff rows give the distance between their utilities
+(``utility_distance``).
 """
 
 from dataclasses import dataclass, field
@@ -429,12 +431,31 @@ def uninformed_value(game: BaseGame, outcome: Outcome, player):
 
 def utility_distance(a: BaseGame, b: BaseGame):
     """Sup-norm distance between the utilities of two games on the same
-    players, profiles and states."""
-    return max(
-        abs(a.u(i, profile, state) - b.u(i, profile, state))
-        for i in a.players
-        for (profile, state) in a.cells()
-    )
+    players, states and actions, read off both games' ``payoff_rows``: the
+    largest |x·L_b - y·L_a| / (L_a·L_b) over each player's rows, with x and
+    y the int payoffs of ``a`` and ``b`` and L their scales.  Games that
+    differ in players, states or actions raise ``DimensionMismatch`` naming
+    the first difference."""
+    for name, x, y in (("players", a.players, b.players), ("states", a.states, b.states)):
+        if tuple(x) != tuple(y):
+            raise DimensionMismatch(f"the games' {name} differ: {x!r} vs {y!r}")
+    for i in a.players:
+        if tuple(a.actions[i]) != tuple(b.actions[i]):
+            raise DimensionMismatch(
+                f"the games' actions of {i!r} differ: {a.actions[i]!r} vs {b.actions[i]!r}"
+            )
+    gap, den = 0, 1
+    for i in a.players:
+        rows_a, rows_b = a.payoff_rows[i], b.payoff_rows[i]
+        la, lb = rows_a.scale, rows_b.scale
+        top = max(
+            abs(x * lb - y * la)
+            for action, row in rows_a.rows.items()
+            for x, y in zip(row, rows_b.rows[action])
+        )
+        if top * den > gap * la * lb:
+            gap, den = top, la * lb
+    return Rat(gap, den)
 
 
 def permute_profile(game: BaseGame, profile, phi) -> tuple:

@@ -11,13 +11,22 @@ a complete nowhere-density certificate.  Every step reads the belief tables
 of the outcome it looks at (candidate, vertex, witness, maximizer) through
 ``Outcome.beliefs``, and every LP on the game's ``BaseGame.bce_polytope``,
 so each is built once however many steps read it.
+
+The separating perturbation reads the same tables: each player's distinct
+beliefs are the primitive int mass rows of the supported recommendations,
+and the chain order, the separating functionals, the bonus rows and the
+step are decided on ints.  A hull-membership LP orders the chain only while
+three or more beliefs remain, since any two distinct points are both
+vertices of their hull.
 """
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from . import lp as _lp
+from . import rows as _rows
 from .bce import BcePolytope, is_bce, max_support_point, mix_outcomes, obedience_row
 from .errors import (
     InternalInvariantError,
@@ -392,8 +401,6 @@ def classify_density(
 
 def _hull_membership(point, others):
     """Is ``point`` a convex combination of ``others``? LP feasibility."""
-    if not others:
-        return False
     variables = tuple(range(len(others)))
     constraints = [({j: ONE for j in variables}, _lp.EQUAL, ONE)]
     dim = len(point)
@@ -405,46 +412,60 @@ def _hull_membership(point, others):
 
 
 def _peel_order(beliefs):
-    """Enumerate distinct belief vectors so that each is an extreme point of
-    the convex hull of its prefix: repeatedly peel off a hull vertex and give
-    it the highest remaining index."""
+    """Enumerate distinct beliefs, given as int mass rows, so that each is an
+    extreme point of the convex hull of its prefix: repeatedly peel off a
+    hull vertex and give it the highest remaining index.  While at most two
+    distinct points remain, both are vertices, so the first is peeled with
+    no LP; only a set of three or more becomes ``Rat`` posteriors for the
+    hull-membership LPs."""
     remaining = list(range(len(beliefs)))
     order = [None] * len(beliefs)
-    next_slot = len(beliefs) - 1
-    while remaining:
-        peeled = None
-        for idx in remaining:
-            others = [beliefs[j] for j in remaining if j != idx]
-            if not _hull_membership(beliefs[idx], others):
-                peeled = idx
-                break
-        if peeled is None:  # pragma: no cover - finite point sets have vertices
-            raise InternalInvariantError("no extreme point among distinct beliefs")
-        order[next_slot] = peeled
-        next_slot -= 1
+    if len(beliefs) > 2:
+        points = [[Rat(x, sum(row)) for x in row] for row in beliefs]
+    for slot in range(len(beliefs) - 1, -1, -1):
+        if len(remaining) <= 2:
+            peeled = remaining[0]
+        else:
+            for peeled in remaining:
+                others = [points[j] for j in remaining if j != peeled]
+                if not _hull_membership(points[peeled], others):
+                    break
+            else:  # pragma: no cover - finite point sets have vertices
+                raise InternalInvariantError("no extreme point among distinct beliefs")
+        order[slot] = peeled
         remaining.remove(peeled)
     return order  # order[m] = original index of the m-th belief in the chain
 
 
+def _dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
 def _separating_functional(target, earlier):
-    """f with f·target > 0 >= f·q for all earlier q: maximize the separation
-    margin subject to box constraints, then shift by the best earlier value."""
-    dim = len(target)
-    hvars = tuple(("h", c) for c in range(dim))
-    variables = hvars + (("margin",),)
+    """f with f·t > 0 >= f·q, for t and each q the posteriors of ``target``
+    and of the ``earlier`` int mass rows: maximize the separation margin
+    subject to box constraints, then shift by the best earlier value.  The
+    LP row of q, h·(t - q) >= margin, is the ``lp.IntRow`` target·T_q -
+    q·T_t over T_t·T_q with margin -T_t·T_q (T the rows' totals).  Returns
+    f as int numerators over one denominator."""
+    total = sum(target)
+    hvars = tuple(("h", c) for c in range(len(target)))
+    margin = ("margin",)
     constraints = []
     for q in earlier:
-        coeffs = {("margin",): -ONE}
-        for c in range(dim):
-            diff = target[c] - q[c]
+        q_total = sum(q)
+        den = total * q_total
+        nums = {margin: -den}
+        for var, x, y in zip(hvars, target, q):
+            diff = x * q_total - y * total
             if diff:
-                coeffs[("h", c)] = diff
-        constraints.append((coeffs, _lp.GREATER, ZERO))
-    bounds = {("h", c): (-ONE, ONE) for c in range(dim)}
-    bounds[("margin",)] = (ZERO, Rat(2))
+                nums[var] = diff
+        constraints.append((_lp.IntRow(nums, den), _lp.GREATER, ZERO))
+    bounds = dict.fromkeys(hvars, (-ONE, ONE))
+    bounds[margin] = (ZERO, Rat(2))
     lp = _lp.LinearProgram(
-        variables=variables,
-        objective={("margin",): ONE},
+        variables=hvars + (margin,),
+        objective={margin: ONE},
         sense="max",
         constraints=constraints,
         bounds=bounds,
@@ -452,9 +473,15 @@ def _separating_functional(target, earlier):
     sol = _lp.solve(lp)
     if not sol.is_optimal or sol.value <= 0:
         raise InternalInvariantError("strict separation of an extreme point failed")
-    h = [sol.point[("h", c)] for c in range(dim)]
-    shift = max(sum((hc * qc for hc, qc in zip(h, q)), ZERO) for q in earlier)
-    return [hc - shift for hc in h]
+    h = [sol.point.nums[var] for var in hvars]  # h over the point's denominator D
+    # The shift is the largest h·q = H·Q / (D·T_q), and f = h - shift is
+    # (H·T_q - H·Q) / (D·T_q) at that q.
+    best, best_total = None, 1
+    for q in earlier:
+        value, q_total = _dot(h, q), sum(q)
+        if best is None or value * best_total > best * q_total:
+            best, best_total = value, q_total
+    return [x * best_total - best for x in h], sol.point.den * best_total
 
 
 def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGame:
@@ -465,8 +492,11 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     supported beliefs so every link is an extreme point of its prefix,
     separate each link from its predecessors with a bonus functional, rescale
     the bonuses so each belief strictly prefers its own, and add them to the
-    utilities with a small enough step.  Both postconditions are re-verified
-    exactly before returning.
+    utilities with a small enough step 2^-k.  The beliefs are the primitive
+    mass rows of the outcome's belief tables (``Outcome.beliefs``), and the
+    functionals, bonus rows and step are decided on ints; each perturbed
+    utility is one ``Rat`` made from the player's payoff row.  Both
+    postconditions are re-verified exactly before returning.
     """
     if _lp._inexact(epsilon):
         raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
@@ -481,73 +511,72 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
 
     tables = outcome.beliefs(game)
 
-    bonus = {}  # (player, action) -> dict cell -> Rat  (cell = (opp, state))
-    max_abs = ZERO
+    bonus = {}  # (player, action) -> (int row over the belief cells, its denominator)
+    max_abs, max_den = 0, 1  # the largest |bonus| is max_abs / max_den
     for i in game.players:
         table = tables[i]
-        support = table.support
-        cells = table.payoffs.cells
-        belief_of = {}
-        distinct = []
-        for a in support:
-            mass = table.totals[a]
-            vec = tuple(Rat(m, mass) if m else ZERO for m in table.masses[a])
-            belief_of[a] = vec
-            if vec not in distinct:
-                distinct.append(vec)
-        order = _peel_order(distinct)
-        chain = [distinct[idx] for idx in order]
+        belief_of = {a: tuple(_rows.primitive(table.masses[a])) for a in table.support}
+        distinct = list(dict.fromkeys(belief_of.values()))
+        chain = [distinct[idx] for idx in _peel_order(distinct)]
         n_i = len(chain)
 
-        funcs = [[ONE] * len(cells)]
+        funcs = [([1] * len(chain[0]), 1)]
         for m in range(1, n_i):
             funcs.append(_separating_functional(chain[m], chain[:m]))
 
-        dots = [
-            [sum((fc * qc for fc, qc in zip(funcs[l], chain[m])), ZERO) for m in range(n_i)]
-            for l in range(n_i)
-        ]
+        # f_l·q_m has the sign of F_l·Q_m (f_l = F_l / E_l, q_m = Q_m / T_m),
+        # and f_m·q_m / f_l·q_m = (F_m·Q_m·E_l) / (F_l·Q_m·E_m).
+        own = [_dot(f, q) for (f, _), q in zip(funcs, chain)]
         ts = [ONE] * n_i
         for l in range(n_i - 1):
-            bound = ONE
+            f_l, e_l = funcs[l]
             for m in range(l + 1, n_i):
-                if dots[l][m] > 0:
-                    candidate = dots[m][m] / (2 * dots[l][m])
-                    bound = min(bound, candidate)
-            ts[l] = bound
-        scales = [ONE] * n_i
-        running = ONE
-        for l in range(n_i - 1, -1, -1):
-            running = running * ts[l]
-            scales[l] = running
+                cross = _dot(f_l, chain[m])
+                if cross > 0:
+                    ts[l] = min(ts[l], Rat(own[m] * e_l, 2 * funcs[m][1] * cross))
+        scale = ONE
+        bonus_rows = [None] * n_i
+        for m in range(n_i - 1, -1, -1):
+            scale *= ts[m]
+            f, e = funcs[m]
+            row = [scale.numerator * x for x in f]
+            den = scale.denominator * e
+            bonus_rows[m] = (row, den)
+            top = max(map(abs, row))
+            if top * max_den > max_abs * den:
+                max_abs, max_den = top, den
 
-        chain_index = {vec: m for m, vec in enumerate(chain)}
-        for a in support:
-            m = chain_index[belief_of[a]]
-            table = {}
-            for cell, f in zip(cells, funcs[m]):
-                val = scales[m] * f
-                if val:
-                    table[cell] = val
-                    if abs(val) > max_abs:
-                        max_abs = abs(val)
-            bonus[(i, a)] = table
+        chain_index = {q: m for m, q in enumerate(chain)}
+        for a, q in belief_of.items():
+            bonus[(i, a)] = bonus_rows[chain_index[q]]
 
-    step = ONE
-    while step * max_abs > epsilon:
-        step /= 2
+    # The step is 2^-k for the least k >= 0 with max_abs·2^-k <= epsilon.
+    x, y = max_abs * epsilon.denominator, max_den * epsilon.numerator
+    k = max(0, x.bit_length() - y.bit_length())
+    if x > y << k:
+        k += 1
+    bonus = {key: (row, den << k) for key, (row, den) in bonus.items()}
 
     utilities = {}
     for i in game.players:
-        k = game.player_index(i)
+        payoffs = game.payoff_rows[i]
+        position = payoffs.position
+        index = game.player_index(i)
         table = {}
-        for (profile, state) in game.cells():
-            base = game.u(i, profile, state)
-            extra = bonus.get((i, profile[k]), None)
-            if extra:
-                opp = game.opponent_profile(profile, i)
-                base = base + step * extra.get((opp, state), ZERO)
-            table[(profile, state)] = base
+        for cell in game.cells():
+            action = cell[0][index]
+            extra = bonus.get((i, action))
+            c = position[cell]
+            if extra and extra[0][c]:
+                # u + bonus·2^-k is (U·den + B·L) / (L·den), den now
+                # carrying the 2^k.
+                row, den = extra
+                table[cell] = Rat(
+                    payoffs.rows[action][c] * den + row[c] * payoffs.scale,
+                    payoffs.scale * den,
+                )
+            else:
+                table[cell] = game.u(i, *cell)
         utilities[i] = table
     perturbed = BaseGame(
         players=game.players,

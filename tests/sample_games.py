@@ -138,6 +138,45 @@ def coordination_3x3_segment_point(t):
     return Outcome(p=p)
 
 
+def collinear_beliefs_game():
+    """One decision maker, two equally likely states, three actions: ``a``
+    pays in t1, ``b`` in t2 and ``c`` pays 1/2 in both."""
+    game = BaseGame(
+        players=("dm",),
+        states=("t1", "t2"),
+        prior={"t1": Rat(1, 2), "t2": Rat(1, 2)},
+        actions={"dm": ("a", "b", "c")},
+        utilities={
+            "dm": {
+                (("a",), "t1"): Rat(1),
+                (("a",), "t2"): Rat(0),
+                (("b",), "t1"): Rat(0),
+                (("b",), "t2"): Rat(1),
+                (("c",), "t1"): Rat(1, 2),
+                (("c",), "t2"): Rat(1, 2),
+            }
+        },
+    )
+    validate_game(game)
+    return game
+
+
+def collinear_beliefs_outcome():
+    """A BCE of ``collinear_beliefs_game`` with three distinct posteriors on
+    a line: (3/4, 1/4) on ``a``, (1/4, 3/4) on ``b`` and their midpoint on
+    ``c``, where every action ties."""
+    return Outcome(
+        p={
+            (("a",), "t1"): Rat(3, 16),
+            (("a",), "t2"): Rat(1, 16),
+            (("b",), "t1"): Rat(1, 16),
+            (("b",), "t2"): Rat(3, 16),
+            (("c",), "t1"): Rat(1, 4),
+            (("c",), "t2"): Rat(1, 4),
+        }
+    )
+
+
 def matching_pennies():
     players = ("p1", "p2")
     acts = ("H", "T")

@@ -12,6 +12,8 @@ from ribce.separation import is_sbce
 from ribce.vanishing import check_vce
 
 from sample_games import (
+    collinear_beliefs_game,
+    collinear_beliefs_outcome,
     coordination_3x3_segment_point,
     coordination_game_3x3,
     inferior_coordination_outcome,
@@ -46,6 +48,12 @@ def files(tmp_path):
     paths["tie_nash"].write_text(json.dumps(TIE_NASH))
     paths["not_bce"] = tmp_path / "not_bce.json"
     paths["not_bce"].write_text(json.dumps(NOT_BCE_3X3))
+    paths["collinear"] = tmp_path / "collinear.json"
+    paths["collinear"].write_text(json.dumps(game_to_dict(collinear_beliefs_game())))
+    paths["collinear_outcome"] = tmp_path / "collinear_outcome.json"
+    paths["collinear_outcome"].write_text(
+        json.dumps(outcome_to_dict(collinear_beliefs_outcome()))
+    )
     return paths
 
 
@@ -223,6 +231,8 @@ CLI_GOLDEN = {
     "check_outcome_3x3_not_bce": ("check-outcome", "game3x3", "not_bce"),
     "check_outcome_3x3_p_half": ("check-outcome", "game3x3", "p_half"),
     "perturb_3x3_p_half": ("perturb", "game3x3", "p_half", "--epsilon", "1/10"),
+    # Three distinct beliefs of one player: the chain is ordered by LP.
+    "perturb_collinear": ("perturb", "collinear", "collinear_outcome", "--epsilon", "1/20"),
     "canonical_intro": ("canonical", "perturbed_intro", "inferior"),
     "canonical_3x3_p_half": ("canonical", "game3x3", "p_half"),
     "regime_n6_full_check": (
@@ -275,6 +285,7 @@ PAYOFF_ROWS_BUILT = {
     "check_outcome_3x3_not_bce": 1,
     "check_outcome_3x3_p_half": 1,
     "perturb_3x3_p_half": 2,
+    "perturb_collinear": 2,
 }
 
 
@@ -304,6 +315,7 @@ BELIEF_TABLES_BUILT = {
     "check_outcome_3x3_p_half": (2, 2),
     "density_3x3_exact": (6, 6),
     "perturb_3x3_p_half": (4, 4),
+    "perturb_collinear": (2, 2),
     "regime_n6_full_check": (12, 12),
     "vce_3x3_mixed_nash": (2, 2),
     "vce_3x3_p_half": (2, 2),

@@ -21,6 +21,7 @@ from ribce.games import (
     make_outcome,
     symmetrize,
     uninformed_value,
+    utility_distance,
     validate_game,
 )
 from ribce.rational import Rat, ZERO
@@ -254,3 +255,61 @@ def test_profile_layout_round_trips():
                     assert g.insert_action(i, profile[k], opp) == profile
                     for b in g.actions[i]:
                         assert g.replace_action(profile, i, b) == g.insert_action(i, b, opp)
+
+
+def _one_player_game(actions, payoffs):
+    return BaseGame(
+        players=("p",),
+        states=("s",),
+        prior={"s": Rat(1)},
+        actions={"p": actions},
+        utilities={"p": {((a,), "s"): Rat(x) for a, x in zip(actions, payoffs)}},
+    )
+
+
+def test_utility_distance_reads_payoff_rows():
+    g = _one_player_game(("a", "b"), (1, Rat(1, 3)))
+    h = _one_player_game(("a", "b"), (Rat(3, 2), Rat(-1, 4)))
+    assert utility_distance(g, h) == utility_distance(h, g) == Rat(7, 12)
+    assert utility_distance(g, g) == 0
+    g3 = investment_game(Rat(1, 10))
+    assert utility_distance(g3, investment_game(0)) == max(
+        abs(g3.u(i, *cell) - investment_game(0).u(i, *cell))
+        for i in g3.players
+        for cell in g3.cells()
+    )
+
+
+def test_utility_distance_rejects_other_actions_in_both_orders():
+    # b adds an action c paying 5: a's cells are all b's, but not the other
+    # way round, so neither order may read a distance.
+    a = _one_player_game(("a", "b"), (1, 2))
+    b = _one_player_game(("a", "b", "c"), (1, 2, 5))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DimensionMismatch, match="actions of 'p' differ"):
+            utility_distance(x, y)
+
+
+def test_utility_distance_rejects_other_players_or_states():
+    g = coordination_game_3x3()
+    renamed = BaseGame(
+        players=("p1", "q2"),
+        states=g.states,
+        prior=g.prior,
+        actions={"p1": g.actions["p1"], "q2": g.actions["p2"]},
+        utilities={"p1": g.utilities["p1"], "q2": g.utilities["p2"]},
+    )
+    with pytest.raises(DimensionMismatch, match="players differ"):
+        utility_distance(g, renamed)
+    other_state = BaseGame(
+        players=g.players,
+        states=("t",),
+        prior={"t": Rat(1)},
+        actions=g.actions,
+        utilities={
+            i: {(profile, "t"): x for (profile, _), x in g.utilities[i].items()}
+            for i in g.players
+        },
+    )
+    with pytest.raises(DimensionMismatch, match="states differ"):
+        utility_distance(other_state, g)

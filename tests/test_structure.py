@@ -26,6 +26,8 @@ from sample_games import (
     A,
     B,
     MKT,
+    collinear_beliefs_game,
+    collinear_beliefs_outcome,
     coordination_3x3_segment_point,
     coordination_game_3x3,
     coordination_mixture_outcome,
@@ -323,32 +325,8 @@ def test_perturbation_with_collinear_beliefs():
     # Three recommendations whose posteriors are collinear - the middle one
     # is the midpoint of the outer two and ties all actions.  The hull-peel
     # ordering must park the interior belief at the bottom of the chain.
-    g = BaseGame(
-        players=("dm",),
-        states=("t1", "t2"),
-        prior={"t1": Rat(1, 2), "t2": Rat(1, 2)},
-        actions={"dm": ("a", "b", "c")},
-        utilities={
-            "dm": {
-                (("a",), "t1"): Rat(1),
-                (("a",), "t2"): Rat(0),
-                (("b",), "t1"): Rat(0),
-                (("b",), "t2"): Rat(1),
-                (("c",), "t1"): Rat(1, 2),
-                (("c",), "t2"): Rat(1, 2),
-            }
-        },
-    )
-    p = Outcome(
-        p={
-            (("a",), "t1"): Rat(3, 16),
-            (("a",), "t2"): Rat(1, 16),
-            (("b",), "t1"): Rat(1, 16),
-            (("b",), "t2"): Rat(3, 16),
-            (("c",), "t1"): Rat(1, 4),
-            (("c",), "t2"): Rat(1, 4),
-        }
-    )
+    g = collinear_beliefs_game()
+    p = collinear_beliefs_outcome()
     assert is_bce(g, p) and not is_separated(g, p)
     perturbed = separating_perturbation(g, p, Rat(1, 20))
     assert is_sbce(perturbed, p)
