@@ -23,7 +23,7 @@ from .io import (
     outcome_to_dict,
 )
 from .rational import BACKEND, Rat, parse_rational, rational_to_json
-from .representation import build_canonical, cost_certificate, induced_outcome
+from .representation import build_canonical, cost_certificate, induced_outcome, is_cost_scale
 from .separation import is_sbce, is_separated, is_strict_bce
 from .structure import (
     EXACT,
@@ -252,6 +252,9 @@ def cmd_perturb(args) -> dict:
 
 
 def cmd_canonical(args) -> dict:
+    lam = _flag("--lam", args.lam)
+    if not is_cost_scale(lam):
+        raise InvalidParams(f"--lam: must be an exact rational in (0,1]: {args.lam}")
     game = load_game(args.game)
     outcome = load_outcome(args.outcome, game)
     rep = build_canonical(game, outcome)
@@ -295,7 +298,6 @@ def cmd_canonical(args) -> dict:
         "round_trip_exact": round_trip.p == outcome.p,
     }
     if is_sbce(game, outcome):
-        lam = _flag("--lam", args.lam)
         cert = cost_certificate(game, outcome, lam)
         report["cost_certificate"] = {
             str(i): {key: rational_to_json(val) for key, val in entry.items()}

@@ -21,12 +21,14 @@ game, holds each player's payoffs as int rows over ``belief_cells``, and
 in one pass.  ``Outcome.beliefs(game)`` is the one way in: it holds one
 ``BeliefTables`` per game on the outcome, and that builds each player's table
 on first read, so every check of an outcome shares one table per (game,
-outcome, player).  Their products decide obedience (``bce``), best
-responses, belief equality and separation (``separation``) and mixing
-(``structure``) exactly, without a ``Rat`` in the loop, and give the gross
-and uninformed values (``BeliefTable.gross`` and ``uninformed``).  Two
-games' payoff rows give the distance between their utilities
-(``utility_distance``).
+outcome, player).  Their products decide obedience (``bce``) and best
+responses exactly, without a ``Rat`` in the loop, and give the gross and
+uninformed values, each summed once per table (``BeliefTable.gross`` and
+``uninformed``).  Equal beliefs are decided once per table too:
+``BeliefTable.classes`` groups the supported actions by primitive mass row,
+and separation, mixing, the perturbation, the canonical cells and VCE
+measurability all read it.  Two games' payoff rows give the distance
+between their utilities (``utility_distance``).
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +47,7 @@ from .errors import (
     UnknownAction,
     ValidationError,
 )
+from . import rows as _rows
 from .lp import IntRow, _inexact, int_parts
 from .rational import ONE, ZERO, Rat
 
@@ -158,25 +161,18 @@ class PayoffRows(NamedTuple):
     position: dict  # (profile, state) -> index into ``cells``
 
 
-def same_belief(vec_a, vec_b) -> bool:
-    """Whether two mass rows induce the same belief, cross-multiplied by each
-    other's total; an all-zero row matches any row."""
-    total_a, total_b = sum(vec_a), sum(vec_b)
-    return all(total_a * qb == total_b * qa for qa, qb in zip(vec_a, vec_b))
-
-
 class BeliefTable:
     """One player's beliefs under an outcome, as int rows.
 
     ``masses[a]`` is D·p(a, opp, state) over the player's belief cells, where
     D = ``scale`` is the denominator of the outcome's int masses
-    (``lp.int_parts``), and ``totals[a]``
-    is its sum, D·p(a).  ``values(rec)`` is the row V[rec] of L·D times each
-    action's expected payoff against the mass ``rec`` carries (L the payoff
-    scale), from which obedience slacks, best responses and values are read.
+    (``lp.int_parts``), and ``totals[a]`` is its sum, D·p(a).  ``values(rec)``
+    is the row V[rec] of L·D times each action's expected payoff against the
+    mass ``rec`` carries (L the payoff scale), from which obedience slacks,
+    best responses and values are read.
     """
 
-    __slots__ = ("payoffs", "scale", "masses", "totals", "_values")
+    __slots__ = ("payoffs", "scale", "masses", "totals", "_values", "_classes", "_gross", "_uninformed")
 
     def __init__(self, payoffs: PayoffRows, scale: int, masses: dict):
         self.payoffs = payoffs
@@ -184,6 +180,7 @@ class BeliefTable:
         self.masses = masses
         self.totals = {a: sum(vec) for a, vec in masses.items()}
         self._values = {}
+        self._classes = self._gross = self._uninformed = None
 
     @property
     def support(self) -> tuple:
@@ -212,23 +209,56 @@ class BeliefTable:
         best = max(vals.values())
         return tuple(a for a, val in vals.items() if val == best)
 
+    @property
+    def classes(self) -> dict:
+        """The equal-belief partition of the support, built on first read and
+        kept: each primitive mass row (``rows.primitive``, as a tuple) -> the
+        supported actions whose masses are a multiple of it, in action
+        order; classes come in the order of their first action.  Two nonzero
+        rows of nonnegative masses give the same posterior exactly when their
+        primitive rows are equal, so this is where equal beliefs are decided."""
+        if self._classes is None:
+            classes = self._classes = {}
+            for a, vec in self.masses.items():
+                if any(vec):
+                    row = tuple(_rows.primitive(vec))
+                    classes[row] = classes.get(row, ()) + (a,)
+        return self._classes
+
+    def distinct_pairs(self) -> list:
+        """The supported pairs (a, b), a before b, in different classes."""
+        group = {a: k for k, actions in enumerate(self.classes.values()) for a in actions}
+        live = [a for a in self.masses if a in group]
+        return [(a, b) for k, a in enumerate(live) for b in live[k + 1 :] if group[a] != group[b]]
+
     def same_belief(self, a, b) -> bool:
-        return same_belief(self.masses[a], self.masses[b])
+        """Whether one class holds both actions; an unplayed action matches
+        any action."""
+        for actions in self.classes.values():
+            if a in actions:
+                return b in actions or not self.totals[b]
+        return True
 
     def gross(self):
-        """Expected payoff: the sum of V[rec][rec] over supported rec, / L·D."""
-        total = sum(self.values(rec)[rec] for rec in self.support)
-        return Rat(total, self.payoffs.scale * self.scale)
+        """Expected payoff: the sum of V[rec][rec] over supported rec, / L·D;
+        summed on first read and kept."""
+        if self._gross is None:
+            total = sum(self.values(rec)[rec] for rec in self.support)
+            self._gross = Rat(total, self.payoffs.scale * self.scale)
+        return self._gross
 
     def uninformed(self):
         """(value, action): the best constant action's payoff, the largest
-        sum over rec of V[rec][action], / L·D; ties go to the lowest index."""
-        totals = dict.fromkeys(self.payoffs.rows, 0)
-        for rec in self.support:
-            for a, val in self.values(rec).items():
-                totals[a] += val
-        action = max(totals, key=totals.get)
-        return Rat(totals[action], self.payoffs.scale * self.scale), action
+        sum over rec of V[rec][action], / L·D; ties go to the lowest index.
+        Summed on first read and kept."""
+        if self._uninformed is None:
+            totals = dict.fromkeys(self.payoffs.rows, 0)
+            for rec in self.support:
+                for a, val in self.values(rec).items():
+                    totals[a] += val
+            action = max(totals, key=totals.get)
+            self._uninformed = Rat(totals[action], self.payoffs.scale * self.scale), action
+        return self._uninformed
 
 
 def mass_parts(outcome: "Outcome"):
@@ -342,9 +372,17 @@ def make_outcome(game: BaseGame, entries: dict) -> Outcome:
 
 
 def validate_game(game: BaseGame) -> None:
-    """Check all structural invariants; raises on the first failure."""
+    """Check all structural invariants; raises on the first failure.  A
+    player, state or action (of one player) listed twice raises
+    ``ValidationError`` naming it, before any sum or profile is read."""
     if not game.players:
         raise ValidationError("no players")
+    named = [("player", game.players), ("state", game.states)]
+    named += [(f"action of player {i!r}", game.actions.get(i) or ()) for i in game.players]
+    for kind, names in named:
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValidationError(f"repeated {kind}: {name!r}")
     total = ZERO
     for state in game.states:
         mass = game.prior.get(state)

@@ -8,8 +8,9 @@ The cells are the equal-belief classes, so only payoff-relevant information
 is transmitted; round-tripping through the representation reproduces the
 outcome exactly.  For separated BCEs the same object yields finite cost
 certificates: the equilibrium cost lambda*(gross - uninformed) and an upper
-bound on the cost of any experiment.  The partition, supports, action
-marginals and both values are read off the outcome's own belief tables
+bound on the cost of any experiment.  The partition (the classes of each
+player's belief table, ``BeliefTable.classes``), supports, action marginals
+and both values are read off the outcome's own belief tables
 (``Outcome.beliefs``), which its separation check reads too.
 """
 
@@ -32,26 +33,15 @@ class PartitionProfile:
 
 
 def belief_partition(game: BaseGame, outcome: Outcome) -> PartitionProfile:
-    """Equal-belief partition: supported actions share a cell iff they induce
-    the same posterior (cross-multiplied equality); unsupported actions form
-    one residual cell."""
+    """Equal-belief partition: the classes of each player's belief table
+    (``BeliefTable.classes``, in the order of their first action), then one
+    residual cell of the unsupported actions when there are any."""
     tables = outcome.beliefs(game)
     cells = {}
     for i in game.players:
         table = tables[i]
-        support = table.support
-        groups = []
-        for a in support:
-            placed = False
-            for group in groups:
-                if table.same_belief(a, group[0]):
-                    group.append(a)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([a])
-        player_cells = [frozenset(g) for g in groups]
-        off = frozenset(a for a in game.actions[i] if a not in support)
+        player_cells = [frozenset(actions) for actions in table.classes.values()]
+        off = frozenset(a for a in game.actions[i] if not table.totals[a])
         if off:
             player_cells.append(off)
         cells[i] = tuple(player_cells)
@@ -203,12 +193,17 @@ def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player
     return total
 
 
+def is_cost_scale(li) -> bool:
+    """Whether ``li`` is a cost scale: an exact rational in (0,1]."""
+    return not _lp._inexact(li) and 0 < li <= 1
+
+
 def _lambda(lam, player):
     """``player``'s cost scale in ``lam`` (a dict or one scalar), checked."""
     if isinstance(lam, dict) and player not in lam:
         raise ValidationError(f"lambda for {player!r} is missing")
     li = lam[player] if isinstance(lam, dict) else lam
-    if _lp._inexact(li) or not 0 < li <= 1:
+    if not is_cost_scale(li):
         raise ValidationError(f"lambda for {player!r} must be an exact rational in (0,1]: {li}")
     return Rat(li)
 

@@ -5,13 +5,12 @@ Separation requires recommendations with distinct posteriors to have disjoint
 best-response sets; outcomes that are both obedient and separated are exactly
 the behaviors consistent with costly, flexible information acquisition.
 
-Belief equality is always tested in cross-multiplied form
-p(a_i)*p(b_i, cell) == p(b_i)*p(a_i, cell), never by dividing.  Every test
-here reads each player's belief table (``games.BeliefTable``): best
-responses are the maximizers of its int rows V[rec], and equal beliefs are
-int rows equal after cross-multiplying.  The tables are the outcome's own
-(``Outcome.beliefs``), so every test run on one outcome shares them.  Only
-``conditional_belief`` turns the rows back into ``Rat`` values.
+Every test here reads each player's belief table (``games.BeliefTable``),
+never dividing: best responses are the maximizers of its int rows V[rec],
+and the pairs with distinct beliefs are those in different classes of its
+equal-belief partition (``BeliefTable.distinct_pairs``).  The tables are the
+outcome's own (``Outcome.beliefs``), so every test run on one outcome shares
+them.  Only ``conditional_belief`` turns the rows back into ``Rat`` values.
 """
 
 from dataclasses import dataclass
@@ -80,15 +79,11 @@ def is_separated(game: BaseGame, outcome: Outcome) -> SeparationCheck:
     tables = outcome.beliefs(game)
     for i in game.players:
         table = tables[i]
-        supported = table.support
-        for ai, a in enumerate(supported):
-            for b in supported[ai + 1 :]:
-                if table.same_belief(a, b):
-                    continue
-                shared = set(table.best_responses(a)) & set(table.best_responses(b))
-                if shared:
-                    first = next(c for c in game.actions[i] if c in shared)
-                    return SeparationCheck(False, (i, a, b, first))
+        for a, b in table.distinct_pairs():
+            shared = set(table.best_responses(a)) & set(table.best_responses(b))
+            if shared:
+                first = next(c for c in game.actions[i] if c in shared)
+                return SeparationCheck(False, (i, a, b, first))
     return SeparationCheck(True, None)
 
 

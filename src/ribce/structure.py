@@ -12,12 +12,12 @@ of the outcome it looks at (candidate, vertex, witness, maximizer) through
 ``Outcome.beliefs``, and every LP on the game's ``BaseGame.bce_polytope``,
 so each is built once however many steps read it.
 
-The separating perturbation reads the same tables: each player's distinct
-beliefs are the primitive int mass rows of the supported recommendations,
-and the chain order, the separating functionals, the bonus rows and the
-step are decided on ints.  A hull-membership LP orders the chain only while
-three or more beliefs remain, since any two distinct points are both
-vertices of their hull.
+Equal beliefs are read off each table's classes (``BeliefTable.classes``):
+the realized distinct pairs, the extreme-point test's common posterior and
+the perturbation's distinct beliefs, the class rows, whose chain order,
+separating functionals, bonus rows and step are decided on ints.  A
+hull-membership LP orders the chain only while three or more beliefs
+remain, since any two distinct points are both vertices of their hull.
 """
 
 import random
@@ -35,7 +35,7 @@ from .errors import (
     RetriesExhausted,
     ValidationError,
 )
-from .games import BaseGame, Outcome, check_action, same_belief, utility_distance
+from .games import BaseGame, Outcome, check_action, utility_distance
 from .rational import ONE, ZERO, Rat
 from .separation import is_sbce, is_separated
 from .vertices import enumerate_vertices
@@ -103,52 +103,26 @@ def equal_beliefs_in_all_bce(game: BaseGame, player, a, b, vertices=None):
         return True
     if vertices is None:
         vertices = bce_vertices(game)
-    data = []
-    for vertex in vertices:
-        table = vertex.beliefs(game)[player]
-        data.append((table.masses[a], table.totals[a], table.masses[b], table.totals[b]))
-    if all(not mass_a for _, mass_a, _, _ in data):
-        raise NotCoherent(f"{a!r} has zero probability in every BCE")
-    if all(not mass_b for _, _, _, mass_b in data):
-        raise NotCoherent(f"{b!r} has zero probability in every BCE")
+    tables = [vertex.beliefs(game)[player] for vertex in vertices]
+    for action in (a, b):
+        if not any(t.totals[action] for t in tables):
+            raise NotCoherent(f"{action!r} has zero probability in every BCE")
 
-    # Condition (i): a single common posterior, zeros allowed.
-    first = None
-    cond_one = True
-    for vec_a, mass_a, vec_b, mass_b in data:
-        for vec, mass in ((vec_a, mass_a), (vec_b, mass_b)):
-            if not mass:
-                continue
-            if first is None:
-                first = vec
-            elif not same_belief(vec, first):
-                cond_one = False
-                break
-        if not cond_one:
-            break
-    if cond_one:
+    # Condition (i): a single common posterior, zeros allowed: one class row
+    # holds a and b wherever either is played.
+    rows = {row for t in tables for row, acts in t.classes.items() if a in acts or b in acts}
+    if len(rows) == 1:
         return True
 
-    # Condition (ii): one positive likelihood ratio across all vertices.  Both
-    # rows of a vertex share its scale, so the ratio is read off the ints.
-    lam = None
-    for vec_a, mass_a, vec_b, mass_b in data:
-        if not mass_a and not mass_b:
-            continue
-        if not mass_a or not mass_b:
-            return False
-        j = next(j for j, qb in enumerate(vec_b) if qb)
-        num, den = vec_a[j], vec_b[j]
-        if num <= 0:
-            return False
-        if any(qa * den != num * qb for qa, qb in zip(vec_a, vec_b)):
-            return False
-        ratio = Rat(num, den)
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            return False
-    return True
+    # Condition (ii): one positive likelihood ratio across all vertices: the
+    # two share a class wherever either is played, with one ratio of masses.
+    ratios = set()
+    for t in tables:
+        if t.totals[a] or t.totals[b]:
+            if not (t.totals[a] and t.totals[b] and t.same_belief(a, b)):
+                return False
+            ratios.add(Rat(t.totals[a], t.totals[b]))
+    return len(ratios) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -169,29 +143,20 @@ def _distinct_pairs(game: BaseGame, outcome: Outcome):
     """The outcome's (player, a, b) pairs of supported actions with distinct
     beliefs."""
     tables = outcome.beliefs(game)
-    return {
-        (i, a, b)
-        for i, a, b in _supported_pairs(game, outcome)
-        if not tables[i].same_belief(a, b)
-    }
-
-
-def _distinct(vec_a, vec_b) -> bool:
-    """Both mass rows are supported and induce different beliefs."""
-    return any(vec_a) and any(vec_b) and not same_belief(vec_a, vec_b)
+    return {(i, a, b) for i in game.players for a, b in tables[i].distinct_pairs()}
 
 
 def _mixed_pair_distinct(ends, n, d, a, b) -> bool:
-    """``_distinct`` on the pair's mass rows at the mixture
-    (1 - n/d)·cand + (n/d)·other, read from the two endpoint tables:
-    d·D_c·D_o times the mixture's masses are (d - n)·D_o·v_cand +
-    n·D_c·v_other, and the test is scale-free."""
+    """Whether both of the pair's mass rows at the mixture
+    (1 - n/d)·cand + (n/d)·other are supported with different primitive
+    rows, read from the two endpoint tables: d·D_c·D_o times the mixture's
+    masses are (d - n)·D_o·v_cand + n·D_c·v_other, and the test is
+    scale-free."""
     cand, other = ends
     wc, wo = (d - n) * other.scale, n * cand.scale
-    return _distinct(
-        [wc * x + wo * y for x, y in zip(cand.masses[a], other.masses[a])],
-        [wc * x + wo * y for x, y in zip(cand.masses[b], other.masses[b])],
-    )
+    vec_a = [wc * x + wo * y for x, y in zip(cand.masses[a], other.masses[a])]
+    vec_b = [wc * x + wo * y for x, y in zip(cand.masses[b], other.masses[b])]
+    return any(vec_a) and any(vec_b) and _rows.primitive(vec_a) != _rows.primitive(vec_b)
 
 
 def _mix_keeping(game, cand, other, keep_pairs, want_pair=None, weights=None):
@@ -226,8 +191,7 @@ def _distinct_witness(game: BaseGame, player, a, b, vertices):
                 yield mix_outcomes(((half, v), (half, w)))
 
     for cand in candidates():
-        table = cand.beliefs(game)[player]
-        if _distinct(table.masses[a], table.masses[b]):
+        if not cand.beliefs(game)[player].same_belief(a, b):
             return cand
     raise InternalInvariantError(
         f"no distinct-belief witness for {(player, a, b)} despite failed equal-belief test"
@@ -514,9 +478,8 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     bonus = {}  # (player, action) -> (int row over the belief cells, its denominator)
     max_abs, max_den = 0, 1  # the largest |bonus| is max_abs / max_den
     for i in game.players:
-        table = tables[i]
-        belief_of = {a: tuple(_rows.primitive(table.masses[a])) for a in table.support}
-        distinct = list(dict.fromkeys(belief_of.values()))
+        classes = tables[i].classes
+        distinct = list(classes)
         chain = [distinct[idx] for idx in _peel_order(distinct)]
         n_i = len(chain)
 
@@ -546,9 +509,9 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
             if top * max_den > max_abs * den:
                 max_abs, max_den = top, den
 
-        chain_index = {q: m for m, q in enumerate(chain)}
-        for a, q in belief_of.items():
-            bonus[(i, a)] = bonus_rows[chain_index[q]]
+        for q, row in zip(chain, bonus_rows):
+            for a in classes[q]:
+                bonus[(i, a)] = row
 
     # The step is 2^-k for the least k >= 0 with max_abs·2^-k <= epsilon.
     x, y = max_abs * epsilon.denominator, max_den * epsilon.numerator

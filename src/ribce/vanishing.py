@@ -10,8 +10,11 @@ Undetermined, and the undecided case is an honest value, not an error.
 Every test of an outcome here (obedience, separation, measurability, the
 within-cell action ratios, the closure obstruction) reads the outcome's own
 belief tables (``Outcome.beliefs``), so a certificate component or witness
-that is the outcome itself shares them with the outcome's checks; every LP
-runs on the game's ``BaseGame.bce_polytope``.
+that is the outcome itself shares them with the outcome's checks.  Equal
+beliefs are their classes (``BeliefTable.classes``): a cell is measurable
+when one class holds its supported actions, and the closure obstruction
+scans the pairs in different classes.  Every LP runs on the game's
+``BaseGame.bce_polytope``.
 """
 
 from dataclasses import dataclass
@@ -96,17 +99,16 @@ def is_complete_info_nash(game: BaseGame, outcome: Outcome):
 
 
 def is_measurable(game: BaseGame, outcome: Outcome, partition: PartitionProfile) -> bool:
-    """Supported actions sharing a partition cell must induce equal beliefs."""
+    """Supported actions sharing a partition cell must induce equal beliefs:
+    each cell's supported actions lie in one class of the belief table."""
     tables = outcome.beliefs(game)
     for i in game.players:
         table = tables[i]
         support = set(table.support)
         for cell in partition.cells[i]:
-            live = [a for a in game.actions[i] if a in cell and a in support]
-            for idx, a in enumerate(live):
-                for b in live[idx + 1 :]:
-                    if not table.same_belief(a, b):
-                        return False
+            live = support.intersection(cell)
+            if live and not any(live.issubset(actions) for actions in table.classes.values()):
+                return False
     return True
 
 
@@ -172,19 +174,14 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome):
     action out of one best-response set; so an obstruction proves the outcome
     lies outside the closure of the sBCE set."""
     for i in game.players:
-        table = outcome.beliefs(game)[i]
-        support = table.support
-        for ai, a in enumerate(support):
-            for b in support[ai + 1 :]:
-                if table.same_belief(a, b):
+        for a, b in outcome.beliefs(game)[i].distinct_pairs():
+            for c in game.actions[i]:
+                hit_a, _, _ = jeopardizes(game, i, c, a)
+                if not hit_a:
                     continue
-                for c in game.actions[i]:
-                    hit_a, _, _ = jeopardizes(game, i, c, a)
-                    if not hit_a:
-                        continue
-                    hit_b, _, _ = jeopardizes(game, i, c, b)
-                    if hit_b:
-                        return (i, a, b, c)
+                hit_b, _, _ = jeopardizes(game, i, c, b)
+                if hit_b:
+                    return (i, a, b, c)
     return None
 
 

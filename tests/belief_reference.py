@@ -1,7 +1,8 @@
 """The Fraction loops that decided obedience, best responses, separation,
 mixing and the gross and uninformed values before the int belief tables,
-kept as references the table-based functions must reproduce exactly
-(answers, witnesses and tie-breaks)."""
+and the pairwise equal-belief test and grouping loop that came before the
+tables' equal-belief classes, kept as references the table-based functions
+must reproduce exactly (answers, witnesses, cell order and tie-breaks)."""
 
 from ribce.bce import BceCheck, mix_outcomes
 from ribce.errors import RetriesExhausted
@@ -95,10 +96,72 @@ def br_set(game, outcome, player, rec) -> tuple:
     return _best_responses(game, player, belief)
 
 
+def same_belief(vec_a, vec_b) -> bool:
+    """Whether two mass rows induce the same belief, cross-multiplied by each
+    other's total; an all-zero row matches any row."""
+    total_a, total_b = sum(vec_a), sum(vec_b)
+    return all(total_a * qb == total_b * qa for qa, qb in zip(vec_a, vec_b))
+
+
 def beliefs_equal(game, outcome, player, a, b) -> bool:
-    vec_a, mass_a = _belief_vector(game, outcome, player, a)
-    vec_b, mass_b = _belief_vector(game, outcome, player, b)
-    return all(mass_a * qb == mass_b * qa for qa, qb in zip(vec_a, vec_b))
+    return same_belief(
+        _belief_vector(game, outcome, player, a)[0], _belief_vector(game, outcome, player, b)[0]
+    )
+
+
+def equal_beliefs_in_all_bce(game, player, a, b, vertices):
+    """``structure.equal_beliefs_in_all_bce`` on the vertices' Fraction
+    belief vectors: every played vector of ``a`` or ``b`` has one posterior,
+    or the two are played together with one positive ratio at every vertex.
+    None when one of them is never played."""
+    data = [
+        (_belief_vector(game, v, player, a), _belief_vector(game, v, player, b))
+        for v in vertices
+    ]
+    if all(not mass_a for (_, mass_a), _ in data) or all(not mass_b for _, (_, mass_b) in data):
+        return None
+    played = [vec for pair in data for vec, mass in pair if mass]
+    if all(same_belief(vec, played[0]) for vec in played):
+        return True
+    lam = None
+    for (vec_a, mass_a), (vec_b, mass_b) in data:
+        if not mass_a and not mass_b:
+            continue
+        if not mass_a or not mass_b:
+            return False
+        ratio = mass_a / mass_b
+        if any(qa != ratio * qb for qa, qb in zip(vec_a, vec_b)):
+            return False
+        if lam is None:
+            lam = ratio
+        elif lam != ratio:
+            return False
+    return True
+
+
+def belief_partition(game, outcome) -> dict:
+    """player -> cells: each supported action, in action order, joins the
+    first group whose first action it shares a belief with, or starts a
+    group; the unsupported actions form one last cell."""
+    cells = {}
+    for i in game.players:
+        support = outcome.support(game, i)
+        groups = []
+        for a in support:
+            placed = False
+            for group in groups:
+                if beliefs_equal(game, outcome, i, a, group[0]):
+                    group.append(a)
+                    placed = True
+                    break
+            if not placed:
+                groups.append([a])
+        player_cells = [frozenset(g) for g in groups]
+        off = frozenset(a for a in game.actions[i] if a not in support)
+        if off:
+            player_cells.append(off)
+        cells[i] = tuple(player_cells)
+    return cells
 
 
 def is_separated(game, outcome):

@@ -8,7 +8,7 @@ from hypothesis import settings
 from ribce import games as _games
 from ribce import lp as _lp
 from ribce.bce import BcePolytope
-from ribce.games import BaseGame
+from ribce.games import BaseGame, BeliefTable
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -80,4 +80,29 @@ def belief_tables_built(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("ribce") and getattr(module, "belief_table", None) is original:
             monkeypatch.setattr(module, "belief_table", counting)
+    return built
+
+
+@pytest.fixture
+def table_caches_built(monkeypatch):
+    """name -> a list that gets one entry (the table) each time a belief
+    table's cached ``classes``, ``gross`` or ``uninformed`` is built in the
+    test: each read that finds its slot empty."""
+    built = {"classes": [], "gross": [], "uninformed": []}
+
+    def counting(read, slot, entries):
+        def wrapper(table):
+            if slot.__get__(table) is None:
+                entries.append(table)
+            return read(table)
+
+        return wrapper
+
+    for name, entries in built.items():
+        attr = BeliefTable.__dict__[name]
+        slot = BeliefTable.__dict__[f"_{name}"]
+        if isinstance(attr, property):
+            monkeypatch.setattr(BeliefTable, name, property(counting(attr.fget, slot, entries)))
+        else:
+            monkeypatch.setattr(BeliefTable, name, counting(attr, slot, entries))
     return built

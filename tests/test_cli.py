@@ -1,12 +1,13 @@
 import functools
 import json
 import pathlib
+import re
 
 import pytest
 
 from ribce.cli import main
 from ribce.errors import ValidationError
-from ribce.io import game_to_dict, load_game, load_outcome, outcome_to_dict
+from ribce.io import game_from_dict, game_to_dict, load_game, load_outcome, outcome_to_dict
 from ribce.rational import Rat
 from ribce.separation import is_sbce
 from ribce.vanishing import check_vce
@@ -334,6 +335,36 @@ def test_belief_table_built_once_per_key(files, capsys, belief_tables_built, nam
     assert (len(belief_tables_built), len(keys)) == BELIEF_TABLES_BUILT[name]
 
 
+# Builds per job of each belief table's cached value sums, (``gross``,
+# ``uninformed``): one per table whose values the job reads.  A
+# ``check-outcome`` report reads both values of each player twice, in its
+# values block and in ``value_interval``, and sums them once; a welfare
+# block reads only the epigraph minimizer's ``uninformed`` values, and
+# ``canonical`` both values only for the cost certificate of an sBCE.
+VALUE_SUMS_BUILT = {
+    "analyze_3x3_exact": (0, 2),
+    "analyze_intro": (2, 4),
+    "canonical_3x3_p_half": (0, 0),
+    "canonical_intro": (2, 2),
+    "check_outcome_3x3_not_bce": (2, 2),
+    "check_outcome_3x3_p_half": (2, 2),
+    "regime_n6_full_check": (0, 6),
+    "welfare_intro": (0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_table_caches_built_at_most_once_per_table(files, capsys, table_caches_built, name):
+    argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    for tables in table_caches_built.values():
+        assert len({id(table) for table in tables}) == len(tables)
+    if name in VALUE_SUMS_BUILT:
+        sums = (len(table_caches_built["gross"]), len(table_caches_built["uninformed"]))
+        assert sums == VALUE_SUMS_BUILT[name]
+
+
 def test_table_rendering(files, capsys):
     code, out, _ = _run(capsys, "--table", "welfare", str(files["perturbed_intro"]))
     assert code == 0
@@ -382,6 +413,57 @@ def test_exit_code_on_missing_utility_cell(files, capsys, tmp_path):
     bad.write_text(json.dumps(broken))
     code, out, err = _run(capsys, "welfare", str(bad))
     assert code == 2 and "missing_utility_entry" in err
+
+
+# Each game lists one name twice: p1's action a, the state s (its prior
+# 1/2 counted twice would sum to 1), or the player p1.
+REPEATED_NAME_GAMES = {
+    "action of player 'p1': 'a'": {
+        "players": ["p1", "p2"], "states": ["s"], "prior": {"s": 1},
+        "actions": {"p1": ["a", "a"], "p2": ["a"]},
+        "utilities": {"p1": {"a,a|s": 1}, "p2": {"a,a|s": 0}},
+    },
+    "state: 's'": {
+        "players": ["p1", "p2"], "states": ["s", "s"], "prior": {"s": "1/2"},
+        "actions": {"p1": ["a", "b"], "p2": ["a"]},
+        "utilities": {"p1": {"a,a|s": 1, "b,a|s": 0}, "p2": {"a,a|s": 0, "b,a|s": 0}},
+    },
+    "player: 'p1'": {
+        "players": ["p1", "p1"], "states": ["s"], "prior": {"s": 1},
+        "actions": {"p1": ["a"]},
+        "utilities": {"p1": {"a,a|s": 1}},
+    },
+}
+
+
+@pytest.mark.parametrize("names", sorted(REPEATED_NAME_GAMES))
+def test_repeated_name_rejected(names):
+    with pytest.raises(ValidationError, match=f"^repeated {re.escape(names)}$"):
+        game_from_dict(REPEATED_NAME_GAMES[names])
+
+
+@pytest.mark.parametrize("names", sorted(REPEATED_NAME_GAMES))
+@pytest.mark.parametrize("command", ["check-outcome", "welfare"])
+def test_repeated_name_exits_2(capsys, tmp_path, names, command):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(REPEATED_NAME_GAMES[names]))
+    outcome = tmp_path / "outcome.json"
+    outcome.write_text(json.dumps({"outcome": {"a,a|s": 1}}))
+    argv = [command, str(game)] + ([str(outcome)] if command == "check-outcome" else [])
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error[validation]: repeated {names}\n"
+
+
+# ``--lam`` is checked before any work, whether or not the outcome is an sBCE
+# (the intro outcome is one, the 3x3 point is not).
+@pytest.mark.parametrize("lam", ["abc", "2", "0", "-1/2"])
+@pytest.mark.parametrize("outcome", [("perturbed_intro", "inferior"), ("game3x3", "p_half")])
+def test_canonical_rejects_lam_outside_unit_interval(files, capsys, outcome, lam):
+    argv = ["canonical", *(str(files[a]) for a in outcome), f"--lam={lam}"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid_params" in err and "--lam:" in err
 
 
 REGIME = ("regime", "--n", "6", "--k", "1/2", "--x", "1", "--states", "2,3", "--prior", "1/2,1/2")

@@ -1,6 +1,7 @@
 """``Outcome.beliefs``: one ``BeliefTables`` per (game, outcome), kept on
 the outcome, so every check of an outcome builds each player's table once;
-and only ``games`` builds belief tables."""
+only ``games`` builds belief tables, and only ``games`` decides which mass
+rows share a belief."""
 
 import pathlib
 import re
@@ -76,14 +77,25 @@ def test_equal_outcome_gets_its_own_tables(belief_tables_built):
     assert len(keys) == len(set(keys)) == 2 * len(game.players)
 
 
-def test_only_games_builds_belief_tables():
+def _callers_outside_games(pattern):
+    """``file:line`` of every line of a ``ribce`` module other than ``games``
+    that matches ``pattern``."""
     src = pathlib.Path(ribce.__file__).parent
-    builders = re.compile(r"\b(belief_table|BeliefTables)\(")
-    callers = [
+    return [
         f"{path.name}:{number}"
         for path in sorted(src.glob("*.py"))
         if path.name != "games.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if builders.search(line)
+        if re.search(pattern, line)
     ]
-    assert callers == []
+
+
+def test_only_games_builds_belief_tables():
+    assert _callers_outside_games(r"\b(belief_table|BeliefTables)\(") == []
+
+
+def test_only_games_decides_equal_beliefs():
+    # A table's ``same_belief(a, b)`` method reads its classes; a bare
+    # ``same_belief(`` call or a primitive row of a table's masses would
+    # decide equal beliefs a second way.
+    assert _callers_outside_games(r"(?<![.\w])same_belief\(|primitive\(.*\.masses\b") == []
