@@ -202,8 +202,10 @@ def cmd_regime(args) -> dict:
     game = _regime.build_regime_game(params) if args.full_check else None
     w_lower = _regime.wlower_closed_form(params)
     space = _regime.regime_space(params)
-    red_u, kernel_u = _regime.reduced_symmetric_lp(params, _regime.UNINFORMED_WELFARE, space)
-    red_g, _ = _regime.reduced_symmetric_lp(params, _regime.GROSS_WELFARE, space)
+    uninformed = _regime.reduced_symmetric_lp(params, _regime.UNINFORMED_WELFARE, space)
+    gross = _regime.reduced_symmetric_lp(params, _regime.GROSS_WELFARE, space)
+    red_u, kernel_u = uninformed
+    red_g, _ = gross
     if red_u != w_lower:
         raise InternalInvariantError("reduced LP disagrees with the closed form")
     report = {
@@ -223,10 +225,10 @@ def cmd_regime(args) -> dict:
         "kernel_optimality_conditions": _regime.kernel_satisfies_optimality(params, kernel_u),
     }
     if args.full_check:
-        rep = welfare_report(game)
+        certify = _regime.certify_full_game
         report["full_game"] = {
-            "exogenous_information": rational_to_json(rep.w_exogenous),
-            "rational_inattention": rational_to_json(rep.w_inattention),
+            "exogenous_information": rational_to_json(certify(params, gross, game)),
+            "rational_inattention": rational_to_json(certify(params, uninformed, game)),
         }
     return report
 
@@ -445,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--full-check",
         action="store_true",
-        help="also solve the full-profile LPs (exponential in n)",
+        help="also certify the count-space answers on the full-profile LPs",
     )
     sub.set_defaults(func=cmd_regime)
 

@@ -42,6 +42,16 @@ Callers read the point through ``int_parts`` (outcomes, the count kernel)
 or as a mapping of exact rationals.  ``LpSolution.verify`` pivots the
 claimed basis into a fresh standard form on the same tableau.
 
+Certificates are on demand.  ``LpSolution.duals(lp)`` gives one exact dual
+per constraint of an optimal answer, read off the reduced costs of the
+artificial columns once the basis is pivoted into a fresh standard form
+that keeps them (the same fraction-free pivots as ``verify``'s).  Nothing in
+``solve``, ``phase_one`` or ``optimize`` computes them.  ``check_certificate``
+proves a point and duals optimal for a program on its own rows, in one int
+pass over the nonzero entries: bounds, rows, dual signs, every reduced cost,
+and c·x = dual objective = the claimed value.  A lifted certificate (the
+regime full check) is checked there without any tableau.
+
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
 Dantzig keeps iteration counts sane on the larger welfare programs.
@@ -203,64 +213,183 @@ class LpSolution:
 
     def verify(self, lp: LinearProgram) -> bool:
         """Re-check the certificate from scratch: exact primal feasibility of
-        the point and dual feasibility (nonnegative reduced costs) of the
-        basis, pivoted into a fresh standard-form tableau, not the solver's.
-        Raises InternalInvariantError on any failure."""
+        the point and its value (``check_certificate``), and dual feasibility
+        (nonnegative reduced costs) of the basis, pivoted into a fresh
+        standard-form tableau, not the solver's.  Raises
+        InternalInvariantError on any failure."""
         if self.status != OPTIMAL:
             return True
-        point = self.point
-        for v in lp.variables:
-            lo, hi = lp.bounds.get(v, (None, None))
-            x = point[v]
-            if lo is not None and x < lo:
-                raise InternalInvariantError(f"{v} below lower bound")
-            if hi is not None and x > hi:
-                raise InternalInvariantError(f"{v} above upper bound")
-        for con in lp.constraints:
-            lhs = sum((c * point[v] for v, c in con.coeffs.items()), ZERO)
-            ok = (
-                lhs <= con.rhs
-                if con.relation == LESS
-                else lhs >= con.rhs
-                if con.relation == GREATER
-                else lhs == con.rhs
-            )
-            if not ok:
-                raise InternalInvariantError(f"constraint violated: {con}")
-        value = sum((c * point[v] for v, c in lp.objective.items()), ZERO)
-        if value != self.value:
-            raise InternalInvariantError("objective value mismatch")
+        check_certificate(lp, self.point, self.value)
         _verify_dual(lp, self)
         return True
 
+    def duals(self, lp: LinearProgram) -> tuple:
+        """One exact rational per constraint of ``lp``, the program this
+        optimal answer solves: the dual multipliers y of its basis, read off
+        a fresh standard-form tableau whose rows keep their artificial
+        columns (``_basis_tableau``), one fraction-free pivot per basic
+        column.  With d = c - yA the reduced costs, c·x = y·Ax + d·x, and
+        ``check_certificate`` proves the answer optimal from y.  A redundant
+        row, left free by the pivots, gets 0: the rows dropped in phase 1
+        when they are redundant.  Computed only here, on demand: ``solve``
+        and ``optimize`` never read the duals."""
+        if self.status != OPTIMAL:
+            raise ValidationError(f"duals need an optimal answer, not an {self.status} one")
+        (cols, _, terms, shifts), tab = _basis_tableau(lp, self, artificials=True)
+        n = len(cols)
+        # The artificial column of row r has entry 1 in the rational row,
+        # which is the constraint times -1 when its shifted rhs was negative,
+        # so its reduced cost is minus that row's dual.  The objective row is
+        # the objective times k = den/gcd, negated for max.
+        nums, den = parts = _objective_parts(lp.objective)
+        obj = _objective_row(terms, n, parts, lp.sense)
+        reduced, scale = tab.reduced_costs(obj + [0] * (tab.n - n))
+        scale *= den // gcd(den, *nums.values())
+        if lp.sense != "min":
+            scale = -scale
+        duals = []
+        for r, con in enumerate(lp.constraints):
+            z = reduced[n + r]
+            if _shifted_rhs(con.rhs, *int_parts(con.coeffs), shifts) >= 0:
+                z = -z
+            duals.append(Rat(z, scale))
+        return tuple(duals)
 
-def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
-    # Pivot the basis into the surviving rows, one free row per column.  Rows,
-    # objective and every pivoted row are positive multiples of the rational
-    # ones, so each reduced cost has its rational sign.
-    cols, rows, terms, _ = _standard_form(lp)
+
+def _basis_tableau(lp: LinearProgram, sol: LpSolution, artificials: bool = False):
+    """(``_standard_form(lp)``, a tableau with ``sol``'s basis pivoted in):
+    each basic column is pivoted on a free row that holds it, so the rows
+    stay positive multiples of the rational ones and each reduced cost has
+    its rational sign.  A basis that does not fit the rows raises
+    InternalInvariantError.
+
+    Without ``artificials`` the rows are those that survived phase 1, on the
+    structural columns, one per basic column.  With them every row keeps its
+    artificial column, the rows dropped in phase 1 are tried last, and the
+    rows left free at the end are removed: a dropped row that is not
+    redundant is pivoted on, and the redundant rows stay free."""
+    std = _standard_form(lp)
+    cols, rows = std[0], std[1]
     n = len(cols)
-    obj = _objective_row(terms, n, _objective_parts(lp.objective), lp.sense)
     dropped = set(sol.dropped_rows)
-    surviving = [row[:n] + row[-1:] for r, row in enumerate(rows) if r not in dropped]
     index = {label: j for j, label in enumerate(cols)}
     try:
         bjs = [index[label] for label in sol.basis]
     except KeyError as exc:
         raise InternalInvariantError(f"unknown basis column {exc}") from exc
-    if len(bjs) != len(surviving):
-        raise InternalInvariantError("basis does not match surviving rows")
-    tab = _Tableau(surviving, n, [None] * len(surviving))
-    free = list(range(tab.m))
+    if artificials:
+        free = [r for r in range(len(rows)) if r not in dropped] + sorted(dropped)
+        tab = _Tableau(rows, n + len(rows), [None] * len(rows))
+    else:
+        surviving = [row[:n] + row[-1:] for r, row in enumerate(rows) if r not in dropped]
+        if len(bjs) != len(surviving):
+            raise InternalInvariantError("basis does not match surviving rows")
+        free = list(range(len(surviving)))
+        tab = _Tableau(surviving, n, [None] * len(surviving))
     for bj in bjs:
         r = next((r for r in free if tab.T[r][bj]), None)
         if r is None:
             raise InternalInvariantError("singular basis matrix")
         free.remove(r)
         tab.pivot(r, bj)
+    if free:
+        keep = [r for r in range(tab.m) if tab.basis[r] is not None]
+        tab = _Tableau([tab.T[r] for r in keep], tab.n, [tab.basis[r] for r in keep])
+    return std, tab
+
+
+def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
+    # Every reduced cost of the objective against the pivoted basis is >= 0.
+    (cols, _, terms, _), tab = _basis_tableau(lp, sol)
+    obj = _objective_row(terms, len(cols), _objective_parts(lp.objective), lp.sense)
     for label, reduced in zip(cols, tab.cost_row(obj)):
         if reduced < 0:
             raise InternalInvariantError(f"dual infeasible at column {label}")
+
+
+def check_certificate(lp: LinearProgram, point, value, duals=None) -> None:
+    """Prove ``value`` the optimum of ``lp`` at ``point``, exactly, in one
+    pass over the nonzero entries; raises InternalInvariantError naming the
+    first condition that fails.
+
+    ``point`` maps variables to exact rationals (one it leaves out is 0).
+    The primal part checks every bound and row at the point, then
+    c·x = ``value``.  Given ``duals``, one exact rational y_r per constraint
+    (``LpSolution.duals``), it checks, with s = 1 for ``min`` and -1 for
+    ``max``:
+
+    - dual signs: s·y_r >= 0 on a ``>=`` row and <= 0 on a ``<=`` row;
+    - reduced costs: d = c - yA may have s·d_v > 0 only if v has a lower
+      bound, and s·d_v < 0 only if it has an upper one;
+    - the dual objective: b·y, plus d_v times that bound for each nonzero
+      d_v, equals ``value`` (with zero lower bounds and no upper ones, that
+      is b·y = ``value``).
+
+    Weak duality then bounds every feasible point's objective by ``value``
+    on the optimal side.  Points, rows, the objective and the duals are read
+    as int numerators over one denominator each (``int_parts``), and every
+    comparison is one of ints; no ``Rat`` is made per entry.
+    """
+    xnums, xden = int_parts(point)
+    x = xnums.get
+    for v in lp.variables:
+        lo, hi = lp.bounds.get(v, (None, None))
+        if lo is not None and x(v, 0) * lo.denominator < lo.numerator * xden:
+            raise InternalInvariantError(f"{v} below lower bound")
+        if hi is not None and x(v, 0) * hi.denominator > hi.numerator * xden:
+            raise InternalInvariantError(f"{v} above upper bound")
+    rows = []
+    for con in lp.constraints:
+        nums, den = int_parts(con.coeffs)
+        rhs = con.rhs
+        # lhs - rhs, times den·xden·rhs.denominator > 0.
+        lhs = sum([c * x(v, 0) for v, c in nums.items()])
+        gap = lhs * rhs.denominator - rhs.numerator * den * xden
+        ok = gap <= 0 if con.relation == LESS else gap >= 0 if con.relation == GREATER else gap == 0
+        if not ok:
+            raise InternalInvariantError(f"constraint violated: {con}")
+        rows.append((nums, den))
+    onums, oden = _objective_parts(lp.objective)
+    cx = sum([c * x(v, 0) for v, c in onums.items()])
+    if cx * value.denominator != value.numerator * oden * xden:
+        raise InternalInvariantError("objective value mismatch")
+    if duals is None:
+        return
+
+    if len(duals) != len(rows):
+        raise InternalInvariantError(f"{len(duals)} duals for {len(rows)} constraints")
+    ynums, yden = int_parts(dict(enumerate(duals)))
+    s = 1 if lp.sense == "min" else -1
+    for r, con in enumerate(lp.constraints):
+        y = s * ynums[r]
+        if (con.relation == GREATER and y < 0) or (con.relation == LESS and y > 0):
+            raise InternalInvariantError(f"dual of constraint {r} has the wrong sign")
+    # d = c - yA over L·yden, L the lcm of the objective's denominator and
+    # those of the rows with y_r != 0.
+    live = [(ynums[r], nums, den) for r, (nums, den) in enumerate(rows) if ynums[r]]
+    scale = lcm(oden, *[den for _, _, den in live])
+    up = scale // oden * yden
+    d = {v: c * up for v, c in onums.items()}
+    for y, nums, den in live:
+        f = y * (scale // den)
+        for v, c in nums.items():
+            d[v] = d.get(v, 0) - f * c
+    scale *= yden
+    dual_value = sum((y * con.rhs for y, con in zip(duals, lp.constraints) if y), ZERO)
+    for v in lp.variables:
+        z = d.get(v, 0)
+        if z:
+            lo, hi = lp.bounds.get(v, (None, None))
+            bound = lo if s * z > 0 else hi
+            if bound is None:
+                side = "lower" if s * z > 0 else "upper"
+                raise InternalInvariantError(
+                    f"reduced cost of {v} points at a missing {side} bound"
+                )
+            if bound:
+                dual_value += Rat(z, scale) * bound
+    if dual_value != value:
+        raise InternalInvariantError("dual objective mismatch")
 
 
 def _inexact(x) -> bool:
@@ -359,11 +488,7 @@ def _standard_form(lp: LinearProgram):
     for r, con in enumerate(constraints):
         try:
             nums, den = int_parts(con.coeffs)
-            rhs = con.rhs
-            if shifts:
-                shift = sum((x * shifts[v] for v, x in nums.items() if x and v in shifts), ZERO)
-                if shift:
-                    rhs = rhs - shift / den
+            rhs = _shifted_rhs(con.rhs, nums, den, shifts)
             scale = lcm(den, rhs.denominator)
             rhs_int = int(rhs.numerator * (scale // rhs.denominator))
             flip = rhs < 0
@@ -395,6 +520,17 @@ def _standard_form(lp: LinearProgram):
         rows.append(row)
 
     return cols, rows, terms, shifts
+
+
+def _shifted_rhs(rhs, nums, den, shifts):
+    """The rhs of a row with int numerators ``nums`` over ``den`` once each
+    variable in ``shifts`` is measured from its base there; the standard
+    form negates the row when this is negative."""
+    if shifts:
+        shift = sum((x * shifts[v] for v, x in nums.items() if x and v in shifts), ZERO)
+        if shift:
+            return rhs - shift / den
+    return rhs
 
 
 def _objective_parts(objective):
@@ -456,6 +592,11 @@ class _Tableau:
     def cost_row(self, obj):
         """Reduced costs of the int row ``obj`` against the current basis, as a
         primitive int row (a positive multiple of the rational one)."""
+        return _rows.primitive(self.reduced_costs(obj)[0])
+
+    def reduced_costs(self, obj):
+        """(row, scale): ``scale`` > 0 times the reduced costs of the int row
+        ``obj`` over every column, and the rhs entry, as ints."""
         cost = list(obj) + [0]
         T = self.T
         pivots = [(r, cost[bj], T[r][bj]) for r, bj in enumerate(self.basis) if cost[bj]]
@@ -464,7 +605,7 @@ class _Tableau:
         for r, f, p in pivots:
             k = f * (scale // p)
             out = [o - k * t for o, t in zip(out, T[r])]
-        return _rows.primitive(out)
+        return out, scale
 
     def run(self, rule):
         """Minimize the cost row ``T[m]``; mutates the tableau in place.  Basic

@@ -20,6 +20,13 @@ builds the regime's, which ``cli`` passes to both worst-case objectives, and
 each obedience row is built at most once per space.  The full game
 (``build_regime_game``) has 2^n profiles and is refused above
 ``MAX_REGIME_PLAYERS``.
+
+The full check solves nothing on the full game.  By symmetry (Bödi, Herr &
+Joswig, Math. Prog. 2013) a count-space optimum and its duals lift to an
+optimal primal-dual pair of the full game's programs: ``lift_to_full_game``
+spreads the kernel over the profiles (``kernel_to_outcome``) and divides
+each count row's dual by pi(theta) or n, and ``certify_full_game`` proves
+the pair on the full rows with ``lp.check_certificate``.
 """
 
 import numbers
@@ -40,8 +47,8 @@ UNINFORMED_WELFARE = "uninformed_welfare"
 
 # build_regime_game stores n utilities per profile and state, 2^n * n per
 # state: 49,152 at n=12, two players above the largest full check in use
-# (n=10, about 8 s of exact LP).  Far above the cap the table alone would
-# exhaust memory.
+# (n=10: the game, its programs and two certificate checks in about 0.2 s).
+# Far above the cap the table alone would exhaust memory.
 MAX_REGIME_PLAYERS = 12
 
 
@@ -361,14 +368,39 @@ def gap_closed_form(params: RegimeParams) -> bool:
     return gap
 
 
-def reduced_symmetric_lp(params: RegimeParams, objective: str, space: CountSpace = None):
+class CountOptimum(tuple):
+    """``(value, kernel)``, the answer of ``reduced_symmetric_lp``, which
+    also keeps its ``objective``, the count-space program (``lp``) and the
+    solver's answer to it (``solution``), so that ``certify_full_game`` reads
+    the one solve."""
+
+    def __new__(cls, objective, lp, solution, kernel):
+        self = super().__new__(cls, (solution.value, kernel))
+        self.objective, self.lp, self.solution = objective, lp, solution
+        return self
+
+    @property
+    def value(self):
+        return self[0]
+
+    @property
+    def kernel(self) -> CountKernel:
+        return self[1]
+
+
+def reduced_symmetric_lp(
+    params: RegimeParams, objective: str, space: CountSpace = None
+) -> CountOptimum:
     """Exact worst-case welfare over symmetric BCEs in count space.
 
     Symmetric outcomes are exactly the count kernels, and the symmetric
     optimum equals the full-game optimum because both worst-case programs
-    admit symmetric minimizers.  ``space`` is ``regime_space(params)``, built
-    here if not given; pass one to both objectives to build it once.
-    Returns (value, CountKernel).
+    admit symmetric minimizers (``certify_full_game`` proves it per answer).
+    ``space`` is ``regime_space(params)``, built here if not given; pass one
+    to both objectives to build it once.  The program's rows are the
+    normalization per state, in threshold order, then obedience(1),
+    obedience(0) and, for ``UNINFORMED_WELFARE``, the epigraph rows of
+    actions 0 and 1.  Returns (value, CountKernel) as a ``CountOptimum``.
     """
     if objective not in (GROSS_WELFARE, UNINFORMED_WELFARE):
         raise InvalidParams(f"unknown objective {objective!r}")
@@ -396,7 +428,55 @@ def reduced_symmetric_lp(params: RegimeParams, objective: str, space: CountSpace
         raise InternalInvariantError(f"reduced LP is {sol.status}")
     nums, den = sol.point.nums, sol.point.den
     kernel = CountKernel(n=params.n, q={v: Rat(x, den) for v in space.variables if (x := nums[v])})
-    return sol.value, kernel
+    return CountOptimum(objective, lp, sol, kernel)
+
+
+def lift_to_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGame):
+    """(program, point, duals): the full game's own program for
+    ``optimum``'s objective, and the count-space optimum and its duals
+    lifted onto it.  ``game`` is ``build_regime_game(params)``.
+
+    The program is ``game.bce_polytope`` with ``welfare.gross_objective``,
+    or ``welfare.epigraph_lp``.  The point spreads the kernel uniformly over
+    each count's profiles (``kernel_to_outcome``) and sets every player's
+    t_i to the count space's t.  With count duals y_theta (normalization),
+    lambda_rec (obedience of rec) and mu_a (epigraph of a), the full duals
+    are y_theta/pi(theta) on the marginal row of theta, lambda_rec/n on
+    each player's obedience row rec -> dev, and mu_a/n on each player's
+    epigraph row of a.  Summed over the players a profile's column meets,
+    each full column's reduced cost is then its count column's over
+    pi(theta), and b·y is the count value: by symmetry the pair is optimal
+    whenever the count-space pair is (Bödi, Herr & Joswig, Math. Prog.
+    2013), which ``lp.check_certificate`` decides on the full rows.
+    """
+    # welfare reads this module's count space, so it is imported here.
+    from .welfare import epigraph_lp, gross_objective
+
+    n = params.n
+    k = len(params.thresholds)
+    y = optimum.solution.duals(optimum.lp)
+    outcome = kernel_to_outcome(params, optimum.kernel, game)
+    obey = {ATTACK: y[k] / n, STAY: y[k + 1] / n}
+    duals = [y_theta / params.prior[theta] for y_theta, theta in zip(y, params.thresholds)]
+    # Binary actions: one obedience row per (player, rec).
+    duals += [obey[rec] for i in game.players for rec in game.actions[i]]
+    if optimum.objective == GROSS_WELFARE:
+        return game.bce_polytope.lp(gross_objective(game)), outcome.p, tuple(duals)
+    epigraph = {STAY: y[k + 2] / n, ATTACK: y[k + 3] / n}
+    duals += [epigraph[a] for i in game.players for a in game.actions[i]]
+    t = optimum.solution.point[EPIGRAPH]
+    point = {**outcome.p, **{("t", i): t for i in game.players}}
+    return epigraph_lp(game), point, tuple(duals)
+
+
+def certify_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGame):
+    """The full game's worst case of ``optimum``'s objective: the count
+    value, once ``lp.check_certificate`` proves the lifted point and duals
+    (``lift_to_full_game``) optimal on the full game's own program.  A
+    failed check raises InternalInvariantError naming the condition."""
+    program, point, duals = lift_to_full_game(params, optimum, game)
+    _lp.check_certificate(program, point, optimum.value, duals)
+    return optimum.value
 
 
 def kernel_to_outcome(params: RegimeParams, kernel: CountKernel, game: BaseGame) -> Outcome:

@@ -84,21 +84,30 @@ def value_interval(game: BaseGame, outcome: Outcome, mode=RATIONAL_INATTENTION) 
     return ValueInterval(mode=mode, per_player=per_player)
 
 
-def worst_case_exogenous(game: BaseGame):
-    """min over the BCE set of total gross value; returns (value, minimizer)."""
+def gross_objective(game: BaseGame) -> dict:
+    """Total gross value as a linear functional of the outcome: each cell's
+    sum of every player's payoff there, zero cells left out.  The objective
+    of ``worst_case_exogenous``."""
     objective = {}
     for cell in game.cells():
         profile, state = cell
         total = sum((game.u(i, profile, state) for i in game.players), ZERO)
         if total:
             objective[cell] = total
-    outcome, value = minimize_linear_over_bce(game, objective)
+    return objective
+
+
+def worst_case_exogenous(game: BaseGame):
+    """min over the BCE set of total gross value; returns (value, minimizer)."""
+    outcome, value = minimize_linear_over_bce(game, gross_objective(game))
     return value, outcome
 
 
-def worst_case_rational_inattention(game: BaseGame):
-    """min over the BCE set of total uninformed value, via epigraph variables
-    t_i >= every constant-action deviation payoff; returns (value, minimizer)."""
+def epigraph_lp(game: BaseGame) -> _lp.LinearProgram:
+    """The program of ``worst_case_rational_inattention``: min sum_i t_i over
+    the game's BCE polytope, its rows first, then one row
+    t_i >= ``deviation_row(game, i, a)`` per player i and action a, in
+    player and action order, with each t_i = ("t", i) free."""
     poly = game.bce_polytope
     constraints = list(poly.constraints)
     for i in game.players:
@@ -107,17 +116,23 @@ def worst_case_rational_inattention(game: BaseGame):
             nums = {cell: -x for cell, x in payoff.nums.items()}
             nums[("t", i)] = payoff.den
             constraints.append((_lp.IntRow(nums, payoff.den), _lp.GREATER, ZERO))
-    lp = _lp.LinearProgram(
+    return _lp.LinearProgram(
         variables=poly.variables + tuple(("t", i) for i in game.players),
         objective={("t", i): ONE for i in game.players},
         sense="min",
         constraints=constraints,
         bounds=dict(poly.bounds),
     )
-    sol = _lp.solve(lp)
+
+
+def worst_case_rational_inattention(game: BaseGame):
+    """min over the BCE set of total uninformed value, via epigraph variables
+    t_i >= every constant-action deviation payoff (``epigraph_lp``); returns
+    (value, minimizer)."""
+    sol = _lp.solve(epigraph_lp(game))
     if not sol.is_optimal:
         raise InternalInvariantError(f"uninformed-welfare LP is {sol.status}")
-    outcome = poly.outcome_from_point(sol.point)
+    outcome = game.bce_polytope.outcome_from_point(sol.point)
     check = is_bce(game, outcome)
     if not check:
         raise InternalInvariantError(f"optimizer left the BCE set: {check.witness}")

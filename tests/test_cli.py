@@ -257,6 +257,8 @@ def test_cli_golden_bytes(files, capsys, name):
 # inattention worst case and the two count-space LPs of ``regime``; exact-mode
 # vertex enumeration of the never-empty BCE polytope runs none.  A
 # NowhereDense verdict re-derives its own polytope in ``DensityVerdict.verify``.
+# ``regime --full-check`` builds the full game's polytope for its rows and
+# solves nothing on it: it checks the lifted count-space certificates.
 BUILT_ONCE = {
     "welfare_intro": (1, 2),
     "analyze_intro": (1, 2),
@@ -266,7 +268,7 @@ BUILT_ONCE = {
     "vce_3x3_p_half": (1, 1),
     "vce_tie": (1, 1),
     "vce_tie_exact": (1, 1),
-    "regime_n6_full_check": (1, 4),
+    "regime_n6_full_check": (1, 2),
 }
 
 
@@ -306,7 +308,8 @@ def test_payoff_rows_built_once_per_game(files, capsys, payoff_rows_built, name)
 # their checks of the outcome, the density classification one per
 # candidate, vertex and witness it reads, and ``welfare`` one per minimizer,
 # read by its obedience check and, for the epigraph minimizer, by the
-# tightness check).
+# tightness check; ``regime --full-check`` checks its lifted outcomes on the
+# full program's rows and builds none).
 BELIEF_TABLES_BUILT = {
     "analyze_3x3_exact": (10, 10),
     "analyze_intro": (40, 40),
@@ -317,7 +320,7 @@ BELIEF_TABLES_BUILT = {
     "density_3x3_exact": (6, 6),
     "perturb_3x3_p_half": (4, 4),
     "perturb_collinear": (2, 2),
-    "regime_n6_full_check": (12, 12),
+    "regime_n6_full_check": (0, 0),
     "vce_3x3_mixed_nash": (2, 2),
     "vce_3x3_p_half": (2, 2),
     "vce_tie": (262, 262),
@@ -339,8 +342,9 @@ def test_belief_table_built_once_per_key(files, capsys, belief_tables_built, nam
 # ``uninformed``): one per table whose values the job reads.  A
 # ``check-outcome`` report reads both values of each player twice, in its
 # values block and in ``value_interval``, and sums them once; a welfare
-# block reads only the epigraph minimizer's ``uninformed`` values, and
-# ``canonical`` both values only for the cost certificate of an sBCE.
+# block reads only the epigraph minimizer's ``uninformed`` values,
+# ``canonical`` both values only for the cost certificate of an sBCE, and
+# ``regime --full-check`` none.
 VALUE_SUMS_BUILT = {
     "analyze_3x3_exact": (0, 2),
     "analyze_intro": (2, 4),
@@ -348,7 +352,7 @@ VALUE_SUMS_BUILT = {
     "canonical_intro": (2, 2),
     "check_outcome_3x3_not_bce": (2, 2),
     "check_outcome_3x3_p_half": (2, 2),
-    "regime_n6_full_check": (0, 6),
+    "regime_n6_full_check": (0, 0),
     "welfare_intro": (0, 2),
 }
 
@@ -532,6 +536,28 @@ def test_regime_full_check_too_large_exits_at_once(monkeypatch, capsys):
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert "too_many_players" in err and f"{2**41} profile-state cells" in err
+
+
+def test_regime_full_check_exits_1_when_a_count_value_is_wrong(monkeypatch, capsys):
+    # The count-space gross LP (its variables are (count, state) pairs)
+    # answers 1/1000 above its optimum.  Its printed value would then differ
+    # from the full game's; the full check refuses to certify it.
+    import dataclasses
+
+    from ribce import lp
+
+    solve = lp.solve
+
+    def off(program, rule="dantzig"):
+        sol = solve(program, rule)
+        if all(isinstance(v[0], int) for v in program.variables):
+            sol = dataclasses.replace(sol, value=sol.value + Rat(1, 1000))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", off)
+    code, out, err = _run(capsys, *CLI_GOLDEN["regime_n6_full_check"])
+    assert code == 1 and out == ""
+    assert err == "error[internal]: objective value mismatch\n"
 
 
 def _coarsest_partition():

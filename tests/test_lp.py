@@ -613,3 +613,131 @@ def test_int_row_reads_as_rationals():
     for den in (0, -2, Rat(1), True):
         with pytest.raises(ValidationError, match="row denominator must be a positive int"):
             IntRow({"x": 1}, den)
+
+
+# Duals and the certificate check.  ``LpSolution.duals`` reads one dual per
+# constraint off the answer's basis; ``check_certificate`` proves the answer
+# optimal from them on the program's own rows, independently of the
+# tableau, so the two routes meet only in the claimed value.
+
+
+def _certified(lp, sol):
+    duals = sol.duals(lp)
+    assert len(duals) == len(lp.constraints)
+    _lp.check_certificate(lp, sol.point, sol.value, duals)
+    return duals
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_duals_of_every_optimal_answer_pass_the_check(family, rule):
+    optimal = 0
+    for seed in range(40):
+        lp = FAMILIES[family](random.Random(f"{family}-{seed}"))
+        sol = solve(lp, rule=rule)
+        if sol.is_optimal:
+            _certified(lp, sol)
+            optimal += 1
+    assert optimal or family in ("infeasible", "unbounded")
+
+
+def test_duals_of_redundant_rows_dropped_in_phase_one_are_zero():
+    dropped = 0
+    for seed in range(12):
+        lp = FAMILIES["redundant"](random.Random(f"redundant-{seed}"))
+        sol = solve(lp)
+        if sol.is_optimal and sol.dropped_rows:
+            duals = _certified(lp, sol)
+            assert all(duals[r] == 0 for r in sol.dropped_rows if r < len(duals))
+            dropped += 1
+    assert dropped
+
+
+def _bce_programs(game):
+    """The BCE programs a game's worst cases and cell maxima solve."""
+    from ribce.welfare import epigraph_lp, gross_objective
+
+    poly = game.bce_polytope
+    yield poly.lp(gross_objective(game))
+    yield poly.lp(gross_objective(game), "max")
+    yield poly.lp({poly.variables[-1]: ONE}, "max")
+    yield epigraph_lp(game)
+
+
+def test_duals_of_bce_answers_pass_the_check():
+    from sample_games import (
+        coordination_game_3x3,
+        investment_game,
+        matching_pennies,
+        random_symmetric_binary_game,
+    )
+
+    games = [investment_game(), investment_game(Rat(1, 10))]
+    games += [coordination_game_3x3(), matching_pennies()]
+    games += [random_game(random.Random(seed), n_states=1 + seed % 3) for seed in range(8)]
+    games += [random_symmetric_binary_game(random.Random(seed), n_players=3) for seed in range(3)]
+    checked = 0
+    for game in games:
+        for lp in _bce_programs(game):
+            sol = solve(lp)
+            assert sol.is_optimal
+            _certified(lp, sol)
+            checked += 1
+    assert checked == 4 * len(games)
+
+
+def test_duals_need_an_optimal_answer():
+    lp = FAMILIES["infeasible"](random.Random("infeasible-0"))
+    sol = solve(lp)
+    assert sol.status == _lp.INFEASIBLE
+    with pytest.raises(ValidationError, match="^duals need an optimal answer"):
+        sol.duals(lp)
+
+
+def _box_lp(sense="min"):
+    """min/max x + 2y over x + y >= 1, x - y <= 1, 0 <= x, 0 <= y <= 3."""
+    return LinearProgram(
+        variables=("x", "y"),
+        objective={"x": Rat(1), "y": Rat(2)},
+        sense=sense,
+        constraints=[({"x": ONE, "y": ONE}, ">=", ONE), ({"x": ONE, "y": -ONE}, "<=", ONE)],
+        bounds={"x": (ZERO, None), "y": (ZERO, Rat(3))},
+    )
+
+
+def test_check_certificate_names_each_failed_condition():
+    lp = _box_lp()
+    sol = solve(lp)
+    assert sol.value == 1 and dict(sol.point) == {"x": 1, "y": 0}
+    duals = _certified(lp, sol)
+    assert duals == (Rat(1), Rat(0))
+    tampered = [
+        ({"x": Rat(-1), "y": ZERO}, sol.value, duals, "^x below lower bound$"),
+        ({"x": ONE, "y": Rat(4)}, sol.value, duals, "^y above upper bound$"),
+        ({"x": Rat(1, 2), "y": ZERO}, Rat(1, 2), duals, "^constraint violated: "),
+        (sol.point, sol.value + Rat(1, 1000), duals, "^objective value mismatch$"),
+        (sol.point, sol.value, (Rat(-1), ZERO), "^dual of constraint 0 has the wrong sign$"),
+        (sol.point, sol.value, (ONE, Rat(1, 2)), "^dual of constraint 1 has the wrong sign$"),
+        # y = 1/2 leaves x a reduced cost of 1/2 > 0 at its lower bound,
+        # which proves only the lower bound 1/2 < 1.
+        (sol.point, sol.value, (Rat(1, 2), ZERO), "^dual objective mismatch$"),
+        (sol.point, sol.value, (ONE,), "^1 duals for 2 constraints$"),
+    ]
+    for point, value, duals_claimed, message in tampered:
+        with pytest.raises(_lp.InternalInvariantError, match=message):
+            _lp.check_certificate(lp, point, value, duals_claimed)
+    # Under max, x + 2y peaks at y = 3 on its upper bound, where d_y > 0.
+    top = _box_lp("max")
+    sol = solve(top)
+    assert sol.value == 10
+    _certified(top, sol)
+    free = LinearProgram(top.variables, top.objective, "max", top.constraints, {"x": (ZERO, None)})
+    message = "^reduced cost of y points at a missing upper bound$"
+    with pytest.raises(_lp.InternalInvariantError, match=message):
+        _lp.check_certificate(free, sol.point, sol.value, sol.duals(top))
+
+
+def test_check_certificate_reads_a_point_missing_zero_variables():
+    lp = _box_lp()
+    sol = solve(lp)
+    _lp.check_certificate(lp, {"x": ONE}, sol.value, sol.duals(lp))

@@ -1,8 +1,9 @@
 """The solver's answers, pinned.
 
 ``golden/lp_answers.json`` holds ``(status, basis, dropped_rows, value,
-point)`` for every LP that ``regime --full-check`` builds at n=6, x=1/10,
-for the LPs behind the investment game's two worst cases, and for 60 seeded
+point)`` for the regime game at n=6, x=1/10 (its two count-space LPs, then
+the full game's two worst cases, as ``welfare_report`` solves them), for
+the LPs behind the investment game's two worst cases, and for 60 seeded
 random LPs under both pivot rules.  The simplex is deterministic, and its
 tableau may only change how rows are scaled, never which pivot it takes, so
 any difference here is a bug.  Regenerate (only after an intended change of
@@ -13,19 +14,25 @@ import json
 import pathlib
 import random
 
-from ribce import cli
 from ribce import lp as _lp
 from ribce.bce import BcePolytope
 from ribce.rational import Rat
-from ribce.welfare import worst_case_exogenous, worst_case_rational_inattention
+from ribce.regime import (
+    GROSS_WELFARE,
+    UNINFORMED_WELFARE,
+    RegimeParams,
+    build_regime_game,
+    reduced_symmetric_lp,
+    regime_space,
+)
+from ribce.welfare import welfare_report, worst_case_exogenous, worst_case_rational_inattention
 
 from sample_games import investment_game
 from sample_lps import FAMILIES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "lp_answers.json"
-REGIME = (
-    "regime", "--n", "6", "--k", "1/2", "--x", "1/10",
-    "--states", "2,3", "--prior", "1/2,1/2", "--full-check",
+REGIME = RegimeParams(
+    n=6, k=Rat(1, 2), x=Rat(1, 10), thresholds=(2, 3), prior={2: Rat(1, 2), 3: Rat(1, 2)}
 )
 PER_FAMILY = 12
 RULES = ("dantzig", "bland")
@@ -56,10 +63,18 @@ def _lps_solved_by(run):
     return seen
 
 
+def _regime_full_check():
+    """The count-space LPs, then the full game's worst cases, in that order."""
+    space = regime_space(REGIME)
+    reduced_symmetric_lp(REGIME, UNINFORMED_WELFARE, space)
+    reduced_symmetric_lp(REGIME, GROSS_WELFARE, space)
+    welfare_report(build_regime_game(REGIME))
+
+
 def _programs():
     """(name, lp, rule) for every pinned solve."""
     out = []
-    for k, lp in enumerate(_lps_solved_by(lambda: cli.main(list(REGIME)))):
+    for k, lp in enumerate(_lps_solved_by(_regime_full_check)):
         out.append((f"regime-full-check/{k}", lp, "dantzig"))
     game = investment_game(Rat(1, 10))
     worst_cases = lambda: (worst_case_exogenous(game), worst_case_rational_inattention(game))
@@ -83,10 +98,9 @@ def _answer(sol):
     }
 
 
-def test_answers_match_golden(capsys):
+def test_answers_match_golden():
     golden = json.loads(GOLDEN.read_text())
     programs = _programs()
-    capsys.readouterr()
     assert [name for name, _, _ in programs] == list(golden)
     for name, lp, rule in programs:
         sol = _lp.solve(lp, rule=rule)
@@ -99,11 +113,6 @@ def test_answers_match_golden(capsys):
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        programs = _programs()
-    answers = {name: _answer(_lp.solve(lp, rule=rule)) for name, lp, rule in programs}
+    answers = {name: _answer(_lp.solve(lp, rule=rule)) for name, lp, rule in _programs()}
     GOLDEN.write_text(json.dumps(answers, indent=1) + "\n")
     print(f"wrote {len(answers)} answers to {GOLDEN}")

@@ -1,12 +1,15 @@
+import json
 import random
 from itertools import product
 from math import comb
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ribce import cli, lp, regime, welfare
-from ribce.errors import InvalidParams, NotSymmetricOutcome, TooManyPlayers
+from ribce.errors import InternalInvariantError, InvalidParams, NotSymmetricOutcome, TooManyPlayers
 from ribce.games import Outcome, is_symmetric_game
 from ribce.rational import ONE, ZERO, Rat
 from ribce.regime import (
@@ -17,20 +20,24 @@ from ribce.regime import (
     STAY,
     UNINFORMED_WELFARE,
     CountKernel,
+    CountOptimum,
     CountSpace,
     RegimeParams,
     build_regime_game,
+    certify_full_game,
     check_optimality_conditions,
     count_space,
     gap_closed_form,
     kernel_satisfies_optimality,
     kernel_to_outcome,
+    lift_to_full_game,
     reduced_symmetric_lp,
     regime_space,
     wlower_closed_form,
 )
 from ribce.welfare import (
     binary_symmetric_gap_test,
+    welfare_report,
     worst_case_exogenous,
     worst_case_rational_inattention,
 )
@@ -452,3 +459,115 @@ def test_build_regime_game_fails_fast_above_the_cap(monkeypatch):
     monkeypatch.setattr(regime, "product", None)  # building any profile would fail
     with pytest.raises(TooManyPlayers, match=f"= {2**n * 2} profile-state cells"):
         build_regime_game(params)
+
+
+# The full check: the count-space optimum and its duals lifted onto the full
+# game's own programs, proved there by ``lp.check_certificate``.
+
+
+@st.composite
+def regime_params(draw):
+    n = draw(st.integers(4, 7))
+    thresholds = draw(st.lists(st.integers(2, n - 2), min_size=1, max_size=3, unique=True))
+    k_den = draw(st.integers(2, 9))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(thresholds), max_size=len(thresholds)))
+    return RegimeParams(
+        n=n,
+        k=Rat(draw(st.integers(1, k_den - 1)), k_den),
+        x=Rat(draw(st.integers(1, 9)), draw(st.integers(1, 9))),
+        thresholds=tuple(thresholds),
+        prior={t: Rat(w, sum(weights)) for t, w in zip(thresholds, weights)},
+    )
+
+
+@given(regime_params())
+def test_certified_full_game_values_equal_the_full_solve(params):
+    space = regime_space(params)
+    uninformed = reduced_symmetric_lp(params, UNINFORMED_WELFARE, space)
+    gross = reduced_symmetric_lp(params, GROSS_WELFARE, space)
+    game = build_regime_game(params)
+    report = welfare_report(build_regime_game(params))
+    assert certify_full_game(params, gross, game) == report.w_exogenous
+    assert certify_full_game(params, uninformed, game) == report.w_inattention
+
+
+def _n6_params():
+    prior = {2: Rat(1, 2), 3: Rat(1, 2)}
+    return _params(n=6, k=Rat(1, 2), x=Rat(1, 10), thresholds=(2, 3), prior=prior)
+
+
+@pytest.mark.parametrize("objective", [GROSS_WELFARE, UNINFORMED_WELFARE])
+def test_lifted_pair_is_the_full_programs_certificate(objective):
+    params = _n6_params()
+    optimum = reduced_symmetric_lp(params, objective)
+    assert isinstance(optimum, CountOptimum) and optimum == (optimum.value, optimum.kernel)
+    game = build_regime_game(params)
+    program, point, duals = lift_to_full_game(params, optimum, game)
+    # Marginals, then obedience and, for the epigraph LP, epigraph rows.
+    rows_per_player = 4 if objective == UNINFORMED_WELFARE else 2
+    assert len(duals) == len(program.constraints) == 2 + rows_per_player * params.n
+    lp.check_certificate(program, point, optimum.value, duals)
+    # The program is the one the welfare code solves, and its own optimum
+    # has the lifted value.
+    assert lp.solve(program).value == optimum.value
+    # b·y is the count value: only the marginal rows have a nonzero rhs.
+    assert sum(y * con.rhs for y, con in zip(duals, program.constraints)) == optimum.value
+
+
+def _obedience_rows(params):
+    """Indices of the full program's obedience rows, after one marginal row
+    per state."""
+    first = len(params.thresholds)
+    return range(first, first + 2 * params.n)
+
+
+def test_negated_obedience_multiplier_is_refused():
+    # Obedience binds at the gross worst case (at this uninformed one it
+    # does not, and every obedience multiplier is 0).
+    params = _n6_params()
+    optimum = reduced_symmetric_lp(params, GROSS_WELFARE)
+    game = build_regime_game(params)
+    program, point, duals = lift_to_full_game(params, optimum, game)
+    r = next(r for r in _obedience_rows(params) if duals[r])
+    tampered = duals[:r] + (-duals[r],) + duals[r + 1 :]
+    message = f"^dual of constraint {r} has the wrong sign$"
+    with pytest.raises(InternalInvariantError, match=message):
+        lp.check_certificate(program, point, optimum.value, tampered)
+
+
+def test_kernel_mass_moved_to_another_count_is_refused():
+    params = _n6_params()
+    optimum = reduced_symmetric_lp(params, GROSS_WELFARE)
+    game = build_regime_game(params)
+    # Move the mass of one supported count to the all-attack count of its
+    # state, whose gross value differs.
+    (m, theta), q = next((key, q) for key, q in optimum.kernel.q.items() if key[0] != params.n)
+    moved = dict(optimum.kernel.q)
+    del moved[(m, theta)]
+    moved[(params.n, theta)] = moved.get((params.n, theta), ZERO) + q
+    tampered = CountOptimum(
+        GROSS_WELFARE, optimum.lp, optimum.solution, CountKernel(n=params.n, q=moved)
+    )
+    message = "^(constraint violated|objective value mismatch)"
+    with pytest.raises(InternalInvariantError, match=message):
+        certify_full_game(params, tampered, game)
+
+
+@pytest.mark.parametrize("objective", [GROSS_WELFARE, UNINFORMED_WELFARE])
+def test_value_off_by_a_thousandth_is_refused(objective):
+    params = _n6_params()
+    optimum = reduced_symmetric_lp(params, objective)
+    program, point, duals = lift_to_full_game(params, optimum, build_regime_game(params))
+    with pytest.raises(InternalInvariantError, match="^objective value mismatch$"):
+        lp.check_certificate(program, point, optimum.value + Rat(1, 1000), duals)
+
+
+def test_full_check_at_n10_certifies_the_count_values(capsys):
+    # n=10 took 7.7 s when the full programs were solved, most of it in the
+    # Bland fallback after a stall; the certificate check takes a fraction
+    # of a second.
+    argv = ["regime", "--n", "10", "--k", "1/2", "--x", "1/10"]
+    assert cli.main(argv + ["--states", "2,4", "--prior", "1/2,1/2", "--full-check"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["full_game"] == report["worst_case"]
+    assert report["full_game"]["rational_inattention"] == report["w_lower_closed_form"]
