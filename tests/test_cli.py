@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import pathlib
@@ -5,6 +6,7 @@ import re
 
 import pytest
 
+from ribce import lp
 from ribce.cli import main
 from ribce.errors import ValidationError
 from ribce.io import game_from_dict, game_to_dict, load_game, load_outcome, outcome_to_dict
@@ -542,10 +544,6 @@ def test_regime_full_check_exits_1_when_a_count_value_is_wrong(monkeypatch, caps
     # The count-space gross LP (its variables are (count, state) pairs)
     # answers 1/1000 above its optimum.  Its printed value would then differ
     # from the full game's; the full check refuses to certify it.
-    import dataclasses
-
-    from ribce import lp
-
     solve = lp.solve
 
     def off(program, rule="dantzig"):

@@ -12,8 +12,15 @@ from ribce.errors import ValidationError
 from ribce.lp import IntRow, LinearProgram, solve
 from ribce.rational import ONE, ZERO, Rat
 from ribce.vertices import enumerate_vertices
+from ribce.welfare import epigraph_lp, gross_objective
 
-from sample_games import random_game
+from sample_games import (
+    coordination_game_3x3,
+    investment_game,
+    matching_pennies,
+    random_game,
+    random_symmetric_binary_game,
+)
 from sample_lps import FAMILIES
 
 
@@ -655,8 +662,6 @@ def test_duals_of_redundant_rows_dropped_in_phase_one_are_zero():
 
 def _bce_programs(game):
     """The BCE programs a game's worst cases and cell maxima solve."""
-    from ribce.welfare import epigraph_lp, gross_objective
-
     poly = game.bce_polytope
     yield poly.lp(gross_objective(game))
     yield poly.lp(gross_objective(game), "max")
@@ -665,13 +670,6 @@ def _bce_programs(game):
 
 
 def test_duals_of_bce_answers_pass_the_check():
-    from sample_games import (
-        coordination_game_3x3,
-        investment_game,
-        matching_pennies,
-        random_symmetric_binary_game,
-    )
-
     games = [investment_game(), investment_game(Rat(1, 10))]
     games += [coordination_game_3x3(), matching_pennies()]
     games += [random_game(random.Random(seed), n_states=1 + seed % 3) for seed in range(8)]
