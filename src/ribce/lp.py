@@ -39,18 +39,19 @@ each basic value rhs/p over the lcm of those denominators, with no ``Rat``
 made per variable.  The objective value is one int dot product of the
 objective's numerators with the point's; it is the one ``Rat`` made.
 Callers read the point through ``int_parts`` (outcomes, the count kernel)
-or as a mapping of exact rationals.  ``LpSolution.verify`` pivots the
-claimed basis into a fresh standard form on the same tableau.
+or as a mapping of exact rationals.
 
-Certificates are on demand.  ``LpSolution.duals(lp)`` gives one exact dual
-per constraint of an optimal answer, read off the reduced costs of the
-artificial columns once the basis is pivoted into a fresh standard form
-that keeps them (the same fraction-free pivots as ``verify``'s).  Nothing in
+Certificates are on demand.  ``LpSolution.duals(lp)`` is the one dual
+computation: one exact dual per constraint of an optimal answer, read off
+the reduced costs of the artificial columns once the basis is pivoted,
+fraction-free, into a fresh standard form that keeps them.  Nothing in
 ``solve``, ``phase_one`` or ``optimize`` computes them.  ``check_certificate``
-proves a point and duals optimal for a program on its own rows, in one int
-pass over the nonzero entries: bounds, rows, dual signs, every reduced cost,
-and c·x = dual objective = the claimed value.  A lifted certificate (the
-regime full check) is checked there without any tableau.
+is the one optimality check: it proves a point and duals optimal for a
+program on its own rows, in one int pass over the nonzero entries: bounds,
+rows, dual signs, every reduced cost, and c·x = dual objective = the claimed
+value.  ``LpSolution.verify`` is that check on the answer's own duals, and a
+lifted certificate (the regime full check) is checked there without any
+tableau.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
@@ -184,20 +185,6 @@ class LinearProgram:
             if v not in declared:
                 raise ValidationError(f"bound on unknown variable {v!r}")
 
-    def dump(self) -> str:
-        """Plain-text rendering, for debugging."""
-        key = lambda item: str(item[0])
-        lines = [
-            f"{self.sense} "
-            + " + ".join(f"{c}*{v}" for v, c in sorted(self.objective.items(), key=key))
-        ]
-        for con in self.constraints:
-            lhs = " + ".join(f"{c}*{v}" for v, c in sorted(con.coeffs.items(), key=key))
-            lines.append(f"  {lhs} {con.relation} {con.rhs}")
-        for v, (lo, hi) in self.bounds.items():
-            lines.append(f"  {lo if lo is not None else '-inf'} <= {v} <= {hi if hi is not None else 'inf'}")
-        return "\n".join(lines)
-
 
 @dataclass
 class LpSolution:
@@ -212,31 +199,53 @@ class LpSolution:
         return self.status == OPTIMAL
 
     def verify(self, lp: LinearProgram) -> bool:
-        """Re-check the certificate from scratch: exact primal feasibility of
-        the point and its value (``check_certificate``), and dual feasibility
-        (nonnegative reduced costs) of the basis, pivoted into a fresh
-        standard-form tableau, not the solver's.  Raises
-        InternalInvariantError on any failure."""
+        """Re-check an optimal answer from scratch: ``check_certificate`` on
+        the point, the value and the answer's own ``duals``, which are
+        computed on a fresh standard-form tableau, not the solver's.  Raises
+        InternalInvariantError naming the first condition that fails; any
+        other answer returns True."""
         if self.status != OPTIMAL:
             return True
-        check_certificate(lp, self.point, self.value)
-        _verify_dual(lp, self)
+        check_certificate(lp, self.point, self.value, self.duals(lp))
         return True
 
     def duals(self, lp: LinearProgram) -> tuple:
         """One exact rational per constraint of ``lp``, the program this
-        optimal answer solves: the dual multipliers y of its basis, read off
-        a fresh standard-form tableau whose rows keep their artificial
-        columns (``_basis_tableau``), one fraction-free pivot per basic
-        column.  With d = c - yA the reduced costs, c·x = y·Ax + d·x, and
-        ``check_certificate`` proves the answer optimal from y.  A redundant
-        row, left free by the pivots, gets 0: the rows dropped in phase 1
-        when they are redundant.  Computed only here, on demand: ``solve``
-        and ``optimize`` never read the duals."""
+        optimal answer solves: the dual multipliers y of its basis.  The
+        basis is pivoted into a fresh standard-form tableau whose rows keep
+        their artificial columns, one fraction-free pivot per basic column
+        on a free row that holds it, the rows dropped in phase 1 tried last;
+        the rows stay positive multiples of the rational ones, so each
+        reduced cost has its rational sign, and those of the artificial
+        columns are the duals.  With d = c - yA the reduced costs,
+        c·x = y·Ax + d·x, and ``check_certificate`` proves the answer optimal
+        from y.  The rows left free are the redundant ones, which get 0: the
+        rows dropped in phase 1.  A basis that does not fit the rows (an
+        unknown or repeated column, or a free row left nonzero on a
+        structural column) raises InternalInvariantError.  Computed only
+        here, on demand: ``solve`` and ``optimize`` never read the duals."""
         if self.status != OPTIMAL:
             raise ValidationError(f"duals need an optimal answer, not an {self.status} one")
-        (cols, _, terms, shifts), tab = _basis_tableau(lp, self, artificials=True)
+        cols, rows, terms, shifts = _standard_form(lp)
         n = len(cols)
+        index = {label: j for j, label in enumerate(cols)}
+        try:
+            bjs = [index[label] for label in self.basis]
+        except KeyError as exc:
+            raise InternalInvariantError(f"unknown basis column {exc}") from exc
+        dropped = set(self.dropped_rows)
+        free = [r for r in range(len(rows)) if r not in dropped] + sorted(dropped)
+        tab = _Tableau(rows, n + len(rows), [None] * len(rows))
+        for bj in bjs:
+            r = next((r for r in free if tab.T[r][bj]), None)
+            if r is None:
+                raise InternalInvariantError("singular basis matrix")
+            free.remove(r)
+            tab.pivot(r, bj)
+        if any(any(tab.T[r][:n]) for r in free):
+            raise InternalInvariantError("basis does not match surviving rows")
+        keep = [r for r in range(tab.m) if tab.basis[r] is not None]
+        tab = _Tableau([tab.T[r] for r in keep], tab.n, [tab.basis[r] for r in keep])
         # The artificial column of row r has entry 1 in the rational row,
         # which is the constraint times -1 when its shifted rhs was negative,
         # so its reduced cost is minus that row's dual.  The objective row is
@@ -254,57 +263,6 @@ class LpSolution:
                 z = -z
             duals.append(Rat(z, scale))
         return tuple(duals)
-
-
-def _basis_tableau(lp: LinearProgram, sol: LpSolution, artificials: bool = False):
-    """(``_standard_form(lp)``, a tableau with ``sol``'s basis pivoted in):
-    each basic column is pivoted on a free row that holds it, so the rows
-    stay positive multiples of the rational ones and each reduced cost has
-    its rational sign.  A basis that does not fit the rows raises
-    InternalInvariantError.
-
-    Without ``artificials`` the rows are those that survived phase 1, on the
-    structural columns, one per basic column.  With them every row keeps its
-    artificial column, the rows dropped in phase 1 are tried last, and the
-    rows left free at the end are removed: a dropped row that is not
-    redundant is pivoted on, and the redundant rows stay free."""
-    std = _standard_form(lp)
-    cols, rows = std[0], std[1]
-    n = len(cols)
-    dropped = set(sol.dropped_rows)
-    index = {label: j for j, label in enumerate(cols)}
-    try:
-        bjs = [index[label] for label in sol.basis]
-    except KeyError as exc:
-        raise InternalInvariantError(f"unknown basis column {exc}") from exc
-    if artificials:
-        free = [r for r in range(len(rows)) if r not in dropped] + sorted(dropped)
-        tab = _Tableau(rows, n + len(rows), [None] * len(rows))
-    else:
-        surviving = [row[:n] + row[-1:] for r, row in enumerate(rows) if r not in dropped]
-        if len(bjs) != len(surviving):
-            raise InternalInvariantError("basis does not match surviving rows")
-        free = list(range(len(surviving)))
-        tab = _Tableau(surviving, n, [None] * len(surviving))
-    for bj in bjs:
-        r = next((r for r in free if tab.T[r][bj]), None)
-        if r is None:
-            raise InternalInvariantError("singular basis matrix")
-        free.remove(r)
-        tab.pivot(r, bj)
-    if free:
-        keep = [r for r in range(tab.m) if tab.basis[r] is not None]
-        tab = _Tableau([tab.T[r] for r in keep], tab.n, [tab.basis[r] for r in keep])
-    return std, tab
-
-
-def _verify_dual(lp: LinearProgram, sol: LpSolution) -> None:
-    # Every reduced cost of the objective against the pivoted basis is >= 0.
-    (cols, _, terms, _), tab = _basis_tableau(lp, sol)
-    obj = _objective_row(terms, len(cols), _objective_parts(lp.objective), lp.sense)
-    for label, reduced in zip(cols, tab.cost_row(obj)):
-        if reduced < 0:
-            raise InternalInvariantError(f"dual infeasible at column {label}")
 
 
 def check_certificate(lp: LinearProgram, point, value, duals=None) -> None:
@@ -714,7 +672,8 @@ class Polyhedron:
             if tab.basis[r] >= n:
                 j = next((jj for jj in range(n) if tab.T[r][jj]), None)
                 if j is None:
-                    dropped.append(r)  # redundant row
+                    # The row whose artificial is still basic here is redundant.
+                    dropped.append(tab.basis[r] - n)
                     continue
                 tab.pivot(r, j)
             keep.append(r)

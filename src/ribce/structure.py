@@ -22,7 +22,6 @@ remain, since any two distinct points are both vertices of their hull.
 
 import random
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 from . import lp as _lp
@@ -401,10 +400,6 @@ def _peel_order(beliefs):
     return order  # order[m] = original index of the m-th belief in the chain
 
 
-def _dot(xs, ys):
-    return sum(map(mul, xs, ys))
-
-
 def _separating_functional(target, earlier):
     """f with f·t > 0 >= f·q, for t and each q the posteriors of ``target``
     and of the ``earlier`` int mass rows: maximize the separation margin
@@ -442,7 +437,7 @@ def _separating_functional(target, earlier):
     # (H·T_q - H·Q) / (D·T_q) at that q.
     best, best_total = None, 1
     for q in earlier:
-        value, q_total = _dot(h, q), sum(q)
+        value, q_total = _rows.dot(h, q), sum(q)
         if best is None or value * best_total > best * q_total:
             best, best_total = value, q_total
     return [x * best_total - best for x in h], sol.point.den * best_total
@@ -489,12 +484,12 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
 
         # f_l·q_m has the sign of F_l·Q_m (f_l = F_l / E_l, q_m = Q_m / T_m),
         # and f_m·q_m / f_l·q_m = (F_m·Q_m·E_l) / (F_l·Q_m·E_m).
-        own = [_dot(f, q) for (f, _), q in zip(funcs, chain)]
+        own = [_rows.dot(f, q) for (f, _), q in zip(funcs, chain)]
         ts = [ONE] * n_i
         for l in range(n_i - 1):
             f_l, e_l = funcs[l]
             for m in range(l + 1, n_i):
-                cross = _dot(f_l, chain[m])
+                cross = _rows.dot(f_l, chain[m])
                 if cross > 0:
                     ts[l] = min(ts[l], Rat(own[m] * e_l, 2 * funcs[m][1] * cross))
         scale = ONE

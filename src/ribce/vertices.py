@@ -31,8 +31,7 @@ over its homogenizing coordinate, with no ``Rat`` made per coordinate.
 
 Only the exact density mode and small oracle tests need this, so a hard
 variable cap guards against accidental blowups (override with
-``RIBCE_VERTEX_CAP``, also spelled ``RI_ROBUST_VERTEX_CAP`` for the CLI
-contract).
+``RI_ROBUST_VERTEX_CAP``).
 
 Vertex counts, not variable counts, drive the cost: highly degenerate
 obedience polytopes in ~16 dimensions can carry thousands of vertices and
@@ -52,14 +51,13 @@ DEFAULT_CAP = 24
 
 
 def _cap_from_env():
-    for name in ("RI_ROBUST_VERTEX_CAP", "RIBCE_VERTEX_CAP"):
-        raw = os.environ.get(name)
-        if raw:
-            try:
-                return int(raw)
-            except ValueError as exc:
-                raise InvalidParams(f"{name} must be an integer, got {raw!r}") from exc
-    return DEFAULT_CAP
+    raw = os.environ.get("RI_ROBUST_VERTEX_CAP")
+    if not raw:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise InvalidParams(f"RI_ROBUST_VERTEX_CAP must be an integer, got {raw!r}") from exc
 
 
 def enumerate_vertices(variables, constraints, bounds=None, cap=None):

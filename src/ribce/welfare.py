@@ -11,6 +11,7 @@ between them is what separates the two regimes for a planner.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import lp as _lp
 from .bce import is_bce, minimize_linear_over_bce
@@ -84,17 +85,24 @@ def value_interval(game: BaseGame, outcome: Outcome, mode=RATIONAL_INATTENTION) 
     return ValueInterval(mode=mode, per_player=per_player)
 
 
-def gross_objective(game: BaseGame) -> dict:
+def gross_objective(game: BaseGame) -> _lp.IntRow:
     """Total gross value as a linear functional of the outcome: each cell's
-    sum of every player's payoff there, zero cells left out.  The objective
-    of ``worst_case_exogenous``."""
-    objective = {}
+    sum of every player's payoff there, zero cells left out, read off the
+    payoff rows (``BaseGame.payoff_rows``) as ints over the lcm of the
+    players' payoff scales.  The objective of ``worst_case_exogenous``."""
+    payoffs = game.payoff_rows
+    den = lcm(*[p.scale for p in payoffs.values()])
+    readers = [
+        (game.player_index(i), rows, position, den // scale)
+        for i, (scale, rows, _, position) in payoffs.items()
+    ]
+    nums = {}
     for cell in game.cells():
-        profile, state = cell
-        total = sum((game.u(i, profile, state) for i in game.players), ZERO)
+        profile = cell[0]
+        total = sum([up * rows[profile[k]][position[cell]] for k, rows, position, up in readers])
         if total:
-            objective[cell] = total
-    return objective
+            nums[cell] = total
+    return _lp.IntRow(nums, den)
 
 
 def worst_case_exogenous(game: BaseGame):

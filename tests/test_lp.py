@@ -346,8 +346,8 @@ def test_bounds_checked_once_per_kind_of_pair(monkeypatch):
 
 def _reference_verify_dual(lp, sol):
     """The former rational dual check, kept as the reference for
-    ``lp._verify_dual``: solve B^T y = c_B by Gauss–Jordan over
-    ``Fraction``s on the surviving standard-form rows, then test every
+    ``LpSolution.verify`` and ``duals``: solve B^T y = c_B by Gauss–Jordan
+    over ``Fraction``s on the surviving standard-form rows, then test every
     reduced cost c_j - y·A_j."""
     cols, std_rows, terms, _ = _lp._standard_form(lp)
     obj = _lp._objective_row(terms, len(cols), _lp._objective_parts(lp.objective), lp.sense)
@@ -397,8 +397,8 @@ def _claims(lp, rng):
     """(kind, program, claimed solution) triples for the dual check: the
     optimum of ``lp`` and of the same constraints under a second objective,
     the latter's basis claimed for ``lp`` (feasible, not always optimal),
-    then one of these bases with a duplicated label, one label short and an
-    unknown label, and a random set of standard-form columns for ``lp``."""
+    then one of these bases, without a point, with a duplicated label, one
+    label short and an unknown label."""
     claims = []
     sol = solve(lp)
     if sol.is_optimal:
@@ -427,11 +427,6 @@ def _claims(lp, rng):
         for kind, basis in derived.items():
             claim = _lp.LpSolution(_lp.OPTIMAL, None, None, basis, base.dropped_rows)
             claims.append((kind, lp if sol.is_optimal else second, claim))
-    std = _lp._standard_form(lp)
-    if std is not None:
-        cols, std_rows, _, _ = std
-        basis = tuple(rng.sample(cols, min(len(cols), len(std_rows))))
-        claims.append(("random", lp, _lp.LpSolution(_lp.OPTIMAL, None, None, basis, ())))
     return claims
 
 
@@ -442,16 +437,35 @@ def test_dual_check_matches_gauss_jordan_reference():
         for _ in range(40):
             for kind, lp, claim in _claims(family(rng), rng):
                 want = _outcome(_reference_verify_dual, lp, claim)
-                assert _outcome(_lp._verify_dual, lp, claim) == want, (family_name, kind)
-                if claim.point is not None:
-                    assert _outcome(_lp.LpSolution.verify, claim, lp) == want
+                if claim.point is None:
+                    # A basis that does not fit the rows: ``duals`` refuses
+                    # it with the reference's message.
+                    assert _outcome(_lp.LpSolution.duals, claim, lp) == want, (family_name, kind)
+                else:
+                    # ``verify`` names the condition of ``check_certificate``
+                    # that fails, so only the verdicts are compared.
+                    got = _outcome(_lp.LpSolution.verify, claim, lp)
+                    assert (got == "ok") == (want == "ok"), (family_name, kind, got, want)
                 seen.setdefault(kind, set()).add(_kind(want))
     assert seen["optimal"] == {"ok"}
     assert seen["second objective"] == {"ok", "dual infeasible"}
     assert seen["duplicated"] == {"singular basis matrix"}
     assert seen["one short"] == {"basis does not match surviving rows"}
     assert seen["unknown"] == {"unknown basis column"}
-    assert seen["random"] >= {"ok", "dual infeasible", "singular basis matrix"}
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+def test_verify_accepts_every_optimal_answer_of_redundant_programs(rule):
+    # Phase 1 drops the rows it proves redundant; ``verify`` must fit the
+    # basis to the rows that remain, whichever tableau row held them.
+    optimal = 0
+    for seed in range(300):
+        lp = FAMILIES["redundant"](random.Random(f"redundant-{seed}"))
+        sol = solve(lp, rule=rule)
+        if sol.is_optimal:
+            assert sol.verify(lp), seed
+            optimal += 1
+    assert optimal
 
 
 def _answer(sol):

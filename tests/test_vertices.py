@@ -120,6 +120,10 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("RI_ROBUST_VERTEX_CAP", "abc")
     with pytest.raises(InvalidParams, match="RI_ROBUST_VERTEX_CAP.*'abc'"):
         enumerate_vertices(small, [], bounds={v: (Rat(0), Rat(1)) for v in small})
+    # RI_ROBUST_VERTEX_CAP is the only name read
+    monkeypatch.delenv("RI_ROBUST_VERTEX_CAP")
+    monkeypatch.setenv("RIBCE_VERTEX_CAP", "2")
+    assert len(enumerate_vertices(small, [], bounds={v: (Rat(0), Rat(1)) for v in small})) == 8
 
 
 def test_degenerate_polytope_single_point():

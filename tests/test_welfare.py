@@ -1,9 +1,11 @@
 import random
+from math import lcm
 
 import pytest
 
 from ribce.errors import GameNotSymmetric, InvalidParams, NotABce, NotBinaryAction
-from ribce.games import make_outcome
+from ribce.games import BaseGame, make_outcome
+from ribce.lp import IntRow
 from ribce.rational import Rat
 from ribce.regime import RegimeParams, build_regime_game
 from ribce.welfare import (
@@ -12,6 +14,7 @@ from ribce.welfare import (
     HALF_OPEN,
     POINT_ONLY,
     binary_symmetric_gap_test,
+    gross_objective,
     value_interval,
     welfare_report,
     worst_case_exogenous,
@@ -25,8 +28,10 @@ from sample_games import (
     coordination_mixture_outcome,
     inferior_coordination_outcome,
     investment_game,
+    random_game,
     random_symmetric_binary_game,
 )
+from test_bce import _gross_welfare_objective
 
 
 def test_value_interval_inferior_coordination():
@@ -242,3 +247,31 @@ def test_safe_action_externality_game_strict_divergence():
     assert w_ex == 1 and w_ri < w_ex
     assert binary_symmetric_gap_test(g)[0] is True
     assert check_vce(g, p_star).kind == IS_VCE
+
+
+def _rescaled(game, factors):
+    """``game`` with each player's payoffs multiplied by its factor."""
+    utilities = {
+        i: {cell: game.u(i, *cell) * factors[i] for cell in game.cells()} for i in game.players
+    }
+    return BaseGame(game.players, game.states, game.prior, game.actions, utilities)
+
+
+def test_gross_objective_matches_the_payoff_sum_per_cell():
+    params = RegimeParams(
+        n=6, k=Rat(3, 5), x=Rat(1, 5), thresholds=(2, 4), prior={2: Rat(1, 3), 4: Rat(2, 3)}
+    )
+    games = [investment_game(Rat(1, 10)), build_regime_game(params)]
+    factors = (Rat(1, 3), Rat(2, 5), Rat(7, 4))
+    for seed in range(6):
+        g = random_game(random.Random(seed), n_players=2 + seed % 2, n_states=1 + seed % 3)
+        games.append(_rescaled(g, dict(zip(g.players, factors))))
+    mixed_scales = 0
+    for g in games:
+        scales = [g.payoff_rows[i].scale for i in g.players]
+        mixed_scales += len(set(scales)) > 1
+        want = {cell: c for cell, c in _gross_welfare_objective(g).items() if c}
+        got = gross_objective(g)
+        assert isinstance(got, IntRow) and got.den == lcm(*scales)
+        assert list(got.items()) == list(want.items())
+    assert mixed_scales == 6
