@@ -9,7 +9,8 @@ prior.  Everything here is immutable after construction and exact.
 An outcome's masses are a mapping from cell to exact rational.  Every
 outcome the library makes holds an ``lp.IntRow``, int numerators over one
 denominator, and ``lp.int_parts(outcome.p)`` is the one reader of the ints.
-``validate_outcome``, ``belief_table`` and ``bce.mix_outcomes`` read them
+``validate_outcome``, ``belief_table``, ``payoffs_by_group``,
+``bce.mix_outcomes`` and ``vanishing.is_complete_info_nash`` read them
 through ``mass_parts``; ``validate_outcome`` checks cells, signs and state
 marginals on them against the game's cached cell set.  Dict outcomes (from
 files, tests and callers) go through the same path.  A mass without an exact
@@ -24,7 +25,9 @@ on first read, so every check of an outcome shares one table per (game,
 outcome, player).  Their products decide obedience (``bce``) and best
 responses exactly, without a ``Rat`` in the loop, and give the gross and
 uninformed values, each summed once per table (``BeliefTable.gross`` and
-``uninformed``).  Equal beliefs are decided once per table too:
+``uninformed``).  ``payoffs_by_group`` sums the same products over any
+grouping of the outcome's cells, for the per-state Nash test and the
+full-information cost bound.  Equal beliefs are decided once per table too:
 ``BeliefTable.classes`` groups the supported actions by primitive mass row,
 and separation, mixing, the perturbation, the canonical cells and VCE
 measurability all read it.  Two games' payoff rows give the distance
@@ -105,11 +108,6 @@ class BaseGame:
         """Full profile from a player's action and an opponents' profile."""
         k = self.player_index(player)
         return opp_profile[:k] + (own_action,) + opp_profile[k:]
-
-    def replace_action(self, profile, player, action) -> tuple:
-        """The full profile with ``player``'s action swapped for ``action``."""
-        k = self.player_index(player)
-        return profile[:k] + (action,) + profile[k + 1 :]
 
     def belief_cells(self, player):
         """The (opponents' profile, state) cells a belief of ``player`` lives
@@ -297,6 +295,27 @@ def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
     return BeliefTable(payoffs, scale, masses)
 
 
+def payoffs_by_group(game: BaseGame, outcome: "Outcome", player, key):
+    """(groups, den): group ``key(cell)`` -> action -> ``player``'s payoff
+    from the action against the mass of the group's cells, over the cells
+    that carry mass, as ints over den = D·L (the outcome's denominator times
+    the payoff scale).  A cell outside the game raises ``DimensionMismatch``."""
+    payoffs = game.payoff_rows[player]
+    position = payoffs.position
+    nums, scale = mass_parts(outcome)
+    groups = {}
+    for cell, x in nums.items():
+        if not x:
+            continue
+        if cell not in position:
+            raise DimensionMismatch(f"unknown cell {cell!r}")
+        c = position[cell]
+        vals = groups.setdefault(key(cell), dict.fromkeys(payoffs.rows, 0))
+        for a, row in payoffs.rows.items():
+            vals[a] += x * row[c]
+    return groups, payoffs.scale * scale
+
+
 class BeliefTables(dict):
     """player -> ``belief_table(game, outcome, player)``, each built on first
     read.  Made only by ``Outcome.beliefs``, which keeps one per game on the
@@ -330,24 +349,6 @@ class Outcome:
 
     def mass(self, profile, state):
         return self.p.get((profile, state), ZERO)
-
-    def action_marginal(self, game: BaseGame, player, action):
-        """p(a_i): total probability that ``player`` takes ``action``."""
-        k = game.player_index(player)
-        total = ZERO
-        for (profile, state), q in self.p.items():
-            if profile[k] == action and q:
-                total += q
-        return total
-
-    def support(self, game: BaseGame, player):
-        """Actions of ``player`` with positive probability, in action order."""
-        k = game.player_index(player)
-        seen = set()
-        for (profile, _), q in self.p.items():
-            if q:
-                seen.add(profile[k])
-        return tuple(a for a in game.actions[player] if a in seen)
 
 
 def make_outcome(game: BaseGame, entries: dict) -> Outcome:
@@ -433,14 +434,6 @@ def check_action(game: BaseGame, player, action) -> None:
         raise UnknownAction(f"{action!r} is not an action of {player!r}")
 
 
-def gross_value(game: BaseGame, outcome: Outcome, player):
-    """Expected utility of ``player`` under the outcome, ignoring any
-    information costs (``BeliefTable.gross``)."""
-    if player not in game.players:
-        raise DimensionMismatch(f"unknown player {player!r}")
-    return outcome.beliefs(game)[player].gross()
-
-
 def deviation_row(game: BaseGame, player, action) -> IntRow:
     """``player``'s payoff from always playing ``action``, a linear functional
     of the outcome: each cell's payoff from ``action`` there, read from
@@ -455,16 +448,6 @@ def deviation_row(game: BaseGame, player, action) -> IntRow:
         if x:
             nums[cell] = x
     return IntRow(nums, payoffs.scale)
-
-
-def uninformed_value(game: BaseGame, outcome: Outcome, player):
-    """Best constant-action payoff against the outcome (``BeliefTable.uninformed``).
-
-    Returns (value, action); ties resolve to the lowest action index.
-    """
-    if player not in game.players:
-        raise DimensionMismatch(f"unknown player {player!r}")
-    return outcome.beliefs(game)[player].uninformed()
 
 
 def utility_distance(a: BaseGame, b: BaseGame):

@@ -52,12 +52,20 @@ def _cell_key_parser(game: BaseGame):
     return parse
 
 
+def _names(value, field) -> tuple:
+    """The list ``value`` as a tuple; a string, which ``tuple`` would split
+    into characters, or any other non-list raises ``SchemaViolation``."""
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{field} must be a list, not {value!r}")
+    return tuple(value)
+
+
 def game_from_dict(data: dict) -> BaseGame:
     try:
-        players = tuple(data["players"])
-        states = tuple(data["states"])
+        players = _names(data["players"], "players")
+        states = _names(data["states"], "states")
         prior = {s: parse_rational(data["prior"][str(s)]) for s in states}
-        actions = {i: tuple(data["actions"][str(i)]) for i in players}
+        actions = {i: _names(data["actions"][str(i)], f"actions of {i!r}") for i in players}
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"malformed game header: {exc}") from exc
     stub = BaseGame(

@@ -43,12 +43,6 @@ def parse_rational(value):
     raise ValueError(f"not a rational: {value!r}")
 
 
-def format_rational(q) -> str:
-    """Render fully reduced: ``"3"`` for integers, ``"num/den"`` otherwise."""
-    num, den = q.numerator, q.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def rational_to_json(q):
     """JSON form: a bare int when integral, else a ``"num/den"`` string."""
     num, den = q.numerator, q.denominator

@@ -19,7 +19,7 @@ from itertools import product
 
 from . import lp as _lp
 from .errors import DimensionMismatch, NotSeparatedBce, ValidationError
-from .games import BaseGame, Outcome
+from .games import BaseGame, Outcome, payoffs_by_group
 from .rational import ONE, ZERO, Rat
 from .separation import is_sbce
 
@@ -68,20 +68,24 @@ class CanonicalRepresentation:
         return plans
 
 
+def _correlation_key(game: BaseGame, partition: PartitionProfile):
+    """cell -> (state, z), z the correlation state of the cell's profile:
+    each player's partition cell of their action (one, as cells partition)."""
+    cell_of = [{a: cell for cell in partition.cells[i] for a in cell} for i in game.players]
+    return lambda cell: (cell[1], tuple(cells[a] for cells, a in zip(cell_of, cell[0])))
+
+
 def build_canonical(game: BaseGame, outcome: Outcome) -> CanonicalRepresentation:
     """The Dirac canonical representation of an outcome (exists for every
     outcome, BCE or not)."""
     tables = outcome.beliefs(game)
     partition = belief_partition(game, outcome)
-    per_player_cells = [partition.cells[i] for i in game.players]
-    correlation_states = tuple(product(*per_player_cells))
-    # The cells partition each player's actions: one correlation state per profile.
-    cell_of = [{a: cell for cell in cells for a in cell} for cells in per_player_cells]
+    correlation_states = tuple(product(*(partition.cells[i] for i in game.players)))
+    key = _correlation_key(game, partition)
     mass = {}
-    for (profile, state), q in outcome.p.items():
+    for cell, q in outcome.p.items():
         if q:
-            key = (state, tuple(cells[a] for cells, a in zip(cell_of, profile)))
-            mass[key] = mass.get(key, ZERO) + q
+            mass[key(cell)] = mass.get(key(cell), ZERO) + q
     kernel = {
         (state, z): mass.get((state, z), ZERO) / game.prior[state]
         for state in game.states
@@ -158,39 +162,15 @@ class CostCertificate:
     per_player: dict  # player -> {"lam", "equilibrium_cost", "upper_bound"}
 
 
-def _state_best_reply_value(game: BaseGame, rep: CanonicalRepresentation, player):
+def _state_best_reply_value(game: BaseGame, outcome: Outcome, player):
     """Expected payoff when the player observes (z, theta) directly and best
     responds, while opponents follow their plans; an upper envelope for the
-    value of any experiment."""
-    total = ZERO
-    for state in game.states:
-        pi = game.prior[state]
-        for z in rep.correlation_states:
-            zmass = rep.kernel[(state, z)] * pi
-            if not zmass:
-                continue
-            opponents = [
-                [
-                    (a, rep.action_plans[j][(a, cell)])
-                    for a in game.actions[j]
-                    if rep.action_plans[j][(a, cell)]
-                ]
-                for j, cell in zip(game.opponents(player), game.opponent_profile(z, player))
-            ]
-            best = None
-            for own in game.actions[player]:
-                val = ZERO
-                for combo in product(*opponents):
-                    opp_profile = tuple(a for a, _ in combo)
-                    weight = ONE
-                    for _, w in combo:
-                        weight *= w
-                    profile = game.insert_action(player, own, opp_profile)
-                    val += weight * game.u(player, profile, state)
-                if best is None or val > best:
-                    best = val
-            total += zmass * best
-    return total
+    value of any experiment: the sum of each (state, z) group's best entry in
+    ``payoffs_by_group``, the canonical mass at (theta, z, opponents' actions)
+    being the outcome's own, summed over the player's actions in z."""
+    key = _correlation_key(game, belief_partition(game, outcome))
+    groups, den = payoffs_by_group(game, outcome, player, key)
+    return Rat(sum(max(vals.values()) for vals in groups.values()), den)
 
 
 def is_cost_scale(li) -> bool:
@@ -219,13 +199,12 @@ def cost_certificate(game: BaseGame, outcome: Outcome, lam) -> CostCertificate:
     lam = {i: _lambda(lam, i) for i in game.players}
     if not is_sbce(game, outcome):
         raise NotSeparatedBce("cost certificates exist for separated BCEs only")
-    rep = build_canonical(game, outcome)
     tables = outcome.beliefs(game)
     per_player = {}
     for i, li in lam.items():
         gross = tables[i].gross()
         uninformed, _ = tables[i].uninformed()
-        hat = _state_best_reply_value(game, rep, i)
+        hat = _state_best_reply_value(game, outcome, i)
         cost = li * (gross - uninformed)
         upper = li + hat - ((ONE - li) * gross + li * uninformed)
         per_player[i] = {

@@ -38,7 +38,7 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
     """Posterior over opponents' actions and the state given ``rec``.
 
     Unsupported recommendations raise unless ``allow_zero`` asks for the
-    all-zeros convention (used by the extreme-point equal-belief test).
+    all-zeros convention, with every action a best response.
     """
     check_action(game, player, rec)
     table = outcome.beliefs(game)[player]

@@ -17,13 +17,15 @@ scans the pairs in different classes.  Every LP runs on the game's
 ``BaseGame.bce_polytope``.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 from . import lp as _lp
 from .bce import is_bce, mix_outcomes
 from .errors import InternalInvariantError, ValidationError
-from .games import BaseGame, Outcome, validate_outcome
+from .games import BaseGame, Outcome, mass_parts, payoffs_by_group, validate_outcome
 from .rational import ONE, ZERO, Rat
 from .representation import PartitionProfile, belief_partition
 from .separation import is_sbce
@@ -49,52 +51,37 @@ def is_complete_info_nash(game: BaseGame, outcome: Outcome):
     every state, play is an independent mixed profile and each factor best
     responds to the others?  Returns (bool, NashProfile or None).
 
-    The product test is cross-multiplied:
-    p(a, theta) * pi(theta)^(n-1) == prod_i marginal_i(a_i | theta).
-    """
+    Best responses are checked as per-state obedience: in each (state, own
+    action) group of ``payoffs_by_group`` (which raises ``DimensionMismatch``
+    on a cell outside the game) the own action pays the most.  The product
+    test is cross-multiplied on the int masses x over D and their per-state
+    action marginals m: x(a, theta) * (D * pi(theta))^(n-1) == prod_i
+    m_i(a_i, theta).  Under it each (theta, a_i) mass row is a positive
+    multiple of the opponents' mix (masses are nonnegative, as
+    ``validate_outcome`` checks), so obedience is best response to the mix."""
+    for k, i in enumerate(game.players):
+        groups, _ = payoffs_by_group(game, outcome, i, lambda cell: (cell[1], cell[0][k]))
+        if any(vals[own] != max(vals.values()) for (_, own), vals in groups.items()):
+            return False, None
     n = len(game.players)
-    marginals = {}
-    for state in game.states:
-        for k, i in enumerate(game.players):
-            for a in game.actions[i]:
-                mass = ZERO
-                for (profile, s), q in outcome.p.items():
-                    if s == state and profile[k] == a and q:
-                        mass += q
-                marginals[(state, i, a)] = mass
-    for state in game.states:
-        pi_pow = game.prior[state] ** (n - 1)
-        for profile in game.profiles():
-            lhs = outcome.mass(profile, state) * pi_pow
-            rhs = ONE
-            for k, i in enumerate(game.players):
-                rhs *= marginals[(state, i, profile[k])]
-            if lhs != rhs:
-                return False, None
-    mixes = {}
-    for state in game.states:
-        for i in game.players:
-            mixes[(state, i)] = {
-                a: marginals[(state, i, a)] / game.prior[state] for a in game.actions[i]
-            }
-    # Per-state Nash: every action in a factor's support best responds to the
-    # opponents' product mix.
-    for state in game.states:
-        for i in game.players:
-            payoffs = {}
-            for a in game.actions[i]:
-                total = ZERO
-                for opp in game.opponent_profiles(i):
-                    weight = ONE
-                    for j, a_j in zip(game.opponents(i), opp):
-                        weight *= mixes[(state, j)][a_j]
-                    if weight:
-                        total += weight * game.u(i, game.insert_action(i, a, opp), state)
-                payoffs[a] = total
-            best = max(payoffs.values())
-            for a in game.actions[i]:
-                if mixes[(state, i)][a] and payoffs[a] != best:
-                    return False, None
+    nums, den = mass_parts(outcome)
+    marginals = defaultdict(int)  # (state, player index, action) -> int mass
+    for cell, x in nums.items():
+        for k, a in enumerate(cell[0]):
+            marginals[(cell[1], k, a)] += x
+    for profile, state in game.cells():
+        pi = game.prior[state]
+        lhs = nums.get((profile, state), 0) * (den * pi.numerator) ** (n - 1)
+        rhs = prod(marginals[(state, k, a)] for k, a in enumerate(profile))
+        if lhs != rhs * pi.denominator ** (n - 1):
+            return False, None
+    mixes = {
+        (state, i): {
+            a: Rat(marginals[(state, k, a)], den) / game.prior[state] for a in game.actions[i]
+        }
+        for state in game.states
+        for k, i in enumerate(game.players)
+    }
     return True, NashProfile(mixes=mixes)
 
 
@@ -231,7 +218,8 @@ def check_vce(
     obstruction gives NotVce.  For complete-information Nash outcomes a Dense
     classification (or an explicit sBCE within ``epsilon`` built by mixing
     toward the minimally mixed candidate) gives IsVce.  Everything else is
-    honestly Undetermined.
+    honestly Undetermined.  An inexact or non-positive ``epsilon``, or an
+    inexact certificate weight or witness distance, raises ``ValidationError``.
     """
     if _lp._inexact(epsilon):
         raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
@@ -239,6 +227,10 @@ def check_vce(
         raise ValidationError("epsilon must be positive")
     validate_outcome(game, outcome)
     if certificate is not None:
+        named = [(f"certificate weights[{k}]", w) for k, w in enumerate(certificate.weights)]
+        for name, x in named + [("certificate witness_distance", certificate.witness_distance)]:
+            if _lp._inexact(x):
+                raise _lp._not_exact(name, x)
         problem = _verify_certificate(game, outcome, certificate)
         if problem is None:
             return Verdict(

@@ -50,17 +50,7 @@ from .rational import ONE, Rat
 DEFAULT_CAP = 24
 
 
-def _cap_from_env():
-    raw = os.environ.get("RI_ROBUST_VERTEX_CAP")
-    if not raw:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidParams(f"RI_ROBUST_VERTEX_CAP must be an integer, got {raw!r}") from exc
-
-
-def enumerate_vertices(variables, constraints, bounds=None, cap=None):
+def enumerate_vertices(variables, constraints, bounds=None):
     """All vertices of the polytope, without repeats, in canonical order, each
     an ``lp.IntRow`` over every variable, zeros included.
 
@@ -75,7 +65,11 @@ def enumerate_vertices(variables, constraints, bounds=None, cap=None):
     """
     variables = tuple(variables)
     d = len(variables)
-    limit = cap if cap is not None else _cap_from_env()
+    raw = os.environ.get("RI_ROBUST_VERTEX_CAP")
+    try:
+        limit = int(raw) if raw else DEFAULT_CAP
+    except ValueError as exc:
+        raise InvalidParams(f"RI_ROBUST_VERTEX_CAP must be an integer, got {raw!r}") from exc
     if d > limit:
         raise DimensionCapExceeded(f"{d} variables exceeds cap {limit}")
     bounds = dict(bounds or {})

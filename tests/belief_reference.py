@@ -10,12 +10,19 @@ from ribce.rational import ONE, ZERO, Rat
 from ribce.separation import SeparationCheck
 
 
+def supported_actions(game, outcome, player):
+    """Actions of ``player`` with positive probability, in action order."""
+    k = game.player_index(player)
+    seen = {profile[k] for (profile, _), q in outcome.p.items() if q}
+    return tuple(a for a in game.actions[player] if a in seen)
+
+
 def obedience_slack(game, outcome, player, rec, dev):
     k = game.player_index(player)
     total = ZERO
     for (profile, state), q in outcome.p.items():
         if q and profile[k] == rec:
-            swapped = game.replace_action(profile, player, dev)
+            swapped = game.insert_action(player, dev, game.opponent_profile(profile, player))
             total += (game.u(player, profile, state) - game.u(player, swapped, state)) * q
     return total
 
@@ -46,7 +53,7 @@ def deviation_value(game, outcome, player, action):
     total = ZERO
     for (profile, state), q in outcome.p.items():
         if q:
-            dev = game.replace_action(profile, player, action)
+            dev = game.insert_action(player, action, game.opponent_profile(profile, player))
             total += game.u(player, dev, state) * q
     return total
 
@@ -145,7 +152,7 @@ def belief_partition(game, outcome) -> dict:
     group; the unsupported actions form one last cell."""
     cells = {}
     for i in game.players:
-        support = outcome.support(game, i)
+        support = supported_actions(game, outcome, i)
         groups = []
         for a in support:
             placed = False
@@ -166,7 +173,7 @@ def belief_partition(game, outcome) -> dict:
 
 def is_separated(game, outcome):
     for i in game.players:
-        supported = outcome.support(game, i)
+        supported = supported_actions(game, outcome, i)
         brs = {a: br_set(game, outcome, i, a) for a in supported}
         for ai, a in enumerate(supported):
             for b in supported[ai + 1 :]:
@@ -183,7 +190,7 @@ def is_strict_bce(game, outcome) -> bool:
     if not is_bce(game, outcome):
         return False
     for i in game.players:
-        for a in outcome.support(game, i):
+        for a in supported_actions(game, outcome, i):
             if br_set(game, outcome, i, a) != (a,):
                 return False
     return True
@@ -191,7 +198,7 @@ def is_strict_bce(game, outcome) -> bool:
 
 def _pair_distinct(game, outcome, pair) -> bool:
     i, a, b = pair
-    support = outcome.support(game, i)
+    support = supported_actions(game, outcome, i)
     if a not in support or b not in support:
         return False
     return not beliefs_equal(game, outcome, i, a, b)

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from ribce import games as _games
 from ribce import lp as _lp
+from ribce import representation as _representation
 from ribce.bce import BcePolytope
 from ribce.games import BaseGame, BeliefTable
 
@@ -105,4 +106,22 @@ def table_caches_built(monkeypatch):
             monkeypatch.setattr(BeliefTable, name, property(counting(attr.fget, slot, entries)))
         else:
             monkeypatch.setattr(BeliefTable, name, counting(attr, slot, entries))
+    return built
+
+
+@pytest.fixture
+def canonical_builds(monkeypatch):
+    """A list that gets one entry (the outcome) per
+    ``representation.build_canonical`` call in the test, from every
+    ``ribce`` module that binds it."""
+    built = []
+    original = _representation.build_canonical
+
+    def counting(game, outcome):
+        built.append(outcome)
+        return original(game, outcome)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ribce") and getattr(module, "build_canonical", None) is original:
+            monkeypatch.setattr(module, "build_canonical", counting)
     return built

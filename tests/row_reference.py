@@ -25,7 +25,7 @@ def deviation_row(game, player, action) -> dict:
     coeffs = {}
     for cell in game.cells():
         profile, state = cell
-        dev = game.replace_action(profile, player, action)
+        dev = game.insert_action(player, action, game.opponent_profile(profile, player))
         val = game.u(player, dev, state)
         if val:
             coeffs[cell] = val

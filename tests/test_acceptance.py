@@ -7,11 +7,9 @@ import time
 from ribce.bce import BcePolytope, is_bce, max_support_point, minimize_linear_over_bce
 from ribce.games import (
     Outcome,
-    gross_value,
     is_symmetric_game,
     make_outcome,
     symmetrize,
-    uninformed_value,
 )
 from ribce.rational import Rat, ZERO
 from ribce.regime import (
@@ -187,16 +185,16 @@ def test_acceptance_5_property_suites():
         for out in outputs:
             ok = ok and bool(is_bce(game, out))
             for i in game.players:
-                ok = ok and uninformed_value(game, out, i)[0] <= gross_value(game, out, i)
+                ok = ok and out.beliefs(game)[i].uninformed()[0] <= out.beliefs(game)[i].gross()
         if symmetric and is_symmetric_game(game):
             q = symmetrize(game, p)
-            gross_before = sum((gross_value(game, p, i) for i in game.players), ZERO)
-            gross_after = sum((gross_value(game, q, i) for i in game.players), ZERO)
+            gross_before = sum((p.beliefs(game)[i].gross() for i in game.players), ZERO)
+            gross_after = sum((q.beliefs(game)[i].gross() for i in game.players), ZERO)
             unin_before = sum(
-                (uninformed_value(game, p, i)[0] for i in game.players), ZERO
+                (p.beliefs(game)[i].uninformed()[0] for i in game.players), ZERO
             )
             unin_after = sum(
-                (uninformed_value(game, q, i)[0] for i in game.players), ZERO
+                (q.beliefs(game)[i].uninformed()[0] for i in game.players), ZERO
             )
             ok = ok and gross_before == gross_after and unin_after <= unin_before
         if not ok:

@@ -12,7 +12,7 @@ from ribce.bce import (
     obedience_slack,
 )
 from ribce.errors import UnknownAction, ValidationError
-from ribce.games import deviation_row, gross_value, make_outcome, uninformed_value
+from ribce.games import deviation_row, make_outcome
 from ribce.lp import solve
 from ribce.rational import ONE, Rat, ZERO
 from ribce.vertices import enumerate_vertices
@@ -94,7 +94,7 @@ def test_minimize_gross_welfare_unperturbed_intro():
     assert value == 0
     # the all-market BCE attains it
     am = all_market_outcome(g0)
-    assert sum((gross_value(g0, am, i) for i in g0.players), ZERO) == 0
+    assert sum((am.beliefs(g0)[i].gross() for i in g0.players), ZERO) == 0
 
 
 def test_minimize_zero_objective():
@@ -114,8 +114,8 @@ def test_max_support_point_unique_bce():
 def test_max_support_point_3x3_supports_everything():
     g3 = coordination_game_3x3()
     out = max_support_point(g3)
-    assert out.support(g3, "p1") == ("a", "b", "c")
-    assert out.support(g3, "p2") == ("a", "b", "c")
+    assert out.beliefs(g3)["p1"].support == ("a", "b", "c")
+    assert out.beliefs(g3)["p2"].support == ("a", "b", "c")
     assert is_bce(g3, out)
 
 
@@ -140,7 +140,7 @@ def test_uninformed_below_gross_on_optimizer_outputs():
         p, _ = minimize_linear_over_bce(g, objective)
         assert is_bce(g, p)
         for i in g.players:
-            assert uninformed_value(g, p, i)[0] <= gross_value(g, p, i)
+            assert p.beliefs(g)[i].uninformed()[0] <= p.beliefs(g)[i].gross()
 
 
 def _sample_games():

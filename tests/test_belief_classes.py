@@ -101,7 +101,7 @@ def test_classes_match_pairwise_reference(case):
     for i in game.players:
         table = outcome.beliefs(game)[i]
         actions = game.actions[i]
-        support = outcome.support(game, i)
+        support = ref.supported_actions(game, outcome, i)
         groups = [tuple(a for a in actions if a in cell) for cell in want[i]]
         assert list(table.classes.values()) == [g for g in groups if set(g) <= set(support)]
         for row, members in table.classes.items():

@@ -340,6 +340,16 @@ def test_belief_table_built_once_per_key(files, capsys, belief_tables_built, nam
     assert (len(belief_tables_built), len(keys)) == BELIEF_TABLES_BUILT[name]
 
 
+# ``canonical`` builds the canonical representation once, for its report;
+# the cost certificate of an sBCE reads the outcome's masses directly.
+@pytest.mark.parametrize("name", sorted(n for n, argv in CLI_GOLDEN.items() if argv[0] == "canonical"))
+def test_canonical_representation_built_once_per_job(files, capsys, canonical_builds, name):
+    argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    assert len(canonical_builds) == 1
+
+
 # Builds per job of each belief table's cached value sums, (``gross``,
 # ``uninformed``): one per table whose values the job reads.  A
 # ``check-outcome`` report reads both values of each player twice, in its
@@ -399,6 +409,28 @@ def test_exit_code_on_schema_violation(files, capsys, tmp_path):
     bad.write_text('{"players": ["p1"]}')
     code, out, err = _run(capsys, "welfare", str(bad))
     assert code == 2 and "schema_violation" in err
+
+
+# A string where a list of names belongs would be split into characters.
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"players": "p1"}, "players"),
+        ({"states": "s"}, "states"),
+        ({"actions": {"p1": "ab"}}, "actions of 'p1'"),
+    ],
+)
+def test_names_that_are_not_a_list_exit_2(capsys, tmp_path, edit, field):
+    data = {
+        "players": ["p1"], "states": ["s"], "prior": {"s": 1},
+        "actions": {"p1": ["a", "b"]},
+        "utilities": {"p1": {"a|s": 1, "b|s": 0}},
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, **edit}))
+    code, out, err = _run(capsys, "welfare", str(bad))
+    assert code == 2 and out == ""
+    assert "schema_violation" in err and f"{field} must be a list" in err
 
 
 def test_exit_code_on_invalid_prior(files, capsys, tmp_path):

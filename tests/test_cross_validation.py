@@ -2,7 +2,7 @@
 
 import random
 
-from ribce.games import gross_value, symmetrize
+from ribce.games import symmetrize
 from ribce.rational import ZERO
 from ribce.structure import EXACT, RANDOMIZED, classify_density
 from ribce.vanishing import NOT_VCE, check_vce, is_complete_info_nash
@@ -75,6 +75,6 @@ def test_symmetrizing_the_gross_minimizer_preserves_its_value():
         game = random_symmetric_binary_game(rng, n_players=2)
         value, minimizer = worst_case_exogenous(game)
         sym = symmetrize(game, minimizer)
-        total = sum((gross_value(game, sym, i) for i in game.players), ZERO)
+        total = sum((sym.beliefs(game)[i].gross() for i in game.players), ZERO)
         assert total == value
         assert is_bce(game, sym)

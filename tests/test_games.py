@@ -15,12 +15,10 @@ from ribce.games import (
     BaseGame,
     Outcome,
     deviation_row,
-    gross_value,
     is_symmetric_game,
     is_symmetric_outcome,
     make_outcome,
     symmetrize,
-    uninformed_value,
     utility_distance,
     validate_game,
 )
@@ -74,14 +72,14 @@ def test_prior_not_full_support():
 
 def test_gross_value_first_best():
     g = investment_game(0)
-    assert gross_value(g, first_best_outcome(g), "ann") == 2
+    assert first_best_outcome(g).beliefs(g)["ann"].gross() == 2
 
 
 def test_gross_value_footnote_bce():
     g = investment_game(Rat(1, 10))
     out = footnote_worst_gross_outcome(g)
-    assert gross_value(g, out, "ann") == Rat(3, 5)
-    assert gross_value(g, out, "bob") == Rat(3, 5)
+    assert out.beliefs(g)["ann"].gross() == Rat(3, 5)
+    assert out.beliefs(g)["bob"].gross() == Rat(3, 5)
 
 
 def test_gross_value_degenerate_outcome():
@@ -92,7 +90,7 @@ def test_gross_value_degenerate_outcome():
     expected = Rat(1, 2) * g.u("ann", (A, B), "thetaA") + Rat(1, 2) * g.u(
         "ann", (B, B), "thetaB"
     )
-    assert gross_value(g, out, "ann") == expected
+    assert out.beliefs(g)["ann"].gross() == expected
 
 
 @pytest.mark.parametrize(
@@ -101,17 +99,14 @@ def test_gross_value_degenerate_outcome():
 def test_values_name_a_cell_outside_the_game(cell):
     g = investment_game(Rat(1, 10))
     out = Outcome(p={cell: Rat(1)})
-    for value in (gross_value, uninformed_value):
-        for player in g.players:
-            with pytest.raises(DimensionMismatch, match="unknown cell"):
-                value(g, out, player)
-        with pytest.raises(DimensionMismatch, match="unknown player"):
-            value(g, out, "cy")
+    for player in g.players:
+        with pytest.raises(DimensionMismatch, match="unknown cell"):
+            out.beliefs(g)[player].gross()
 
 
 def test_uninformed_value_inferior_coordination():
     g = investment_game(Rat(1, 10))
-    val, action = uninformed_value(g, inferior_coordination_outcome(g), "ann")
+    val, action = inferior_coordination_outcome(g).beliefs(g)["ann"].uninformed()
     assert val == Rat(1, 2)
     assert action == A  # lowest-index tie-break between the two blind funds
 
@@ -127,7 +122,7 @@ def test_uninformed_value_first_best_by_enumeration():
         "ann", (B, B), "thetaB"
     )
     market = ZERO
-    val, _ = uninformed_value(g, out, "ann")
+    val, _ = out.beliefs(g)["ann"].uninformed()
     assert val == max(blind_a, blind_b, market) == 1
 
 
@@ -154,7 +149,7 @@ def test_uninformed_equals_gross_for_single_action():
         utilities={"p1": {((("only",)), "s"): Rat(7)}},
     )
     out = Outcome(p={(("only",), "s"): Rat(1)})
-    assert uninformed_value(g, out, "p1")[0] == gross_value(g, out, "p1") == 7
+    assert out.beliefs(g)["p1"].uninformed()[0] == out.beliefs(g)["p1"].gross() == 7
 
 
 def test_symmetry_checks():
@@ -212,11 +207,11 @@ def test_symmetrize_preserves_gross_and_never_raises_uninformed():
         q = symmetrize(g, p)
         assert is_symmetric_outcome(g, q)
         assert is_bce(g, q)
-        gross_p = sum((gross_value(g, p, i) for i in g.players), ZERO)
-        gross_q = sum((gross_value(g, q, i) for i in g.players), ZERO)
+        gross_p = sum((p.beliefs(g)[i].gross() for i in g.players), ZERO)
+        gross_q = sum((q.beliefs(g)[i].gross() for i in g.players), ZERO)
         assert gross_p == gross_q
-        unin_p = sum((uninformed_value(g, p, i)[0] for i in g.players), ZERO)
-        unin_q = sum((uninformed_value(g, q, i)[0] for i in g.players), ZERO)
+        unin_p = sum((p.beliefs(g)[i].uninformed()[0] for i in g.players), ZERO)
+        unin_q = sum((q.beliefs(g)[i].uninformed()[0] for i in g.players), ZERO)
         assert unin_q <= unin_p
         assert symmetrize(g, q).p == q.p  # idempotent
 
@@ -253,8 +248,6 @@ def test_profile_layout_round_trips():
                     opp = g.opponent_profile(profile, i)
                     assert opp == tuple(profile[g.player_index(j)] for j in g.opponents(i))
                     assert g.insert_action(i, profile[k], opp) == profile
-                    for b in g.actions[i]:
-                        assert g.replace_action(profile, i, b) == g.insert_action(i, b, opp)
 
 
 def _one_player_game(actions, payoffs):

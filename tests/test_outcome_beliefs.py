@@ -8,7 +8,7 @@ import re
 
 import ribce
 from ribce.bce import is_bce, obedience_slack
-from ribce.games import Outcome, gross_value, uninformed_value
+from ribce.games import Outcome
 from ribce.rational import Rat
 from ribce.representation import belief_partition, build_canonical
 from ribce.separation import (
@@ -40,7 +40,7 @@ def test_public_calls_on_one_outcome_build_one_table_per_player(belief_tables_bu
     assert conditional_belief(game, outcome, "p1", "b").br_set == ("a", "b", "c")
     assert beliefs_equal(game, outcome, "p2", "b", "c")
     for i in game.players:
-        assert gross_value(game, outcome, i) >= uninformed_value(game, outcome, i)[0]
+        assert outcome.beliefs(game)[i].gross() >= outcome.beliefs(game)[i].uninformed()[0]
     value_interval(game, outcome)
     partition = belief_partition(game, outcome)
     assert is_measurable(game, outcome, partition)

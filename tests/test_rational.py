@@ -1,6 +1,6 @@
 import pytest
 
-from ribce.rational import Rat, format_rational, parse_rational, rational_to_json
+from ribce.rational import Rat, parse_rational, rational_to_json
 
 
 def test_parse_forms():
@@ -18,8 +18,8 @@ def test_parse_rejects_bad_input():
 
 
 def test_format_reduced():
-    assert format_rational(Rat(6, 4)) == "3/2"
-    assert format_rational(Rat(-6, 3)) == "-2"
+    assert rational_to_json(Rat(6, 4)) == "3/2"
+    assert rational_to_json(Rat(-6, 3)) == -2
     assert rational_to_json(Rat(8, 4)) == 2
     assert rational_to_json(Rat(1, 3)) == "1/3"
 

@@ -250,11 +250,10 @@ def test_zero_attack_kernel_zero_welfare():
     # evaluate both objectives directly: no attack ever succeeds, no one pays
     g = build_regime_game(params)
     outcome = kernel_to_outcome(params, kernel, g)
-    from ribce.games import gross_value, uninformed_value
 
-    assert sum(gross_value(g, outcome, i) for i in g.players) == 0
+    assert sum(outcome.beliefs(g)[i].gross() for i in g.players) == 0
     # deviating to attack alone never reaches a threshold >= 2
-    assert sum(uninformed_value(g, outcome, i)[0] for i in g.players) == 0
+    assert sum(outcome.beliefs(g)[i].uninformed()[0] for i in g.players) == 0
 
 
 def _reference_count_space(n, states, prior, payoff):

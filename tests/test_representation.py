@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from ribce.errors import DimensionMismatch, NotSeparatedBce, ValidationError
-from ribce.games import gross_value, make_outcome, uninformed_value
+from ribce.games import make_outcome
 from ribce.rational import ONE, Rat, ZERO
 from ribce.representation import (
     belief_partition,
@@ -140,8 +140,8 @@ def test_cost_certificate_ordering_invariants():
             entry = cert.per_player[i]
             assert entry["equilibrium_cost"] >= 0
             assert entry["equilibrium_cost"] <= entry["upper_bound"]
-            lo, _ = uninformed_value(g, p, i)
-            hi = gross_value(g, p, i)
+            lo, _ = p.beliefs(g)[i].uninformed()
+            hi = p.beliefs(g)[i].gross()
             assert entry["equilibrium_cost"] == lam * (hi - lo)
         checked += 1
     assert checked > 0

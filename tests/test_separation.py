@@ -147,7 +147,7 @@ def test_obedience_restated_on_beliefs():
         objective = {cell: Rat(rng.randint(-4, 4)) for cell in g.cells()}
         p, _ = minimize_linear_over_bce(g, objective)
         for i in g.players:
-            for a in p.support(g, i):
+            for a in p.beliefs(g)[i].support:
                 assert a in conditional_belief(g, p, i, a).br_set
 
 
@@ -157,7 +157,7 @@ def test_obedience_restated_on_beliefs():
 
 def _reference_conditional_belief(game, outcome, player, rec, allow_zero=False):
     k = game.player_index(player)
-    mass = outcome.action_marginal(game, player, rec)
+    mass = sum((q for (profile, _), q in outcome.p.items() if profile[k] == rec), ZERO)
     cells = [(opp, state) for opp in game.opponent_profiles(player) for state in game.states]
     belief = {cell: ZERO for cell in cells}
     if not mass:
@@ -173,8 +173,9 @@ def _reference_conditional_belief(game, outcome, player, rec, allow_zero=False):
 
 def _reference_beliefs_equal(game, outcome, player, a, b):
     k = game.player_index(player)
-    mass_a = outcome.action_marginal(game, player, a)
-    mass_b = outcome.action_marginal(game, player, b)
+    mass_a, mass_b = (
+        sum((q for (profile, _), q in outcome.p.items() if profile[k] == c), ZERO) for c in (a, b)
+    )
     for opp in game.opponent_profiles(player):
         for state in game.states:
             cell_a = outcome.mass(opp[:k] + (a,) + opp[k:], state)
@@ -224,4 +225,4 @@ def test_belief_code_matches_reference_on_random_outcomes():
                         assert beliefs_equal(g, out, i, a, b) == _reference_beliefs_equal(
                             g, out, i, a, b
                         )
-            assert not out.action_marginal(g, idle_player, g.actions[idle_player][-1])
+            assert not out.beliefs(g)[idle_player].totals[g.actions[idle_player][-1]]

@@ -135,7 +135,7 @@ def test_find_minimally_mixed_unique_bce():
 def test_find_minimally_mixed_3x3_interior():
     g3 = coordination_game_3x3()
     out = find_minimally_mixed(g3, mode=EXACT)
-    assert out.support(g3, "p1") == ("a", "b", "c")
+    assert out.beliefs(g3)["p1"].support == ("a", "b", "c")
     # the (a, b) pair must be realized as distinct
     check = is_separated(g3, out)
     assert not check and check.witness[3] == "a"
@@ -245,7 +245,7 @@ def test_randomized_candidate_support_is_seed_independent():
     supports = set()
     for seed in (0, 1, 2):
         out = find_minimally_mixed(g3, seed=seed, retries=6)
-        supports.add(tuple(out.support(g3, i) for i in g3.players))
+        supports.add(tuple(out.beliefs(g3)[i].support for i in g3.players))
     assert len(supports) == 1
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -156,6 +157,30 @@ def test_check_vce_certificate_weights_must_sum_to_one():
     verdict = check_vce(g3, mixed, certificate=cert)
     assert verdict.kind == UNDETERMINED
     assert "9/10" in verdict.reason
+
+
+@pytest.mark.parametrize(
+    "weights, distance, field",
+    [
+        ((0.5, 0.5), ZERO, "weights[0]"),
+        ((0.1, 0.9), ZERO, "weights[0]"),
+        ((Rat(1, 10), 0.9), ZERO, "weights[1]"),
+        ((Rat(1, 2), Rat(1, 2)), 0.0, "witness_distance"),
+    ],
+)
+def test_check_vce_refuses_inexact_certificate_fields(weights, distance, field):
+    g3 = coordination_game_3x3()
+    mixed = coordination_3x3_segment_point(0)
+    cert = VceCertificate(
+        partition=belief_partition(g3, mixed),
+        weights=weights,
+        components=(mixed, mixed),
+        sbce_witness=mixed,
+        witness_distance=distance,
+    )
+    message = f"^certificate {re.escape(field)} is not an exact rational: "
+    with pytest.raises(ValidationError, match=message):
+        check_vce(g3, mixed, certificate=cert)
 
 
 def test_check_vce_valid_convex_combination_certificate():

@@ -103,13 +103,11 @@ def test_dimension_cap(monkeypatch):
     names = tuple(f"x{i}" for i in range(30))
     with pytest.raises(DimensionCapExceeded):
         enumerate_vertices(names, [], bounds={v: (Rat(0), Rat(1)) for v in names})
-    # explicit cap overrides the default
-    small = names[:3]
-    vs = enumerate_vertices(
-        small, [], bounds={v: (Rat(0), Rat(1)) for v in small}, cap=3
-    )
-    assert len(vs) == 8
     # the environment override lifts (or lowers) the default
+    small = names[:3]
+    monkeypatch.setenv("RI_ROBUST_VERTEX_CAP", "3")
+    vs = enumerate_vertices(small, [], bounds={v: (Rat(0), Rat(1)) for v in small})
+    assert len(vs) == 8
     monkeypatch.setenv("RI_ROBUST_VERTEX_CAP", "2")
     with pytest.raises(DimensionCapExceeded):
         enumerate_vertices(small, [], bounds={v: (Rat(0), Rat(1)) for v in small})
