@@ -36,7 +36,7 @@ between their utilities (``utility_distance``).
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations, product
+from itertools import product
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -46,15 +46,12 @@ from .errors import (
     MissingUtilityEntry,
     PriorNotFullSupport,
     PriorNotNormalized,
-    TooManyPlayers,
     UnknownAction,
     ValidationError,
 )
 from . import rows as _rows
 from .lp import IntRow, _inexact, int_parts
 from .rational import ONE, ZERO, Rat
-
-MAX_SYMMETRIZE_PLAYERS = 8
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,9 @@ def make_outcome(game: BaseGame, entries: dict) -> Outcome:
 def validate_game(game: BaseGame) -> None:
     """Check all structural invariants; raises on the first failure.  A
     player, state or action (of one player) listed twice raises
-    ``ValidationError`` naming it, before any sum or profile is read."""
+    ``ValidationError`` naming it, before any sum or profile is read, and so
+    does a prior mass or utility without an exact numerator and denominator
+    (a float, say), naming its state or cell."""
     if not game.players:
         raise ValidationError("no players")
     named = [("player", game.players), ("state", game.states)]
@@ -387,6 +386,8 @@ def validate_game(game: BaseGame) -> None:
     total = ZERO
     for state in game.states:
         mass = game.prior.get(state)
+        if mass is not None and _inexact(mass):
+            raise ValidationError(f"prior of state {state!r} is not an exact rational: {mass!r}")
         if mass is None or mass <= 0:
             raise PriorNotFullSupport(f"state {state!r} has no mass")
         total += mass
@@ -403,8 +404,13 @@ def validate_game(game: BaseGame) -> None:
             raise MissingUtilityEntry(f"no utilities for player {i!r}")
         for profile in game.profiles():
             for state in game.states:
-                if (profile, state) not in table:
+                u = table.get((profile, state))
+                if u is None:
                     raise MissingUtilityEntry(f"u[{i}][{profile},{state}]")
+                if type(u) is not Rat and _inexact(u):
+                    raise ValidationError(
+                        f"u[{i}][{profile},{state}] is not an exact rational: {u!r}"
+                    )
 
 
 def validate_outcome(game: BaseGame, outcome: Outcome) -> None:
@@ -479,78 +485,66 @@ def utility_distance(a: BaseGame, b: BaseGame):
     return Rat(gap, den)
 
 
-def permute_profile(game: BaseGame, profile, phi) -> tuple:
-    """The profile a_phi with (a_phi)_j = a_{phi(j)}; phi maps player index
-    to player index."""
-    return tuple(profile[phi[j]] for j in range(len(game.players)))
-
-
 def _common_action_set(game: BaseGame) -> bool:
     first = game.actions[game.players[0]]
     return all(game.actions[i] == first for i in game.players)
 
 
+def _orbit_key(game: BaseGame, profile) -> tuple:
+    """The count of each action in ``profile``, in the first player's action
+    order: two profiles of a game with one common action set are permutations
+    of each other exactly when their keys agree."""
+    return tuple(map(profile.count, game.actions[game.players[0]]))
+
+
 def is_symmetric_game(game: BaseGame) -> bool:
-    """Permutation invariance of utilities, checked on the transpositions
-    (i, i+1), which generate the symmetric group."""
+    """Permutation invariance of utilities: one common action set, and each
+    player's payoff a function of own action, the profile's ``_orbit_key``
+    and the state alone, the same for every player; checked in one pass over
+    the cells."""
     if not _common_action_set(game):
         return False
-    n = len(game.players)
-    for t in range(n - 1):
-        phi = list(range(n))
-        phi[t], phi[t + 1] = phi[t + 1], phi[t]
-        for profile in game.profiles():
-            moved = permute_profile(game, profile, phi)
-            for state in game.states:
-                for j, i in enumerate(game.players):
-                    if game.u(i, moved, state) != game.u(game.players[phi[j]], profile, state):
-                        return False
-    return True
-
-
-def is_symmetric_outcome(game: BaseGame, outcome: Outcome) -> bool:
-    if not _common_action_set(game):
-        return False
-    n = len(game.players)
-    for t in range(n - 1):
-        phi = list(range(n))
-        phi[t], phi[t + 1] = phi[t + 1], phi[t]
-        for (profile, state) in game.cells():
-            moved = permute_profile(game, profile, phi)
-            if outcome.mass(profile, state) != outcome.mass(moved, state):
+    seen = {}
+    for profile, state in game.cells():
+        key = _orbit_key(game, profile)
+        for i, own in zip(game.players, profile):
+            u = game.u(i, profile, state)
+            if seen.setdefault((own, key, state), u) != u:
                 return False
     return True
 
 
+def is_symmetric_outcome(game: BaseGame, outcome: Outcome) -> bool:
+    """One mass per (``_orbit_key``, state), read off the int masses."""
+    if not _common_action_set(game):
+        return False
+    nums = mass_parts(outcome)[0]
+    seen = {}
+    for cell in game.cells():
+        x = nums.get(cell, 0)
+        if seen.setdefault((_orbit_key(game, cell[0]), cell[1]), x) != x:
+            return False
+    return True
+
+
 def symmetrize(game: BaseGame, outcome: Outcome) -> Outcome:
-    """Average the outcome over all player permutations.
+    """Average the outcome over all player permutations: spread each orbit's
+    total mass, per state, evenly over its profiles.
 
     Preserves gross welfare exactly, never increases uninformed welfare, and
     maps BCEs to BCEs (obedience is permutation-covariant in symmetric games).
     """
     if not is_symmetric_game(game):
         raise GameNotSymmetric("symmetrize requires a symmetric game")
-    n = len(game.players)
-    if n > MAX_SYMMETRIZE_PLAYERS:
-        raise TooManyPlayers(
-            f"exact permutation averaging is capped at {MAX_SYMMETRIZE_PLAYERS} players"
-        )
-    perms = list(permutations(range(n)))
-    weight = Rat(1, len(perms))
-    acc = {}
-    for (profile, state), q in outcome.p.items():
-        if not q:
-            continue
-        share = q * weight
-        for phi in perms:
-            # mass of p at (a_phi, state) contributes to p_phi at (a, state);
-            # equivalently spread q over the orbit using inverse images.
-            inv = [0] * n
-            for j, k in enumerate(phi):
-                inv[k] = j
-            moved = tuple(profile[inv[j]] for j in range(n))
-            key = (moved, state)
-            acc[key] = acc.get(key, ZERO) + share
-    out = Outcome(p={k: v for k, v in acc.items() if v})
+    nums, den = mass_parts(outcome)
+    orbits = {}
+    for cell in game.cells():
+        orbits.setdefault((_orbit_key(game, cell[0]), cell[1]), []).append(cell)
+    p = {}
+    for cells in orbits.values():
+        total = sum(nums.get(cell, 0) for cell in cells)
+        if total:
+            p.update(dict.fromkeys(cells, Rat(total, den * len(cells))))
+    out = Outcome(p=p)
     validate_outcome(game, out)
     return out

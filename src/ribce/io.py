@@ -60,6 +60,14 @@ def _names(value, field) -> tuple:
     return tuple(value)
 
 
+def _mapping(value, field) -> dict:
+    """``value`` when it is a JSON object; a list or any other value raises
+    ``SchemaViolation`` naming ``field``."""
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{field} must be an object, not {value!r}")
+    return value
+
+
 def game_from_dict(data: dict) -> BaseGame:
     try:
         players = _names(data["players"], "players")
@@ -73,12 +81,13 @@ def game_from_dict(data: dict) -> BaseGame:
     )
     parse_key = _cell_key_parser(stub)
     utilities = {}
+    tables = _mapping(data.get("utilities", {}), "utilities")
     for i in players:
-        raw = data.get("utilities", {}).get(str(i))
+        raw = tables.get(str(i))
         if raw is None:
             raise SchemaViolation(f"missing utilities for player {i!r}")
         table = {}
-        for key, value in raw.items():
+        for key, value in _mapping(raw, f"utilities of {i!r}").items():
             cell = parse_key(key)
             try:
                 table[cell] = parse_rational(value)
@@ -109,12 +118,12 @@ def game_to_dict(game: BaseGame) -> dict:
 
 
 def outcome_from_dict(game: BaseGame, data: dict) -> Outcome:
-    raw = data.get("outcome")
+    raw = _mapping(data, "an outcome file").get("outcome")
     if raw is None:
         raise SchemaViolation('outcome files carry their map under an "outcome" key')
     parse_key = _cell_key_parser(game)
     entries = {}
-    for key, value in raw.items():
+    for key, value in _mapping(raw, '"outcome"').items():
         cell = parse_key(key)
         try:
             entries[cell] = parse_rational(value)

@@ -265,16 +265,16 @@ class LpSolution:
         return tuple(duals)
 
 
-def check_certificate(lp: LinearProgram, point, value, duals=None) -> None:
+def check_certificate(lp: LinearProgram, point, value, duals) -> None:
     """Prove ``value`` the optimum of ``lp`` at ``point``, exactly, in one
     pass over the nonzero entries; raises InternalInvariantError naming the
     first condition that fails.
 
     ``point`` maps variables to exact rationals (one it leaves out is 0).
     The primal part checks every bound and row at the point, then
-    c·x = ``value``.  Given ``duals``, one exact rational y_r per constraint
-    (``LpSolution.duals``), it checks, with s = 1 for ``min`` and -1 for
-    ``max``:
+    c·x = ``value``.  With ``duals``, one exact rational y_r per constraint
+    (``LpSolution.duals``), it then checks, with s = 1 for ``min`` and -1
+    for ``max``:
 
     - dual signs: s·y_r >= 0 on a ``>=`` row and <= 0 on a ``<=`` row;
     - reduced costs: d = c - yA may have s·d_v > 0 only if v has a lower
@@ -311,9 +311,6 @@ def check_certificate(lp: LinearProgram, point, value, duals=None) -> None:
     cx = sum([c * x(v, 0) for v, c in onums.items()])
     if cx * value.denominator != value.numerator * oden * xden:
         raise InternalInvariantError("objective value mismatch")
-    if duals is None:
-        return
-
     if len(duals) != len(rows):
         raise InternalInvariantError(f"{len(duals)} duals for {len(rows)} constraints")
     ynums, yden = int_parts(dict(enumerate(duals)))

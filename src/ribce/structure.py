@@ -15,9 +15,9 @@ so each is built once however many steps read it.
 Equal beliefs are read off each table's classes (``BeliefTable.classes``):
 the realized distinct pairs, the extreme-point test's common posterior and
 the perturbation's distinct beliefs, the class rows, whose chain order,
-separating functionals, bonus rows and step are decided on ints.  A
-hull-membership LP orders the chain only while three or more beliefs
-remain, since any two distinct points are both vertices of their hull.
+separating functionals, bonus rows and step are decided on ints.  One LP,
+``_separating_functional``, orders the chain (while three or more beliefs
+remain) and then separates each link from its prefix.
 """
 
 import random
@@ -362,36 +362,21 @@ def classify_density(
 # Separating perturbation
 
 
-def _hull_membership(point, others):
-    """Is ``point`` a convex combination of ``others``? LP feasibility."""
-    variables = tuple(range(len(others)))
-    constraints = [({j: ONE for j in variables}, _lp.EQUAL, ONE)]
-    dim = len(point)
-    for c in range(dim):
-        coeffs = {j: others[j][c] for j in variables if others[j][c]}
-        constraints.append((coeffs, _lp.EQUAL, point[c]))
-    bounds = {j: (ZERO, None) for j in variables}
-    return _lp.feasible_point(variables, constraints, bounds) is not None
-
-
 def _peel_order(beliefs):
     """Enumerate distinct beliefs, given as int mass rows, so that each is an
-    extreme point of the convex hull of its prefix: repeatedly peel off a
-    hull vertex and give it the highest remaining index.  While at most two
-    distinct points remain, both are vertices, so the first is peeled with
-    no LP; only a set of three or more becomes ``Rat`` posteriors for the
-    hull-membership LPs."""
+    extreme point of the convex hull of its prefix: repeatedly peel off the
+    first belief ``_separating_functional`` separates from the rest (a hull
+    vertex) and give it the highest remaining index.  While at most two
+    distinct points remain, both are vertices, so no LP runs."""
     remaining = list(range(len(beliefs)))
     order = [None] * len(beliefs)
-    if len(beliefs) > 2:
-        points = [[Rat(x, sum(row)) for x in row] for row in beliefs]
     for slot in range(len(beliefs) - 1, -1, -1):
         if len(remaining) <= 2:
             peeled = remaining[0]
         else:
             for peeled in remaining:
-                others = [points[j] for j in remaining if j != peeled]
-                if not _hull_membership(points[peeled], others):
+                others = [beliefs[j] for j in remaining if j != peeled]
+                if _separating_functional(beliefs[peeled], others) is not None:
                     break
             else:  # pragma: no cover - finite point sets have vertices
                 raise InternalInvariantError("no extreme point among distinct beliefs")
@@ -406,7 +391,8 @@ def _separating_functional(target, earlier):
     subject to box constraints, then shift by the best earlier value.  The
     LP row of q, h·(t - q) >= margin, is the ``lp.IntRow`` target·T_q -
     q·T_t over T_t·T_q with margin -T_t·T_q (T the rows' totals).  Returns
-    f as int numerators over one denominator."""
+    f as int numerators over one denominator, or None when the verified best
+    margin is 0: t lies in the convex hull of the q."""
     total = sum(target)
     hvars = tuple(("h", c) for c in range(len(target)))
     margin = ("margin",)
@@ -430,8 +416,11 @@ def _separating_functional(target, earlier):
         bounds=bounds,
     )
     sol = _lp.solve(lp)
-    if not sol.is_optimal or sol.value <= 0:
-        raise InternalInvariantError("strict separation of an extreme point failed")
+    if not sol.is_optimal:
+        raise InternalInvariantError("the separating LP has no optimum")
+    if sol.value == 0:
+        sol.verify(lp)
+        return None
     h = [sol.point.nums[var] for var in hvars]  # h over the point's denominator D
     # The shift is the largest h·q = H·Q / (D·T_q), and f = h - shift is
     # (H·T_q - H·Q) / (D·T_q) at that q.
@@ -453,9 +442,9 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     the bonuses so each belief strictly prefers its own, and add them to the
     utilities with a small enough step 2^-k.  The beliefs are the primitive
     mass rows of the outcome's belief tables (``Outcome.beliefs``), and the
-    functionals, bonus rows and step are decided on ints; each perturbed
-    utility is one ``Rat`` made from the player's payoff row.  Both
-    postconditions are re-verified exactly before returning.
+    functionals, bonus rows and step are decided on ints; each cell a bonus
+    reaches is one ``Rat`` made from the player's payoff row, and the rest
+    are kept.  Both postconditions are re-verified exactly before returning.
     """
     if _lp._inexact(epsilon):
         raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
@@ -480,7 +469,10 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
 
         funcs = [([1] * len(chain[0]), 1)]
         for m in range(1, n_i):
-            funcs.append(_separating_functional(chain[m], chain[:m]))
+            func = _separating_functional(chain[m], chain[:m])
+            if func is None:
+                raise InternalInvariantError("strict separation of an extreme point failed")
+            funcs.append(func)
 
         # f_l·q_m has the sign of F_l·Q_m (f_l = F_l / E_l, q_m = Q_m / T_m),
         # and f_m·q_m / f_l·q_m = (F_m·Q_m·E_l) / (F_l·Q_m·E_m).
@@ -515,27 +507,16 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
         k += 1
     bonus = {key: (row, den << k) for key, (row, den) in bonus.items()}
 
-    utilities = {}
-    for i in game.players:
+    # u + bonus·2^-k is (U·den + B·L) / (L·den), den now carrying the 2^k,
+    # rewritten only where the bonus row is nonzero.
+    utilities = {i: dict(game.utilities[i]) for i in game.players}
+    for (i, action), (row, den) in bonus.items():
         payoffs = game.payoff_rows[i]
-        position = payoffs.position
-        index = game.player_index(i)
-        table = {}
-        for cell in game.cells():
-            action = cell[0][index]
-            extra = bonus.get((i, action))
-            c = position[cell]
-            if extra and extra[0][c]:
-                # u + bonus·2^-k is (U·den + B·L) / (L·den), den now
-                # carrying the 2^k.
-                row, den = extra
-                table[cell] = Rat(
-                    payoffs.rows[action][c] * den + row[c] * payoffs.scale,
-                    payoffs.scale * den,
-                )
-            else:
-                table[cell] = game.u(i, *cell)
-        utilities[i] = table
+        table = utilities[i]
+        for (opp, state), b, u in zip(payoffs.cells, row, payoffs.rows[action]):
+            if b:
+                profile = game.insert_action(i, action, opp)
+                table[(profile, state)] = Rat(u * den + b * payoffs.scale, payoffs.scale * den)
     perturbed = BaseGame(
         players=game.players,
         states=game.states,

@@ -433,6 +433,42 @@ def test_names_that_are_not_a_list_exit_2(capsys, tmp_path, edit, field):
     assert "schema_violation" in err and f"{field} must be a list" in err
 
 
+# A list where an object belongs, in a game or an outcome file.
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"utilities": [{"a|s": 1, "b|s": 0}]}, "utilities"),
+        ({"utilities": {"p1": [1, 0]}}, "utilities of 'p1'"),
+    ],
+)
+def test_game_maps_that_are_a_list_exit_2(capsys, tmp_path, edit, field):
+    data = {
+        "players": ["p1"], "states": ["s"], "prior": {"s": 1},
+        "actions": {"p1": ["a", "b"]},
+        "utilities": {"p1": {"a|s": 1, "b|s": 0}},
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, **edit}))
+    code, out, err = _run(capsys, "welfare", str(bad))
+    assert code == 2 and out == ""
+    assert "schema_violation" in err and f"{field} must be an object" in err
+
+
+@pytest.mark.parametrize(
+    "outcome, field",
+    [
+        ([{"b,b|s": "1/3", "c,c|s": "2/3"}], "an outcome file"),
+        ({"outcome": ["b,b|s", "c,c|s"]}, '"outcome"'),
+    ],
+)
+def test_outcome_maps_that_are_a_list_exit_2(files, capsys, tmp_path, outcome, field):
+    bad = tmp_path / "bad_outcome.json"
+    bad.write_text(json.dumps(outcome))
+    code, out, err = _run(capsys, "check-outcome", str(files["game3x3"]), str(bad))
+    assert code == 2 and out == ""
+    assert "schema_violation" in err and f"{field} must be an object" in err
+
+
 def test_exit_code_on_invalid_prior(files, capsys, tmp_path):
     gp = investment_game(Rat(1, 10))
     broken = game_to_dict(gp)

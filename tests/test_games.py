@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
@@ -9,7 +10,7 @@ from ribce.errors import (
     GameNotSymmetric,
     PriorNotFullSupport,
     PriorNotNormalized,
-    TooManyPlayers,
+    ValidationError,
 )
 from ribce.games import (
     BaseGame,
@@ -68,6 +69,16 @@ def test_prior_not_normalized():
 def test_prior_not_full_support():
     with pytest.raises(PriorNotFullSupport):
         validate_game(_tiny_game({"s1": Rat(1), "s2": Rat(0)}))
+
+
+def test_inexact_prior_or_utility_rejected():
+    g = _tiny_game({"s1": Rat(1, 2), "s2": Rat(1, 2)})
+    with pytest.raises(ValidationError, match="prior of state 's1' .*: 0.5"):
+        validate_game(replace(g, prior={"s1": 0.5, "s2": 0.5}))
+    utilities = {i: dict(table) for i, table in g.utilities.items()}
+    utilities["p2"][(("l", "r"), "s2")] = 1.0
+    with pytest.raises(ValidationError, match=r"u\[p2\]\[\('l', 'r'\),s2\] .*: 1.0"):
+        validate_game(replace(g, utilities=utilities))
 
 
 def test_gross_value_first_best():
@@ -216,15 +227,29 @@ def test_symmetrize_preserves_gross_and_never_raises_uninformed():
         assert symmetrize(g, q).p == q.p  # idempotent
 
 
-def test_symmetrize_player_cap(monkeypatch):
-    from ribce import games as games_mod
+def test_symmetrize_is_the_average_over_player_permutations():
+    rng = random.Random(5)
+    for _ in range(6):
+        g = random_symmetric_binary_game(rng, n_players=3)
+        objective = {cell: Rat(rng.randint(-3, 3)) for cell in g.cells()}
+        p, _ = minimize_linear_over_bce(g, objective)
+        perms = list(permutations(range(3)))
+        want = {}
+        for (profile, state), q in p.p.items():
+            for phi in perms:
+                key = (tuple(profile[k] for k in phi), state)
+                want[key] = want.get(key, ZERO) + q / len(perms)
+        assert symmetrize(g, p).p == {k: v for k, v in want.items() if v}
 
-    rng = random.Random(1)
-    g = random_symmetric_binary_game(rng, n_players=2)
-    p, _ = minimize_linear_over_bce(g, {})
-    monkeypatch.setattr(games_mod, "MAX_SYMMETRIZE_PLAYERS", 1)
-    with pytest.raises(TooManyPlayers):
-        symmetrize(g, p)
+
+def test_symmetry_breaks_on_one_cell():
+    g = random_symmetric_binary_game(random.Random(3), n_players=3)
+    cell = (("x", "y", "y"), "s1")
+    utilities = {i: dict(table) for i, table in g.utilities.items()}
+    utilities["p2"][cell] += 1
+    assert not is_symmetric_game(replace(g, utilities=utilities))
+    out = Outcome(p={cell: Rat(1, 2), (("y", "x", "y"), "s1"): Rat(1, 2)})
+    assert not is_symmetric_outcome(g, out)
 
 
 def test_profile_layout_round_trips():

@@ -1,22 +1,24 @@
 """The int ``separating_perturbation`` against the Fraction construction it
-replaced (``perturbation_reference``), and the hull-membership LPs it runs:
-none while at most two distinct beliefs remain to be ordered."""
+replaced (``perturbation_reference``), and the separating LPs that order its
+belief chain: none while at most two distinct beliefs remain to be ordered,
+and the same order as the reference's hull-membership LPs."""
 
 import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import perturbation_reference as ref
-from ribce import lp as _lp
+from ribce import rows as _rows
+from ribce import structure as _structure
 from ribce.bce import mix_outcomes
 from ribce.games import utility_distance
 from ribce.io import game_to_dict
 from ribce.rational import Rat
 from ribce.separation import is_separated
-from ribce.structure import separating_perturbation
+from ribce.structure import _peel_order, _separating_functional, separating_perturbation
 
 from sample_games import (
     collinear_beliefs_game,
@@ -62,16 +64,26 @@ def test_perturbation_matches_fraction_construction(case):
 
 
 @pytest.fixture
-def feasible_point_calls(monkeypatch):
-    """A list that gets one entry per ``lp.feasible_point`` call."""
-    calls = []
-    original = _lp.feasible_point
+def peel_lps(monkeypatch):
+    """A list that gets one entry per ``_separating_functional`` call made
+    inside ``structure._peel_order``; the chain's links are not counted."""
+    calls, peeling = [], []
+    peel, separate = _structure._peel_order, _structure._separating_functional
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting_peel(beliefs):
+        peeling.append(beliefs)
+        try:
+            return peel(beliefs)
+        finally:
+            peeling.pop()
 
-    monkeypatch.setattr(_lp, "feasible_point", counting)
+    def counting_separate(target, earlier):
+        if peeling:
+            calls.append(target)
+        return separate(target, earlier)
+
+    monkeypatch.setattr(_structure, "_peel_order", counting_peel)
+    monkeypatch.setattr(_structure, "_separating_functional", counting_separate)
     return calls
 
 
@@ -82,7 +94,7 @@ def _two_action_case():
     return game, game.bce_polytope.optimum(objective)[0], Rat(1, 10)
 
 
-# (case, hull-membership LPs).  Each player of the 3x3 game has three
+# (case, separating LPs run to order the chain).  Each player of the 3x3 game has three
 # supported actions, two of them with one belief.  Of the three collinear
 # beliefs, the first is a vertex, which one LP shows; the two left are both
 # vertices.
@@ -104,9 +116,47 @@ HULL_LPS = {
 
 
 @pytest.mark.parametrize("name", sorted(HULL_LPS))
-def test_hull_lps_only_for_three_or_more_beliefs(feasible_point_calls, name):
+def test_hull_lps_only_for_three_or_more_beliefs(peel_lps, name):
     make, expected = HULL_LPS[name]
     game, outcome, epsilon = make()
     assert not is_separated(game, outcome)
     separating_perturbation(game, outcome, epsilon)
-    assert len(feasible_point_calls) == expected
+    assert len(peel_lps) == expected
+
+
+def _posteriors(rows):
+    return [[Rat(x, sum(row)) for x in row] for row in rows]
+
+
+def test_peel_skips_a_first_belief_inside_the_hull():
+    # (1/2, 1/2) is the midpoint of the other two: its best margin is 0.
+    rows = [[1, 1], [2, 0], [0, 2]]
+    assert _separating_functional(rows[0], rows[1:]) is None
+    assert _peel_order(rows) == ref._peel_order(_posteriors(rows)) == [2, 0, 1]
+
+
+@st.composite
+def belief_rows(draw):
+    """Three or more distinct primitive int mass rows, some of them
+    positive combinations (so posteriors in the hull) of drawn ones, in a
+    drawn order."""
+    dim = draw(st.integers(2, 4))
+    entry = st.integers(0, 4)
+    base = draw(
+        st.lists(
+            st.lists(entry, min_size=dim, max_size=dim).filter(any), min_size=2, max_size=4
+        )
+    )
+    weight = st.integers(1, 3)
+    for _ in range(draw(st.integers(1, 3))):
+        u, v = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        a, b = draw(weight), draw(weight)
+        base.append([a * x + b * y for x, y in zip(u, v)])
+    rows = list(dict.fromkeys(tuple(_rows.primitive(row)) for row in base))
+    assume(len(rows) >= 3)
+    return [list(row) for row in draw(st.permutations(rows))]
+
+
+@given(belief_rows())
+def test_peel_order_matches_hull_membership(rows):
+    assert _peel_order(rows) == ref._peel_order(_posteriors(rows))
