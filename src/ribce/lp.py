@@ -176,14 +176,14 @@ class LinearProgram:
         for con in self.constraints:
             if not isinstance(con, Constraint):
                 con = Constraint(*con)
-            for v in con.coeffs:
-                if v not in declared:
-                    raise ValidationError(f"constraint references unknown variable {v!r}")
+            if not declared.issuperset(con.coeffs):
+                v = next(v for v in con.coeffs if v not in declared)
+                raise ValidationError(f"constraint references unknown variable {v!r}")
             normalized.append(con)
         self.constraints = normalized
-        for v in self.bounds:
-            if v not in declared:
-                raise ValidationError(f"bound on unknown variable {v!r}")
+        if not declared.issuperset(self.bounds):
+            v = next(v for v in self.bounds if v not in declared)
+            raise ValidationError(f"bound on unknown variable {v!r}")
 
 
 @dataclass
@@ -581,11 +581,11 @@ class _Tableau:
                         enter = j
                         break
             else:
-                best = 0
-                for j in range(n):
-                    if cost[j] < best:
-                        best = cost[j]
-                        enter = j
+                # An empty program has no column to price: (0,) lets none
+                # enter, at less cost than min's ``default`` keyword.
+                best = min(cost[:n] or (0,))
+                if best < 0:
+                    enter = cost.index(best)
             if enter < 0:
                 return OPTIMAL
             # Ratio test: rhs / a is scale-free; compare rhs_r / a_r against

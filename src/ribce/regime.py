@@ -17,8 +17,14 @@ an ``lp.IntRow``: one int product per entry over the row's common
 denominator, with no ``Rat`` made, so the rows cost little next to the LPs
 they feed.  One space serves every program over a game: ``regime_space``
 builds the regime's, which ``cli`` passes to both worst-case objectives, and
-each obedience row is built at most once per space.  The full game
-(``build_regime_game``) has 2^n profiles and is refused above
+each obedience row is built at most once per space.  A space also keeps one
+worst-case program and its phase 1, built on first use
+(``CountSpace.program`` and ``CountSpace.feasible``), and
+``reduced_symmetric_lp`` optimizes both objectives over them: the
+uninformed-welfare objective on the program a cold solve would run, and the
+gross objective on the same rows, whose epigraph variable is free and left
+out of it, so the value is that of the rows without the epigraph ones.  The
+full game (``build_regime_game``) has 2^n profiles and is refused above
 ``MAX_REGIME_PLAYERS``.
 
 The full check solves nothing on the full game.  By symmetry (Bödi, Herr &
@@ -26,11 +32,15 @@ Joswig, Math. Prog. 2013) a count-space optimum and its duals lift to an
 optimal primal-dual pair of the full game's programs: ``lift_to_full_game``
 spreads the kernel over the profiles (``kernel_to_outcome``) and divides
 each count row's dual by pi(theta) or n, and ``certify_full_game`` proves
-the pair on the full rows with ``lp.check_certificate``.
+the pair on the full rows with ``lp.check_certificate``.  The gross answer's
+epigraph duals are 0 at any optimum (the epigraph variable is free at cost
+0), so its normalization and obedience duals alone prove the full gross
+program.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 from math import comb, lcm
 
@@ -260,6 +270,28 @@ class CountSpace:
             rows.append((_lp.IntRow(nums, den), _lp.GREATER, ZERO))
         return rows
 
+    @cached_property
+    def program(self) -> _lp.LinearProgram:
+        """The worst-case program of the space, with no objective: the
+        (m, theta) variables and EPIGRAPH, under the normalization rows in
+        state order, obedience(1) and obedience(0) >= 0, and the epigraph
+        rows of actions 0 and 1.  Built on first use and kept."""
+        return _lp.LinearProgram(
+            variables=self.variables + (EPIGRAPH,),
+            objective={},
+            constraints=self.constraints
+            + [(self.obedience(1), _lp.GREATER, ZERO), (self.obedience(0), _lp.GREATER, ZERO)]
+            + self.epigraph(),
+            bounds=self.bounds,
+        )
+
+    @cached_property
+    def feasible(self) -> _lp.Polyhedron:
+        """``program``'s phase 1 (``lp.phase_one``), built on first use and
+        kept for every objective over it."""
+        program = self.program
+        return _lp.phase_one(program.variables, program.constraints, program.bounds)
+
 
 def _payoff(params: RegimeParams):
     """u(own, attackers, theta): an investor's payoff from attacking (own 1)
@@ -370,9 +402,12 @@ def gap_closed_form(params: RegimeParams) -> bool:
 
 class CountOptimum(tuple):
     """``(value, kernel)``, the answer of ``reduced_symmetric_lp``, which
-    also keeps its ``objective``, the count-space program (``lp``) and the
+    also keeps its ``objective``, the count-space program (``lp``: the
+    space's one ``CountSpace.program`` under this objective) and the
     solver's answer to it (``solution``), so that ``certify_full_game`` reads
-    the one solve."""
+    the one solve.  For ``GROSS_WELFARE`` the program carries the epigraph
+    rows and EPIGRAPH too; they leave its value alone, and their duals are 0
+    (EPIGRAPH is free at cost 0, so mu_0 + mu_1 = 0 with mu >= 0)."""
 
     def __new__(cls, objective, lp, solution, kernel):
         self = super().__new__(cls, (solution.value, kernel))
@@ -397,38 +432,28 @@ def reduced_symmetric_lp(
     optimum equals the full-game optimum because both worst-case programs
     admit symmetric minimizers (``certify_full_game`` proves it per answer).
     ``space`` is ``regime_space(params)``, built here if not given; pass one
-    to both objectives to build it once.  The program's rows are the
-    normalization per state, in threshold order, then obedience(1),
-    obedience(0) and, for ``UNINFORMED_WELFARE``, the epigraph rows of
-    actions 0 and 1.  Returns (value, CountKernel) as a ``CountOptimum``.
+    to both objectives to build it, its program and its phase 1 once.  Both
+    objectives are optimized over the space's one program
+    (``CountSpace.program``), on its one phase 1 (``CountSpace.feasible``):
+    the normalization per state, in threshold order, then obedience(1),
+    obedience(0) and the epigraph rows of actions 0 and 1.  For
+    ``UNINFORMED_WELFARE`` that is the program a cold ``lp.solve`` would
+    run, with the same pivots and kernel.  For ``GROSS_WELFARE`` EPIGRAPH
+    is free and absent from the objective, so every kernel extends to a
+    feasible point and the value is that of the program without the
+    epigraph rows.  Returns (value, CountKernel) as a ``CountOptimum``.
     """
     if objective not in (GROSS_WELFARE, UNINFORMED_WELFARE):
         raise InvalidParams(f"unknown objective {objective!r}")
     if space is None:
         space = regime_space(params)
-    constraints = space.constraints + [
-        (space.obedience(1), _lp.GREATER, ZERO),
-        (space.obedience(0), _lp.GREATER, ZERO),
-    ]
-    if objective == GROSS_WELFARE:
-        variables, obj = space.variables, space.gross()
-    else:
-        variables = space.variables + (EPIGRAPH,)
-        constraints += space.epigraph()
-        obj = {EPIGRAPH: Rat(params.n)}
-    lp = _lp.LinearProgram(
-        variables=variables,
-        objective=obj,
-        sense="min",
-        constraints=constraints,
-        bounds=space.bounds,
-    )
-    sol = _lp.solve(lp)
+    obj = space.gross() if objective == GROSS_WELFARE else {EPIGRAPH: Rat(params.n)}
+    sol = space.feasible.optimize(obj)
     if not sol.is_optimal:
         raise InternalInvariantError(f"reduced LP is {sol.status}")
     nums, den = sol.point.nums, sol.point.den
     kernel = CountKernel(n=params.n, q={v: Rat(x, den) for v in space.variables if (x := nums[v])})
-    return CountOptimum(objective, lp, sol, kernel)
+    return CountOptimum(objective, replace(space.program, objective=obj), sol, kernel)
 
 
 def lift_to_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGame):
@@ -447,7 +472,9 @@ def lift_to_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGam
     each full column's reduced cost is then its count column's over
     pi(theta), and b·y is the count value: by symmetry the pair is optimal
     whenever the count-space pair is (Bödi, Herr & Joswig, Math. Prog.
-    2013), which ``lp.check_certificate`` decides on the full rows.
+    2013), which ``lp.check_certificate`` decides on the full rows.  For
+    ``GROSS_WELFARE`` the epigraph duals of the count program are 0 and
+    are not read.
     """
     # welfare reads this module's count space, so it is imported here.
     from .welfare import epigraph_lp, gross_objective

@@ -197,6 +197,13 @@ def _distinct_witness(game: BaseGame, player, a, b, vertices):
     )
 
 
+def _require_retries(retries):
+    """Raise ``ValidationError`` unless ``retries`` is an int (not a bool)
+    and nonnegative: ``range`` of a negative count runs no retry."""
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise ValidationError(f"retries must be a nonnegative int, not {retries!r}")
+
+
 def find_minimally_mixed(
     game: BaseGame,
     retries: int = 64,
@@ -208,8 +215,10 @@ def find_minimally_mixed(
     Exact mode enumerates the BCE vertices, decides realizability of each
     pair by the extreme-point test, and mixes witnesses into the candidate
     until every realizable pair is realized; the result is verified.  The
-    randomized mode perturbs the maximal-support point with random
-    optimizer outputs and only guarantees maximal support.
+    randomized mode perturbs the maximal-support point with ``retries``
+    random optimizer outputs and only guarantees maximal support; it raises
+    ``ValidationError`` when ``retries`` is not an int (a bool is not one)
+    or is negative.
     """
     if mode == EXACT:
         vertices = bce_vertices(game)
@@ -233,6 +242,7 @@ def find_minimally_mixed(
 
     if mode != RANDOMIZED:
         raise ValidationError(f"unknown mode {mode!r}")
+    _require_retries(retries)
     rng = random.Random(seed)
     poly = game.bce_polytope
     cand = max_support_point(game)
@@ -336,7 +346,9 @@ def classify_density(
     sharing a jeopardizing action, certifying nowhere-density.  NowhereDense
     witnesses are complete proofs in both modes; the Dense verdict relies on
     verified minimal mixing in exact mode only.  The search runs on the
-    game's ``bce_polytope``; the verdict's ``verify`` builds its own.
+    game's ``bce_polytope``; the verdict's ``verify`` builds its own.  In
+    randomized mode a ``retries`` that is negative or not an int raises
+    ``ValidationError`` (``find_minimally_mixed``).
     """
     cand = find_minimally_mixed(game, retries, seed, mode)
     cand = _reduce_best_responses(game, cand)

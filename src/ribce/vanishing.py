@@ -29,7 +29,7 @@ from .games import BaseGame, Outcome, mass_parts, payoffs_by_group, validate_out
 from .rational import ONE, ZERO, Rat
 from .representation import PartitionProfile, belief_partition
 from .separation import is_sbce
-from .structure import DENSE, EXACT, RANDOMIZED, classify_density, jeopardizes
+from .structure import DENSE, EXACT, RANDOMIZED, _require_retries, classify_density, jeopardizes
 
 IS_VCE = "is_vce"
 NOT_VCE = "not_vce"
@@ -218,13 +218,16 @@ def check_vce(
     obstruction gives NotVce.  For complete-information Nash outcomes a Dense
     classification (or an explicit sBCE within ``epsilon`` built by mixing
     toward the minimally mixed candidate) gives IsVce.  Everything else is
-    honestly Undetermined.  An inexact or non-positive ``epsilon``, or an
-    inexact certificate weight or witness distance, raises ``ValidationError``.
+    honestly Undetermined.  An inexact or non-positive ``epsilon``, an
+    inexact certificate weight or witness distance, or, in randomized mode,
+    a ``retries`` that is negative or not an int raises ``ValidationError``.
     """
     if _lp._inexact(epsilon):
         raise ValidationError(f"epsilon must be an exact rational: {epsilon!r}")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    if mode == RANDOMIZED:
+        _require_retries(retries)
     validate_outcome(game, outcome)
     if certificate is not None:
         named = [(f"certificate weights[{k}]", w) for k, w in enumerate(certificate.weights)]

@@ -6,10 +6,13 @@ draws relations, bounds and objective freely (all three statuses occur);
 ``redundant_lp`` adds an equality implied by two others, so phase 1 drops
 a row; ``infeasible_lp`` contains two contradicting rows; ``unbounded_lp``
 has a recession direction that the objective improves along.
+
+``beale_lp`` is Beale's cycling example, and ``gross_count_program`` the
+exogenous worst case of a regime count space on its own rows.
 """
 
 from ribce.lp import EQUAL, GREATER, LESS, Constraint, LinearProgram
-from ribce.rational import Rat
+from ribce.rational import ZERO, Rat
 
 
 def _q(rng, span=5):
@@ -115,3 +118,32 @@ FAMILIES = {
     "infeasible": infeasible_lp,
     "unbounded": unbounded_lp,
 }
+
+
+def beale_lp():
+    """Beale's example (1955), on which Dantzig pricing with a textbook
+    leaving rule cycles from the slack basis: its optimum is -5/4 at
+    x4 = x6 = 1."""
+    variables = ("x4", "x5", "x6", "x7")
+    constraints = [
+        Constraint({"x4": Rat(1, 4), "x5": Rat(-8), "x6": Rat(-1), "x7": Rat(9)}, LESS, ZERO),
+        Constraint({"x4": Rat(1, 2), "x5": Rat(-12), "x6": Rat(-1, 2), "x7": Rat(3)}, LESS, ZERO),
+        Constraint({"x6": Rat(1)}, LESS, Rat(1)),
+    ]
+    objective = {"x4": Rat(-3, 4), "x5": Rat(20), "x6": Rat(-1, 2), "x7": Rat(6)}
+    bounds = {v: (ZERO, None) for v in variables}
+    return LinearProgram(variables, objective, "min", constraints, bounds)
+
+
+def gross_count_program(space):
+    """The exogenous worst case over a ``regime.CountSpace`` on its own
+    rows: the (m, theta) variables, the normalization rows, obedience(1)
+    and obedience(0) >= 0, and ``space.gross()`` to minimize, with neither
+    EPIGRAPH nor the epigraph rows of ``CountSpace.program``."""
+    obedience = [(space.obedience(rec), GREATER, ZERO) for rec in (1, 0)]
+    return LinearProgram(
+        variables=space.variables,
+        objective=space.gross(),
+        constraints=space.constraints + obedience,
+        bounds=space.bounds,
+    )

@@ -256,7 +256,8 @@ def test_cli_golden_bytes(files, capsys, name):
 
 # (BCE polytopes built, phase 1 runs) per job.  Each polytope runs phase 1
 # at most once.  The other phase 1 runs are the epigraph LP of the
-# inattention worst case and the two count-space LPs of ``regime``; exact-mode
+# inattention worst case and the one count-space program of ``regime``,
+# which serves both of its objectives; exact-mode
 # vertex enumeration of the never-empty BCE polytope runs none.  A
 # NowhereDense verdict re-derives its own polytope in ``DensityVerdict.verify``.
 # ``regime --full-check`` builds the full game's polytope for its rows and
@@ -270,7 +271,7 @@ BUILT_ONCE = {
     "vce_3x3_p_half": (1, 1),
     "vce_tie": (1, 1),
     "vce_tie_exact": (1, 1),
-    "regime_n6_full_check": (1, 2),
+    "regime_n6_full_check": (1, 1),
 }
 
 
@@ -454,6 +455,28 @@ def test_game_maps_that_are_a_list_exit_2(capsys, tmp_path, edit, field):
     assert "schema_violation" in err and f"{field} must be an object" in err
 
 
+# A negative retry count would run no retry and be echoed as given; a
+# randomized density search refuses it, and so does a randomized ``vce``
+# that decides without one (``p_half`` is NotVce).  Every such command
+# exits 2.  Zero retries stays valid.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "game3x3"),
+        ("analyze", "perturbed_intro", "inferior"),
+        ("vce", "tie_game", "tie_nash"),
+        ("vce", "game3x3", "p_half"),
+    ],
+)
+def test_negative_retries_exit_2(files, capsys, argv):
+    argv = [str(files[a]) if a in files else a for a in argv]
+    code, out, err = _run(capsys, *argv, "--retries", "-3")
+    assert code == 2 and out == ""
+    assert err == "error[validation]: retries must be a nonnegative int, not -3\n"
+    code, out, _ = _run(capsys, *argv, "--retries", "0")
+    assert code == 0 and '"retries": 0' in out
+
+
 @pytest.mark.parametrize(
     "outcome, field",
     [
@@ -609,18 +632,19 @@ def test_regime_full_check_too_large_exits_at_once(monkeypatch, capsys):
 
 
 def test_regime_full_check_exits_1_when_a_count_value_is_wrong(monkeypatch, capsys):
-    # The count-space gross LP (its variables are (count, state) pairs)
-    # answers 1/1000 above its optimum.  Its printed value would then differ
-    # from the full game's; the full check refuses to certify it.
-    solve = lp.solve
+    # The count program's gross optimum (its objective is over (count,
+    # state) pairs, the uninformed one over EPIGRAPH) comes out 1/1000 above
+    # the true optimum.  Its printed value would then differ from the full
+    # game's; the full check refuses to certify it.
+    optimize = lp.Polyhedron.optimize
 
-    def off(program, rule="dantzig"):
-        sol = solve(program, rule)
-        if all(isinstance(v[0], int) for v in program.variables):
+    def off(poly, objective, sense="min"):
+        sol = optimize(poly, objective, sense)
+        if all(isinstance(v[0], int) for v in objective):
             sol = dataclasses.replace(sol, value=sol.value + Rat(1, 1000))
         return sol
 
-    monkeypatch.setattr(lp, "solve", off)
+    monkeypatch.setattr(lp.Polyhedron, "optimize", off)
     code, out, err = _run(capsys, *CLI_GOLDEN["regime_n6_full_check"])
     assert code == 1 and out == ""
     assert err == "error[internal]: objective value mismatch\n"

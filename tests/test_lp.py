@@ -21,7 +21,7 @@ from sample_games import (
     random_game,
     random_symmetric_binary_game,
 )
-from sample_lps import FAMILIES
+from sample_lps import FAMILIES, beale_lp
 
 
 def test_max_with_upper_bound():
@@ -545,6 +545,33 @@ def test_optimize_rejects_what_linear_program_rejects(objective, sense, message)
     with pytest.raises(ValidationError, match=f"^{message}"):
         region.optimize(objective, sense)
     assert region.optimize({"x": Rat(1)}, "max").value == 3
+
+
+def test_unknown_variables_are_named_first_in_key_order():
+    rows = [({"x": Rat(1), "z": Rat(1), "y": Rat(1)}, "<=", Rat(3))]
+    with pytest.raises(ValidationError, match="^constraint references unknown variable 'z'$"):
+        LinearProgram(variables=("x",), objective={}, constraints=rows)
+    bounds = {"x": (ZERO, None), "w": (ZERO, None), "v": (ZERO, None)}
+    with pytest.raises(ValidationError, match="^bound on unknown variable 'w'$"):
+        LinearProgram(variables=("x",), objective={}, bounds=bounds)
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+def test_beale_cycling_example_terminates(monkeypatch, rule):
+    """Beale's example (1955) cycles under Dantzig pricing when phase 2
+    starts from the slack basis.  Phase 1 here starts from the artificial
+    basis and hands phase 2 another one, and either rule reaches the optimum
+    in fewer pivots than ``_STALL_LIMIT`` (5 under Dantzig pricing, 6 under
+    Bland's rule): the stall fallback to Bland's rule does not engage."""
+    pivots = []
+    pivot = _lp._Tableau.pivot
+    monkeypatch.setattr(_lp._Tableau, "pivot", lambda tab, r, j: pivots.append(j) or pivot(tab, r, j))
+    program = beale_lp()
+    sol = solve(program, rule)
+    assert len(pivots) == {"dantzig": 5, "bland": 6}[rule] < _lp._STALL_LIMIT
+    assert sol.is_optimal and sol.value == Rat(-5, 4)
+    assert dict(sol.point) == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
+    assert sol.verify(program)
 
 
 def test_phase_one_rejects_bad_input():

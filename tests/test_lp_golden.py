@@ -1,8 +1,9 @@
 """The solver's answers, pinned.
 
 ``golden/lp_answers.json`` holds ``(status, basis, dropped_rows, value,
-point)`` for the regime game at n=6, x=1/10 (its two count-space LPs, then
-the full game's two worst cases, as ``welfare_report`` solves them), for
+point)`` for the regime game at n=6, x=1/10 (in count space, the
+uninformed-welfare program and the gross program on its own rows, then the
+full game's two worst cases, as ``welfare_report`` solves them), for
 the LPs behind the investment game's two worst cases, and for 60 seeded
 random LPs under both pivot rules.  The simplex is deterministic, and its
 tableau may only change how rows are scaled, never which pivot it takes, so
@@ -18,7 +19,6 @@ from ribce import lp as _lp
 from ribce.bce import BcePolytope
 from ribce.rational import Rat
 from ribce.regime import (
-    GROSS_WELFARE,
     UNINFORMED_WELFARE,
     RegimeParams,
     build_regime_game,
@@ -28,7 +28,7 @@ from ribce.regime import (
 from ribce.welfare import welfare_report, worst_case_exogenous, worst_case_rational_inattention
 
 from sample_games import investment_game
-from sample_lps import FAMILIES
+from sample_lps import FAMILIES, gross_count_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "lp_answers.json"
 REGIME = RegimeParams(
@@ -64,17 +64,20 @@ def _lps_solved_by(run):
 
 
 def _regime_full_check():
-    """The count-space LPs, then the full game's worst cases, in that order."""
+    """The count space's uninformed-welfare program (the rational-inattention
+    answer's ``CountOptimum.lp``) and its gross program on its own rows
+    (``gross_count_program``), then the full game's worst cases, in that
+    order."""
     space = regime_space(REGIME)
-    reduced_symmetric_lp(REGIME, UNINFORMED_WELFARE, space)
-    reduced_symmetric_lp(REGIME, GROSS_WELFARE, space)
-    welfare_report(build_regime_game(REGIME))
+    uninformed = reduced_symmetric_lp(REGIME, UNINFORMED_WELFARE, space)
+    full = _lps_solved_by(lambda: welfare_report(build_regime_game(REGIME)))
+    return [uninformed.lp, gross_count_program(space), *full]
 
 
 def _programs():
     """(name, lp, rule) for every pinned solve."""
     out = []
-    for k, lp in enumerate(_lps_solved_by(_regime_full_check)):
+    for k, lp in enumerate(_regime_full_check()):
         out.append((f"regime-full-check/{k}", lp, "dantzig"))
     game = investment_game(Rat(1, 10))
     worst_cases = lambda: (worst_case_exogenous(game), worst_case_rational_inattention(game))

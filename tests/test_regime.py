@@ -43,6 +43,7 @@ from ribce.welfare import (
 )
 from row_reference import assert_same_row
 from sample_games import random_symmetric_binary_game
+from sample_lps import gross_count_program
 
 
 def _params(n=4, k=Rat(1, 2), x=Rat(1), thresholds=(2,), prior=None):
@@ -488,6 +489,51 @@ def test_certified_full_game_values_equal_the_full_solve(params):
     report = welfare_report(build_regime_game(params))
     assert certify_full_game(params, gross, game) == report.w_exogenous
     assert certify_full_game(params, uninformed, game) == report.w_inattention
+
+
+def _random_params(rng):
+    n = rng.randint(4, 6)
+    thresholds = sorted(rng.sample(range(2, n - 1), min(rng.randint(1, 2), n - 3)))
+    k_den = rng.randint(2, 9)
+    weights = [rng.randint(1, 5) for _ in thresholds]
+    return RegimeParams(
+        n=n,
+        k=Rat(rng.randint(1, k_den - 1), k_den),
+        x=Rat(rng.randint(1, 9), rng.randint(1, 9)),
+        thresholds=tuple(thresholds),
+        prior={t: Rat(w, sum(weights)) for t, w in zip(thresholds, weights)},
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_count_space_matches_the_full_game_and_the_standalone_programs(seed):
+    params = _random_params(random.Random(f"count-vs-full-{seed}"))
+    space = regime_space(params)
+    uninformed = reduced_symmetric_lp(params, UNINFORMED_WELFARE, space)
+    gross = reduced_symmetric_lp(params, GROSS_WELFARE, space)
+    game = build_regime_game(params)
+    assert gross.value == worst_case_exogenous(game)[0]
+    assert uninformed.value == worst_case_rational_inattention(game)[0]
+    # The gross program on its own rows, without EPIGRAPH and the epigraph
+    # rows, has the same optimum.
+    assert gross.value == lp.solve(gross_count_program(space)).value
+    # The free epigraph variable at cost 0 leaves both epigraph duals 0.
+    assert gross.solution.duals(gross.lp)[-2:] == (ZERO, ZERO)
+    # The uninformed answer is a cold solve's of the program on these rows,
+    # in this order.
+    obedience = [(space.obedience(rec), lp.GREATER, ZERO) for rec in (1, 0)]
+    program = lp.LinearProgram(
+        variables=space.variables + (EPIGRAPH,),
+        objective={EPIGRAPH: Rat(params.n)},
+        constraints=space.constraints + obedience + space.epigraph(),
+        bounds=space.bounds,
+    )
+    assert uninformed.lp == program
+    cold = lp.solve(program)
+    assert uninformed.solution.basis == cold.basis
+    assert uninformed.kernel == CountKernel(
+        n=params.n, q={v: x for v in space.variables if (x := cold.point[v])}
+    )
 
 
 def _n6_params():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -247,6 +248,17 @@ def test_randomized_candidate_support_is_seed_independent():
         out = find_minimally_mixed(g3, seed=seed, retries=6)
         supports.add(tuple(out.beliefs(g3)[i].support for i in g3.players))
     assert len(supports) == 1
+
+
+@pytest.mark.parametrize("retries", [-3, -1, True, 2.0, "8"])
+def test_randomized_search_refuses_a_retries_count_that_is_not_a_nonnegative_int(retries):
+    g3 = coordination_game_3x3()
+    message = "^" + re.escape(f"retries must be a nonnegative int, not {retries!r}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        find_minimally_mixed(g3, retries=retries)
+    with pytest.raises(ValidationError, match=message):
+        classify_density(g3, retries=retries)
+    assert classify_density(g3, retries=0).mode["retries"] == 0
 
 
 def test_density_search_shares_one_phase_one(phase_one_calls):
