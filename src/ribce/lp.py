@@ -2,17 +2,21 @@
 
 Two-phase dense simplex, exact throughout.  Everything downstream
 (obedience polytopes, worst-case welfare, jeopardization, separating
-hyperplanes, garbling feasibility) reduces to ``phase_one`` and
-``Polyhedron.optimize``.
+hyperplanes, garbling feasibility, the regime count programs) reduces to
+``phase_one`` or ``Polyhedron.from_basis``, then ``Polyhedron.optimize``.
 
 The simplex is split where it first reads the objective.  ``phase_one``
 reads only the constraints and bounds: it writes the standard form, runs
 phase 1, drives the artificials out and drops redundant rows, and keeps the
-feasible tableau in a ``Polyhedron``.  ``Polyhedron.optimize`` writes the
+feasible tableau in a ``Polyhedron``.  ``Polyhedron.from_basis`` builds the
+same tableau from a basis the caller proposes, pivoted in fraction-free and
+checked exactly (one column per row, B nonsingular, B⁻¹b >= 0), and runs
+phase 1 only when a check fails.  ``Polyhedron.optimize`` writes the
 objective row, runs phase 2 on a copy of that tableau and reads out the
-point, so one phase 1 serves every objective over the same constraints and
-each answer is the one a cold solve gives.  ``solve`` is
-``phase_one(...).optimize(...)``.
+point, so one start serves every objective over the same constraints.  From
+phase 1's tableau each answer is the one a cold solve gives; from a proposed
+basis it has a cold solve's status and value, at an optimal vertex that may
+differ.  ``solve`` is ``phase_one(...).optimize(...)``.
 
 A coefficient row is any mapping from variable to exact rational.  The
 row builders (``regime.CountSpace``, ``bce.obedience_row``,
@@ -44,7 +48,8 @@ or as a mapping of exact rationals.
 Certificates are on demand.  ``LpSolution.duals(lp)`` is the one dual
 computation: one exact dual per constraint of an optimal answer, read off
 the reduced costs of the artificial columns once the basis is pivoted,
-fraction-free, into a fresh standard form that keeps them.  Nothing in
+fraction-free, into a fresh standard form that keeps them (``_pivot_in``,
+which also pivots a proposed basis in for ``from_basis``).  Nothing in
 ``solve``, ``phase_one`` or ``optimize`` computes them.  ``check_certificate``
 is the one optimality check: it proves a point and duals optimal for a
 program on its own rows, in one int pass over the nonzero entries: bounds,
@@ -82,7 +87,12 @@ _STALL_LIMIT = 40
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-FEASIBLE = "feasible"  # a Polyhedron's status when phase 1 found a point
+FEASIBLE = "feasible"  # a Polyhedron's status when it has a feasible basis
+
+
+def _check_rule(rule):
+    if rule not in ("dantzig", "bland"):
+        raise ValidationError(f"unknown pivot rule {rule!r}")
 
 
 def _check_objective(declared, objective, sense):
@@ -228,20 +238,9 @@ class LpSolution:
             raise ValidationError(f"duals need an optimal answer, not an {self.status} one")
         cols, rows, terms, shifts = _standard_form(lp)
         n = len(cols)
-        index = {label: j for j, label in enumerate(cols)}
-        try:
-            bjs = [index[label] for label in self.basis]
-        except KeyError as exc:
-            raise InternalInvariantError(f"unknown basis column {exc}") from exc
         dropped = set(self.dropped_rows)
         free = [r for r in range(len(rows)) if r not in dropped] + sorted(dropped)
-        tab = _Tableau(rows, n + len(rows), [None] * len(rows))
-        for bj in bjs:
-            r = next((r for r in free if tab.T[r][bj]), None)
-            if r is None:
-                raise InternalInvariantError("singular basis matrix")
-            free.remove(r)
-            tab.pivot(r, bj)
+        tab, free = _pivot_in(rows, n + len(rows), cols, self.basis, free)
         if any(any(tab.T[r][:n]) for r in free):
             raise InternalInvariantError("basis does not match surviving rows")
         keep = [r for r in range(tab.m) if tab.basis[r] is not None]
@@ -613,20 +612,100 @@ class _Tableau:
                     stall = 0
 
 
+def _pivot_in(rows, n, cols, basis, free):
+    """Pivot the columns labelled ``basis`` into the int standard-form
+    ``rows`` (``n`` columns and the rhs), fraction-free, one pivot per label
+    in order, each on the first row of ``free`` not yet taken that is
+    nonzero in its column.  Returns the tableau, whose basic entries are
+    positive, and the rows left free, in order.  A label that names no
+    column of ``cols`` raises InternalInvariantError "unknown basis column",
+    and one that no free row holds (a repeated or dependent column)
+    "singular basis matrix"."""
+    index = {label: j for j, label in enumerate(cols)}
+    try:
+        bjs = [index[label] for label in basis]
+    except KeyError as exc:
+        raise InternalInvariantError(f"unknown basis column {exc}") from exc
+    free = list(free)
+    tab = _Tableau(rows, n, [None] * len(rows))
+    for bj in bjs:
+        r = next((r for r in free if tab.T[r][bj]), None)
+        if r is None:
+            raise InternalInvariantError("singular basis matrix")
+        free.remove(r)
+        tab.pivot(r, bj)
+    return tab, free
+
+
 class Polyhedron:
-    """The constraints and bounds of a program after phase 1, ready to be
-    optimized under any objective (built by ``phase_one``).
+    """The constraints and bounds of a program with a feasible basis, ready
+    to be optimized under any objective.  ``phase_one`` builds one by phase
+    1 from the artificial basis, ``from_basis`` from a basis the caller
+    proposes.
 
     ``status`` is ``FEASIBLE`` or ``INFEASIBLE``.  The feasible tableau over
     the structural columns, its basis and the dropped rows are stored once
-    and never changed: ``optimize`` runs phase 2 on a copy, so it makes the
-    pivots, and gives the answer, of a cold ``solve`` with that objective.
-    So is the base point every read-out starts from: each variable at its
-    lower bound, else at its upper bound, else at zero, as int numerators
-    over one denominator.
+    and never changed: ``optimize`` runs phase 2 on a copy, so from phase
+    1's basis it makes the pivots, and gives the answer, of a cold ``solve``
+    with that objective, and from a proposed basis an answer with a cold
+    solve's status and value.  So is the base point every read-out starts
+    from: each variable at its lower bound, else at its upper bound, else at
+    zero, as int numerators over one denominator.
     """
 
     def __init__(self, lp: LinearProgram, rule: str):
+        rows = self._start(lp, rule)
+        if rows is not None:
+            self._phase_one(rows)
+
+    @classmethod
+    def from_basis(cls, program: LinearProgram, basis, rule: str = "dantzig") -> "Polyhedron":
+        """The polyhedron of ``program``'s constraints and bounds, started
+        from ``basis``, with no phase 1 when the proposal passes three exact
+        checks.  ``basis`` holds one standard-form column label per row, as
+        ``LpSolution.basis`` does: ``("lo", v)`` or ``("hi", v)`` for a
+        variable measured from its lower or upper bound, ``("pos", v)`` or
+        ``("neg", v)`` for a part of a free one, and ``("slack", r)`` for
+        the slack of inequality row r, the rows being the constraints in
+        order, then ``v <= hi`` for each doubly bounded variable.
+
+        The proposed columns are pivoted into the standard form,
+        fraction-free, one pivot per label on the first free row that is
+        nonzero in its column (``LpSolution.duals`` pivots a basis the same
+        way).  The proposal is accepted if every label names a column and
+        there is one per row, if every pivot finds a row, so that B is
+        nonsingular, and if every rhs is then >= 0, so that B⁻¹b >= 0,
+        decided on ints.  An accepted start drops no row.  Otherwise phase 1
+        runs, as in ``phase_one``: a wrong proposal costs time, never an
+        answer.  ``program`` is taken as it is, its objective unread, and
+        ``rule`` is as in ``phase_one``.  (Bixby, "Implementing the simplex
+        method: the initial basis", ORSA J. Comput. 1992.)"""
+        _check_rule(rule)
+        self = cls.__new__(cls)
+        rows = self._start(program, rule)
+        if rows is None:
+            return self
+        n = len(self._cols)
+        if len(basis) == len(rows):
+            structural = [row[:n] + row[-1:] for row in rows]
+            try:
+                tab, _ = _pivot_in(structural, n, self._cols, basis, range(len(rows)))
+            except InternalInvariantError:
+                tab = None
+            # Each basic entry is positive, so B⁻¹b >= 0 is every rhs >= 0.
+            if tab is not None and all(row[n] >= 0 for row in tab.T):
+                self.status = FEASIBLE
+                self._dropped = ()
+                self._rows, self._basis = tab.T, tab.basis
+                return self
+        self._phase_one(rows)
+        return self
+
+    def _start(self, lp: LinearProgram, rule: str):
+        """Write ``lp``'s standard form and keep what every read-out needs:
+        the columns, their terms, the base point and each column's move off
+        it.  Returns the standard form's rows, or None, with status
+        ``INFEASIBLE``, when a bound pair is inconsistent."""
         self._variables = lp.variables
         self._declared = frozenset(lp.variables)
         self._rule = rule
@@ -634,15 +713,13 @@ class Polyhedron:
         std = _standard_form(lp)
         if std is None:
             self.status = INFEASIBLE
-            return
+            return None
         cols, rows, self._terms, shifts = std
         self._cols = cols
-        m = len(rows)
-        n = len(cols)
         # A basic column moves its variable by +-(its value) off the base
         # point; a slack column moves none.
         position = {v: k for k, v in enumerate(lp.variables)}
-        self._moves = [None] * n
+        self._moves = [None] * len(cols)
         for v, pairs in self._terms.items():
             for j, sign in pairs:
                 self._moves[j] = (position[v], sign)
@@ -650,11 +727,18 @@ class Polyhedron:
         self._base = [0] * len(lp.variables)
         for v, x in shifts.items():
             self._base[position[v]] = x.numerator * (den // x.denominator)
+        return rows
 
+    def _phase_one(self, rows):
+        """Phase 1 on the standard-form ``rows``, from the artificial basis:
+        sets the status and, when feasible, the tableau over the structural
+        columns, its basis and the dropped rows."""
+        n = len(self._cols)
+        m = len(rows)
         # Phase 1: minimize the sum of the artificials, which start as the basis.
         tab = _Tableau(rows, n + m, list(range(n, n + m)))
         tab.T.append(tab.cost_row([0] * n + [1] * m))
-        if tab.run(rule) != OPTIMAL:  # pragma: no cover
+        if tab.run(self._rule) != OPTIMAL:  # pragma: no cover
             raise InternalInvariantError("phase 1 cannot be unbounded")
         tab.T.pop()
         # Each basic rhs is >= 0 and its row is positively scaled.
@@ -683,7 +767,7 @@ class Polyhedron:
     def optimize(self, objective: dict, sense: str = "min") -> LpSolution:
         """Exact optimum of ``objective`` (variable -> exact rational) over
         the polyhedron, with a certified basis; ``sense`` is ``"min"`` or
-        ``"max"``.  The stored phase-1 state is left as it was."""
+        ``"max"``.  The stored feasible tableau is left as it was."""
         _check_objective(self._declared, objective, sense)
         if self._terms is None:
             return LpSolution(status=INFEASIBLE)
@@ -739,8 +823,7 @@ def phase_one(variables, constraints, bounds=None, rule: str = "dantzig") -> Pol
     ``LinearProgram`` for their form); the returned ``Polyhedron`` optimizes
     any objective over them.  ``rule`` is ``"dantzig"`` or ``"bland"`` and
     holds for both phases; any other raises ``ValidationError``."""
-    if rule not in ("dantzig", "bland"):
-        raise ValidationError(f"unknown pivot rule {rule!r}")
+    _check_rule(rule)
     lp = LinearProgram(
         variables=variables,
         objective={},

@@ -18,13 +18,16 @@ denominator, with no ``Rat`` made, so the rows cost little next to the LPs
 they feed.  One space serves every program over a game: ``regime_space``
 builds the regime's, which ``cli`` passes to both worst-case objectives, and
 each obedience row is built at most once per space.  A space also keeps one
-worst-case program and its phase 1, built on first use
-(``CountSpace.program`` and ``CountSpace.feasible``), and
-``reduced_symmetric_lp`` optimizes both objectives over them: the
-uninformed-welfare objective on the program a cold solve would run, and the
-gross objective on the same rows, whose epigraph variable is free and left
-out of it, so the value is that of the rows without the epigraph ones.  The
-full game (``build_regime_game``) has 2^n profiles and is refused above
+worst-case program and its feasible start, built on first use
+(``CountSpace.program`` and ``CountSpace.feasible``).  The program has a
+feasible basis in closed form, the kernel on which nobody attacks, so the
+start is that basis, checked exactly (``lp.Polyhedron.from_basis``), and no
+phase 1 runs unless the check fails.  ``reduced_symmetric_lp`` optimizes
+both objectives from it: the uninformed-welfare objective on the program a
+cold solve would run, with the cold solve's value, and the gross objective
+on the same rows, whose epigraph variable is free and left out of it, so the
+value is that of the rows without the epigraph ones.  The full game
+(``build_regime_game``) has 2^n profiles and is refused above
 ``MAX_REGIME_PLAYERS``.
 
 The full check solves nothing on the full game.  By symmetry (Bödi, Herr &
@@ -287,10 +290,21 @@ class CountSpace:
 
     @cached_property
     def feasible(self) -> _lp.Polyhedron:
-        """``program``'s phase 1 (``lp.phase_one``), built on first use and
-        kept for every objective over it."""
-        program = self.program
-        return _lp.phase_one(program.variables, program.constraints, program.bounds)
+        """``program``'s polyhedron, built on first use and kept for every
+        objective over it.  It starts (``lp.Polyhedron.from_basis``) from
+        the kernel on which nobody takes action 1, whose basic columns, in
+        the order of the program's rows, are q(0, theta) for each theta, the
+        slacks of obedience(1) and obedience(0), EPIGRAPH (its ``pos``
+        column) at the payoff of always playing 0, and the slack of the
+        epigraph row of action 1.  That basis is feasible whenever, with
+        nobody on action 1, playing 0 pays at least 0 and at least what
+        playing 1 pays, in expectation over the prior: in every regime game
+        staying then pays 0 and attacking -k.  For any other space the
+        exact check decides, and phase 1 runs if it fails."""
+        k = len(self._weights)
+        basis = tuple(("lo", (0, theta)) for theta in self._weights)
+        basis += (("slack", k), ("slack", k + 1), ("pos", EPIGRAPH), ("slack", k + 3))
+        return _lp.Polyhedron.from_basis(self.program, basis)
 
 
 def _payoff(params: RegimeParams):
@@ -402,17 +416,25 @@ def gap_closed_form(params: RegimeParams) -> bool:
 
 class CountOptimum(tuple):
     """``(value, kernel)``, the answer of ``reduced_symmetric_lp``, which
-    also keeps its ``objective``, the count-space program (``lp``: the
-    space's one ``CountSpace.program`` under this objective) and the
-    solver's answer to it (``solution``), so that ``certify_full_game`` reads
-    the one solve.  For ``GROSS_WELFARE`` the program carries the epigraph
-    rows and EPIGRAPH too; they leave its value alone, and their duals are 0
-    (EPIGRAPH is free at cost 0, so mu_0 + mu_1 = 0 with mu >= 0)."""
+    also keeps its ``objective``, the space's one count ``program``, the
+    objective's coefficient row (``costs``; None for the program's own
+    objective) and the solver's answer (``solution``), so that
+    ``certify_full_game`` reads the one solve.  For ``GROSS_WELFARE`` the
+    program carries the epigraph rows and EPIGRAPH too; they leave its value
+    alone, and their duals are 0 (EPIGRAPH is free at cost 0, so
+    mu_0 + mu_1 = 0 with mu >= 0)."""
 
-    def __new__(cls, objective, lp, solution, kernel):
+    def __new__(cls, objective, program, solution, kernel, costs=None):
         self = super().__new__(cls, (solution.value, kernel))
-        self.objective, self.lp, self.solution = objective, lp, solution
+        self.objective, self.program, self.solution = objective, program, solution
+        self.costs = costs
         return self
+
+    @cached_property
+    def lp(self) -> _lp.LinearProgram:
+        """The program under ``costs``, as ``LpSolution.duals`` reads it:
+        built, and its rows validated, only on first read."""
+        return self.program if self.costs is None else replace(self.program, objective=self.costs)
 
     @property
     def value(self):
@@ -432,28 +454,30 @@ def reduced_symmetric_lp(
     optimum equals the full-game optimum because both worst-case programs
     admit symmetric minimizers (``certify_full_game`` proves it per answer).
     ``space`` is ``regime_space(params)``, built here if not given; pass one
-    to both objectives to build it, its program and its phase 1 once.  Both
+    to both objectives to build it, its program and its start once.  Both
     objectives are optimized over the space's one program
-    (``CountSpace.program``), on its one phase 1 (``CountSpace.feasible``):
-    the normalization per state, in threshold order, then obedience(1),
-    obedience(0) and the epigraph rows of actions 0 and 1.  For
-    ``UNINFORMED_WELFARE`` that is the program a cold ``lp.solve`` would
-    run, with the same pivots and kernel.  For ``GROSS_WELFARE`` EPIGRAPH
-    is free and absent from the objective, so every kernel extends to a
-    feasible point and the value is that of the program without the
-    epigraph rows.  Returns (value, CountKernel) as a ``CountOptimum``.
+    (``CountSpace.program``), from its one feasible basis
+    (``CountSpace.feasible``, the kernel on which nobody attacks, checked
+    exactly), with no phase 1: the normalization per state, in threshold
+    order, then obedience(1), obedience(0) and the epigraph rows of actions
+    0 and 1.  The values are those of a cold ``lp.solve`` of the same
+    program; the kernel is an optimal one, not necessarily the cold solve's.
+    For ``GROSS_WELFARE`` EPIGRAPH is free and absent from the objective, so
+    every kernel extends to a feasible point and the value is that of the
+    program without the epigraph rows.  Returns (value, CountKernel) as a
+    ``CountOptimum``.
     """
     if objective not in (GROSS_WELFARE, UNINFORMED_WELFARE):
         raise InvalidParams(f"unknown objective {objective!r}")
     if space is None:
         space = regime_space(params)
-    obj = space.gross() if objective == GROSS_WELFARE else {EPIGRAPH: Rat(params.n)}
-    sol = space.feasible.optimize(obj)
+    costs = space.gross() if objective == GROSS_WELFARE else {EPIGRAPH: Rat(params.n)}
+    sol = space.feasible.optimize(costs)
     if not sol.is_optimal:
         raise InternalInvariantError(f"reduced LP is {sol.status}")
     nums, den = sol.point.nums, sol.point.den
     kernel = CountKernel(n=params.n, q={v: Rat(x, den) for v in space.variables if (x := nums[v])})
-    return CountOptimum(objective, replace(space.program, objective=obj), sol, kernel)
+    return CountOptimum(objective, space.program, sol, kernel, costs)
 
 
 def lift_to_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGame):

@@ -36,6 +36,32 @@ def phase_one_calls(monkeypatch):
 
 
 @pytest.fixture
+def feasible_starts(monkeypatch):
+    """A list that gets one entry per feasible start of an ``lp.Polyhedron``
+    in the test: "phase 1" for each phase 1 run, from ``phase_one`` or a
+    ``Polyhedron.from_basis`` fallback, and "basis" for each proposal that
+    ``from_basis`` accepts."""
+    starts = []
+    phase_one = _lp.Polyhedron._phase_one
+    from_basis = _lp.Polyhedron.from_basis.__func__
+
+    def counting_phase_one(self, rows):
+        starts.append("phase 1")
+        return phase_one(self, rows)
+
+    def counting_from_basis(cls, *args, **kwargs):
+        before = len(starts)
+        poly = from_basis(cls, *args, **kwargs)
+        if len(starts) == before:
+            starts.append("basis")
+        return poly
+
+    monkeypatch.setattr(_lp.Polyhedron, "_phase_one", counting_phase_one)
+    monkeypatch.setattr(_lp.Polyhedron, "from_basis", classmethod(counting_from_basis))
+    return starts
+
+
+@pytest.fixture
 def polytopes_built(monkeypatch):
     """A list that gets one entry per ``BcePolytope.of`` call in the test."""
     built = []

@@ -254,14 +254,16 @@ def test_cli_golden_bytes(files, capsys, name):
     assert out == golden.read_text()
 
 
-# (BCE polytopes built, phase 1 runs) per job.  Each polytope runs phase 1
-# at most once.  The other phase 1 runs are the epigraph LP of the
-# inattention worst case and the one count-space program of ``regime``,
-# which serves both of its objectives; exact-mode
-# vertex enumeration of the never-empty BCE polytope runs none.  A
-# NowhereDense verdict re-derives its own polytope in ``DensityVerdict.verify``.
-# ``regime --full-check`` builds the full game's polytope for its rows and
-# solves nothing on it: it checks the lifted count-space certificates.
+# (BCE polytopes built, feasible starts) per job, a start being a phase 1
+# run or a proposed basis that ``lp.Polyhedron.from_basis`` accepts.  Each
+# polytope runs phase 1 at most once.  The other starts are the epigraph LP
+# of the inattention worst case (phase 1) and the one count-space program
+# of ``regime`` (its proposed basis), which serves both of its objectives;
+# exact-mode vertex enumeration of the never-empty BCE polytope runs none.
+# A NowhereDense verdict re-derives its own polytope in
+# ``DensityVerdict.verify``.  ``regime --full-check`` builds the full game's
+# polytope for its rows and solves nothing on it: it checks the lifted
+# count-space certificates.
 BUILT_ONCE = {
     "welfare_intro": (1, 2),
     "analyze_intro": (1, 2),
@@ -276,11 +278,13 @@ BUILT_ONCE = {
 
 
 @pytest.mark.parametrize("name", sorted(BUILT_ONCE))
-def test_bce_polytope_built_once_per_job(files, capsys, polytopes_built, phase_one_calls, name):
+def test_bce_polytope_built_once_per_job(files, capsys, polytopes_built, feasible_starts, name):
     argv = [str(files[a]) if a in files else a for a in CLI_GOLDEN[name]]
     code, out, _ = _run(capsys, *argv)
     assert code == 0
-    assert (len(polytopes_built), len(phase_one_calls)) == BUILT_ONCE[name]
+    assert (len(polytopes_built), len(feasible_starts)) == BUILT_ONCE[name]
+    if name.startswith("regime"):
+        assert feasible_starts == ["basis"]
 
 
 # ``BaseGame.payoff_rows`` builds per job: one per game the job reads or

@@ -86,6 +86,8 @@ def test_unknown_rule_rejected(rule):
     lp = LinearProgram(variables=("x",), objective={"x": Rat(1)}, bounds={"x": (Rat(0), None)})
     with pytest.raises(ValidationError, match="unknown pivot rule"):
         solve(lp, rule=rule)
+    with pytest.raises(ValidationError, match="unknown pivot rule"):
+        _lp.Polyhedron.from_basis(lp, (("lo", "x"),), rule=rule)
 
 
 def test_unknown_variable_rejected():
@@ -507,6 +509,97 @@ def test_phase_one_reuse_matches_cold_solve(family, rule):
         "unbounded": {_lp.OPTIMAL, _lp.UNBOUNDED},
     }.get(family, {_lp.OPTIMAL})
     assert statuses >= expected
+
+
+def _reference_basis_check(lp, basis):
+    """Why ``Polyhedron.from_basis`` must refuse ``basis`` for ``lp``, or
+    "ok": on the dense rational standard form, every label must name a
+    column, one per row, and Gauss–Jordan over ``Fraction``s must find B
+    nonsingular and B⁻¹b >= 0."""
+    cols, col_rows, b, _ = _reference_standard_form(lp)
+    index = {label: j for j, label in enumerate(cols)}
+    if any(label not in index for label in basis):
+        return "unknown"
+    m = len(b)
+    if len(basis) != m:
+        return "count"
+    aug = [[col_rows[index[label]][r] for label in basis] + [b[r]] for r in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if aug[r][col]), None)
+        if piv is None:
+            return "singular"
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * s for x, s in zip(aug[r], aug[col])]
+    return "ok" if all(aug[r][m] >= 0 for r in range(m)) else "negative"
+
+
+def _proposals(lp, cold, rule):
+    """(kind, basis) proposals for ``lp``: the cold answer's own basis when
+    it is optimal, a feasible basis (the zero objective's optimal one), and
+    from the first of them (the last m columns if neither exists, m the
+    number of rows), an unknown label, a repeated column, one column short,
+    and its first m - 1 labels with each column outside it."""
+    feasible = solve(LinearProgram(lp.variables, {}, "min", lp.constraints, lp.bounds), rule)
+    cols, rows = _lp._standard_form(lp)[:2]
+    out = []
+    if cold.is_optimal:
+        out.append(("cold", cold.basis))
+    if feasible.is_optimal:
+        out.append(("feasible", feasible.basis))
+    # With no feasible basis, the last m columns stand in.
+    base = out[0][1] if out else tuple(cols[len(cols) - len(rows) :])
+    out += [("unknown", base[:-1] + (("ghost", 0),)), ("short", base[:-1])]
+    if len(base) > 1:
+        out.append(("repeated", base[:-1] + base[:1]))
+    head = base[: len(rows) - 1]
+    out += [("swap", head + (label,)) for label in cols if label not in base]
+    return out
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_from_basis_accepts_exactly_the_feasible_bases(family, rule, feasible_starts):
+    # A proposal that passes the exact checks starts phase 2 with no phase
+    # 1, and gives a cold solve's status and value (and, from the cold
+    # optimal basis, its point and columns); any other falls back to phase 1
+    # and gives the cold answer itself.
+    seen = set()
+    for seed in range(12):
+        lp = FAMILIES[family](random.Random(f"{family}-{seed}"))
+        cold = solve(lp, rule)
+        for kind, basis in _proposals(lp, cold, rule):
+            feasible_starts.clear()
+            region = _lp.Polyhedron.from_basis(lp, basis, rule)
+            answer = region.optimize(lp.objective, lp.sense)
+            why = _reference_basis_check(lp, basis)
+            assert feasible_starts == ["basis" if why == "ok" else "phase 1"], (seed, kind)
+            if kind == "cold" and not cold.dropped_rows:
+                assert why == "ok", seed
+            seen.add((kind, why))
+            if why != "ok":
+                assert _answer(answer) == _answer(cold), (seed, kind)
+                continue
+            assert (answer.status, answer.value) == (cold.status, cold.value), (seed, kind)
+            if answer.is_optimal:
+                assert answer.dropped_rows == ()
+                assert answer.verify(lp)
+            if kind == "cold":
+                assert answer.point == cold.point and set(answer.basis) == set(cold.basis)
+    refused = {why for _, why in seen} - {"ok"}
+    assert {"unknown", "count", "singular"} <= refused
+    if family in ("redundant", "infeasible"):
+        # The redundant family's phase 1 drops a row, so its optimal basis
+        # is a column short, and the dependent rows make every square B
+        # singular; the infeasible family has no feasible basis at all.
+        assert "ok" not in {why for _, why in seen}
+    else:
+        assert ("cold", "ok") in seen or ("feasible", "ok") in seen
+    if family in ("mixed", "degenerate"):
+        assert ("cold", "ok") in seen and "negative" in refused
 
 
 def test_phase_one_infeasible_for_every_objective():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import product
 from math import comb
 from types import SimpleNamespace
@@ -175,16 +176,21 @@ def test_reduced_lp_matches_closed_form_and_full_lp():
         ),
         (
             _params(n=5, k=Rat(1, 2), x=Rat(1), thresholds=(2, 3), prior={2: Rat(1, 2), 3: Rat(1, 2)}),
-            {(0, 2): Rat(1, 2), (0, 3): Rat(1), (5, 2): Rat(1, 2)},
+            {(0, 2): Rat(1, 2), (3, 2): Rat(1, 2), (0, 3): Rat(1)},
             {(0, 2): Rat(5, 14), (1, 3): Rat(1), (2, 2): Rat(9, 14)},
         ),
     ]
     for params, kernel_u, kernel_g in cases:
-        value, kernel = reduced_symmetric_lp(params, UNINFORMED_WELFARE)
+        uninformed = reduced_symmetric_lp(params, UNINFORMED_WELFARE)
+        value, kernel = uninformed
         assert value == wlower_closed_form(params)
         assert kernel == CountKernel(n=params.n, q=kernel_u)
-        gross, kernel = reduced_symmetric_lp(params, GROSS_WELFARE)
+        exogenous = reduced_symmetric_lp(params, GROSS_WELFARE)
+        gross, kernel = exogenous
         assert kernel == CountKernel(n=params.n, q=kernel_g)
+        # Each answer carries its own optimality certificate.
+        assert uninformed.solution.verify(uninformed.lp)
+        assert exogenous.solution.verify(exogenous.lp)
         g = build_regime_game(params)
         assert gross == worst_case_exogenous(g)[0]
         assert value == worst_case_rational_inattention(g)[0]
@@ -529,11 +535,69 @@ def test_count_space_matches_the_full_game_and_the_standalone_programs(seed):
         bounds=space.bounds,
     )
     assert uninformed.lp == program
-    cold = lp.solve(program)
-    assert uninformed.solution.basis == cold.basis
-    assert uninformed.kernel == CountKernel(
-        n=params.n, q={v: x for v in space.variables if (x := cold.point[v])}
+    # Both answers start from the space's proposed basis, not phase 1: the
+    # values are a cold solve's, each answer proves itself optimal, and the
+    # RI kernel meets the optimality conditions.
+    assert uninformed.value == lp.solve(program).value
+    assert gross.value == lp.solve(replace(program, objective=space.gross())).value
+    assert uninformed.solution.verify(uninformed.lp)
+    assert gross.solution.verify(gross.lp)
+    assert kernel_satisfies_optimality(params, uninformed.kernel)
+
+
+def _large_params(rng):
+    """Regime parameters over the range ``regime`` runs in count space: n
+    from 4 to 203 (n <= 8 a quarter of the time, so that the full game can
+    be built), 1-4 thresholds, k in (0, 1) and x from 1/10 to 4."""
+    n = rng.randint(4, 8) if rng.random() < 0.25 else rng.randint(9, 203)
+    thresholds = sorted(rng.sample(range(2, n - 1), min(rng.randint(1, 4), n - 3)))
+    k_den = rng.randint(2, 20)
+    weights = [rng.randint(1, 9) for _ in thresholds]
+    return RegimeParams(
+        n=n,
+        k=Rat(rng.randint(1, k_den - 1), k_den),
+        x=Rat(rng.randint(1, 40), 10),
+        thresholds=tuple(thresholds),
+        prior={t: Rat(w, sum(weights)) for t, w in zip(thresholds, weights)},
     )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nobody_attacks_basis_is_accepted_and_optimal(seed, feasible_starts):
+    # The count program starts from its closed-form basis, with no phase 1;
+    # a cold solve of the same program, the closed form, each answer's own
+    # certificate and, where the full game can be built, the lifted
+    # certificate on the full programs all agree with both answers.
+    params = _large_params(random.Random(f"nobody-attacks-{seed}"))
+    space = regime_space(params)
+    uninformed = reduced_symmetric_lp(params, UNINFORMED_WELFARE, space)
+    gross = reduced_symmetric_lp(params, GROSS_WELFARE, space)
+    assert feasible_starts == ["basis"]
+    for optimum in (uninformed, gross):
+        assert optimum.value == lp.solve(optimum.lp).value
+        assert optimum.solution.verify(optimum.lp)
+    assert uninformed.value == wlower_closed_form(params)
+    assert kernel_satisfies_optimality(params, uninformed.kernel)
+    if params.n <= 8:
+        game = build_regime_game(params)
+        assert certify_full_game(params, uninformed, game) == uninformed.value
+        assert certify_full_game(params, gross, game) == gross.value
+
+
+@pytest.mark.parametrize("stay", [Rat(-1), Rat(-1, 2)])
+def test_count_space_whose_proposal_fails_falls_back_to_phase_one(stay, feasible_starts):
+    # Staying pays ``stay`` < 0 and attacking -1/2 below the threshold, so
+    # EPIGRAPH would be basic at a negative value (at -1, obedience(0)'s
+    # slack too): the exact check refuses the proposal and phase 1 runs.
+    def payoff(own, opp, theta):
+        return (Rat(1, 2) if opp + 1 >= theta else Rat(-1, 2)) if own else stay
+
+    space = count_space(7, (2, 4), {2: Rat(1, 3), 4: Rat(2, 3)}, payoff)
+    polyhedron = space.feasible
+    assert feasible_starts == ["phase 1"]
+    for costs in ({EPIGRAPH: Rat(7)}, space.gross()):
+        cold = lp.solve(replace(space.program, objective=costs))
+        assert cold.is_optimal and polyhedron.optimize(costs) == cold
 
 
 def _n6_params():
