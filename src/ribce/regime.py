@@ -10,25 +10,29 @@ threshold distribution.
 
 The count-space reduction holds for every symmetric binary-action game:
 ``count_space`` builds its LP pieces from a payoff table indexed by own
-action, opponents on action 1 and state, and serves both the regime
-programs here and the symmetric gap test in ``welfare``.  It scales the
-payoffs and the prior to int numerators once and hands each row to the LP as
-an ``lp.IntRow``: one int product per entry over the row's common
-denominator, with no ``Rat`` made, so the rows cost little next to the LPs
-they feed.  One space serves every program over a game: ``regime_space``
-builds the regime's, which ``cli`` passes to both worst-case objectives, and
-each obedience row is built at most once per space.  A space also keeps one
-worst-case program and its feasible start, built on first use
-(``CountSpace.program`` and ``CountSpace.feasible``).  The program has a
-feasible basis in closed form, the kernel on which nobody attacks, so the
-start is that basis, checked exactly (``lp.Polyhedron.from_basis``), and no
-phase 1 runs unless the check fails.  ``reduced_symmetric_lp`` optimizes
-both objectives from it: the uninformed-welfare objective on the program a
-cold solve would run, with the cold solve's value, and the gross objective
-on the same rows, whose epigraph variable is free and left out of it, so the
-value is that of the rows without the epigraph ones.  The full game
-(``build_regime_game``) has 2^n profiles and is refused above
-``MAX_REGIME_PLAYERS``.
+action, opponents on action 1 and state, and serves both the regime programs
+here and the symmetric gap test in ``welfare``.  It keeps only the corner
+counts of each state: a count is left out when the payoffs that it and its
+two neighbours read are all equal, since its column is then the average of
+theirs in every row.  That changes no optimal value and leaves an optimal
+basis optimal, and a regime program has at most six counts per state,
+whatever n is.  It scales the payoffs the corners read and the prior to int
+numerators once and hands each row to the LP as an ``lp.IntRow``: one int
+product per entry over the row's common denominator, with no ``Rat`` made,
+so the rows cost little next to the LPs they feed.  One space serves every
+program over a game: ``regime_space`` builds the regime's, which ``cli``
+passes to both worst-case objectives, and each obedience row is built at
+most once per space.  A space also keeps one worst-case program and its
+feasible start, built on first use (``CountSpace.program`` and
+``CountSpace.feasible``).  The program has a feasible basis in closed form,
+the kernel on which nobody attacks, so the start is that basis, checked
+exactly (``lp.Polyhedron.from_basis``), and no phase 1 runs unless the check
+fails.  ``reduced_symmetric_lp`` optimizes both objectives from it: the
+uninformed-welfare objective on the program a cold solve would run, with the
+cold solve's value, and the gross objective on the same rows, whose epigraph
+variable is free and left out of it, so the value is that of the rows
+without the epigraph ones.  The full game (``build_regime_game``) has 2^n
+profiles and is refused above ``MAX_REGIME_PLAYERS``.
 
 The full check solves nothing on the full game.  By symmetry (Bödi, Herr &
 Joswig, Math. Prog. 2013) a count-space optimum and its duals lift to an
@@ -134,7 +138,8 @@ class RegimeParams:
 
 @dataclass(frozen=True)
 class CountKernel:
-    """Per-state distribution over the number of attackers."""
+    """Per-state distribution over the number of attackers.  A kernel read
+    off a count program has its mass on the space's corner counts only."""
 
     n: int
     q: dict  # (count m, theta) -> Rat
@@ -149,7 +154,8 @@ EPIGRAPH = ("t",)
 
 
 def count_space(n: int, states, prior: dict, payoff):
-    """LP pieces over count kernels of a symmetric game with actions 0 and 1.
+    """LP pieces over count kernels of a symmetric game with actions 0 and 1,
+    on the game's corner counts.
 
     A symmetric outcome is a kernel q(m, theta): the probability, given the
     state, that m of the n players take action 1.  Given m, a fixed player
@@ -158,7 +164,21 @@ def count_space(n: int, states, prior: dict, payoff):
     player's utility from action ``own`` when ``opp`` opponents take action
     1; it is read once per own in {0, 1}, opp < n and theta.
 
-    Returns a ``CountSpace`` with the (m, theta) ``variables``, their
+    Column (m, theta) reads the payoffs only at opp = m-1 and m, with
+    weights affine in m.  So if both actions' payoffs in state theta are the
+    same at every opp from max(0, m-2) to min(n-1, m+1), column m is the
+    average of columns m-1 and m+1 in every row below, and a run of such
+    columns is affine between the nearest counts kept on either side: any
+    kernel can move its mass on the run onto those two with every row's
+    value unchanged.  The space drops those columns and keeps the others,
+    its corner counts: 0 and n always, and opp-1, opp and opp+1 wherever the
+    payoff pair changes between opp-1 and opp.  Every optimal value over the
+    corners is that of the full kernel space, and a dropped column's reduced
+    cost interpolates its neighbours', so an optimal basis of a corner
+    program is optimal on the full one.  A regime game keeps at most six
+    counts per state, whatever n is.
+
+    Returns a ``CountSpace`` with the corner (m, theta) ``variables``, their
     ``bounds``, the per-state normalisation rows sum_m q(m, theta) = 1 as
     ``constraints``, and row builders whose coefficients carry the prior:
 
@@ -169,43 +189,67 @@ def count_space(n: int, states, prior: dict, payoff):
     - ``epigraph()``: the rows EPIGRAPH >= payoff of always playing a, for
       a = 0, 1, so that n * EPIGRAPH bounds total uninformed welfare.
 
-    The payoffs are scaled once to ints over the lcm of their denominators,
-    and the prior over the lcm of its own.  Each row is an ``lp.IntRow``:
-    every entry one int product over the row's common denominator, zero
-    entries left out.  A space serves every program over one game: build it
-    once and pass it around.
+    The table is read in one pass, which also finds the corners (equal
+    payoffs are tested with ``is`` before ``==``).  The payoffs the corner
+    columns read are scaled once to ints over the lcm of their
+    denominators, and the prior over the lcm of its own.  Each row is an
+    ``lp.IntRow``: every entry one int product over the row's common
+    denominator, zero entries left out.  A space serves every program over
+    one game: build it once and pass it around.
     """
     states = tuple(states)
-    table = {
-        theta: tuple([payoff(own, opp, theta) for opp in range(n)] for own in (0, 1))
-        for theta in states
-    }
-    scale = lcm(*(v.denominator for rows in table.values() for row in rows for v in row))
+    counts, table = {}, {}
+    for theta in states:
+        pairs = []
+        corners = {0, n}
+        stay = act = None
+        for opp in range(n):
+            last_stay, last_act = stay, act
+            stay, act = payoff(0, opp, theta), payoff(1, opp, theta)
+            if opp and not (
+                (stay is last_stay or stay == last_stay) and (act is last_act or act == last_act)
+            ):
+                corners.update((opp - 1, opp, opp + 1))
+            pairs.append((stay, act))
+        counts[theta] = sorted(corners)
+        # Corner m reads the pairs at opp = m-1 (if m > 0) and m (if m < n).
+        table[theta] = {
+            opp: pairs[opp] for m in counts[theta] for opp in (m - 1, m) if 0 <= opp < n
+        }
+    scale = lcm(*{v.denominator for read in table.values() for pair in read.values() for v in pair})
     values = {
-        theta: tuple([v.numerator * (scale // v.denominator) for v in row] for row in rows)
-        for theta, rows in table.items()
+        theta: {
+            opp: tuple(v.numerator * (scale // v.denominator) for v in pair)
+            for opp, pair in read.items()
+        }
+        for theta, read in table.items()
     }
     prior_scale = lcm(*(prior[theta].denominator for theta in states))
     weights = {
         theta: prior[theta].numerator * (prior_scale // prior[theta].denominator)
         for theta in states
     }
-    return CountSpace(n, weights, prior_scale, values, scale)
+    return CountSpace(n, weights, prior_scale, counts, values, scale)
 
 
 class CountSpace:
-    """The count-kernel LP pieces of one symmetric binary-action game, on
-    int numerators; ``count_space`` builds it and documents the rows.
+    """The count-kernel LP pieces of one symmetric binary-action game on its
+    corner counts, on int numerators; ``count_space`` builds it and
+    documents the rows.
 
-    ``weights[theta]`` over ``prior_scale`` is the prior and
-    ``values[theta][own][opp]`` over ``scale`` the payoff table."""
+    ``variables`` are the corner columns (m, theta), state by state and m
+    increasing within a state; ``counts[theta]`` lists a state's corners.
+    ``weights[theta]`` over ``prior_scale`` is the prior, and
+    ``values[theta][opp]`` over ``scale`` the payoff pair (action 0,
+    action 1) at each opponent count a corner column reads."""
 
-    def __init__(self, n, weights, prior_scale, values, scale):
+    def __init__(self, n, weights, prior_scale, counts, values, scale):
         self.n = n
-        self.variables = tuple((m, theta) for theta in weights for m in range(n + 1))
+        self._counts = counts
+        self.variables = tuple((m, theta) for theta in weights for m in counts[theta])
         self.bounds = {var: (ZERO, None) for var in self.variables}
         self.constraints = [
-            (_lp.IntRow({(m, theta): 1 for m in range(n + 1)}, 1), _lp.EQUAL, ONE)
+            (_lp.IntRow({(m, theta): 1 for m in counts[theta]}, 1), _lp.EQUAL, ONE)
             for theta in weights
         ]
         self._weights = weights
@@ -214,22 +258,22 @@ class CountSpace:
         self._scale = scale
         self._obedience = {}
 
-    def _recommended(self, rec, gains, den):
-        # m = opp + rec players take action 1 when this player plays rec, and
-        # the player's share of count m is m/n, or (n-m)/n for action 0.
+    def _recommended(self, rec, gain, den):
+        # At count m the player plays rec with share m/n (rec 1, against m-1
+        # opponents on action 1) or (n-m)/n (rec 0, against m); ``gain``
+        # reads the payoff pair there.
         n = self.n
         nums = {}
         for theta, weight in self._weights.items():
-            for opp, gain in enumerate(gains[theta]):
-                m = opp + rec
-                num = weight * (m if rec else n - m) * gain
-                if num:
+            values = self._values[theta]
+            for m in self._counts[theta]:
+                share = m if rec else n - m
+                if share and (num := weight * share * gain(values[m - rec])):
                     nums[(m, theta)] = num
         return _lp.IntRow(nums, den)
 
     def mass(self, rec):
-        ones = {theta: [1] * self.n for theta in self._weights}
-        return self._recommended(rec, ones, self._prior_scale * self.n)
+        return self._recommended(rec, lambda pair: 1, self._prior_scale * self.n)
 
     def obedience(self, rec):
         """Built once per space: every caller gets the same row."""
@@ -239,11 +283,9 @@ class CountSpace:
         return row
 
     def _obedience_row(self, rec):
-        gains = {
-            theta: [a - b for a, b in zip(rows[rec], rows[1 - rec])]
-            for theta, rows in self._values.items()
-        }
-        return self._recommended(rec, gains, self._prior_scale * self.n * self._scale)
+        return self._recommended(
+            rec, lambda pair: pair[rec] - pair[1 - rec], self._prior_scale * self.n * self._scale
+        )
 
     def _weighted_sum(self, own1, own0, sign):
         # The numerators, over prior_scale * scale, of
@@ -252,12 +294,12 @@ class CountSpace:
         nums = {}
         for theta, weight in self._weights.items():
             weight *= sign
-            rows = self._values[theta]
-            against_less = [0] + rows[own1]
-            against_m = rows[own0] + [0]
-            for m in range(n + 1):
-                num = weight * (m * against_less[m] + (n - m) * against_m[m])
-                if num:
+            values = self._values[theta]
+            for m in self._counts[theta]:
+                total = m * values[m - 1][own1] if m else 0
+                if m < n:
+                    total += (n - m) * values[m][own0]
+                if num := weight * total:
                     nums[(m, theta)] = num
         return nums
 
@@ -308,13 +350,13 @@ class CountSpace:
 
 
 def _payoff(params: RegimeParams):
-    """u(own, attackers, theta): an investor's payoff from attacking (own 1)
-    or staying (own 0) when ``attackers`` investors attack in all, with its
-    four values computed once."""
+    """u(own, opp, theta): an investor's payoff from attacking (own 1) or
+    staying (own 0) when ``opp`` other investors attack, so that opp + own
+    attack in all, with its four values computed once."""
     win, lose, hit = ONE - params.k, -params.k, -params.x
 
-    def payoff(own, attackers, theta):
-        if attackers >= theta:
+    def payoff(own, opp, theta):
+        if opp + own >= theta:
             return win if own else hit
         return lose if own else ZERO
 
@@ -323,13 +365,7 @@ def _payoff(params: RegimeParams):
 
 def regime_space(params: RegimeParams) -> CountSpace:
     """The count space of the regime game, for ``reduced_symmetric_lp``."""
-    payoff = _payoff(params)
-    return count_space(
-        params.n,
-        params.thresholds,
-        params.prior,
-        lambda own, opp, theta: payoff(own, opp + own, theta),
-    )
+    return count_space(params.n, params.thresholds, params.prior, _payoff(params))
 
 
 def build_regime_game(params: RegimeParams) -> BaseGame:
@@ -348,7 +384,7 @@ def build_regime_game(params: RegimeParams) -> BaseGame:
     for profile in product((STAY, ATTACK), repeat=params.n):
         m = sum(1 for a in profile if a == ATTACK)
         for theta in params.thresholds:
-            att = payoff(1, m, theta)
+            att = payoff(1, m - 1, theta)
             pas = payoff(0, m, theta)
             for j, i in enumerate(players):
                 utilities[i][(profile, theta)] = att if profile[j] == ATTACK else pas
@@ -462,6 +498,9 @@ def reduced_symmetric_lp(
     order, then obedience(1), obedience(0) and the epigraph rows of actions
     0 and 1.  The values are those of a cold ``lp.solve`` of the same
     program; the kernel is an optimal one, not necessarily the cold solve's.
+    The program runs over the space's corner counts only (``count_space``),
+    so its values are those of the full kernel space, every count 0..n per
+    state, and the kernel has its mass on corner counts.
     For ``GROSS_WELFARE`` EPIGRAPH is free and absent from the objective, so
     every kernel extends to a feasible point and the value is that of the
     program without the epigraph rows.  Returns (value, CountKernel) as a

@@ -177,9 +177,11 @@ def binary_symmetric_gap_test(game: BaseGame):
 
     Symmetric outcomes are kernels over the count of players taking the
     second action, so every program runs in count space (``regime.count_space``)
-    on n+1 variables per state and one epigraph variable, with payoffs read
-    at one representative profile per (own action, opponent count, state).
-    The four per-action minima share the optimal face's phase 1.
+    on each state's corner counts (at most n+1; the others are averages of
+    their neighbours and change none of the five values) and one epigraph
+    variable, with payoffs read at one representative profile per (own
+    action, opponent count, state).  The four per-action minima share the
+    optimal face's phase 1.
 
     Returns (gap_strict, diagnostic dict).
     """

@@ -7,8 +7,7 @@ draws relations, bounds and objective freely (all three statuses occur);
 a row; ``infeasible_lp`` contains two contradicting rows; ``unbounded_lp``
 has a recession direction that the objective improves along.
 
-``beale_lp`` is Beale's cycling example, and ``gross_count_program`` the
-exogenous worst case of a regime count space on its own rows.
+``beale_lp`` is Beale's cycling example.
 """
 
 from ribce.lp import EQUAL, GREATER, LESS, Constraint, LinearProgram
@@ -134,16 +133,3 @@ def beale_lp():
     bounds = {v: (ZERO, None) for v in variables}
     return LinearProgram(variables, objective, "min", constraints, bounds)
 
-
-def gross_count_program(space):
-    """The exogenous worst case over a ``regime.CountSpace`` on its own
-    rows: the (m, theta) variables, the normalization rows, obedience(1)
-    and obedience(0) >= 0, and ``space.gross()`` to minimize, with neither
-    EPIGRAPH nor the epigraph rows of ``CountSpace.program``."""
-    obedience = [(space.obedience(rec), GREATER, ZERO) for rec in (1, 0)]
-    return LinearProgram(
-        variables=space.variables,
-        objective=space.gross(),
-        constraints=space.constraints + obedience,
-        bounds=space.bounds,
-    )

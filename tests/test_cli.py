@@ -242,6 +242,12 @@ CLI_GOLDEN = {
         "regime", "--n", "6", "--k", "1/2", "--x", "1/10",
         "--states", "2,3", "--prior", "1/2,1/2", "--full-check",
     ),
+    # Count space only, far past the full game; the expected bytes are
+    # those of the full-width count program, every count 0..n per state.
+    "regime_n2000": (
+        "regime", "--n", "2000", "--k", "1/2", "--x", "1/10",
+        "--states", "5,9", "--prior", "1/3,2/3",
+    ),
 }
 
 

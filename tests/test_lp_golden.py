@@ -1,14 +1,15 @@
 """The solver's answers, pinned.
 
 ``golden/lp_answers.json`` holds ``(status, basis, dropped_rows, value,
-point)`` for the regime game at n=6, x=1/10 (in count space, the
-uninformed-welfare program and the gross program on its own rows, then the
-full game's two worst cases, as ``welfare_report`` solves them), for
-the LPs behind the investment game's two worst cases, and for 60 seeded
-random LPs under both pivot rules.  The simplex is deterministic, and its
-tableau may only change how rows are scaled, never which pivot it takes, so
-any difference here is a bug.  Regenerate (only after an intended change of
-pivot choices) with ``PYTHONPATH=src python tests/test_lp_golden.py``.
+point)`` for the regime game at n=6, x=1/10 (in count space at full width,
+every count 0..n per state, the uninformed-welfare program and the gross
+program on its own rows, then the full game's two worst cases, as
+``welfare_report`` solves them), for the LPs behind the investment game's
+two worst cases, and for 60 seeded random LPs under both pivot rules.  The
+simplex is deterministic, and its tableau may only change how rows are
+scaled, never which pivot it takes, so any difference here is a bug.
+Regenerate (only after an intended change of pivot choices) with
+``PYTHONPATH=src python tests/test_lp_golden.py``.
 """
 
 import json
@@ -18,17 +19,12 @@ import random
 from ribce import lp as _lp
 from ribce.bce import BcePolytope
 from ribce.rational import Rat
-from ribce.regime import (
-    UNINFORMED_WELFARE,
-    RegimeParams,
-    build_regime_game,
-    reduced_symmetric_lp,
-    regime_space,
-)
+from ribce.regime import RegimeParams, build_regime_game
 from ribce.welfare import welfare_report, worst_case_exogenous, worst_case_rational_inattention
 
+from count_reference import gross_count_program, regime_reference, uninformed_program
 from sample_games import investment_game
-from sample_lps import FAMILIES, gross_count_program
+from sample_lps import FAMILIES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "lp_answers.json"
 REGIME = RegimeParams(
@@ -64,14 +60,13 @@ def _lps_solved_by(run):
 
 
 def _regime_full_check():
-    """The count space's uninformed-welfare program (the rational-inattention
-    answer's ``CountOptimum.lp``) and its gross program on its own rows
-    (``gross_count_program``), then the full game's worst cases, in that
-    order."""
-    space = regime_space(REGIME)
-    uninformed = reduced_symmetric_lp(REGIME, UNINFORMED_WELFARE, space)
+    """The full-width count space's uninformed-welfare program and its gross
+    program on its own rows (``count_reference``; ``regime.count_space``
+    keeps only the corner counts of the same programs), then the full
+    game's worst cases, in that order."""
+    space = regime_reference(REGIME)
     full = _lps_solved_by(lambda: welfare_report(build_regime_game(REGIME)))
-    return [uninformed.lp, gross_count_program(space), *full]
+    return [uninformed_program(space), gross_count_program(space), *full]
 
 
 def _programs():

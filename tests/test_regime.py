@@ -3,7 +3,6 @@ import random
 from dataclasses import replace
 from itertools import product
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from ribce import cli, lp, regime, welfare
 from ribce.errors import InternalInvariantError, InvalidParams, NotSymmetricOutcome, TooManyPlayers
 from ribce.games import Outcome, is_symmetric_game
-from ribce.rational import ONE, ZERO, Rat
+from ribce.rational import ZERO, Rat
 from ribce.regime import (
     ATTACK,
     EPIGRAPH,
@@ -42,9 +41,16 @@ from ribce.welfare import (
     worst_case_exogenous,
     worst_case_rational_inattention,
 )
+from count_reference import (
+    dropped_columns,
+    gross_count_program,
+    reference_count_space,
+    regime_reference,
+    restrict,
+    uninformed_program,
+)
 from row_reference import assert_same_row
 from sample_games import random_symmetric_binary_game
-from sample_lps import gross_count_program
 
 
 def _params(n=4, k=Rat(1, 2), x=Rat(1), thresholds=(2,), prior=None):
@@ -263,95 +269,52 @@ def test_zero_attack_kernel_zero_welfare():
     assert sum(outcome.beliefs(g)[i].uninformed()[0] for i in g.players) == 0
 
 
-def _reference_count_space(n, states, prior, payoff):
-    """``count_space`` as it was on Fraction arithmetic, cell by cell: the
-    reference the int-numerator rows must equal entry for entry."""
-    v = {
-        (own, opp, theta): payoff(own, opp, theta)
-        for theta in states
-        for own in (0, 1)
-        for opp in range(n)
-    }
-    share = [Rat(m, n) for m in range(n + 1)]
-    variables = tuple((m, theta) for theta in states for m in range(n + 1))
-
-    def recommended(rec, value):
-        coeffs = {}
-        for theta in states:
-            pi = prior[theta]
-            for opp in range(n):
-                m = opp + rec
-                val = pi * share[m if rec else n - m] * value(opp, theta)
-                if val:
-                    coeffs[(m, theta)] = val
-        return coeffs
-
-    def mass(rec):
-        return recommended(rec, lambda opp, theta: ONE)
-
-    def obedience(rec):
-        return recommended(rec, lambda opp, theta: v[rec, opp, theta] - v[1 - rec, opp, theta])
-
-    def weighted_sum(weight, own1, own0):
-        coeffs = {}
-        for theta in states:
-            pi = prior[theta]
-            for m in range(n + 1):
-                val = ZERO
-                if m:
-                    val += weight[m] * v[own1, m - 1, theta]
-                if m < n:
-                    val += weight[n - m] * v[own0, m, theta]
-                val *= pi
-                if val:
-                    coeffs[(m, theta)] = val
-        return coeffs
-
-    def gross():
-        return weighted_sum(range(n + 1), 1, 0)
-
-    def epigraph():
-        rows = []
-        for a in (0, 1):
-            coeffs = {key: -val for key, val in weighted_sum(share, a, a).items()}
-            coeffs[EPIGRAPH] = ONE
-            rows.append((coeffs, lp.GREATER, ZERO))
-        return rows
-
-    return SimpleNamespace(
-        variables=variables,
-        bounds={var: (ZERO, None) for var in variables},
-        constraints=[
-            ({(m, theta): ONE for m in range(n + 1)}, lp.EQUAL, ONE) for theta in states
-        ],
-        mass=mass,
-        obedience=obedience,
-        gross=gross,
-        epigraph=epigraph,
-    )
-
-
 def _assert_same_space(space, ref):
-    assert space.variables == ref.variables
-    assert list(space.bounds.items()) == list(ref.bounds.items())
+    """``space``'s rows are ``ref``'s restricted to the space's corner
+    columns, and every column it drops is the average of its neighbours in
+    every reference row."""
+    kept = set(space.variables)
+    dropped = set(dropped_columns(space, ref))
+    assert space.variables == tuple(var for var in ref.variables if var not in dropped)
+    assert list(space.bounds.items()) == [(var, b) for var, b in ref.bounds.items() if var in kept]
+    kept.add(EPIGRAPH)
+
+    def on_corners(row):
+        return {var: c for var, c in row.items() if var in kept}
+
     assert len(space.constraints) == len(ref.constraints)
     for (row, sense, rhs), (ref_row, ref_sense, ref_rhs) in zip(space.constraints, ref.constraints):
-        assert_same_row(row, ref_row)
+        assert_same_row(row, on_corners(ref_row))
         assert (sense, rhs) == (ref_sense, ref_rhs)
     for rec in (0, 1):
-        assert_same_row(space.mass(rec), ref.mass(rec))
-        assert_same_row(space.obedience(rec), ref.obedience(rec))
-    assert_same_row(space.gross(), ref.gross())
+        assert_same_row(space.mass(rec), on_corners(ref.mass(rec)))
+        assert_same_row(space.obedience(rec), on_corners(ref.obedience(rec)))
+    assert_same_row(space.gross(), on_corners(ref.gross()))
     epigraph, ref_epigraph = space.epigraph(), ref.epigraph()
     assert len(epigraph) == len(ref_epigraph) == 2
     for (row, sense, rhs), (ref_row, ref_sense, ref_rhs) in zip(epigraph, ref_epigraph):
-        assert_same_row(row, ref_row)
+        assert_same_row(row, on_corners(ref_row))
         assert (sense, rhs) == (ref_sense, ref_rhs)
+
+
+def _corners(n, states, payoff):
+    """The (m, theta) columns kept by the rule: m is 0 or n, or the payoff
+    pair (action 0, action 1) of theta changes somewhere among the opponent
+    counts max(0, m-2) .. min(n-1, m+1)."""
+    corners = []
+    for theta in states:
+        for m in range(n + 1):
+            opps = range(max(0, m - 2), min(n - 1, m + 1) + 1)
+            window = {(payoff(0, opp, theta), payoff(1, opp, theta)) for opp in opps}
+            if m in (0, n) or len(window) > 1:
+                corners.append((m, theta))
+    return tuple(corners)
 
 
 def _check_against_reference(n, states, prior, payoff):
     space = count_space(n, states, prior, payoff)
-    _assert_same_space(space, _reference_count_space(n, states, prior, payoff))
+    _assert_same_space(space, reference_count_space(n, states, prior, payoff))
+    assert space.variables == _corners(n, states, payoff)
     return space
 
 
@@ -521,25 +484,24 @@ def test_count_space_matches_the_full_game_and_the_standalone_programs(seed):
     assert gross.value == worst_case_exogenous(game)[0]
     assert uninformed.value == worst_case_rational_inattention(game)[0]
     # The gross program on its own rows, without EPIGRAPH and the epigraph
-    # rows, has the same optimum.
+    # rows, has the same optimum, on the corners and at full width.
+    full = regime_reference(params)
     assert gross.value == lp.solve(gross_count_program(space)).value
+    assert gross.value == lp.solve(gross_count_program(full)).value
     # The free epigraph variable at cost 0 leaves both epigraph duals 0.
     assert gross.solution.duals(gross.lp)[-2:] == (ZERO, ZERO)
-    # The uninformed answer is a cold solve's of the program on these rows,
-    # in this order.
-    obedience = [(space.obedience(rec), lp.GREATER, ZERO) for rec in (1, 0)]
-    program = lp.LinearProgram(
-        variables=space.variables + (EPIGRAPH,),
-        objective={EPIGRAPH: Rat(params.n)},
-        constraints=space.constraints + obedience + space.epigraph(),
-        bounds=space.bounds,
-    )
-    assert uninformed.lp == program
+    # The space's program is the full-width program on the corner columns,
+    # its rows in this order.
+    program = uninformed_program(full)
+    corners = restrict(program, space.variables + (EPIGRAPH,))
+    assert space.program == replace(corners, objective={})
+    assert uninformed.lp == corners
     # Both answers start from the space's proposed basis, not phase 1: the
-    # values are a cold solve's, each answer proves itself optimal, and the
-    # RI kernel meets the optimality conditions.
+    # values are a cold solve's of the full-width program, each answer
+    # proves itself optimal, and the RI kernel meets the optimality
+    # conditions.
     assert uninformed.value == lp.solve(program).value
-    assert gross.value == lp.solve(replace(program, objective=space.gross())).value
+    assert gross.value == lp.solve(replace(program, objective=full.gross())).value
     assert uninformed.solution.verify(uninformed.lp)
     assert gross.solution.verify(gross.lp)
     assert kernel_satisfies_optimality(params, uninformed.kernel)
@@ -582,6 +544,115 @@ def test_nobody_attacks_basis_is_accepted_and_optimal(seed, feasible_starts):
         game = build_regime_game(params)
         assert certify_full_game(params, uninformed, game) == uninformed.value
         assert certify_full_game(params, gross, game) == gross.value
+
+
+def _step_table(rng):
+    """(n, states, prior, payoff) of a random symmetric binary game whose
+    payoffs are a step function of the opponent count: per state 0-4 cuts
+    in 1..n-1, and one random payoff pair (action 0, action 1) per step."""
+    n = rng.randint(4, 60)
+    states = tuple(f"s{k}" for k in range(rng.randint(1, 3)))
+    weights = [rng.randint(1, 7) for _ in states]
+    prior = {s: Rat(w, sum(weights)) for s, w in zip(states, weights)}
+    table = {}
+    for s in states:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, 4)))
+        for start, end in zip([0] + cuts, cuts + [n]):
+            pair = tuple(Rat(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in (0, 1))
+            table.update(((opp, s), pair) for opp in range(start, end))
+    return n, states, prior, lambda own, opp, s: table[opp, s][own]
+
+
+def _gap_quantities(space):
+    """(status, value) of the gap test's relaxed program over ``space`` (a
+    cold solve), then of the minima of mass(rec) and obedience(rec), for rec
+    0 and 1, over its optimal face (one phase 1)."""
+    variables = space.variables + (EPIGRAPH,)
+    constraints = space.constraints + space.epigraph()
+    uninformed = {EPIGRAPH: Rat(space.n)}
+    relaxed = lp.solve(
+        lp.LinearProgram(variables, uninformed, constraints=constraints, bounds=space.bounds)
+    )
+    face = lp.phase_one(
+        variables, constraints + [(uninformed, lp.EQUAL, relaxed.value)], space.bounds
+    )
+    rows = [row for rec in (0, 1) for row in (space.mass(rec), space.obedience(rec))]
+    minima = [face.optimize(row) for row in rows]
+    return [(sol.status, sol.value) for sol in (relaxed, *minima)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_corner_space_agrees_with_the_full_width_programs(seed):
+    # Two routes to the same answers: the corner space against the
+    # full-width Fraction reference, on a regime game and on a random
+    # step-function table.
+    rng = random.Random(f"corners-{seed}")
+    params = _large_params(rng)
+    space = regime_space(params)
+    full = regime_reference(params)
+    assert len(space.variables) <= 6 * len(params.thresholds)
+    dropped_columns(space, full)
+    program = uninformed_program(full)
+    uninformed = reduced_symmetric_lp(params, UNINFORMED_WELFARE, space)
+    gross = reduced_symmetric_lp(params, GROSS_WELFARE, space)
+    for optimum, costs in ((uninformed, program.objective), (gross, full.gross())):
+        cold = lp.solve(replace(program, objective=costs))
+        assert cold.is_optimal and optimum.value == cold.value
+        assert optimum.solution.verify(optimum.lp)
+    assert kernel_satisfies_optimality(params, uninformed.kernel)
+    gap = _gap_quantities(full)
+    assert _gap_quantities(space) == gap
+    if params.n <= 8:
+        game = build_regime_game(params)
+        assert certify_full_game(params, uninformed, game) == uninformed.value
+        assert certify_full_game(params, gross, game) == gross.value
+        _, diagnostics = binary_symmetric_gap_test(game)
+        keys = ("min_probability", "min_strict_br_slack")
+        minima = [diagnostics["per_action"][a][key] for a in (STAY, ATTACK) for key in keys]
+        assert [diagnostics["relaxed_value"], *minima] == [value for _, value in gap]
+
+    n, states, prior, payoff = _step_table(rng)
+    space = count_space(n, states, prior, payoff)
+    full = reference_count_space(n, states, prior, payoff)
+    dropped_columns(space, full)
+    program = uninformed_program(full)
+    objectives = (({EPIGRAPH: Rat(n)}, program.objective), (space.gross(), full.gross()))
+    for costs, full_costs in objectives:
+        sol = space.feasible.optimize(costs)
+        cold = lp.solve(replace(program, objective=full_costs))
+        assert (sol.status, sol.value) == (cold.status, cold.value)
+        assert sol.verify(replace(space.program, objective=costs))
+    assert _gap_quantities(space) == _gap_quantities(full)
+
+
+@pytest.mark.parametrize(
+    "thresholds, sizes",
+    [
+        ((5, 9), {20: 12, 200: 12, 2000: 12}),
+        # The median regime job of the benchmark's digest seed.
+        ((13, 102), {114: 12}),
+    ],
+)
+def test_regime_program_keeps_six_counts_per_state_at_any_n(thresholds, sizes):
+    for n, columns in sizes.items():
+        prior = {t: Rat(1, len(thresholds)) for t in thresholds}
+        params = _params(n=n, k=Rat(1, 2), x=Rat(1, 10), thresholds=thresholds, prior=prior)
+        program = regime_space(params).program
+        assert program.variables[-1] == EPIGRAPH
+        assert len(program.variables) == columns + 1
+        # The first state's corners: 0, theta-2 .. theta+1, and n.
+        theta = thresholds[0]
+        corners = (0, *range(theta - 2, theta + 2), n)
+        assert program.variables[:6] == tuple((m, theta) for m in corners)
+
+
+def test_table_without_equal_neighbouring_pairs_keeps_every_count():
+    n, states = 9, ("a", "b")
+    prior = {"a": Rat(1, 4), "b": Rat(3, 4)}
+    # Both payoffs change at every opponent count.
+    space = count_space(n, states, prior, lambda own, opp, s: Rat(opp * (2 * own - 1), 1 + own))
+    assert space.variables == tuple((m, s) for s in states for m in range(n + 1))
+    assert len(space.program.variables) == 2 * (n + 1) + 1
 
 
 @pytest.mark.parametrize("stay", [Rat(-1), Rat(-1, 2)])
