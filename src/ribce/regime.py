@@ -15,19 +15,23 @@ here and the symmetric gap test in ``welfare``.  It keeps only the corner
 counts of each state: a count is left out when the payoffs that it and its
 two neighbours read are all equal, since its column is then the average of
 theirs in every row.  That changes no optimal value and leaves an optimal
-basis optimal, and a regime program has at most six counts per state,
-whatever n is.  It scales the payoffs the corners read and the prior to int
-numerators once and hands each row to the LP as an ``lp.IntRow``: one int
-product per entry over the row's common denominator, with no ``Rat`` made,
-so the rows cost little next to the LPs they feed.  One space serves every
-program over a game: ``regime_space`` builds the regime's, which ``cli``
-passes to both worst-case objectives, and each obedience row is built at
-most once per space.  A space also keeps one worst-case program and its
-feasible start, built on first use (``CountSpace.program`` and
-``CountSpace.feasible``).  The program has a feasible basis in closed form,
-the kernel on which nobody attacks, so the start is that basis, checked
-exactly (``lp.Polyhedron.from_basis``), and no phase 1 runs unless the check
-fails.  ``reduced_symmetric_lp`` optimizes both objectives from it: the
+basis optimal.  The caller names each state's change points, where the
+payoff pair changes, and the space reads the table only next to them: the
+regime's are theta-1 and theta, so its program has at most six counts per
+state and is built at a cost that does not grow with n.  It scales the
+payoffs the corners read and the prior to int numerators once and hands each
+row to the LP as an ``lp.IntRow``: one int product per entry over the row's
+common denominator, with no ``Rat`` made, so the rows cost little next to
+the LPs they feed.  One space serves every program over a game:
+``regime_space`` builds the regime's, which ``cli`` passes to both
+worst-case objectives, and each obedience row is built at most once per
+space.  A space also keeps one worst-case program and its feasible start,
+built on first use (``CountSpace.program`` and ``CountSpace.feasible``).
+The regime program's start is its acquired-information optimum in closed
+form, the cutoff kernel (``regime_space``), checked exactly
+(``lp.Polyhedron.from_basis``): no phase 1 runs unless the check fails, and
+the uninformed-welfare objective takes no phase-2 pivot.
+``reduced_symmetric_lp`` optimizes both objectives from it: the
 uninformed-welfare objective on the program a cold solve would run, with the
 cold solve's value, and the gross objective on the same rows, whose epigraph
 variable is free and left out of it, so the value is that of the rows
@@ -129,11 +133,24 @@ class RegimeParams:
         if sum(self.prior.values(), ZERO) != ONE:
             raise InvalidParams("prior must sum to one")
 
-    @property
+    @cached_property
     def kappa(self):
         """k/(1+x): both the worst-case attack probability and the belief
-        threshold at which an investor is indifferent."""
+        threshold at which an investor is indifferent.  Computed on first
+        read and kept."""
         return self.k / (ONE + self.x)
+
+    @cached_property
+    def cutoff(self):
+        """(t*, F(t*)): the smallest threshold whose prior CDF reaches
+        ``kappa``, and that CDF.  Computed on first read and kept."""
+        kappa = self.kappa
+        cdf = ZERO
+        for theta in self.thresholds:
+            cdf += self.prior[theta]
+            if cdf >= kappa:
+                return theta, cdf
+        raise InternalInvariantError("CDF never reached kappa <= 1")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,7 @@ class CountKernel:
 EPIGRAPH = ("t",)
 
 
-def count_space(n: int, states, prior: dict, payoff):
+def count_space(n: int, states, prior: dict, payoff, changes: dict, start=()):
     """LP pieces over count kernels of a symmetric game with actions 0 and 1,
     on the game's corner counts.
 
@@ -162,7 +179,11 @@ def count_space(n: int, states, prior: dict, payoff):
     takes action 1 with weight m/n, facing m-1 opponents on action 1, and
     action 0 with weight (n-m)/n, facing m.  ``payoff(own, opp, theta)`` is a
     player's utility from action ``own`` when ``opp`` opponents take action
-    1; it is read once per own in {0, 1}, opp < n and theta.
+    1.  ``changes[theta]`` lists the state's change points: the opponent
+    counts opp in 1..n-1 at which the payoff pair (action 0, action 1)
+    differs from the one at opp-1.  The caller finds them, in closed form
+    (``regime_space``) or by one scan of its table (the gap test in
+    ``welfare``); between two change points the pair must be constant.
 
     Column (m, theta) reads the payoffs only at opp = m-1 and m, with
     weights affine in m.  So if both actions' payoffs in state theta are the
@@ -171,12 +192,13 @@ def count_space(n: int, states, prior: dict, payoff):
     columns is affine between the nearest counts kept on either side: any
     kernel can move its mass on the run onto those two with every row's
     value unchanged.  The space drops those columns and keeps the others,
-    its corner counts: 0 and n always, and opp-1, opp and opp+1 wherever the
-    payoff pair changes between opp-1 and opp.  Every optimal value over the
-    corners is that of the full kernel space, and a dropped column's reduced
-    cost interpolates its neighbours', so an optimal basis of a corner
-    program is optimal on the full one.  A regime game keeps at most six
-    counts per state, whatever n is.
+    its corner counts: 0 and n always, and opp-1, opp and opp+1 for each
+    change point opp.  Every optimal value over the corners is that of the
+    full kernel space, and a dropped column's reduced cost interpolates its
+    neighbours', so an optimal basis of a corner program is optimal on the
+    full one.  A regime game keeps at most six counts per state, whatever n
+    is, and ``payoff`` is read only at the opponent counts the corners read:
+    the space costs nothing that grows with n.
 
     Returns a ``CountSpace`` with the corner (m, theta) ``variables``, their
     ``bounds``, the per-state normalisation rows sum_m q(m, theta) = 1 as
@@ -189,9 +211,9 @@ def count_space(n: int, states, prior: dict, payoff):
     - ``epigraph()``: the rows EPIGRAPH >= payoff of always playing a, for
       a = 0, 1, so that n * EPIGRAPH bounds total uninformed welfare.
 
-    The table is read in one pass, which also finds the corners (equal
-    payoffs are tested with ``is`` before ``==``).  The payoffs the corner
-    columns read are scaled once to ints over the lcm of their
+    ``start`` is the basis proposed for the space's program
+    (``CountSpace.feasible``); with none, phase 1 finds one.  The payoffs
+    the corner columns read are scaled once to ints over the lcm of their
     denominators, and the prior over the lcm of its own.  Each row is an
     ``lp.IntRow``: every entry one int product over the row's common
     denominator, zero entries left out.  A space serves every program over
@@ -200,22 +222,13 @@ def count_space(n: int, states, prior: dict, payoff):
     states = tuple(states)
     counts, table = {}, {}
     for theta in states:
-        pairs = []
         corners = {0, n}
-        stay = act = None
-        for opp in range(n):
-            last_stay, last_act = stay, act
-            stay, act = payoff(0, opp, theta), payoff(1, opp, theta)
-            if opp and not (
-                (stay is last_stay or stay == last_stay) and (act is last_act or act == last_act)
-            ):
-                corners.update((opp - 1, opp, opp + 1))
-            pairs.append((stay, act))
+        for opp in changes[theta]:
+            corners.update((opp - 1, opp, opp + 1))
         counts[theta] = sorted(corners)
         # Corner m reads the pairs at opp = m-1 (if m > 0) and m (if m < n).
-        table[theta] = {
-            opp: pairs[opp] for m in counts[theta] for opp in (m - 1, m) if 0 <= opp < n
-        }
+        reads = {opp for m in corners for opp in (m - 1, m) if 0 <= opp < n}
+        table[theta] = {opp: (payoff(0, opp, theta), payoff(1, opp, theta)) for opp in reads}
     scale = lcm(*{v.denominator for read in table.values() for pair in read.values() for v in pair})
     values = {
         theta: {
@@ -229,7 +242,7 @@ def count_space(n: int, states, prior: dict, payoff):
         theta: prior[theta].numerator * (prior_scale // prior[theta].denominator)
         for theta in states
     }
-    return CountSpace(n, weights, prior_scale, counts, values, scale)
+    return CountSpace(n, weights, prior_scale, counts, values, scale, tuple(start))
 
 
 class CountSpace:
@@ -241,10 +254,12 @@ class CountSpace:
     increasing within a state; ``counts[theta]`` lists a state's corners.
     ``weights[theta]`` over ``prior_scale`` is the prior, and
     ``values[theta][opp]`` over ``scale`` the payoff pair (action 0,
-    action 1) at each opponent count a corner column reads."""
+    action 1) at each opponent count a corner column reads.  ``start`` is
+    the basis proposed for ``program``, empty if none is."""
 
-    def __init__(self, n, weights, prior_scale, counts, values, scale):
+    def __init__(self, n, weights, prior_scale, counts, values, scale, start):
         self.n = n
+        self.start = start
         self._counts = counts
         self.variables = tuple((m, theta) for theta in weights for m in counts[theta])
         self.bounds = {var: (ZERO, None) for var in self.variables}
@@ -333,20 +348,12 @@ class CountSpace:
     @cached_property
     def feasible(self) -> _lp.Polyhedron:
         """``program``'s polyhedron, built on first use and kept for every
-        objective over it.  It starts (``lp.Polyhedron.from_basis``) from
-        the kernel on which nobody takes action 1, whose basic columns, in
-        the order of the program's rows, are q(0, theta) for each theta, the
-        slacks of obedience(1) and obedience(0), EPIGRAPH (its ``pos``
-        column) at the payoff of always playing 0, and the slack of the
-        epigraph row of action 1.  That basis is feasible whenever, with
-        nobody on action 1, playing 0 pays at least 0 and at least what
-        playing 1 pays, in expectation over the prior: in every regime game
-        staying then pays 0 and attacking -k.  For any other space the
-        exact check decides, and phase 1 runs if it fails."""
-        k = len(self._weights)
-        basis = tuple(("lo", (0, theta)) for theta in self._weights)
-        basis += (("slack", k), ("slack", k + 1), ("pos", EPIGRAPH), ("slack", k + 3))
-        return _lp.Polyhedron.from_basis(self.program, basis)
+        objective over it.  It starts from the space's proposed ``start``
+        (``lp.Polyhedron.from_basis``), which the exact check accepts or
+        refuses; a refused or empty proposal runs phase 1 instead.  The
+        regime space proposes the cutoff kernel, the acquired-information
+        optimum (``regime_space``)."""
+        return _lp.Polyhedron.from_basis(self.program, self.start)
 
 
 def _payoff(params: RegimeParams):
@@ -364,8 +371,36 @@ def _payoff(params: RegimeParams):
 
 
 def regime_space(params: RegimeParams) -> CountSpace:
-    """The count space of the regime game, for ``reduced_symmetric_lp``."""
-    return count_space(params.n, params.thresholds, params.prior, _payoff(params))
+    """The count space of the regime game, for ``reduced_symmetric_lp``.
+
+    Its change points are written from ``_payoff``: attacking starts to
+    succeed at theta-1 opponents on attack and staying starts to be hit at
+    theta, so each state keeps the counts 0, theta-2 .. theta+1 and n.
+
+    Its start is the cutoff kernel, with t* and F(t*) from
+    ``RegimeParams.cutoff``: theta+1 investors attack in every state below
+    t*, nobody in every state above, and in t* theta+1 attack with
+    probability (kappa - F(t*) + pi(t*)) / pi(t*), nobody otherwise.  An
+    attack then succeeds with probability kappa, no mass sits on a
+    near-pivotal count (theta-1 or theta), and always staying and always
+    attacking both pay -x*kappa, the value of EPIGRAPH: the closed-form
+    optimum ``wlower_closed_form``.  Its basic columns are
+    the slacks of obedience(1) and obedience(0), the negative part of
+    EPIGRAPH, then q(theta+1, theta) below t*, both q(0, t*) and
+    q(t*+1, t*), and q(0, theta) above t*; both epigraph rows are tight.
+    ``lp.Polyhedron.from_basis`` checks it exactly."""
+    k = len(params.thresholds)
+    t_star, _ = params.cutoff
+    start = [("slack", k), ("slack", k + 1), ("neg", EPIGRAPH)]
+    for theta in params.thresholds:
+        if theta < t_star:
+            start.append(("lo", (theta + 1, theta)))
+        elif theta == t_star:
+            start += [("lo", (0, theta)), ("lo", (theta + 1, theta))]
+        else:
+            start.append(("lo", (0, theta)))
+    changes = {theta: (theta - 1, theta) for theta in params.thresholds}
+    return count_space(params.n, params.thresholds, params.prior, _payoff(params), changes, start)
 
 
 def build_regime_game(params: RegimeParams) -> BaseGame:
@@ -405,15 +440,6 @@ def wlower_closed_form(params: RegimeParams):
     return -params.n * params.x * params.kappa
 
 
-def _cutoff_state(params: RegimeParams):
-    cdf = ZERO
-    for theta in params.thresholds:
-        cdf += params.prior[theta]
-        if cdf >= params.kappa:
-            return theta, cdf
-    raise InternalInvariantError("CDF never reached kappa <= 1")  # pragma: no cover
-
-
 def gap_closed_form(params: RegimeParams) -> bool:
     """True iff the worst case under acquired information is strictly below
     the worst case under exogenous information.
@@ -426,7 +452,7 @@ def gap_closed_form(params: RegimeParams) -> bool:
     bounds) is evaluated as well and must agree.
     """
     kappa = params.kappa
-    theta_star, cdf_star = _cutoff_state(params)
+    theta_star, cdf_star = params.cutoff
     mean = sum((params.prior[t] * t for t in params.thresholds), ZERO)
     mean_below = sum(
         (params.prior[t] * t for t in params.thresholds if t <= theta_star), ZERO
@@ -492,12 +518,14 @@ def reduced_symmetric_lp(
     ``space`` is ``regime_space(params)``, built here if not given; pass one
     to both objectives to build it, its program and its start once.  Both
     objectives are optimized over the space's one program
-    (``CountSpace.program``), from its one feasible basis
-    (``CountSpace.feasible``, the kernel on which nobody attacks, checked
-    exactly), with no phase 1: the normalization per state, in threshold
+    (``CountSpace.program``: the normalization per state, in threshold
     order, then obedience(1), obedience(0) and the epigraph rows of actions
-    0 and 1.  The values are those of a cold ``lp.solve`` of the same
-    program; the kernel is an optimal one, not necessarily the cold solve's.
+    0 and 1), from its one feasible basis (``CountSpace.feasible``), with
+    no phase 1.  That basis is the cutoff kernel, checked exactly, which is
+    the ``UNINFORMED_WELFARE`` optimum: that objective takes no pivot, and
+    ``GROSS_WELFARE`` pivots on from it.  Nothing here grows with n.  The
+    values are those of a cold ``lp.solve`` of the same program; the kernel
+    is an optimal one, not necessarily the cold solve's.
     The program runs over the space's corner counts only (``count_space``),
     so its values are those of the full kernel space, every count 0..n per
     state, and the kernel has its mass on corner counts.

@@ -179,8 +179,9 @@ def binary_symmetric_gap_test(game: BaseGame):
     second action, so every program runs in count space (``regime.count_space``)
     on each state's corner counts (at most n+1; the others are averages of
     their neighbours and change none of the five values) and one epigraph
-    variable, with payoffs read at one representative profile per (own
-    action, opponent count, state).  The four per-action minima share the
+    variable.  One scan of the table reads the payoffs at one representative
+    profile per (own action, opponent count, state) and finds the change
+    points the corners come from.  The four per-action minima share the
     optimal face's phase 1.
 
     Returns (gap_strict, diagnostic dict).
@@ -200,7 +201,16 @@ def binary_symmetric_gap_test(game: BaseGame):
         profile = (actions[own],) + (actions[1],) * opp + (actions[0],) * (n - 1 - opp)
         return game.u(i, profile, state)
 
-    space = count_space(n, game.states, game.prior, payoff)
+    # One scan of the table: the payoff pair (action 0, action 1) at each
+    # opponent count and state, and the counts where it changes.
+    pairs, changes = {}, {}
+    for state in game.states:
+        row = [(payoff(0, opp, state), payoff(1, opp, state)) for opp in range(n)]
+        pairs[state] = row
+        changes[state] = [opp for opp in range(1, n) if row[opp] != row[opp - 1]]
+    space = count_space(
+        n, game.states, game.prior, lambda own, opp, state: pairs[state][opp][own], changes
+    )
     variables = space.variables + (EPIGRAPH,)
     constraints = space.constraints + space.epigraph()
     uninformed = {EPIGRAPH: Rat(n)}

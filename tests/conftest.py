@@ -62,6 +62,30 @@ def feasible_starts(monkeypatch):
 
 
 @pytest.fixture
+def optimize_pivots(monkeypatch):
+    """A list that gets one entry per ``lp.Polyhedron.optimize`` call in the
+    test: the number of phase-2 pivots it made."""
+    pivots = []
+    made = [0]
+    pivot = _lp._Tableau.pivot
+    optimize = _lp.Polyhedron.optimize
+
+    def counting_pivot(self, r, j):
+        made[0] += 1
+        return pivot(self, r, j)
+
+    def counting_optimize(self, *args, **kwargs):
+        before = made[0]
+        sol = optimize(self, *args, **kwargs)
+        pivots.append(made[0] - before)
+        return sol
+
+    monkeypatch.setattr(_lp._Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(_lp.Polyhedron, "optimize", counting_optimize)
+    return pivots
+
+
+@pytest.fixture
 def polytopes_built(monkeypatch):
     """A list that gets one entry per ``BcePolytope.of`` call in the test."""
     built = []

@@ -6,7 +6,9 @@ independent route the corner space is checked against.  Its rows restricted
 to the space's corners must equal the space's, each column the space drops
 must be the average of its neighbours in every row (``dropped_columns``),
 and its programs (``uninformed_program`` and ``gross_count_program``) must
-have the corner programs' values.
+have the corner programs' values.  ``scanned_changes`` finds a table's
+change points by reading all of it, the route that closed-form change
+points are checked against.
 """
 
 from types import SimpleNamespace
@@ -81,6 +83,17 @@ def reference_count_space(n, states, prior, payoff):
         gross=gross,
         epigraph=epigraph,
     )
+
+
+def scanned_changes(n, states, payoff):
+    """Each state's change points found by reading the whole table: the
+    opponent counts opp in 1..n-1 at which the payoff pair (action 0,
+    action 1) differs from the one at opp-1."""
+    changes = {}
+    for theta in states:
+        pairs = [(payoff(0, opp, theta), payoff(1, opp, theta)) for opp in range(n)]
+        changes[theta] = [opp for opp in range(1, n) if pairs[opp] != pairs[opp - 1]]
+    return changes
 
 
 def regime_reference(params):

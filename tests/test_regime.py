@@ -47,6 +47,7 @@ from count_reference import (
     reference_count_space,
     regime_reference,
     restrict,
+    scanned_changes,
     uninformed_program,
 )
 from row_reference import assert_same_row
@@ -311,8 +312,8 @@ def _corners(n, states, payoff):
     return tuple(corners)
 
 
-def _check_against_reference(n, states, prior, payoff):
-    space = count_space(n, states, prior, payoff)
+def _check_against_reference(n, states, prior, payoff, changes, start=()):
+    space = count_space(n, states, prior, payoff, changes, start)
     _assert_same_space(space, reference_count_space(n, states, prior, payoff))
     assert space.variables == _corners(n, states, payoff)
     return space
@@ -336,17 +337,27 @@ def test_count_space_matches_fraction_reference_on_random_tables():
         }
         if constant:
             table = {(own, opp, s): table[0, opp, s] for own, opp, s in table}
-        _check_against_reference(n, states, prior, lambda own, opp, s: table[own, opp, s])
+
+        def payoff(own, opp, s):
+            return table[own, opp, s]
+
+        _check_against_reference(n, states, prior, payoff, scanned_changes(n, states, payoff))
     # Plain int payoffs and prior are read the same way.
-    _check_against_reference(5, (0,), {0: 1}, lambda own, opp, s: own * opp - 2)
+    def linear(own, opp, s):
+        return own * opp - 2
+
+    _check_against_reference(5, (0,), {0: 1}, linear, scanned_changes(5, (0,), linear))
 
 
 def test_count_space_matches_fraction_reference_on_regime_and_gap_readout(monkeypatch):
     seen = []
 
-    def checked(n, states, prior, payoff):
+    def checked(n, states, prior, payoff, changes, start=()):
+        # Change points found in closed form or by the caller's scan are
+        # those of a scan of the whole table.
+        assert {s: list(changes[s]) for s in states} == scanned_changes(n, states, payoff)
         seen.append(n)
-        return _check_against_reference(n, states, prior, payoff)
+        return _check_against_reference(n, states, prior, payoff, changes, start)
 
     monkeypatch.setattr(regime, "count_space", checked)
     monkeypatch.setattr(welfare, "count_space", checked)
@@ -524,26 +535,109 @@ def _large_params(rng):
     )
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_nobody_attacks_basis_is_accepted_and_optimal(seed, feasible_starts):
-    # The count program starts from its closed-form basis, with no phase 1;
-    # a cold solve of the same program, the closed form, each answer's own
-    # certificate and, where the full game can be built, the lifted
-    # certificate on the full programs all agree with both answers.
-    params = _large_params(random.Random(f"nobody-attacks-{seed}"))
+def _cutoff_kernel(params):
+    """The cutoff kernel, from the prior's CDF: theta+1 investors attack in
+    each state whose CDF is below kappa, nobody in each state above the
+    first whose CDF reaches it, and in that state theta+1 attack with the
+    probability that makes an attack succeed with probability kappa."""
+    q, below = {}, ZERO
+    for theta in params.thresholds:
+        pi = params.prior[theta]
+        if below is None:
+            q[(0, theta)] = Rat(1)
+        elif below + pi < params.kappa:
+            q[(theta + 1, theta)] = Rat(1)
+            below += pi
+        else:
+            share = (params.kappa - below) / pi
+            q.update({(0, theta): 1 - share, (theta + 1, theta): share})
+            below = None
+    return CountKernel(n=params.n, q={key: mass for key, mass in q.items() if mass})
+
+
+def _assert_cutoff_start(params, feasible_starts, optimize_pivots):
+    """Both answers start from the cutoff kernel, accepted by the exact
+    check with no phase 1, and the acquired-information answer is that
+    kernel with no pivot, at the closed form.  A cold solve of the same
+    program, each answer's own certificate, the cutoff inequality and,
+    where the full game can be built, the lifted certificates agree."""
     space = regime_space(params)
     uninformed = reduced_symmetric_lp(params, UNINFORMED_WELFARE, space)
     gross = reduced_symmetric_lp(params, GROSS_WELFARE, space)
     assert feasible_starts == ["basis"]
+    assert optimize_pivots[0] == 0
+    assert uninformed.kernel == _cutoff_kernel(params)
+    assert uninformed.value == wlower_closed_form(params)
+    assert kernel_satisfies_optimality(params, uninformed.kernel)
     for optimum in (uninformed, gross):
         assert optimum.value == lp.solve(optimum.lp).value
         assert optimum.solution.verify(optimum.lp)
-    assert uninformed.value == wlower_closed_form(params)
-    assert kernel_satisfies_optimality(params, uninformed.kernel)
+    assert gap_closed_form(params) == (uninformed.value < gross.value)
     if params.n <= 8:
         game = build_regime_game(params)
         assert certify_full_game(params, uninformed, game) == uninformed.value
         assert certify_full_game(params, gross, game) == gross.value
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nobody_attacks_basis_is_accepted_and_optimal(seed, feasible_starts, optimize_pivots):
+    # The count program starts from its closed-form basis, the cutoff
+    # kernel, with no phase 1 and no pivot to the acquired-information
+    # optimum, over the range ``regime`` runs in.
+    params = _large_params(random.Random(f"nobody-attacks-{seed}"))
+    _assert_cutoff_start(params, feasible_starts, optimize_pivots)
+
+
+def _family_params(rng, family):
+    """Regime parameters of one family, n from 4 to 10^5 (n <= 8 a quarter
+    of the time, so that the full game can be built) and 1-4 thresholds:
+    "spread" draws the thresholds anywhere, "adjacent" as a run of
+    consecutive ones, and "kappa-on-cdf" draws x and then k so that kappa
+    is exactly the prior's CDF at a threshold other than the last."""
+    n = rng.randint(4, 8) if rng.random() < 0.25 else round(9 * (10**5 / 9) ** rng.random())
+    if family == "kappa-on-cdf":
+        n = max(n, 5)
+    count = min(rng.randint(2 if family == "kappa-on-cdf" else 1, 4), n - 3)
+    if family == "adjacent":
+        first = rng.randint(2, n - 1 - count)
+        thresholds = list(range(first, first + count))
+    else:
+        thresholds = sorted(rng.sample(range(2, n - 1), count))
+    weights = [rng.randint(1, 9) for _ in thresholds]
+    prior = {t: Rat(w, sum(weights)) for t, w in zip(thresholds, weights)}
+    if family == "kappa-on-cdf":
+        cdf = sum(weights[: rng.randint(1, count - 1)]) / Rat(sum(weights))
+        x = (1 / cdf - 1) * Rat(rng.randint(1, 9), 10)
+        k = cdf * (1 + x)
+    else:
+        k_den = rng.randint(2, 20)
+        k, x = Rat(rng.randint(1, k_den - 1), k_den), Rat(rng.randint(1, 40), 10)
+    return RegimeParams(n=n, k=k, x=x, thresholds=tuple(thresholds), prior=prior)
+
+
+@pytest.mark.parametrize("family", ["spread", "adjacent", "kappa-on-cdf"])
+@pytest.mark.parametrize("seed", range(15))
+def test_cutoff_start_is_the_acquired_information_optimum(
+    family, seed, feasible_starts, optimize_pivots
+):
+    params = _family_params(random.Random(f"cutoff-{family}-{seed}"), family)
+    if family == "kappa-on-cdf":
+        assert params.kappa == params.cutoff[1]
+    _assert_cutoff_start(params, feasible_starts, optimize_pivots)
+    if params.n <= 2000:
+        # The closed-form change points keep the corners a scan keeps.
+        payoff = regime._payoff(params)
+        changes = scanned_changes(params.n, params.thresholds, payoff)
+        scanned = count_space(params.n, params.thresholds, params.prior, payoff, changes)
+        assert regime_space(params).program == scanned.program
+
+
+def test_kappa_and_cutoff_are_computed_once_per_params():
+    prior = {2: Rat(1, 4), 5: Rat(1, 4), 7: Rat(1, 2)}
+    params = _params(n=9, k=Rat(3, 5), x=Rat(1, 5), thresholds=(2, 5, 7), prior=prior)
+    assert params.kappa is params.kappa == Rat(1, 2)
+    assert params.cutoff is params.cutoff == (5, Rat(1, 2))
+    assert replace(params, x=Rat(1, 10)).cutoff == (7, Rat(1))
 
 
 def _step_table(rng):
@@ -612,7 +706,7 @@ def test_corner_space_agrees_with_the_full_width_programs(seed):
         assert [diagnostics["relaxed_value"], *minima] == [value for _, value in gap]
 
     n, states, prior, payoff = _step_table(rng)
-    space = count_space(n, states, prior, payoff)
+    space = count_space(n, states, prior, payoff, scanned_changes(n, states, payoff))
     full = reference_count_space(n, states, prior, payoff)
     dropped_columns(space, full)
     program = uninformed_program(full)
@@ -628,7 +722,7 @@ def test_corner_space_agrees_with_the_full_width_programs(seed):
 @pytest.mark.parametrize(
     "thresholds, sizes",
     [
-        ((5, 9), {20: 12, 200: 12, 2000: 12}),
+        ((5, 9), {20: 12, 200: 12, 2000: 12, 10**6: 12}),
         # The median regime job of the benchmark's digest seed.
         ((13, 102), {114: 12}),
     ],
@@ -650,20 +744,29 @@ def test_table_without_equal_neighbouring_pairs_keeps_every_count():
     n, states = 9, ("a", "b")
     prior = {"a": Rat(1, 4), "b": Rat(3, 4)}
     # Both payoffs change at every opponent count.
-    space = count_space(n, states, prior, lambda own, opp, s: Rat(opp * (2 * own - 1), 1 + own))
+    def payoff(own, opp, s):
+        return Rat(opp * (2 * own - 1), 1 + own)
+
+    space = count_space(n, states, prior, payoff, scanned_changes(n, states, payoff))
     assert space.variables == tuple((m, s) for s in states for m in range(n + 1))
     assert len(space.program.variables) == 2 * (n + 1) + 1
 
 
 @pytest.mark.parametrize("stay", [Rat(-1), Rat(-1, 2)])
 def test_count_space_whose_proposal_fails_falls_back_to_phase_one(stay, feasible_starts):
-    # Staying pays ``stay`` < 0 and attacking -1/2 below the threshold, so
-    # EPIGRAPH would be basic at a negative value (at -1, obedience(0)'s
-    # slack too): the exact check refuses the proposal and phase 1 runs.
+    # The proposal is the kernel on which nobody attacks: q(0, theta) for
+    # each theta, the obedience slacks, EPIGRAPH at the payoff of always
+    # staying and the slack of the attack epigraph row.  Staying pays
+    # ``stay`` < 0 and attacking -1/2 below the threshold, so EPIGRAPH would
+    # be basic at a negative value (at -1, obedience(0)'s slack too): the
+    # exact check refuses the proposal and phase 1 runs.
     def payoff(own, opp, theta):
         return (Rat(1, 2) if opp + 1 >= theta else Rat(-1, 2)) if own else stay
 
-    space = count_space(7, (2, 4), {2: Rat(1, 3), 4: Rat(2, 3)}, payoff)
+    proposal = (("lo", (0, 2)), ("lo", (0, 4)), ("slack", 2), ("slack", 3))
+    proposal += (("pos", EPIGRAPH), ("slack", 5))
+    changes = {2: (1,), 4: (3,)}
+    space = count_space(7, (2, 4), {2: Rat(1, 3), 4: Rat(2, 3)}, payoff, changes, proposal)
     polyhedron = space.feasible
     assert feasible_starts == ["phase 1"]
     for costs in ({EPIGRAPH: Rat(7)}, space.gross()):
