@@ -73,20 +73,20 @@ def is_bce(game: BaseGame, outcome: Outcome) -> BceCheck:
 
 @dataclass
 class BcePolytope:
-    """LP skeleton of a game's BCE set; variables are the (profile, state) cells.
+    """LP skeleton of a game's BCE set: one validated ``program`` over the
+    (profile, state) cells, with no objective, built once by ``of``.
 
     ``solve`` optimizes a linear objective over the set.  Phase 1 reads only
-    the constraints, so the first ``solve`` runs it and keeps the feasible
-    tableau (an ``lp.Polyhedron``) for every later objective; each answer is
-    the one ``lp.solve`` gives for ``lp(objective, sense)``.  That state is
-    left out of ``repr`` and ``==``, and assumes the constraints and bounds
-    no longer change.  ``BaseGame.bce_polytope`` keeps one per game.
+    the constraints, so the first ``solve`` runs it on ``program`` and keeps
+    the feasible tableau (an ``lp.Polyhedron``) for every later objective;
+    each answer carries ``program`` and is the one ``lp.solve`` gives for
+    ``program`` under that objective.  That state is left out of ``repr``
+    and ``==``, and assumes the program no longer changes.
+    ``BaseGame.bce_polytope`` keeps one per game.
     """
 
     game: BaseGame
-    variables: tuple
-    constraints: list
-    bounds: dict
+    program: _lp.LinearProgram
     _feasible: Optional[_lp.Polyhedron] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -102,20 +102,16 @@ class BcePolytope:
                     if rec != dev:
                         constraints.append((obedience_row(game, i, rec, dev), _lp.GREATER, ZERO))
         bounds = {v: (ZERO, None) for v in variables}
-        return cls(game=game, variables=variables, constraints=constraints, bounds=bounds)
+        return cls(game=game, program=_lp.LinearProgram(variables, {}, "min", constraints, bounds))
 
-    def lp(self, objective: dict, sense: str = "min") -> _lp.LinearProgram:
-        return _lp.LinearProgram(
-            variables=self.variables,
-            objective=objective,
-            sense=sense,
-            constraints=list(self.constraints),
-            bounds=dict(self.bounds),
-        )
+    # The program's variables, rows and bounds.
+    variables = property(lambda self: self.program.variables)
+    constraints = property(lambda self: self.program.constraints)
+    bounds = property(lambda self: self.program.bounds)
 
     def solve(self, objective: dict, sense: str = "min") -> _lp.LpSolution:
         if self._feasible is None:
-            self._feasible = _lp.phase_one(self.variables, self.constraints, self.bounds)
+            self._feasible = _lp.phase_one(self.program)
         return self._feasible.optimize(objective, sense)
 
     def optimum(self, objective: dict, sense: str = "min"):

@@ -16,7 +16,9 @@ objective row, runs phase 2 on a copy of that tableau and reads out the
 point, so one start serves every objective over the same constraints.  From
 phase 1's tableau each answer is the one a cold solve gives; from a proposed
 basis it has a cold solve's status and value, at an optimal vertex that may
-differ.  ``solve`` is ``phase_one(...).optimize(...)``.
+differ.  ``solve(lp)`` is ``phase_one(lp).optimize(lp.objective, lp.sense)``:
+a program is validated once, when built, and never copied; the polyhedron
+keeps it, and each answer carries it with its objective and sense.
 
 A coefficient row is any mapping from variable to exact rational.  The
 row builders (``regime.CountSpace``, ``bce.obedience_row``,
@@ -45,18 +47,18 @@ objective's numerators with the point's; it is the one ``Rat`` made.
 Callers read the point through ``int_parts`` (outcomes, the count kernel)
 or as a mapping of exact rationals.
 
-Certificates are on demand.  ``LpSolution.duals(lp)`` is the one dual
+Certificates are on demand.  ``LpSolution.duals()`` is the one dual
 computation: one exact dual per constraint of an optimal answer, read off
 the reduced costs of the artificial columns once the basis is pivoted,
 fraction-free, into a fresh standard form that keeps them (``_pivot_in``,
 which also pivots a proposed basis in for ``from_basis``).  Nothing in
 ``solve``, ``phase_one`` or ``optimize`` computes them.  ``check_certificate``
-is the one optimality check: it proves a point and duals optimal for a
-program on its own rows, in one int pass over the nonzero entries: bounds,
-rows, dual signs, every reduced cost, and c·x = dual objective = the claimed
-value.  ``LpSolution.verify`` is that check on the answer's own duals, and a
-lifted certificate (the regime full check) is checked there without any
-tableau.
+is the one optimality check: it proves a point and duals optimal for an
+objective over a program's own rows, in one int pass over the nonzero
+entries: bounds, rows, dual signs, every reduced cost, and c·x = dual
+objective = the claimed value.  ``LpSolution.verify`` is that check on
+the answer's own duals, and a lifted certificate (the regime full check) is
+checked there without any tableau.
 
 The default pivot rule is Dantzig pricing that switches to Bland's rule once
 a phase stalls on degenerate pivots; Bland's rule guarantees termination,
@@ -198,7 +200,14 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """An answer of ``Polyhedron.optimize``: ``objective`` under ``sense``
+    over the constraints and bounds of ``program``, the polyhedron's own
+    program (left out of ``repr`` and ``==``), which ``duals`` reads."""
+
     status: str
+    program: LinearProgram = field(repr=False, compare=False)
+    objective: Mapping
+    sense: str
     point: Optional[Mapping] = None  # an ``IntRow`` over every variable
     value: object = None
     basis: Optional[tuple] = None
@@ -208,7 +217,7 @@ class LpSolution:
     def is_optimal(self) -> bool:
         return self.status == OPTIMAL
 
-    def verify(self, lp: LinearProgram) -> bool:
+    def verify(self) -> bool:
         """Re-check an optimal answer from scratch: ``check_certificate`` on
         the point, the value and the answer's own ``duals``, which are
         computed on a fresh standard-form tableau, not the solver's.  Raises
@@ -216,12 +225,13 @@ class LpSolution:
         other answer returns True."""
         if self.status != OPTIMAL:
             return True
-        check_certificate(lp, self.point, self.value, self.duals(lp))
+        duals = self.duals()
+        check_certificate(self.program, self.objective, self.sense, self.point, self.value, duals)
         return True
 
-    def duals(self, lp: LinearProgram) -> tuple:
-        """One exact rational per constraint of ``lp``, the program this
-        optimal answer solves: the dual multipliers y of its basis.  The
+    def duals(self) -> tuple:
+        """One exact rational per constraint of ``program``, for this
+        optimal answer: the dual multipliers y of its basis.  The
         basis is pivoted into a fresh standard-form tableau whose rows keep
         their artificial columns, one fraction-free pivot per basic column
         on a free row that holds it, the rows dropped in phase 1 tried last;
@@ -236,7 +246,7 @@ class LpSolution:
         here, on demand: ``solve`` and ``optimize`` never read the duals."""
         if self.status != OPTIMAL:
             raise ValidationError(f"duals need an optimal answer, not an {self.status} one")
-        cols, rows, terms, shifts = _standard_form(lp)
+        cols, rows, terms, shifts = _standard_form(self.program)
         n = len(cols)
         dropped = set(self.dropped_rows)
         free = [r for r in range(len(rows)) if r not in dropped] + sorted(dropped)
@@ -249,14 +259,14 @@ class LpSolution:
         # which is the constraint times -1 when its shifted rhs was negative,
         # so its reduced cost is minus that row's dual.  The objective row is
         # the objective times k = den/gcd, negated for max.
-        nums, den = parts = _objective_parts(lp.objective)
-        obj = _objective_row(terms, n, parts, lp.sense)
+        nums, den = parts = _objective_parts(self.objective)
+        obj = _objective_row(terms, n, parts, self.sense)
         reduced, scale = tab.reduced_costs(obj + [0] * (tab.n - n))
         scale *= den // gcd(den, *nums.values())
-        if lp.sense != "min":
+        if self.sense != "min":
             scale = -scale
         duals = []
-        for r, con in enumerate(lp.constraints):
+        for r, con in enumerate(self.program.constraints):
             z = reduced[n + r]
             if _shifted_rhs(con.rhs, *int_parts(con.coeffs), shifts) >= 0:
                 z = -z
@@ -264,10 +274,11 @@ class LpSolution:
         return tuple(duals)
 
 
-def check_certificate(lp: LinearProgram, point, value, duals) -> None:
-    """Prove ``value`` the optimum of ``lp`` at ``point``, exactly, in one
-    pass over the nonzero entries; raises InternalInvariantError naming the
-    first condition that fails.
+def check_certificate(lp: LinearProgram, objective, sense, point, value, duals) -> None:
+    """Prove ``value`` the optimum of ``objective`` under ``sense`` over
+    ``lp``'s rows and bounds (not its objective) at ``point``, exactly, in
+    one pass over the nonzero entries; raises InternalInvariantError naming
+    the first condition that fails.
 
     ``point`` maps variables to exact rationals (one it leaves out is 0).
     The primal part checks every bound and row at the point, then
@@ -306,14 +317,14 @@ def check_certificate(lp: LinearProgram, point, value, duals) -> None:
         if not ok:
             raise InternalInvariantError(f"constraint violated: {con}")
         rows.append((nums, den))
-    onums, oden = _objective_parts(lp.objective)
+    onums, oden = _objective_parts(objective)
     cx = sum([c * x(v, 0) for v, c in onums.items()])
     if cx * value.denominator != value.numerator * oden * xden:
         raise InternalInvariantError("objective value mismatch")
     if len(duals) != len(rows):
         raise InternalInvariantError(f"{len(duals)} duals for {len(rows)} constraints")
     ynums, yden = int_parts(dict(enumerate(duals)))
-    s = 1 if lp.sense == "min" else -1
+    s = 1 if sense == "min" else -1
     for r, con in enumerate(lp.constraints):
         y = s * ynums[r]
         if (con.relation == GREATER and y < 0) or (con.relation == LESS and y > 0):
@@ -643,14 +654,14 @@ class Polyhedron:
     1 from the artificial basis, ``from_basis`` from a basis the caller
     proposes.
 
-    ``status`` is ``FEASIBLE`` or ``INFEASIBLE``.  The feasible tableau over
-    the structural columns, its basis and the dropped rows are stored once
-    and never changed: ``optimize`` runs phase 2 on a copy, so from phase
-    1's basis it makes the pivots, and gives the answer, of a cold ``solve``
-    with that objective, and from a proposed basis an answer with a cold
-    solve's status and value.  So is the base point every read-out starts
-    from: each variable at its lower bound, else at its upper bound, else at
-    zero, as int numerators over one denominator.
+    ``status`` is ``FEASIBLE`` or ``INFEASIBLE``.  The program, the feasible
+    tableau over the structural columns, its basis and the dropped rows are
+    stored once and never changed: ``optimize`` runs phase 2 on a copy, so
+    from phase 1's basis it makes the pivots, and gives the answer, of a
+    cold ``solve`` with that objective, and from a proposed basis an answer
+    with a cold solve's status and value.  So is the base point every
+    read-out starts from: each variable at its lower bound, else at its
+    upper bound, else at zero, as int numerators over one denominator.
     """
 
     def __init__(self, lp: LinearProgram, rule: str):
@@ -702,11 +713,11 @@ class Polyhedron:
         return self
 
     def _start(self, lp: LinearProgram, rule: str):
-        """Write ``lp``'s standard form and keep what every read-out needs:
-        the columns, their terms, the base point and each column's move off
-        it.  Returns the standard form's rows, or None, with status
+        """Keep ``lp``, write its standard form and keep what every read-out
+        needs: the columns, their terms, the base point and each column's
+        move off it.  Returns the standard form's rows, or None, with status
         ``INFEASIBLE``, when a bound pair is inconsistent."""
-        self._variables = lp.variables
+        self._program = lp
         self._declared = frozenset(lp.variables)
         self._rule = rule
         self._terms = None
@@ -767,10 +778,12 @@ class Polyhedron:
     def optimize(self, objective: dict, sense: str = "min") -> LpSolution:
         """Exact optimum of ``objective`` (variable -> exact rational) over
         the polyhedron, with a certified basis; ``sense`` is ``"min"`` or
-        ``"max"``.  The stored feasible tableau is left as it was."""
+        ``"max"``.  The stored feasible tableau is left as it was, and the
+        answer carries the polyhedron's program: none is built here."""
         _check_objective(self._declared, objective, sense)
+        program = self._program
         if self._terms is None:
-            return LpSolution(status=INFEASIBLE)
+            return LpSolution(INFEASIBLE, program, objective, sense)
         cols = self._cols
         n = len(cols)
         # Written before the status is read, so an inexact objective is
@@ -778,13 +791,13 @@ class Polyhedron:
         onums, oden = parts = _objective_parts(objective)
         obj = _objective_row(self._terms, n, parts, sense)
         if self.status == INFEASIBLE:
-            return LpSolution(status=INFEASIBLE)
+            return LpSolution(INFEASIBLE, program, objective, sense)
         # A pivot replaces rows and never changes one in place, so a new list
         # of the stored rows is a tableau of its own.
         tab = _Tableau(list(self._rows), n, list(self._basis))
         tab.T.append(tab.cost_row(obj))
         if tab.run(self._rule) == UNBOUNDED:
-            return LpSolution(status=UNBOUNDED)
+            return LpSolution(UNBOUNDED, program, objective, sense)
 
         # A nonbasic column is zero, so only basic columns with a nonzero
         # value move a variable off its base; row r's value is rhs/p, which
@@ -806,37 +819,27 @@ class Polyhedron:
         point = [x * up for x in self._base] if up > 1 else list(self._base)
         for (k, sign), a, q in moves:
             point[k] += sign * a * (den // q)
-        point = IntRow(dict(zip(self._variables, point)), den)
+        point = IntRow(dict(zip(program.variables, point)), den)
         pnums = point.nums
         value = Rat(sum([x * pnums[v] for v, x in onums.items()]), oden * den)
-        return LpSolution(
-            status=OPTIMAL,
-            point=point,
-            value=value,
-            basis=tuple(cols[j] for j in tab.basis),
-            dropped_rows=self._dropped,
-        )
+        basis = tuple(cols[j] for j in tab.basis)
+        return LpSolution(OPTIMAL, program, objective, sense, point, value, basis, self._dropped)
 
 
-def phase_one(variables, constraints, bounds=None, rule: str = "dantzig") -> Polyhedron:
-    """Phase 1 of the simplex on the constraints and bounds alone (see
-    ``LinearProgram`` for their form); the returned ``Polyhedron`` optimizes
-    any objective over them.  ``rule`` is ``"dantzig"`` or ``"bland"`` and
-    holds for both phases; any other raises ``ValidationError``."""
+def phase_one(program: LinearProgram, rule: str = "dantzig") -> Polyhedron:
+    """Phase 1 of the simplex on ``program``'s constraints and bounds alone,
+    its objective unread; the returned ``Polyhedron`` optimizes any
+    objective over them.  ``rule`` is ``"dantzig"`` or ``"bland"`` and holds
+    for both phases; any other raises ``ValidationError``."""
     _check_rule(rule)
-    lp = LinearProgram(
-        variables=variables,
-        objective={},
-        constraints=constraints,
-        bounds=dict(bounds or {}),
-    )
-    return Polyhedron(lp, rule)
+    return Polyhedron(program, rule)
 
 
 def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
     """Exact optimum with a certified basis; deterministic for a fixed rule,
-    ``"dantzig"`` or ``"bland"`` (any other raises ``ValidationError``)."""
-    return phase_one(lp.variables, lp.constraints, lp.bounds, rule).optimize(lp.objective, lp.sense)
+    ``"dantzig"`` or ``"bland"`` (any other raises ``ValidationError``).
+    The answer carries ``lp`` itself."""
+    return phase_one(lp, rule).optimize(lp.objective, lp.sense)
 
 
 def feasible_point(variables, constraints, bounds=None) -> Optional[dict]:

@@ -50,7 +50,7 @@ program.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb, lcm
@@ -478,25 +478,18 @@ def gap_closed_form(params: RegimeParams) -> bool:
 
 class CountOptimum(tuple):
     """``(value, kernel)``, the answer of ``reduced_symmetric_lp``, which
-    also keeps its ``objective``, the space's one count ``program``, the
-    objective's coefficient row (``costs``; None for the program's own
-    objective) and the solver's answer (``solution``), so that
-    ``certify_full_game`` reads the one solve.  For ``GROSS_WELFARE`` the
-    program carries the epigraph rows and EPIGRAPH too; they leave its value
-    alone, and their duals are 0 (EPIGRAPH is free at cost 0, so
-    mu_0 + mu_1 = 0 with mu >= 0)."""
+    also keeps its ``objective`` (``GROSS_WELFARE`` or
+    ``UNINFORMED_WELFARE``) and the solver's answer (``solution``), which
+    carries the space's one count program and the objective's coefficient
+    row, so that ``certify_full_game`` reads the one solve.  For
+    ``GROSS_WELFARE`` the program carries the epigraph rows and EPIGRAPH
+    too; they leave its value alone, and their duals are 0 (EPIGRAPH is
+    free at cost 0, so mu_0 + mu_1 = 0 with mu >= 0)."""
 
-    def __new__(cls, objective, program, solution, kernel, costs=None):
+    def __new__(cls, objective, solution, kernel):
         self = super().__new__(cls, (solution.value, kernel))
-        self.objective, self.program, self.solution = objective, program, solution
-        self.costs = costs
+        self.objective, self.solution = objective, solution
         return self
-
-    @cached_property
-    def lp(self) -> _lp.LinearProgram:
-        """The program under ``costs``, as ``LpSolution.duals`` reads it:
-        built, and its rows validated, only on first read."""
-        return self.program if self.costs is None else replace(self.program, objective=self.costs)
 
     @property
     def value(self):
@@ -532,7 +525,8 @@ def reduced_symmetric_lp(
     For ``GROSS_WELFARE`` EPIGRAPH is free and absent from the objective, so
     every kernel extends to a feasible point and the value is that of the
     program without the epigraph rows.  Returns (value, CountKernel) as a
-    ``CountOptimum``.
+    ``CountOptimum``, whose ``solution`` carries the space's program and
+    the objective's coefficient row, so its duals need no program built.
     """
     if objective not in (GROSS_WELFARE, UNINFORMED_WELFARE):
         raise InvalidParams(f"unknown objective {objective!r}")
@@ -544,26 +538,28 @@ def reduced_symmetric_lp(
         raise InternalInvariantError(f"reduced LP is {sol.status}")
     nums, den = sol.point.nums, sol.point.den
     kernel = CountKernel(n=params.n, q={v: Rat(x, den) for v in space.variables if (x := nums[v])})
-    return CountOptimum(objective, space.program, sol, kernel, costs)
+    return CountOptimum(objective, sol, kernel)
 
 
 def lift_to_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGame):
-    """(program, point, duals): the full game's own program for
-    ``optimum``'s objective, and the count-space optimum and its duals
-    lifted onto it.  ``game`` is ``build_regime_game(params)``.
+    """(program, objective, point, duals): the full game's own program and
+    objective for ``optimum``'s objective, both minimized, and the
+    count-space optimum and its duals (``optimum.solution.duals()``) lifted
+    onto them.  ``game`` is ``build_regime_game(params)``.
 
-    The program is ``game.bce_polytope`` with ``welfare.gross_objective``,
-    or ``welfare.epigraph_lp``.  The point spreads the kernel uniformly over
-    each count's profiles (``kernel_to_outcome``) and sets every player's
-    t_i to the count space's t.  With count duals y_theta (normalization),
-    lambda_rec (obedience of rec) and mu_a (epigraph of a), the full duals
-    are y_theta/pi(theta) on the marginal row of theta, lambda_rec/n on
-    each player's obedience row rec -> dev, and mu_a/n on each player's
-    epigraph row of a.  Summed over the players a profile's column meets,
-    each full column's reduced cost is then its count column's over
-    pi(theta), and b·y is the count value: by symmetry the pair is optimal
-    whenever the count-space pair is (Bödi, Herr & Joswig, Math. Prog.
-    2013), which ``lp.check_certificate`` decides on the full rows.  For
+    The program is ``game.bce_polytope.program`` under
+    ``welfare.gross_objective``, or ``welfare.epigraph_lp`` under its own.
+    The point spreads the kernel uniformly over each count's profiles
+    (``kernel_to_outcome``) and sets every player's t_i to the count
+    space's t.  With count duals y_theta (normalization), lambda_rec
+    (obedience of rec) and mu_a (epigraph of a), the full duals are
+    y_theta/pi(theta) on the marginal row of theta, lambda_rec/n on each
+    player's obedience row rec -> dev, and mu_a/n on each player's epigraph
+    row of a.  Summed over the players a profile's column meets, each full
+    column's reduced cost is then its count column's over pi(theta), and
+    b·y is the count value: by symmetry the pair is optimal whenever the
+    count-space pair is (Bödi, Herr & Joswig, Math. Prog. 2013), which
+    ``lp.check_certificate`` decides on the full rows.  For
     ``GROSS_WELFARE`` the epigraph duals of the count program are 0 and
     are not read.
     """
@@ -572,19 +568,20 @@ def lift_to_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGam
 
     n = params.n
     k = len(params.thresholds)
-    y = optimum.solution.duals(optimum.lp)
+    y = optimum.solution.duals()
     outcome = kernel_to_outcome(params, optimum.kernel, game)
     obey = {ATTACK: y[k] / n, STAY: y[k + 1] / n}
     duals = [y_theta / params.prior[theta] for y_theta, theta in zip(y, params.thresholds)]
     # Binary actions: one obedience row per (player, rec).
     duals += [obey[rec] for i in game.players for rec in game.actions[i]]
     if optimum.objective == GROSS_WELFARE:
-        return game.bce_polytope.lp(gross_objective(game)), outcome.p, tuple(duals)
+        return game.bce_polytope.program, gross_objective(game), outcome.p, tuple(duals)
     epigraph = {STAY: y[k + 2] / n, ATTACK: y[k + 3] / n}
     duals += [epigraph[a] for i in game.players for a in game.actions[i]]
     t = optimum.solution.point[EPIGRAPH]
     point = {**outcome.p, **{("t", i): t for i in game.players}}
-    return epigraph_lp(game), point, tuple(duals)
+    program = epigraph_lp(game)
+    return program, program.objective, point, tuple(duals)
 
 
 def certify_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGame):
@@ -592,8 +589,8 @@ def certify_full_game(params: RegimeParams, optimum: CountOptimum, game: BaseGam
     value, once ``lp.check_certificate`` proves the lifted point and duals
     (``lift_to_full_game``) optimal on the full game's own program.  A
     failed check raises InternalInvariantError naming the condition."""
-    program, point, duals = lift_to_full_game(params, optimum, game)
-    _lp.check_certificate(program, point, optimum.value, duals)
+    program, objective, point, duals = lift_to_full_game(params, optimum, game)
+    _lp.check_certificate(program, objective, "min", point, optimum.value, duals)
     return optimum.value
 
 

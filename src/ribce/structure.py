@@ -431,7 +431,7 @@ def _separating_functional(target, earlier):
     if not sol.is_optimal:
         raise InternalInvariantError("the separating LP has no optimum")
     if sol.value == 0:
-        sol.verify(lp)
+        sol.verify()
         return None
     h = [sol.point.nums[var] for var in hvars]  # h over the point's denominator D
     # The shift is the largest h·q = H·Q / (D·T_q), and f = h - shift is

@@ -221,9 +221,10 @@ def binary_symmetric_gap_test(game: BaseGame):
             raise InternalInvariantError(f"{name} LP is {sol.status}")
         return sol.value
 
-    symmetric = _lp.phase_one(variables, constraints, space.bounds)
+    symmetric = _lp.phase_one(_lp.LinearProgram(variables, {}, "min", constraints, space.bounds))
     relaxed = minimize(symmetric, uninformed, "relaxed symmetric")
-    face = _lp.phase_one(variables, constraints + [(uninformed, _lp.EQUAL, relaxed)], space.bounds)
+    face_rows = constraints + [(uninformed, _lp.EQUAL, relaxed)]
+    face = _lp.phase_one(_lp.LinearProgram(variables, {}, "min", face_rows, space.bounds))
 
     diagnostics = {"relaxed_value": relaxed, "per_action": {}}
     gap = True

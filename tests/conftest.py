@@ -86,6 +86,38 @@ def optimize_pivots(monkeypatch):
 
 
 @pytest.fixture
+def answers(monkeypatch):
+    """A list that gets each answer ``lp.Polyhedron.optimize`` returns in
+    the test."""
+    out = []
+    optimize = _lp.Polyhedron.optimize
+
+    def keeping(self, *args, **kwargs):
+        sol = optimize(self, *args, **kwargs)
+        out.append(sol)
+        return sol
+
+    monkeypatch.setattr(_lp.Polyhedron, "optimize", keeping)
+    return out
+
+
+@pytest.fixture
+def programs_validated(monkeypatch):
+    """A list that gets each ``lp.LinearProgram`` validated in the test,
+    once per run of its ``__post_init__``: once when it is built, and once
+    more for each copy (``dataclasses.replace``)."""
+    validated = []
+    original = _lp.LinearProgram.__post_init__
+
+    def counting(program):
+        validated.append(program)
+        return original(program)
+
+    monkeypatch.setattr(_lp.LinearProgram, "__post_init__", counting)
+    return validated
+
+
+@pytest.fixture
 def polytopes_built(monkeypatch):
     """A list that gets one entry per ``BcePolytope.of`` call in the test."""
     built = []

@@ -7,8 +7,11 @@ draws relations, bounds and objective freely (all three statuses occur);
 a row; ``infeasible_lp`` contains two contradicting rows; ``unbounded_lp``
 has a recession direction that the objective improves along.
 
-``beale_lp`` is Beale's cycling example.
+``beale_lp`` is Beale's cycling example.  ``with_objective`` writes the
+program a cold ``lp.solve`` of another objective over the same rows runs.
 """
+
+from dataclasses import replace
 
 from ribce.lp import EQUAL, GREATER, LESS, Constraint, LinearProgram
 from ribce.rational import ZERO, Rat
@@ -133,3 +136,11 @@ def beale_lp():
     bounds = {v: (ZERO, None) for v in variables}
     return LinearProgram(variables, objective, "min", constraints, bounds)
 
+
+
+def with_objective(program, objective, sense="min"):
+    """A new program over ``program``'s variables, rows and bounds, under
+    ``objective`` and ``sense``: the one a cold ``lp.solve`` of that
+    objective runs.  For an answer ``sol``, ``with_objective(sol.program,
+    sol.objective, sol.sense)`` is the program it solved."""
+    return replace(program, objective=objective, sense=sense)

@@ -30,6 +30,7 @@ from sample_games import (
     matching_pennies,
     random_game,
 )
+from sample_lps import with_objective
 
 
 def _gross_welfare_objective(game):
@@ -160,7 +161,7 @@ def test_maximize_cell_same_with_shared_polytope():
         cold = BcePolytope.of(g)
         for cell in g.cells():
             shared, shared_value = maximize_cell_over_bce(g, cell)
-            sol = solve(cold.lp({cell: ONE}, "max"))
+            sol = solve(with_objective(cold.program, {cell: ONE}, "max"))
             assert list(shared.p.items()) == list(cold.outcome_from_point(sol.point).p.items())
             assert shared_value == sol.value
         assert g.bce_polytope == cold
@@ -198,6 +199,6 @@ def test_int_rows_match_fraction_builders_on_random_games():
         poly = BcePolytope.of(game)
         want = ref.bce_constraints(game)
         assert len(poly.constraints) == len(want)
-        for (row, relation, rhs), (want_row, want_relation, want_rhs) in zip(poly.constraints, want):
-            ref.assert_same_row(row, want_row)
-            assert (relation, rhs) == (want_relation, want_rhs)
+        for con, (want_row, want_relation, want_rhs) in zip(poly.constraints, want):
+            ref.assert_same_row(con.coeffs, want_row)
+            assert (con.relation, con.rhs) == (want_relation, want_rhs)

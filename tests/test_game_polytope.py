@@ -25,7 +25,27 @@ def test_public_calls_on_one_game_build_one_polytope(polytopes_built, phase_one_
     assert [id(g) for g in polytopes_built] == [id(game)]
     poly = game.bce_polytope
     # The other phase 1 is the epigraph LP of the inattention worst case.
-    assert [args[0] for args in phase_one_calls].count(poly.variables) == 1
+    assert [args[0].variables for args in phase_one_calls].count(poly.variables) == 1
+
+
+def test_public_calls_on_one_game_validate_its_polytope_once(programs_validated, answers):
+    # The polytope's program is validated once, when the polytope is built;
+    # the only other program is the epigraph LP of the inattention worst
+    # case.  Every answer over the polytope carries that one program.
+    game = investment_game(Rat(1, 10))
+    welfare_report(game)
+    max_support_point(game)
+    for i in game.players:
+        for target in game.actions[i]:
+            jeopardization_set(game, i, target)
+    poly = game.bce_polytope
+    assert programs_validated[0] is poly.program
+    assert [program.variables for program in programs_validated] == [
+        poly.variables,
+        poly.variables + tuple(("t", i) for i in game.players),
+    ]
+    over_poly = [sol for sol in answers if sol.program is poly.program]
+    assert len(over_poly) == len(answers) - 1 > len(poly.variables)
 
 
 def test_equal_games_get_their_own_polytopes(polytopes_built):

@@ -1,13 +1,17 @@
+import pathlib
 import random
+import re
+from dataclasses import replace
 from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ribce
 from ribce import lp as _lp
 from ribce import rows
-from ribce.bce import BcePolytope
+from ribce.bce import BcePolytope, maximize_cell_over_bce, minimize_linear_over_bce
 from ribce.errors import ValidationError
 from ribce.lp import IntRow, LinearProgram, solve
 from ribce.rational import ONE, ZERO, Rat
@@ -21,7 +25,7 @@ from sample_games import (
     random_game,
     random_symmetric_binary_game,
 )
-from sample_lps import FAMILIES, beale_lp
+from sample_lps import FAMILIES, beale_lp, with_objective
 
 
 def test_max_with_upper_bound():
@@ -33,7 +37,7 @@ def test_max_with_upper_bound():
     )
     sol = solve(lp)
     assert sol.is_optimal and sol.value == 3
-    sol.verify(lp)
+    sol.verify()
 
 
 def test_infeasible():
@@ -67,7 +71,7 @@ def test_equalities_handled_natively():
     )
     sol = solve(lp)
     assert sol.value == 1 and sol.point["x"] == Rat(2, 3)
-    sol.verify(lp)
+    sol.verify()
 
 
 def test_redundant_rows_dropped_and_still_verifiable():
@@ -78,7 +82,7 @@ def test_redundant_rows_dropped_and_still_verifiable():
     )
     sol = solve(lp)
     assert sol.value == 1 and sol.dropped_rows
-    sol.verify(lp)
+    sol.verify()
 
 
 @pytest.mark.parametrize("rule", ["Bland", "blnad", "", None])
@@ -104,7 +108,7 @@ def test_free_variables_split():
     )
     sol = solve(lp)
     assert sol.value == -5
-    sol.verify(lp)
+    sol.verify()
 
 
 def test_both_rules_agree_on_value():
@@ -113,28 +117,34 @@ def test_both_rules_agree_on_value():
         game = random_game(rng)
         poly = BcePolytope.of(game)
         objective = {cell: Rat(rng.randint(-4, 4)) for cell in poly.variables}
-        a = solve(poly.lp(objective, "min"), rule="dantzig")
-        b = solve(poly.lp(objective, "min"), rule="bland")
+        a = solve(with_objective(poly.program, objective), rule="dantzig")
+        b = solve(with_objective(poly.program, objective), rule="bland")
         assert a.status == b.status == _lp.OPTIMAL
         assert a.value == b.value
 
 
-def test_simplex_matches_vertex_enumeration_oracle():
+def test_simplex_matches_vertex_enumeration_oracle(answers):
     # Independent oracle: enumerate all vertices by double description and
-    # take the best objective value over them.
+    # take the best objective value over them.  The library's optimizers run
+    # on the game's shared polytope, and each answer proves itself optimal.
     rng = random.Random(9)
     for _ in range(12):
         game = random_game(rng, n_actions=2, n_states=2)
-        poly = BcePolytope.of(game)
-        objective = {cell: Rat(rng.randint(-3, 3)) for cell in poly.variables}
-        sol = solve(poly.lp(objective, "min"))
-        sol.verify(poly.lp(objective, "min"))
+        poly = game.bce_polytope
         vertices = enumerate_vertices(poly.variables, poly.constraints, poly.bounds)
         assert vertices, "BCE polytope is never empty"
-        best = min(
-            sum((objective[v] * pt[v] for v in poly.variables), Rat(0)) for pt in vertices
-        )
-        assert sol.value == best
+        objective = {cell: Rat(rng.randint(-3, 3)) for cell in poly.variables}
+        answers.clear()
+        _, value = minimize_linear_over_bce(game, objective)
+        best = min(sum((objective[v] * pt[v] for v in poly.variables), ZERO) for pt in vertices)
+        assert value == best
+        for cell in poly.variables:
+            _, value = maximize_cell_over_bce(game, cell)
+            assert value == max(pt[cell] for pt in vertices), cell
+        assert len(answers) == 1 + len(poly.variables)
+        for sol in answers:
+            assert sol.program is poly.program
+            assert sol.verify()
 
 
 def test_solution_point_satisfies_all_constraints_exactly():
@@ -142,7 +152,7 @@ def test_solution_point_satisfies_all_constraints_exactly():
     game = random_game(rng)
     poly = BcePolytope.of(game)
     objective = {cell: Rat(rng.randint(-4, 4)) for cell in poly.variables}
-    lp = poly.lp(objective, "min")
+    lp = with_objective(poly.program, objective)
     sol = solve(lp)
     for con in lp.constraints:
         lhs = sum((c * sol.point[v] for v, c in con.coeffs.items()), Rat(0))
@@ -289,7 +299,7 @@ def test_standard_form_matches_dense_reference():
     for name, lp in edges.items():
         sol = solve(lp)
         if sol.is_optimal:
-            sol.verify(lp)
+            sol.verify()
     assert solve(edges["fixed variable"]).point == {"x": Rat(5, 2), "y": Rat(2)}
 
 
@@ -346,13 +356,13 @@ def test_bounds_checked_once_per_kind_of_pair(monkeypatch):
             solve(lp(bounds))
 
 
-def _reference_verify_dual(lp, sol):
+def _reference_verify_dual(sol):
     """The former rational dual check, kept as the reference for
     ``LpSolution.verify`` and ``duals``: solve B^T y = c_B by Gauss–Jordan
-    over ``Fraction``s on the surviving standard-form rows, then test every
-    reduced cost c_j - y·A_j."""
-    cols, std_rows, terms, _ = _lp._standard_form(lp)
-    obj = _lp._objective_row(terms, len(cols), _lp._objective_parts(lp.objective), lp.sense)
+    over ``Fraction``s on the surviving standard-form rows of the answer's
+    program, then test every reduced cost c_j - y·A_j of its objective."""
+    cols, std_rows, terms, _ = _lp._standard_form(sol.program)
+    obj = _lp._objective_row(terms, len(cols), _lp._objective_parts(sol.objective), sol.sense)
     surviving = [row for r, row in enumerate(std_rows) if r not in set(sol.dropped_rows)]
     index = {label: j for j, label in enumerate(cols)}
     try:
@@ -379,9 +389,9 @@ def _reference_verify_dual(lp, sol):
             raise _lp.InternalInvariantError(f"dual infeasible at column {label}")
 
 
-def _outcome(check, lp, sol):
+def _outcome(check, sol):
     try:
-        check(lp, sol)
+        check(sol)
     except _lp.InternalInvariantError as exc:
         return str(exc)
     return "ok"
@@ -396,30 +406,25 @@ def _kind(outcome):
 
 
 def _claims(lp, rng):
-    """(kind, program, claimed solution) triples for the dual check: the
-    optimum of ``lp`` and of the same constraints under a second objective,
-    the latter's basis claimed for ``lp`` (feasible, not always optimal),
-    then one of these bases, without a point, with a duplicated label, one
-    label short and an unknown label."""
+    """(kind, claimed solution) pairs for the dual check, each a real answer
+    or one tampered with by ``dataclasses.replace``: the optimum of ``lp``
+    and of the same constraints under a second objective, the latter's
+    point and basis claimed for ``lp``'s objective (feasible, not always
+    optimal), then one of these answers without a point, with a duplicated
+    label, one label short and an unknown label."""
     claims = []
     sol = solve(lp)
     if sol.is_optimal:
-        claims.append(("optimal", lp, sol))
-    second = LinearProgram(
-        lp.variables,
-        {v: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for v in lp.variables},
-        "max" if lp.sense == "min" else "min",
-        lp.constraints,
-        lp.bounds,
-    )
-    other = solve(second)
+        claims.append(("optimal", sol))
+    objective = {v: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for v in lp.variables}
+    other = _lp.phase_one(lp).optimize(objective, "max" if lp.sense == "min" else "min")
     if other.is_optimal:
-        claims.append(("optimal", second, other))
+        claims.append(("optimal", other))
         # The point is feasible and the value is the one it gives under lp's
         # own objective, so only the dual check can reject it.
         value = sum((c * other.point[v] for v, c in lp.objective.items()), ZERO)
-        claim = _lp.LpSolution(_lp.OPTIMAL, other.point, value, other.basis, other.dropped_rows)
-        claims.append(("second objective", lp, claim))
+        claim = replace(other, objective=lp.objective, sense=lp.sense, value=value)
+        claims.append(("second objective", claim))
     base = sol if sol.is_optimal else other if other.is_optimal else None
     if base is not None and base.basis:
         labels = base.basis
@@ -427,8 +432,7 @@ def _claims(lp, rng):
         if len(labels) > 1:
             derived["duplicated"] = labels[:-1] + labels[:1]
         for kind, basis in derived.items():
-            claim = _lp.LpSolution(_lp.OPTIMAL, None, None, basis, base.dropped_rows)
-            claims.append((kind, lp if sol.is_optimal else second, claim))
+            claims.append((kind, replace(base, point=None, value=None, basis=basis)))
     return claims
 
 
@@ -437,16 +441,16 @@ def test_dual_check_matches_gauss_jordan_reference():
     for family_name, family in FAMILIES.items():
         rng = random.Random(f"dual {family_name}")
         for _ in range(40):
-            for kind, lp, claim in _claims(family(rng), rng):
-                want = _outcome(_reference_verify_dual, lp, claim)
+            for kind, claim in _claims(family(rng), rng):
+                want = _outcome(_reference_verify_dual, claim)
                 if claim.point is None:
                     # A basis that does not fit the rows: ``duals`` refuses
                     # it with the reference's message.
-                    assert _outcome(_lp.LpSolution.duals, claim, lp) == want, (family_name, kind)
+                    assert _outcome(_lp.LpSolution.duals, claim) == want, (family_name, kind)
                 else:
                     # ``verify`` names the condition of ``check_certificate``
                     # that fails, so only the verdicts are compared.
-                    got = _outcome(_lp.LpSolution.verify, claim, lp)
+                    got = _outcome(_lp.LpSolution.verify, claim)
                     assert (got == "ok") == (want == "ok"), (family_name, kind, got, want)
                 seen.setdefault(kind, set()).add(_kind(want))
     assert seen["optimal"] == {"ok"}
@@ -465,7 +469,7 @@ def test_verify_accepts_every_optimal_answer_of_redundant_programs(rule):
         lp = FAMILIES["redundant"](random.Random(f"redundant-{seed}"))
         sol = solve(lp, rule=rule)
         if sol.is_optimal:
-            assert sol.verify(lp), seed
+            assert sol.verify(), seed
             optimal += 1
     assert optimal
 
@@ -495,14 +499,14 @@ def test_phase_one_reuse_matches_cold_solve(family, rule):
     statuses = set()
     for seed in range(12):
         lp = FAMILIES[family](random.Random(f"{family}-{seed}"))
-        region = _lp.phase_one(lp.variables, lp.constraints, lp.bounds, rule)
+        region = _lp.phase_one(lp, rule)
         for objective, sense in _objectives(lp, random.Random(f"objectives {family}-{seed}")):
-            program = LinearProgram(lp.variables, objective, sense, lp.constraints, lp.bounds)
+            program = with_objective(lp, objective, sense)
             warm = region.optimize(objective, sense)
             assert _answer(warm) == _answer(solve(program, rule)), (seed, objective, sense)
             assert _answer(region.optimize(objective, sense)) == _answer(warm)
             if warm.is_optimal:
-                assert warm.verify(program)
+                assert warm.verify()
             statuses.add(warm.status)
     expected = {
         "infeasible": {_lp.INFEASIBLE},
@@ -543,7 +547,7 @@ def _proposals(lp, cold, rule):
     from the first of them (the last m columns if neither exists, m the
     number of rows), an unknown label, a repeated column, one column short,
     and its first m - 1 labels with each column outside it."""
-    feasible = solve(LinearProgram(lp.variables, {}, "min", lp.constraints, lp.bounds), rule)
+    feasible = solve(with_objective(lp, {}), rule)
     cols, rows = _lp._standard_form(lp)[:2]
     out = []
     if cold.is_optimal:
@@ -586,7 +590,7 @@ def test_from_basis_accepts_exactly_the_feasible_bases(family, rule, feasible_st
             assert (answer.status, answer.value) == (cold.status, cold.value), (seed, kind)
             if answer.is_optimal:
                 assert answer.dropped_rows == ()
-                assert answer.verify(lp)
+                assert answer.verify()
             if kind == "cold":
                 assert answer.point == cold.point and set(answer.basis) == set(cold.basis)
     refused = {why for _, why in seen} - {"ok"}
@@ -606,7 +610,7 @@ def test_phase_one_infeasible_for_every_objective():
     rng = random.Random(31)
     programs = [FAMILIES["infeasible"](rng) for _ in range(10)] + [_edge_lps()["hi below lo"]]
     for lp in programs:
-        region = _lp.phase_one(lp.variables, lp.constraints, lp.bounds)
+        region = _lp.phase_one(lp)
         assert region.status == _lp.INFEASIBLE
         for objective, sense in _objectives(lp, rng):
             assert region.optimize(objective, sense).status == _lp.INFEASIBLE
@@ -616,7 +620,7 @@ def test_phase_one_unbounded_along_improving_ray():
     rng = random.Random(32)
     for _ in range(10):
         lp = FAMILIES["unbounded"](rng)
-        region = _lp.phase_one(lp.variables, lp.constraints, lp.bounds)
+        region = _lp.phase_one(lp)
         assert region.status == _lp.FEASIBLE
         # The objective has positive weights on nonnegative variables: it
         # grows without bound along the all-ones ray and is bounded below.
@@ -634,7 +638,8 @@ def test_phase_one_unbounded_along_improving_ray():
     ],
 )
 def test_optimize_rejects_what_linear_program_rejects(objective, sense, message):
-    region = _lp.phase_one(("x",), [({"x": Rat(1)}, "<=", Rat(3))], {"x": (Rat(0), None)})
+    rows = [({"x": Rat(1)}, "<=", Rat(3))]
+    region = _lp.phase_one(LinearProgram(("x",), {}, constraints=rows, bounds={"x": (ZERO, None)}))
     with pytest.raises(ValidationError, match=f"^{message}"):
         region.optimize(objective, sense)
     assert region.optimize({"x": Rat(1)}, "max").value == 3
@@ -664,18 +669,20 @@ def test_beale_cycling_example_terminates(monkeypatch, rule):
     assert len(pivots) == {"dantzig": 5, "bland": 6}[rule] < _lp._STALL_LIMIT
     assert sol.is_optimal and sol.value == Rat(-5, 4)
     assert dict(sol.point) == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
-    assert sol.verify(program)
+    assert sol.verify()
 
 
 def test_phase_one_rejects_bad_input():
+    # A program's rows and bounds are validated when it is built; phase 1
+    # checks the rule and rejects what only the standard form can read.
     with pytest.raises(ValidationError, match="unknown pivot rule 'Bland'"):
-        _lp.phase_one(("x",), [], rule="Bland")
+        _lp.phase_one(LinearProgram(("x",), {}), rule="Bland")
     with pytest.raises(ValidationError, match="constraint references unknown variable 'y'"):
-        _lp.phase_one(("x",), [({"y": Rat(1)}, "<=", Rat(3))])
+        _lp.phase_one(LinearProgram(("x",), {}, constraints=[({"y": Rat(1)}, "<=", Rat(3))]))
     with pytest.raises(ValidationError, match="bound on unknown variable 'y'"):
-        _lp.phase_one(("x",), [], {"y": (Rat(0), None)})
+        _lp.phase_one(LinearProgram(("x",), {}, bounds={"y": (Rat(0), None)}))
     with pytest.raises(ValidationError, match="^constraint 0: rhs is not an exact rational"):
-        _lp.phase_one(("x",), [({"x": Rat(1)}, "<=", 0.1)])
+        _lp.phase_one(LinearProgram(("x",), {}, constraints=[({"x": Rat(1)}, "<=", 0.1)]))
 
 
 # Rationals with mixed denominators; zero and negative values are common.
@@ -742,7 +749,7 @@ def test_int_rows_write_and_solve_as_their_rationals(programs):
     got, want = solve(ints), solve(plain)
     assert _answer(got) == _answer(want)
     if got.is_optimal:
-        assert got.verify(ints)
+        assert got.verify()
 
 
 def test_int_row_reads_as_rationals():
@@ -763,9 +770,10 @@ def test_int_row_reads_as_rationals():
 
 
 def _certified(lp, sol):
-    duals = sol.duals(lp)
+    assert sol.program is lp
+    duals = sol.duals()
     assert len(duals) == len(lp.constraints)
-    _lp.check_certificate(lp, sol.point, sol.value, duals)
+    _lp.check_certificate(lp, lp.objective, lp.sense, sol.point, sol.value, duals)
     return duals
 
 
@@ -797,9 +805,9 @@ def test_duals_of_redundant_rows_dropped_in_phase_one_are_zero():
 def _bce_programs(game):
     """The BCE programs a game's worst cases and cell maxima solve."""
     poly = game.bce_polytope
-    yield poly.lp(gross_objective(game))
-    yield poly.lp(gross_objective(game), "max")
-    yield poly.lp({poly.variables[-1]: ONE}, "max")
+    yield with_objective(poly.program, gross_objective(game))
+    yield with_objective(poly.program, gross_objective(game), "max")
+    yield with_objective(poly.program, {poly.variables[-1]: ONE}, "max")
     yield epigraph_lp(game)
 
 
@@ -823,7 +831,7 @@ def test_duals_need_an_optimal_answer():
     sol = solve(lp)
     assert sol.status == _lp.INFEASIBLE
     with pytest.raises(ValidationError, match="^duals need an optimal answer"):
-        sol.duals(lp)
+        sol.duals()
 
 
 def _box_lp(sense="min"):
@@ -857,19 +865,69 @@ def test_check_certificate_names_each_failed_condition():
     ]
     for point, value, duals_claimed, message in tampered:
         with pytest.raises(_lp.InternalInvariantError, match=message):
-            _lp.check_certificate(lp, point, value, duals_claimed)
+            _lp.check_certificate(lp, lp.objective, lp.sense, point, value, duals_claimed)
     # Under max, x + 2y peaks at y = 3 on its upper bound, where d_y > 0.
     top = _box_lp("max")
     sol = solve(top)
     assert sol.value == 10
     _certified(top, sol)
-    free = LinearProgram(top.variables, top.objective, "max", top.constraints, {"x": (ZERO, None)})
+    free = replace(top, bounds={"x": (ZERO, None)})
     message = "^reduced cost of y points at a missing upper bound$"
     with pytest.raises(_lp.InternalInvariantError, match=message):
-        _lp.check_certificate(free, sol.point, sol.value, sol.duals(top))
+        _lp.check_certificate(free, top.objective, "max", sol.point, sol.value, sol.duals())
 
 
 def test_check_certificate_reads_a_point_missing_zero_variables():
     lp = _box_lp()
     sol = solve(lp)
-    _lp.check_certificate(lp, {"x": ONE}, sol.value, sol.duals(lp))
+    _lp.check_certificate(lp, lp.objective, lp.sense, {"x": ONE}, sol.value, sol.duals())
+
+
+# One program per LP: a program is validated once, when built, and every
+# answer carries it; ``phase_one``, ``optimize`` and the certificates read
+# that same object and copy nothing.
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_solve_validates_no_program_of_its_own(family, programs_validated):
+    for seed in range(6):
+        lp = FAMILIES[family](random.Random(f"{family}-{seed}"))
+        programs_validated.clear()
+        sol = solve(lp)
+        assert programs_validated == []
+        assert sol.program is lp
+        assert (sol.objective, sol.sense) == (lp.objective, lp.sense)
+        if sol.is_optimal:
+            assert sol.verify()
+        assert programs_validated == []
+
+
+def _scan(pattern):
+    """``module.function`` (``module.Class.method``) of each line of the
+    package's sources that matches ``pattern``."""
+    src = pathlib.Path(ribce.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        scope = []  # (indent, name) of each enclosing class or def
+        for line in path.read_text().splitlines():
+            indent = len(line) - len(line.lstrip())
+            if line.strip():
+                scope = [(i, name) for i, name in scope if i < indent]
+            match = re.match(r" *(?:class|def) (\w+)", line)
+            if match:
+                scope.append((indent, match.group(1)))
+            if re.search(pattern, line):
+                found.append(".".join([path.stem, *[name for _, name in scope]]))
+    return found
+
+
+def test_only_the_program_builders_build_linear_programs():
+    assert sorted(set(_scan(r"\bLinearProgram\("))) == [
+        "bce.BcePolytope.of",
+        "lp.feasible_point",
+        "regime.CountSpace.program",
+        "structure._separating_functional",
+        "welfare.binary_symmetric_gap_test",
+        "welfare.epigraph_lp",
+    ]
+    assert _scan(r"\bdataclasses\.replace\b|from dataclasses import .*\breplace\b") == []

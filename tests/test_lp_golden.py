@@ -17,14 +17,13 @@ import pathlib
 import random
 
 from ribce import lp as _lp
-from ribce.bce import BcePolytope
 from ribce.rational import Rat
 from ribce.regime import RegimeParams, build_regime_game
 from ribce.welfare import welfare_report, worst_case_exogenous, worst_case_rational_inattention
 
 from count_reference import gross_count_program, regime_reference, uninformed_program
 from sample_games import investment_game
-from sample_lps import FAMILIES
+from sample_lps import FAMILIES, with_objective
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "lp_answers.json"
 REGIME = RegimeParams(
@@ -35,27 +34,22 @@ RULES = ("dantzig", "bland")
 
 
 def _lps_solved_by(run):
-    """Every LP that ``run()`` hands to ``lp.solve``, or solves over a BCE
-    polytope (as ``BcePolytope.lp(objective, sense)``), in call order."""
+    """The program of every answer ``run()`` gets from ``Polyhedron.optimize``
+    (through ``lp.solve`` or over a BCE polytope), under that answer's
+    objective and sense, in call order."""
     seen = []
-    original = _lp.solve
-    original_bce = BcePolytope.solve
+    original = _lp.Polyhedron.optimize
 
-    def capture(lp, rule="dantzig"):
-        seen.append(lp)
-        return original(lp, rule)
+    def capture(poly, objective, sense="min"):
+        sol = original(poly, objective, sense)
+        seen.append(with_objective(sol.program, sol.objective, sol.sense))
+        return sol
 
-    def capture_bce(poly, objective, sense="min"):
-        seen.append(poly.lp(objective, sense))
-        return original_bce(poly, objective, sense)
-
-    _lp.solve = capture
-    BcePolytope.solve = capture_bce
+    _lp.Polyhedron.optimize = capture
     try:
         run()
     finally:
-        _lp.solve = original
-        BcePolytope.solve = original_bce
+        _lp.Polyhedron.optimize = original
     return seen
 
 
@@ -104,7 +98,7 @@ def test_answers_match_golden():
         sol = _lp.solve(lp, rule=rule)
         assert _answer(sol) == golden[name], name
         if sol.is_optimal:
-            assert sol.verify(lp)
+            assert sol.verify()
     statuses = {entry["status"] for entry in golden.values()}
     assert statuses == {_lp.OPTIMAL, _lp.INFEASIBLE, _lp.UNBOUNDED}
     assert any(entry["dropped_rows"] for entry in golden.values())

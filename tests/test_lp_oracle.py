@@ -70,5 +70,5 @@ def test_solver_agrees_with_float_oracle():
         if sol.is_optimal:
             exact = float(sol.value)
             assert abs(exact - value) <= 1e-9 * (1 + abs(exact)), (seed, exact, value)
-            assert sol.verify(lp)
+            assert sol.verify()
     assert seen == {_lp.OPTIMAL, _lp.INFEASIBLE, _lp.UNBOUNDED}

@@ -52,6 +52,7 @@ from count_reference import (
 )
 from row_reference import assert_same_row
 from sample_games import random_symmetric_binary_game
+from sample_lps import with_objective
 
 
 def _params(n=4, k=Rat(1, 2), x=Rat(1), thresholds=(2,), prior=None):
@@ -196,8 +197,8 @@ def test_reduced_lp_matches_closed_form_and_full_lp():
         gross, kernel = exogenous
         assert kernel == CountKernel(n=params.n, q=kernel_g)
         # Each answer carries its own optimality certificate.
-        assert uninformed.solution.verify(uninformed.lp)
-        assert exogenous.solution.verify(exogenous.lp)
+        assert uninformed.solution.verify()
+        assert exogenous.solution.verify()
         g = build_regime_game(params)
         assert gross == worst_case_exogenous(g)[0]
         assert value == worst_case_rational_inattention(g)[0]
@@ -500,21 +501,23 @@ def test_count_space_matches_the_full_game_and_the_standalone_programs(seed):
     assert gross.value == lp.solve(gross_count_program(space)).value
     assert gross.value == lp.solve(gross_count_program(full)).value
     # The free epigraph variable at cost 0 leaves both epigraph duals 0.
-    assert gross.solution.duals(gross.lp)[-2:] == (ZERO, ZERO)
+    assert gross.solution.duals()[-2:] == (ZERO, ZERO)
     # The space's program is the full-width program on the corner columns,
     # its rows in this order.
     program = uninformed_program(full)
     corners = restrict(program, space.variables + (EPIGRAPH,))
     assert space.program == replace(corners, objective={})
-    assert uninformed.lp == corners
+    for optimum in (uninformed, gross):
+        assert optimum.solution.program is space.program
+    assert uninformed.solution.objective == corners.objective
     # Both answers start from the space's proposed basis, not phase 1: the
     # values are a cold solve's of the full-width program, each answer
     # proves itself optimal, and the RI kernel meets the optimality
     # conditions.
     assert uninformed.value == lp.solve(program).value
     assert gross.value == lp.solve(replace(program, objective=full.gross())).value
-    assert uninformed.solution.verify(uninformed.lp)
-    assert gross.solution.verify(gross.lp)
+    assert uninformed.solution.verify()
+    assert gross.solution.verify()
     assert kernel_satisfies_optimality(params, uninformed.kernel)
 
 
@@ -570,8 +573,9 @@ def _assert_cutoff_start(params, feasible_starts, optimize_pivots):
     assert uninformed.value == wlower_closed_form(params)
     assert kernel_satisfies_optimality(params, uninformed.kernel)
     for optimum in (uninformed, gross):
-        assert optimum.value == lp.solve(optimum.lp).value
-        assert optimum.solution.verify(optimum.lp)
+        sol = optimum.solution
+        assert optimum.value == lp.solve(with_objective(sol.program, sol.objective)).value
+        assert optimum.solution.verify()
     assert gap_closed_form(params) == (uninformed.value < gross.value)
     if params.n <= 8:
         game = build_regime_game(params)
@@ -667,9 +671,8 @@ def _gap_quantities(space):
     relaxed = lp.solve(
         lp.LinearProgram(variables, uninformed, constraints=constraints, bounds=space.bounds)
     )
-    face = lp.phase_one(
-        variables, constraints + [(uninformed, lp.EQUAL, relaxed.value)], space.bounds
-    )
+    face_rows = constraints + [(uninformed, lp.EQUAL, relaxed.value)]
+    face = lp.phase_one(lp.LinearProgram(variables, {}, constraints=face_rows, bounds=space.bounds))
     rows = [row for rec in (0, 1) for row in (space.mass(rec), space.obedience(rec))]
     minima = [face.optimize(row) for row in rows]
     return [(sol.status, sol.value) for sol in (relaxed, *minima)]
@@ -692,7 +695,7 @@ def test_corner_space_agrees_with_the_full_width_programs(seed):
     for optimum, costs in ((uninformed, program.objective), (gross, full.gross())):
         cold = lp.solve(replace(program, objective=costs))
         assert cold.is_optimal and optimum.value == cold.value
-        assert optimum.solution.verify(optimum.lp)
+        assert optimum.solution.verify()
     assert kernel_satisfies_optimality(params, uninformed.kernel)
     gap = _gap_quantities(full)
     assert _gap_quantities(space) == gap
@@ -715,7 +718,7 @@ def test_corner_space_agrees_with_the_full_width_programs(seed):
         sol = space.feasible.optimize(costs)
         cold = lp.solve(replace(program, objective=full_costs))
         assert (sol.status, sol.value) == (cold.status, cold.value)
-        assert sol.verify(replace(space.program, objective=costs))
+        assert sol.verify()
     assert _gap_quantities(space) == _gap_quantities(full)
 
 
@@ -785,14 +788,16 @@ def test_lifted_pair_is_the_full_programs_certificate(objective):
     optimum = reduced_symmetric_lp(params, objective)
     assert isinstance(optimum, CountOptimum) and optimum == (optimum.value, optimum.kernel)
     game = build_regime_game(params)
-    program, point, duals = lift_to_full_game(params, optimum, game)
+    program, costs, point, duals = lift_to_full_game(params, optimum, game)
     # Marginals, then obedience and, for the epigraph LP, epigraph rows.
     rows_per_player = 4 if objective == UNINFORMED_WELFARE else 2
     assert len(duals) == len(program.constraints) == 2 + rows_per_player * params.n
-    lp.check_certificate(program, point, optimum.value, duals)
-    # The program is the one the welfare code solves, and its own optimum
-    # has the lifted value.
-    assert lp.solve(program).value == optimum.value
+    lp.check_certificate(program, costs, "min", point, optimum.value, duals)
+    # The program is the one the welfare code solves, and its optimum under
+    # the lifted objective has the lifted value.
+    if objective == GROSS_WELFARE:
+        assert program is game.bce_polytope.program
+    assert lp.solve(with_objective(program, costs)).value == optimum.value
     # b·y is the count value: only the marginal rows have a nonzero rhs.
     assert sum(y * con.rhs for y, con in zip(duals, program.constraints)) == optimum.value
 
@@ -810,12 +815,12 @@ def test_negated_obedience_multiplier_is_refused():
     params = _n6_params()
     optimum = reduced_symmetric_lp(params, GROSS_WELFARE)
     game = build_regime_game(params)
-    program, point, duals = lift_to_full_game(params, optimum, game)
+    program, costs, point, duals = lift_to_full_game(params, optimum, game)
     r = next(r for r in _obedience_rows(params) if duals[r])
     tampered = duals[:r] + (-duals[r],) + duals[r + 1 :]
     message = f"^dual of constraint {r} has the wrong sign$"
     with pytest.raises(InternalInvariantError, match=message):
-        lp.check_certificate(program, point, optimum.value, tampered)
+        lp.check_certificate(program, costs, "min", point, optimum.value, tampered)
 
 
 def test_kernel_mass_moved_to_another_count_is_refused():
@@ -828,9 +833,7 @@ def test_kernel_mass_moved_to_another_count_is_refused():
     moved = dict(optimum.kernel.q)
     del moved[(m, theta)]
     moved[(params.n, theta)] = moved.get((params.n, theta), ZERO) + q
-    tampered = CountOptimum(
-        GROSS_WELFARE, optimum.lp, optimum.solution, CountKernel(n=params.n, q=moved)
-    )
+    tampered = CountOptimum(GROSS_WELFARE, optimum.solution, CountKernel(n=params.n, q=moved))
     message = "^(constraint violated|objective value mismatch)"
     with pytest.raises(InternalInvariantError, match=message):
         certify_full_game(params, tampered, game)
@@ -840,9 +843,9 @@ def test_kernel_mass_moved_to_another_count_is_refused():
 def test_value_off_by_a_thousandth_is_refused(objective):
     params = _n6_params()
     optimum = reduced_symmetric_lp(params, objective)
-    program, point, duals = lift_to_full_game(params, optimum, build_regime_game(params))
+    program, costs, point, duals = lift_to_full_game(params, optimum, build_regime_game(params))
     with pytest.raises(InternalInvariantError, match="^objective value mismatch$"):
-        lp.check_certificate(program, point, optimum.value + Rat(1, 1000), duals)
+        lp.check_certificate(program, costs, "min", point, optimum.value + Rat(1, 1000), duals)
 
 
 def test_full_check_at_n10_certifies_the_count_values(capsys):
@@ -854,3 +857,17 @@ def test_full_check_at_n10_certifies_the_count_values(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["full_game"] == report["worst_case"]
     assert report["full_game"]["rational_inattention"] == report["w_lower_closed_form"]
+
+
+def test_full_check_validates_each_program_once(capsys, programs_validated, answers):
+    # A full-check job validates its count program, then the full game's
+    # BCE program and its epigraph program, each once when built: both
+    # count answers carry the count program, and nothing is copied.
+    argv = ["regime", "--n", "6", "--k", "1/2", "--x", "1/10", "--states", "2,3"]
+    assert cli.main(argv + ["--prior", "1/2,1/2", "--full-check"]) == 0
+    capsys.readouterr()
+    count, full, epigraph = programs_validated
+    assert count.variables[-1] == EPIGRAPH and count.objective == {}
+    assert len(full.variables) == 2**6 * 2 and full.objective == {}
+    assert epigraph.variables == full.variables + tuple(("t", f"i{j}") for j in range(1, 7))
+    assert len(answers) == 2 and all(sol.program is count for sol in answers)

@@ -36,6 +36,7 @@ from sample_games import (
     matching_pennies,
     random_game,
 )
+from sample_lps import with_objective
 
 
 def test_every_action_jeopardizes_itself():
@@ -56,7 +57,8 @@ def test_jeopardizes_same_with_shared_polytope():
             for target in g.actions[i]:
                 for action in g.actions[i]:
                     hit, value, outcome = jeopardizes(g, i, action, target)
-                    sol = solve(cold.lp(obedience_row(g, i, target, action), "max"))
+                    row = obedience_row(g, i, target, action)
+                    sol = solve(with_objective(cold.program, row, "max"))
                     assert (hit, value) == (sol.value == 0, sol.value)
                     want = cold.outcome_from_point(sol.point)
                     assert list(outcome.p.items()) == list(want.p.items())

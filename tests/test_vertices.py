@@ -181,7 +181,8 @@ def _brute_force_vertices(names, constraints, bounds):
     """Every feasible point where some d of the rows (bounds included) are
     tight with a unique solution, by exact elimination on each d-subset."""
     d = len(names)
-    rows = [([c.get(v, 0) for v in names], rel, Rat(rhs)) for c, rel, rhs in constraints]
+    rows = [c if isinstance(c, Constraint) else Constraint(*c) for c in constraints]
+    rows = [([c.coeffs.get(v, 0) for v in names], c.relation, Rat(c.rhs)) for c in rows]
     for j, v in enumerate(names):
         lo, hi = bounds[v]
         unit = [int(k == j) for k in range(d)]
@@ -241,7 +242,7 @@ def _reference_enumerate_vertices(variables, constraints, bounds):
     """
     variables = tuple(variables)
     d = len(variables)
-    constraints = [Constraint(*c) for c in constraints]
+    constraints = [c if isinstance(c, Constraint) else Constraint(*c) for c in constraints]
     alive = []
     if feasible_point(variables, constraints, bounds) is None:
         return [], alive
