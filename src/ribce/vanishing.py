@@ -159,17 +159,30 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome):
     intersect.  Any sBCE sequence converging to the outcome would eventually
     support the pair with distinct beliefs, forcing the shared jeopardizing
     action out of one best-response set; so an obstruction proves the outcome
-    lies outside the closure of the sBCE set."""
+    lies outside the closure of the sBCE set.
+
+    The outcome must be a BCE, as ``check_vce`` has checked by then: the
+    jeopardization tests read its belief tables (``_jeopardizes_at``)."""
     for i in game.players:
-        for a, b in outcome.beliefs(game)[i].distinct_pairs():
+        table = outcome.beliefs(game)[i]
+        for a, b in table.distinct_pairs():
             for c in game.actions[i]:
-                hit_a, _, _ = jeopardizes(game, i, c, a)
-                if not hit_a:
-                    continue
-                hit_b, _, _ = jeopardizes(game, i, c, b)
-                if hit_b:
+                if _jeopardizes_at(game, table, i, c, a) and _jeopardizes_at(game, table, i, c, b):
                     return (i, a, b, c)
     return None
+
+
+def _jeopardizes_at(game: BaseGame, table, player, action, target) -> bool:
+    """``jeopardizes(game, player, action, target)``, with two cases decided
+    on ``table``, the player's belief table at a BCE, and no LP: an action
+    always jeopardizes itself, and a positive obedience slack of (target ->
+    action) at the BCE refutes it, since jeopardizing needs that slack zero
+    over every BCE."""
+    if action == target:
+        return True
+    if table.slack(target, action) > 0:
+        return False
+    return jeopardizes(game, player, action, target)[0]
 
 
 def _verify_certificate(game: BaseGame, outcome: Outcome, cert: VceCertificate):

@@ -8,13 +8,19 @@ a positive multiple of its rational row, which leaves every sign test, every
 canonical ray and every vertex as it would be over the rationals, and the
 initial cone is one fraction-free Gauss–Jordan pass (``rows.pivot_eliminate``).
 
-Incidence lives in bitsets, as in Fukuda & Prodon, "Double description
-method revisited" (1996).  Each ray carries the mask of processed rows it is
-tight at; only the initial rays get it from dot products.  A new ray is a
-positive combination of two rays that are >= 0 on every processed row, so
-its mask is their common mask plus the new row.  Two rays are adjacent when
-no third ray is tight on all of their common rows: the per-row masks of
-tight rays, ANDed over those rows, leave only the pair.
+Incidence is combinatorial, as in Fukuda & Prodon, "Double description
+method revisited" (1996), and costs no dot product.  Each ray carries the
+processed rows it is tight at twice: as a tuple of row indices and as an
+int bitmask of the same rows.  The initial rays are the columns of B⁻¹ for
+the chosen rows B, so ray c is tight at every chosen row but the c-th, and
+their incidence is read off the chosen indices (``_initial_incidence``).  A
+new ray is a positive combination of two rays that are >= 0 on every
+processed row, so it is tight at their common rows plus the new row.  Two
+rays are adjacent when no third ray is tight on all of their common rows.
+A pair with fewer than d-1 common rows (a popcount of the ANDed masks) is
+ruled out at once; for the rest, one set intersection of the two tuples
+names the common rows, and one AND of the per-row masks of tight rays
+over those rows must leave only the pair.
 
 The rows are inserted sparsest first (a stable sort on the nonzero count).
 The order sets how large the intermediate cones grow (Fukuda & Prodon), but
@@ -40,7 +46,9 @@ enumeration on anything beyond desk-size games.
 """
 
 import os
+from functools import reduce
 from math import lcm
+from operator import and_
 
 from . import rows as _rows
 from .errors import DimensionCapExceeded, InternalInvariantError, InvalidParams, UnboundedPolytope
@@ -94,16 +102,12 @@ def _enumerate(variables, constraints, bounds):
     d = len(variables)
     mrows = _homogenize(variables, constraints, bounds)
     chosen, rays = _initial_cone(mrows, d)
+    initial = set(chosen)
 
-    # Each ray carries its incidence: a bitmask of the processed rows it is
-    # tight at.  Only the initial rays need dot products for it.
-    ray_masks = []
-    for ray in rays:
-        mask = 0
-        for idx in chosen:
-            if _rows.dot(mrows[idx], ray) == 0:
-                mask |= 1 << idx
-        ray_masks.append(mask)
+    # Each ray carries its incidence twice: the tuple of processed rows it is
+    # tight at, and the same rows as a bitmask.
+    ray_rows = _initial_incidence(chosen)
+    ray_masks = [sum(1 << idx for idx in tight) for tight in ray_rows]
 
     # Adjacent extreme rays share a 2-face: their common tight set must
     # have rank d-1, so fewer than d-1 common rows rules a pair out
@@ -111,25 +115,35 @@ def _enumerate(variables, constraints, bounds):
     min_common = d - 1
 
     for idx in range(len(mrows)):
-        if idx in chosen:
+        if idx in initial:
             continue
         vals = [_rows.dot(mrows[idx], r) for r in rays]
         plus, zero, minus = [], [], []
         for k, val in enumerate(vals):
             (plus if val > 0 else zero if val == 0 else minus).append(k)
         bit = 1 << idx
-        new_rays = []
-        new_masks = []
+        new_rays, new_rows, new_masks = [], [], []
         by_row = everyone = None
         for kp in plus:
+            mask_p = ray_masks[kp]
+            tight_p = None
             for km in minus:
-                common = ray_masks[kp] & ray_masks[km]
+                common = mask_p & ray_masks[km]
                 if common.bit_count() < min_common:
                     continue
                 if by_row is None:
-                    by_row = _rays_by_row(ray_masks)
+                    # row index -> bitmask of the rays tight at that row
+                    by_row = [0] * len(mrows)
+                    for k, tight in enumerate(ray_rows):
+                        kbit = 1 << k
+                        for row in tight:
+                            by_row[row] |= kbit
                     everyone = (1 << len(rays)) - 1
-                if not _adjacent(common, by_row, everyone, (1 << kp) | (1 << km)):
+                if tight_p is None:
+                    tight_p = set(ray_rows[kp])
+                shared = tight_p.intersection(ray_rows[km])
+                # Adjacent iff no third ray is tight on every common row.
+                if reduce(and_, map(by_row.__getitem__, shared), everyone) != (1 << kp) | (1 << km):
                     continue
                 new_rays.append(
                     _rows.primitive(_rows.row_combine(vals[kp], rays[km], -vals[km], rays[kp]))
@@ -137,7 +151,9 @@ def _enumerate(variables, constraints, bounds):
                 # Both rays are >= 0 on every processed row and the
                 # combination is positive, so it is tight exactly where both
                 # are, and at the new row.
+                new_rows.append((*shared, idx))
                 new_masks.append(common | bit)
+        ray_rows = [ray_rows[k] for k in plus] + [(*ray_rows[k], idx) for k in zero] + new_rows
         ray_masks = [ray_masks[k] for k in plus] + [ray_masks[k] | bit for k in zero] + new_masks
         rays = [rays[k] for k in plus + zero] + new_rays
 
@@ -227,31 +243,12 @@ def _initial_cone(mrows, d):
     return chosen, rays
 
 
-def _rays_by_row(ray_masks):
-    """Transpose ray incidence: a row's bit (1 << row index) -> bitmask of the
-    rays tight at that row."""
-    by_row = {}
-    for k, mask in enumerate(ray_masks):
-        kbit = 1 << k
-        while mask:
-            low = mask & -mask
-            by_row[low] = by_row.get(low, 0) | kbit
-            mask ^= low
-    return by_row
+def _initial_incidence(chosen):
+    """The rows each initial ray is tight at, read off ``chosen`` alone.
 
-
-def _adjacent(common, by_row, everyone, pair):
-    """The combinatorial adjacency test: no ray other than the ``pair`` itself
-    is tight on every row of the pair's ``common`` tight set.  The pair is
-    always among the rays left, so once only it is left the test passes."""
-    left = everyone
-    while common:
-        low = common & -common
-        left &= by_row[low]
-        if left == pair:
-            return True
-        common ^= low
-    return left == pair
+    Ray c solves B·y = p·e_c for the chosen rows B and some p > 0, so it is
+    tight at every chosen row but ``chosen[c]``, where it is positive."""
+    return [tuple(chosen[:c] + chosen[c + 1 :]) for c in range(len(chosen))]
 
 
 def _vertices(rays, variables):

@@ -8,6 +8,7 @@ from hypothesis import settings
 from ribce import games as _games
 from ribce import lp as _lp
 from ribce import representation as _representation
+from ribce import vanishing as _vanishing
 from ribce.bce import BcePolytope
 from ribce.games import BaseGame, BeliefTable
 
@@ -129,6 +130,22 @@ def polytopes_built(monkeypatch):
 
     monkeypatch.setattr(BcePolytope, "of", classmethod(counting))
     return built
+
+
+@pytest.fixture
+def closure_lps(monkeypatch):
+    """A list that gets (player, action, target) for each jeopardization LP
+    (``structure.jeopardizes``) the VCE check's closure obstruction runs in
+    the test."""
+    calls = []
+    original = _vanishing.jeopardizes
+
+    def counting(game, player, action, target):
+        calls.append((player, action, target))
+        return original(game, player, action, target)
+
+    monkeypatch.setattr(_vanishing, "jeopardizes", counting)
+    return calls
 
 
 @pytest.fixture

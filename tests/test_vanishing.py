@@ -3,18 +3,23 @@ import re
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ribce.bce import mix_outcomes
 from ribce.errors import ValidationError
 from ribce.games import Outcome
 from ribce.lp import IntRow
 from ribce.rational import ONE, Rat, ZERO
 from ribce.representation import PartitionProfile, belief_partition
 from ribce.separation import is_sbce
+from ribce.structure import jeopardizes
 from ribce.vanishing import (
     IS_VCE,
     NOT_VCE,
     UNDETERMINED,
     VceCertificate,
+    _closure_obstruction,
     check_vce,
     is_complete_info_nash,
     is_decomposable,
@@ -278,3 +283,74 @@ def test_check_vce_strict_pure_nash_random_games():
         assert verdict.kind == IS_VCE, verdict.reason
         confirmed += 1
     assert confirmed >= 5
+
+
+def _reference_closure_obstruction(game, outcome):
+    """The closure obstruction with one ``jeopardizes`` LP per test, and the
+    number of LPs it ran."""
+    lps = 0
+
+    def hit(i, c, a):
+        nonlocal lps
+        lps += 1
+        return jeopardizes(game, i, c, a)[0]
+
+    for i in game.players:
+        for a, b in outcome.beliefs(game)[i].distinct_pairs():
+            for c in game.actions[i]:
+                if hit(i, c, a) and hit(i, c, b):
+                    return (i, a, b, c), lps
+    return None, lps
+
+
+def _bce_outcome(game, rng, mixed):
+    """A BCE of the game: the maximizer of a drawn objective, or the midpoint
+    of two such maximizers."""
+    poly = game.bce_polytope
+
+    def vertex():
+        return poly.optimum({cell: Rat(rng.randint(-3, 3)) for cell in game.cells()}, "max")[0]
+
+    if not mixed:
+        return vertex()
+    return mix_outcomes(((Rat(1, 2), vertex()), (Rat(1, 2), vertex())))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_actions=st.sampled_from((2, 3)),
+    n_states=st.sampled_from((1, 2)),
+    mixed=st.booleans(),
+)
+# closure_lps is cleared before the call each example counts
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_closure_obstruction_matches_all_lp_reference(
+    closure_lps, seed, n_actions, n_states, mixed
+):
+    # Self-jeopardy and a positive slack at the outcome are decided without
+    # an LP; every answer, witness included, is the all-LP scan's.
+    rng = random.Random(seed)
+    game = random_game(rng, n_actions=n_actions, n_states=n_states)
+    outcome = _bce_outcome(game, rng, mixed)
+    want, reference_lps = _reference_closure_obstruction(game, outcome)
+    closure_lps.clear()
+    assert _closure_obstruction(game, outcome) == want
+    assert len(closure_lps) <= reference_lps
+    # the LPs left are the ones whose slack at the outcome is zero
+    for i, c, a in closure_lps:
+        assert c != a and outcome.beliefs(game)[i].slack(a, c) == 0
+
+
+def test_closure_obstruction_runs_fewer_lps(closure_lps):
+    rng = random.Random(13)
+    found = lps = reference_lps = 0
+    for k in range(40):
+        game = random_game(rng, n_actions=(2, 3), n_states=rng.choice((1, 2)))
+        outcome = _bce_outcome(game, rng, mixed=k % 2 == 1)
+        want, ref = _reference_closure_obstruction(game, outcome)
+        before = len(closure_lps)
+        assert _closure_obstruction(game, outcome) == want
+        found += want is not None
+        lps += len(closure_lps) - before
+        reference_lps += ref
+    assert found and lps < reference_lps / 2, (found, lps, reference_lps)

@@ -292,15 +292,31 @@ def _reference_enumerate_vertices(variables, constraints, bounds):
     return _vx._vertices(rays, variables), alive
 
 
+def _shaped_game(rng, shape, n_states):
+    """The first random game drawn from ``rng`` whose two players have
+    ``shape`` actions, fewest first."""
+    while True:
+        game = random_game(rng, n_actions=(min(shape), max(shape)), n_states=n_states)
+        if sorted(map(len, game.actions.values())) == sorted(shape):
+            return game
+
+
 def _bce_games():
     """The investment game at epsilon 0 and at a drawn epsilon > 0, and
-    seeded random games with 2 players, 2 actions each and 2 or 3 states,
-    by name."""
+    seeded random games with 2 players, by name: 2 actions each with 2 or 3
+    states, and 2×3 and 3×3 games with 1 or 2 states, whose 3-action
+    obedience rows make more degenerate cones."""
     rng = random.Random(9)
     games = [("investment-0", investment_game(0))]
     games.append(("investment-eps", investment_game(Rat(rng.randint(1, 9), 10))))
     games += [(f"2x2x2-{k}", random_game(rng, n_actions=2, n_states=2)) for k in range(4)]
     games += [(f"2x2x3-{k}", random_game(rng, n_actions=2, n_states=3)) for k in range(3)]
+    for shape, n_states in (((2, 3), 1), ((3, 3), 1), ((2, 3), 2)):
+        name = "x".join(map(str, (*shape, n_states)))
+        games += [(f"{name}-{k}", _shaped_game(rng, shape, n_states)) for k in range(2)]
+    # Most 3×3×2 draws have thousands of vertices, which the reference's
+    # scan over every ray takes seconds on; these two have 291 and 80.
+    games += [(f"3x3x2-{s}", random_game(random.Random(s), n_actions=3)) for s in (3, 8)]
     return dict(games)
 
 
@@ -370,13 +386,47 @@ def dot_calls(monkeypatch):
 
 def test_new_rays_cost_no_dot_products(dot_calls):
     # Each processed row is tested once against every ray alive then, and
-    # the d+1 initial rays against the d+1 rows of the initial cone.  The
-    # incidence of a new ray is derived, so it adds no dot products.
+    # nothing else takes a dot product: the incidence of an initial ray is
+    # read off the chosen rows, and that of a new ray off its pair.
     poly = BcePolytope.of(investment_game(0))
     args = (poly.variables, poly.constraints, poly.bounds)
     want, alive = _reference_enumerate_vertices(*args)
     reference_calls = dot_calls[0]
     dot_calls[0] = 0
     assert enumerate_vertices(*args) == want
-    bound = sum(alive) + (len(poly.variables) + 1) ** 2
-    assert dot_calls[0] <= bound < reference_calls
+    assert dot_calls[0] == sum(alive) < reference_calls
+
+
+def _dot_incidence(mrows, chosen, rays):
+    """For each ray, the chosen rows it is tight at, by dot products, and
+    whether it is positive at every other chosen row."""
+    tight = [tuple(idx for idx in chosen if _rows.dot(mrows[idx], ray) == 0) for ray in rays]
+    positive = all(
+        _rows.dot(mrows[idx], ray) > 0
+        for ray, rows in zip(rays, tight)
+        for idx in chosen
+        if idx not in rows
+    )
+    return tight, positive
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("box", "bce")),
+    size=st.sampled_from((2, 3)),
+)
+def test_initial_incidence_is_read_off_the_chosen_rows(seed, kind, size):
+    # Ray c of the initial cone is column c of B^-1 for the chosen rows B:
+    # tight at every chosen row but chosen[c], and positive there.
+    rng = random.Random(seed)
+    if kind == "box":
+        names, constraints, bounds = _random_box_polytope(rng, size)
+        constraints = [Constraint(*c) for c in constraints]
+    else:
+        poly = BcePolytope.of(random_game(rng, n_actions=(2, size), n_states=rng.choice((1, 2))))
+        names, constraints, bounds = poly.variables, poly.constraints, poly.bounds
+    mrows = _vx._homogenize(names, constraints, bounds)
+    chosen, rays = _vx._initial_cone(mrows, len(names))
+    tight, positive = _dot_incidence(mrows, chosen, rays)
+    assert _vx._initial_incidence(chosen) == tight
+    assert positive and all(len(rows) == len(names) for rows in tight)
