@@ -41,9 +41,9 @@ def obedience_row(game: BaseGame, player, rec, dev) -> _lp.IntRow:
     check_action(game, player, dev)
     payoffs = game.payoff_rows[player]
     nums = {}
-    for (opp, state), a, b in zip(payoffs.cells, payoffs.rows[rec], payoffs.rows[dev]):
+    for cell, a, b in zip(payoffs.keys[rec], payoffs.rows[rec], payoffs.rows[dev]):
         if a != b:
-            nums[(game.insert_action(player, rec, opp), state)] = a - b
+            nums[cell] = a - b
     return _lp.IntRow(nums, payoffs.scale)
 
 
@@ -91,17 +91,18 @@ class BcePolytope:
 
     @classmethod
     def of(cls, game: BaseGame) -> "BcePolytope":
-        variables = tuple(game.cells())
+        variables = game.cell_tuple
+        width = len(game.states)
         constraints = []
-        for state in game.states:
-            coeffs = _lp.IntRow({(profile, state): 1 for profile in game.profiles()}, 1)
+        for s, state in enumerate(game.states):
+            coeffs = _lp.IntRow(dict.fromkeys(variables[s::width], 1), 1)
             constraints.append((coeffs, _lp.EQUAL, game.prior[state]))
         for i in game.players:
             for rec in game.actions[i]:
                 for dev in game.actions[i]:
                     if rec != dev:
                         constraints.append((obedience_row(game, i, rec, dev), _lp.GREATER, ZERO))
-        bounds = {v: (ZERO, None) for v in variables}
+        bounds = dict.fromkeys(variables, (ZERO, None))
         return cls(game=game, program=_lp.LinearProgram(variables, {}, "min", constraints, bounds))
 
     # The program's variables, rows and bounds.

@@ -32,12 +32,25 @@ full-information cost bound.  Equal beliefs are decided once per table too:
 and separation, mixing, the perturbation, the canonical cells and VCE
 measurability all read it.  Two games' payoff rows give the distance
 between their utilities (``utility_distance``).
+
+Every row over the game's cells is built from one cell layout.
+``BaseGame.cell_tuple`` holds the (profile, state) cells once, in canonical
+order, and each player's ``PayoffRows`` records where its rows sit among
+them: ``keys[a]``, the game's own cells that action a's row covers, in
+belief-cell order, and ``index``, the belief cell of each game cell, in
+canonical order.  Both are slices of ``cell_tuple`` cut by index arithmetic
+when the payoff rows are built, so a row builder zips a payoff row with
+``keys[a]`` (``bce.obedience_row``, the perturbation's bonus cells) or the
+cells with ``index`` (``deviation_row``, ``welfare.gross_objective``, the
+epigraph rows), with no profile spliced and no cell looked up.  Every such
+row is keyed by the game's own cell objects, as are ``BcePolytope``'s
+variables and marginal rows.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from math import lcm
+from itertools import chain, product
+from math import lcm, prod
 from operator import mul
 from typing import NamedTuple
 from .errors import (
@@ -73,13 +86,20 @@ class BaseGame:
 
     def cells(self):
         """All (profile, state) coordinates, in canonical order."""
-        return product(self.profiles(), self.states)
+        return iter(self.cell_tuple)
+
+    @cached_property
+    def cell_tuple(self) -> tuple:
+        """The cells in canonical order, built on first use and kept (the
+        game is immutable): profile by profile, state by state within each,
+        so cell ``p·|states| + s`` holds profile p and state s.  Every row
+        builder keys its rows with these objects."""
+        return tuple(product(tuple(self.profiles()), self.states))
 
     @cached_property
     def cell_set(self) -> frozenset:
-        """The cells as a set, built on first use and kept (the game is
-        immutable)."""
-        return frozenset(self.cells())
+        """The cells as a set, built on first use and kept."""
+        return frozenset(self.cell_tuple)
 
     def player_index(self, player) -> int:
         return self.players.index(player)
@@ -114,25 +134,48 @@ class BaseGame:
     @cached_property
     def payoff_rows(self) -> dict:
         """player -> ``PayoffRows``, built on first use and kept for the
-        game's lifetime (the game is immutable)."""
+        game's lifetime (the game is immutable).
+
+        The layout is read off ``cell_tuple`` by index arithmetic.  For
+        player k with |A_k| actions, let B and C be the numbers of profiles
+        of the players before and after k and S the number of states, and
+        ``run`` = C·S.  Game cell ((h·|A_k| + a)·C + l)·S + s, for h < B
+        and l < C, holds action a at opponents' profile h·C + l and state
+        s, which is belief cell (h·C + l)·S + s.  So for each h the belief
+        cells h·run to (h+1)·run - 1 of action a are one run of game cells
+        starting at (h·|A_k| + a)·run, and ``keys`` and ``index`` are joined
+        slices of ``cell_tuple`` and of one range.  A missing utility raises
+        ``MissingUtilityEntry`` naming its cell."""
+        cells = self.cell_tuple
+        width = len(self.states)
+        sizes = [len(self.actions[i]) for i in self.players]
+        count = tuple(range(len(cells)))
         table = {}
-        for i in self.players:
-            cells = tuple(self.belief_cells(i))
-            position = {}
+        for k, i in enumerate(self.players):
+            run = width * prod(sizes[k + 1 :])
+            own = sizes[k]
+            before = prod(sizes[:k])
+            starts = [h * own * run for h in range(before)]
+            keys = {
+                a: _joined(cells[start + j * run : start + (j + 1) * run] for start in starts)
+                for j, a in enumerate(self.actions[i])
+            }
+            index = _joined(count[h * run : (h + 1) * run] * own for h in range(before))
+            payoffs = self.utilities.get(i, {})
             utilities = {}
-            for a in self.actions[i]:
-                row = []
-                for idx, (opp, state) in enumerate(cells):
-                    profile = self.insert_action(i, a, opp)
-                    position[(profile, state)] = idx
-                    row.append(self.u(i, profile, state))
-                utilities[a] = row
+            for a, row in keys.items():
+                try:
+                    utilities[a] = [payoffs[cell] for cell in row]
+                except KeyError:
+                    profile, state = next(cell for cell in row if cell not in payoffs)
+                    raise MissingUtilityEntry(f"u[{i}][{profile},{state}]") from None
             scale = lcm(*(q.denominator for row in utilities.values() for q in row))
             rows = {
                 a: tuple(q.numerator * (scale // q.denominator) for q in row)
                 for a, row in utilities.items()
             }
-            table[i] = PayoffRows(scale, rows, cells, position)
+            belief = tuple(self.belief_cells(i))
+            table[i] = PayoffRows(scale, rows, belief, dict(zip(cells, index)), keys, index)
         return table
 
     @cached_property
@@ -144,16 +187,30 @@ class BaseGame:
         return BcePolytope.of(self)
 
 
+def _joined(parts) -> tuple:
+    """The concatenation of tuples."""
+    return tuple(chain.from_iterable(parts))
+
+
 class PayoffRows(NamedTuple):
-    """One player's payoffs as int rows over ``BaseGame.belief_cells``:
+    """One player's payoffs as int rows over ``BaseGame.belief_cells``, and
+    the layout that puts them on the game's cells.
+
     ``rows[a][c]`` is ``scale`` (the lcm of the payoff denominators) times
-    u(a, opp, state) at belief cell c = (opp, state).  ``position`` maps each
-    (profile, state) cell of the game to the index of its belief cell."""
+    u(a, opp, state) at belief cell c = (opp, state).  ``keys[a][c]`` is the
+    game's own cell (an object of ``BaseGame.cell_tuple``) where the player
+    plays a at belief cell c, so a row over belief cells is keyed by
+    zipping it with ``keys[a]``.  ``index[g]`` is the belief cell of the
+    game's g-th cell in canonical order, so a row over the game's cells
+    reads ``rows[a][index[g]]``; ``position`` is the same map keyed by those
+    cells, for cells that come from elsewhere (an outcome's)."""
 
     scale: int
     rows: dict  # action -> tuple of ints
     cells: tuple  # the belief cells, in canonical order
     position: dict  # (profile, state) -> index into ``cells``
+    keys: dict  # action -> the game's cells, in belief-cell order
+    index: tuple  # the belief-cell index of each game cell, in canonical order
 
 
 class BeliefTable:
@@ -402,15 +459,14 @@ def validate_game(game: BaseGame) -> None:
         table = game.utilities.get(i)
         if table is None:
             raise MissingUtilityEntry(f"no utilities for player {i!r}")
-        for profile in game.profiles():
-            for state in game.states:
-                u = table.get((profile, state))
-                if u is None:
-                    raise MissingUtilityEntry(f"u[{i}][{profile},{state}]")
-                if type(u) is not Rat and _inexact(u):
-                    raise ValidationError(
-                        f"u[{i}][{profile},{state}] is not an exact rational: {u!r}"
-                    )
+        for cell in game.cell_tuple:
+            u = table.get(cell)
+            if u is None:
+                raise MissingUtilityEntry(f"u[{i}][{cell[0]},{cell[1]}]")
+            if type(u) is not Rat and _inexact(u):
+                raise ValidationError(
+                    f"u[{i}][{cell[0]},{cell[1]}] is not an exact rational: {u!r}"
+                )
 
 
 def validate_outcome(game: BaseGame, outcome: Outcome) -> None:
@@ -447,12 +503,7 @@ def deviation_row(game: BaseGame, player, action) -> IntRow:
     check_action(game, player, action)
     payoffs = game.payoff_rows[player]
     row = payoffs.rows[action]
-    position = payoffs.position
-    nums = {}
-    for cell in game.cells():
-        x = row[position[cell]]
-        if x:
-            nums[cell] = x
+    nums = {cell: x for cell, c in zip(game.cell_tuple, payoffs.index) if (x := row[c])}
     return IntRow(nums, payoffs.scale)
 
 

@@ -779,9 +779,12 @@ class Polyhedron:
         """Exact optimum of ``objective`` (variable -> exact rational) over
         the polyhedron, with a certified basis; ``sense`` is ``"min"`` or
         ``"max"``.  The stored feasible tableau is left as it was, and the
-        answer carries the polyhedron's program: none is built here."""
-        _check_objective(self._declared, objective, sense)
+        answer carries the polyhedron's program: none is built here.  The
+        program's own objective and sense were checked when it was built, so
+        only another objective or sense is checked here."""
         program = self._program
+        if objective is not program.objective or sense != program.sense:
+            _check_objective(self._declared, objective, sense)
         if self._terms is None:
             return LpSolution(INFEASIBLE, program, objective, sense)
         cols = self._cols

@@ -525,10 +525,9 @@ def separating_perturbation(game: BaseGame, outcome: Outcome, epsilon) -> BaseGa
     for (i, action), (row, den) in bonus.items():
         payoffs = game.payoff_rows[i]
         table = utilities[i]
-        for (opp, state), b, u in zip(payoffs.cells, row, payoffs.rows[action]):
+        for cell, b, u in zip(payoffs.keys[action], row, payoffs.rows[action]):
             if b:
-                profile = game.insert_action(i, action, opp)
-                table[(profile, state)] = Rat(u * den + b * payoffs.scale, payoffs.scale * den)
+                table[cell] = Rat(u * den + b * payoffs.scale, payoffs.scale * den)
     perturbed = BaseGame(
         players=game.players,
         states=game.states,

@@ -22,7 +22,7 @@ from .errors import (
     NotABce,
     NotBinaryAction,
 )
-from .games import BaseGame, Outcome, deviation_row, is_symmetric_game
+from .games import BaseGame, Outcome, is_symmetric_game
 from .rational import ONE, ZERO, Rat
 from .regime import EPIGRAPH, count_space
 
@@ -92,17 +92,12 @@ def gross_objective(game: BaseGame) -> _lp.IntRow:
     players' payoff scales.  The objective of ``worst_case_exogenous``."""
     payoffs = game.payoff_rows
     den = lcm(*[p.scale for p in payoffs.values()])
-    readers = [
-        (game.player_index(i), rows, position, den // scale)
-        for i, (scale, rows, _, position) in payoffs.items()
-    ]
-    nums = {}
-    for cell in game.cells():
-        profile = cell[0]
-        total = sum([up * rows[profile[k]][position[cell]] for k, rows, position, up in readers])
-        if total:
-            nums[cell] = total
-    return _lp.IntRow(nums, den)
+    cells = game.cell_tuple
+    totals = [0] * len(cells)
+    for k, i in enumerate(game.players):
+        rows, index, up = payoffs[i].rows, payoffs[i].index, den // payoffs[i].scale
+        totals = [t + up * rows[cell[0][k]][c] for t, cell, c in zip(totals, cells, index)]
+    return _lp.IntRow({cell: t for cell, t in zip(cells, totals) if t}, den)
 
 
 def worst_case_exogenous(game: BaseGame):
@@ -117,13 +112,15 @@ def epigraph_lp(game: BaseGame) -> _lp.LinearProgram:
     t_i >= ``deviation_row(game, i, a)`` per player i and action a, in
     player and action order, with each t_i = ("t", i) free."""
     poly = game.bce_polytope
+    cells = game.cell_tuple
     constraints = list(poly.constraints)
     for i in game.players:
-        for action in game.actions[i]:
-            payoff = deviation_row(game, i, action)
-            nums = {cell: -x for cell, x in payoff.nums.items()}
-            nums[("t", i)] = payoff.den
-            constraints.append((_lp.IntRow(nums, payoff.den), _lp.GREATER, ZERO))
+        payoffs = game.payoff_rows[i]
+        for row in payoffs.rows.values():
+            # minus deviation_row(game, i, action), read the same way.
+            nums = {cell: -x for cell, c in zip(cells, payoffs.index) if (x := row[c])}
+            nums[("t", i)] = payoffs.scale
+            constraints.append((_lp.IntRow(nums, payoffs.scale), _lp.GREATER, ZERO))
     return _lp.LinearProgram(
         variables=poly.variables + tuple(("t", i) for i in game.players),
         objective={("t", i): ONE for i in game.players},

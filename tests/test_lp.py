@@ -645,6 +645,28 @@ def test_optimize_rejects_what_linear_program_rejects(objective, sense, message)
     assert region.optimize({"x": Rat(1)}, "max").value == 3
 
 
+def test_solve_checks_the_programs_own_objective_once(monkeypatch):
+    # A program's objective and sense are checked when it is built; optimize
+    # checks only an objective object or a sense that is not the program's.
+    checked = []
+    check = _lp._check_objective
+    monkeypatch.setattr(_lp, "_check_objective", lambda *args: checked.append(args) or check(*args))
+    rows = [({"x": Rat(1)}, "<=", Rat(3))]
+    program = LinearProgram(("x",), {"x": Rat(1)}, "max", rows, {"x": (ZERO, None)})
+    assert len(checked) == 1
+    assert solve(program).value == 3
+    assert len(checked) == 1
+    region = _lp.phase_one(program)
+    assert region.optimize(dict(program.objective), "max").value == 3
+    assert region.optimize(program.objective, "min").value == 0
+    assert len(checked) == 3
+    message = "^objective references unknown variable 'y'$"
+    with pytest.raises(ValidationError, match=message):
+        LinearProgram(("x",), {"y": Rat(1)}, constraints=rows)
+    with pytest.raises(ValidationError, match=message):
+        region.optimize({"y": Rat(1)}, "max")
+
+
 def test_unknown_variables_are_named_first_in_key_order():
     rows = [({"x": Rat(1), "z": Rat(1), "y": Rat(1)}, "<=", Rat(3))]
     with pytest.raises(ValidationError, match="^constraint references unknown variable 'z'$"):

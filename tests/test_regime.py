@@ -427,6 +427,7 @@ def test_kernel_to_outcome_matches_profile_scan():
     q = {(4, 3): Rat(1, 2), (0, 2): Rat(1, 4), (1, 3): Rat(1, 2), (6, 2): Rat(3, 4)}
     kernel = CountKernel(n=6, q={**q, (2, 3): ZERO})
     outcome = kernel_to_outcome(params, kernel, game)
+    assert isinstance(outcome.p, lp.IntRow)
     assert list(outcome.p.items()) == list(_reference_kernel_to_outcome(params, kernel).p.items())
     for objective in (UNINFORMED_WELFARE, GROSS_WELFARE):
         _, kernel = reduced_symmetric_lp(params, objective)
