@@ -140,7 +140,7 @@ def minimize_linear_over_bce(game: BaseGame, objective: dict):
     """
     poly = game.bce_polytope
     for key in objective:
-        if key not in poly.bounds:
+        if key not in game.cell_index:
             raise UnknownAction(f"objective references unknown cell {key!r}")
     outcome, value = poly.optimum(objective)
     check = is_bce(game, outcome)

@@ -2,8 +2,8 @@
 
 JSON reports are the canonical output (byte-stable for fixed inputs and
 seed); ``--table`` renders the same data as aligned key/value lines.  Exit
-codes: 0 success, 2 for input or validation problems, 1 for internal
-invariant failures.
+codes: 0 success, 2 for input or validation problems (a file that cannot be
+read or written included), 1 for internal invariant failures.
 """
 
 import argparse
@@ -488,15 +488,13 @@ def main(argv=None) -> int:
     handler = globals()[args.func.__name__]
     try:
         report = handler(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error[file_not_found]: {exc}\n")
-        return 2
-    except ValidationError as exc:
-        sys.stderr.write(f"error[{exc.code}]: {exc}\n")
+    except OSError as exc:
+        code = "file_not_found" if isinstance(exc, FileNotFoundError) else "io"
+        sys.stderr.write(f"error[{code}]: {exc}\n")
         return 2
     except RibceError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
     _emit(args, report)
     return 0
 

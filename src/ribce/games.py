@@ -12,8 +12,8 @@ denominator, and ``lp.int_parts(outcome.p)`` is the one reader of the ints.
 ``validate_outcome``, ``belief_table``, ``payoffs_by_group``,
 ``bce.mix_outcomes`` and ``vanishing.is_complete_info_nash`` read them
 through ``mass_parts``; ``validate_outcome`` checks cells, signs and state
-marginals on them against the game's cached cell set.  Dict outcomes (from
-files, tests and callers) go through the same path.  A mass without an exact
+marginals on them against the game's cached ``cell_index``.  Dict outcomes
+(from files, tests and callers) go through the same path.  A mass without an exact
 numerator and denominator raises ``ValidationError`` naming its cell.
 
 The belief layer runs on ints.  ``BaseGame.payoff_rows``, built once per
@@ -44,7 +44,8 @@ when the payoff rows are built, so a row builder zips a payoff row with
 cells with ``index`` (``deviation_row``, ``welfare.gross_objective``, the
 epigraph rows), with no profile spliced and no cell looked up.  Every such
 row is keyed by the game's own cell objects, as are ``BcePolytope``'s
-variables and marginal rows.
+variables and marginal rows.  A cell from elsewhere (an outcome's) finds
+its place g in ``BaseGame.cell_index`` and its belief cell at ``index[g]``.
 """
 
 from dataclasses import dataclass, field
@@ -97,9 +98,9 @@ class BaseGame:
         return tuple(product(tuple(self.profiles()), self.states))
 
     @cached_property
-    def cell_set(self) -> frozenset:
-        """The cells as a set, built on first use and kept."""
-        return frozenset(self.cell_tuple)
+    def cell_index(self) -> dict:
+        """cell -> its place in ``cell_tuple``, built on first use and kept."""
+        return {cell: g for g, cell in enumerate(self.cell_tuple)}
 
     def player_index(self, player) -> int:
         return self.players.index(player)
@@ -174,8 +175,7 @@ class BaseGame:
                 a: tuple(q.numerator * (scale // q.denominator) for q in row)
                 for a, row in utilities.items()
             }
-            belief = tuple(self.belief_cells(i))
-            table[i] = PayoffRows(scale, rows, belief, dict(zip(cells, index)), keys, index)
+            table[i] = PayoffRows(scale, rows, keys, index)
         return table
 
     @cached_property
@@ -202,13 +202,11 @@ class PayoffRows(NamedTuple):
     plays a at belief cell c, so a row over belief cells is keyed by
     zipping it with ``keys[a]``.  ``index[g]`` is the belief cell of the
     game's g-th cell in canonical order, so a row over the game's cells
-    reads ``rows[a][index[g]]``; ``position`` is the same map keyed by those
-    cells, for cells that come from elsewhere (an outcome's)."""
+    reads ``rows[a][index[g]]``, and a cell from elsewhere (an outcome's)
+    reads ``rows[a][index[game.cell_index[cell]]]``."""
 
     scale: int
     rows: dict  # action -> tuple of ints
-    cells: tuple  # the belief cells, in canonical order
-    position: dict  # (profile, state) -> index into ``cells``
     keys: dict  # action -> the game's cells, in belief-cell order
     index: tuple  # the belief-cell index of each game cell, in canonical order
 
@@ -335,15 +333,15 @@ def belief_table(game: BaseGame, outcome: "Outcome", player) -> BeliefTable:
     the outcome's int masses.  A cell outside the game raises
     ``DimensionMismatch`` naming it."""
     payoffs = game.payoff_rows[player]
-    position = payoffs.position
+    index, where = payoffs.index, game.cell_index
     k = game.player_index(player)
     nums, scale = mass_parts(outcome)
-    size = len(payoffs.cells)
+    size = len(index) // len(payoffs.rows)
     masses = {a: [0] * size for a in game.actions[player]}
     try:
         for cell, x in nums.items():
             if x:
-                masses[cell[0][k]][position[cell]] = x
+                masses[cell[0][k]][index[where[cell]]] = x
     except (KeyError, IndexError):
         raise DimensionMismatch(f"unknown cell {cell!r}") from None
     return BeliefTable(payoffs, scale, masses)
@@ -355,15 +353,15 @@ def payoffs_by_group(game: BaseGame, outcome: "Outcome", player, key):
     that carry mass, as ints over den = D·L (the outcome's denominator times
     the payoff scale).  A cell outside the game raises ``DimensionMismatch``."""
     payoffs = game.payoff_rows[player]
-    position = payoffs.position
+    index, where = payoffs.index, game.cell_index
     nums, scale = mass_parts(outcome)
     groups = {}
     for cell, x in nums.items():
         if not x:
             continue
-        if cell not in position:
+        if cell not in where:
             raise DimensionMismatch(f"unknown cell {cell!r}")
-        c = position[cell]
+        c = index[where[cell]]
         vals = groups.setdefault(key(cell), dict.fromkeys(payoffs.rows, 0))
         for a, row in payoffs.rows.items():
             vals[a] += x * row[c]
@@ -474,7 +472,7 @@ def validate_outcome(game: BaseGame, outcome: Outcome) -> None:
     is >= 0, and each state's masses sum to its prior; raises on the first
     failure: an inexact mass, then cell by cell, then state by state.
     Decided on the int masses."""
-    cells = game.cell_set
+    cells = game.cell_index
     nums, den = mass_parts(outcome)
     totals = dict.fromkeys(game.states, 0)
     for key, x in nums.items():

@@ -146,7 +146,7 @@ def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaViolation(f"{path}: {exc}") from exc
 
 

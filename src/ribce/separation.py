@@ -47,7 +47,7 @@ def conditional_belief(game: BaseGame, outcome: Outcome, player, rec, allow_zero
         raise ZeroProbabilityRecommendation(f"{player!r} never plays {rec!r}")
     belief = {
         cell: Rat(m, mass) if m else ZERO
-        for cell, m in zip(table.payoffs.cells, table.masses[rec])
+        for cell, m in zip(game.belief_cells(player), table.masses[rec])
     }
     return ConditionalBelief(
         owner=player,

@@ -13,8 +13,8 @@ from ribce.rational import ONE, ZERO
 
 
 def payoff_rows(game) -> dict:
-    """player -> (scale, rows, cells, position), the first four fields of
-    ``BaseGame.payoff_rows``."""
+    """player -> (scale, rows, cells, position): ``BaseGame.payoff_rows``'s
+    scale and rows, with the belief cells and the cell -> belief-cell map."""
     table = {}
     for i in game.players:
         cells = tuple(game.belief_cells(i))

@@ -99,7 +99,7 @@ def separating_perturbation(game, outcome, epsilon):
     for i in game.players:
         table = tables[i]
         support = table.support
-        cells = table.payoffs.cells
+        cells = tuple(game.belief_cells(i))
         belief_of = {}
         distinct = []
         for a in support:

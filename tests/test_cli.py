@@ -415,6 +415,30 @@ def test_exit_code_on_missing_file(capsys):
     assert code == 2 and "file_not_found" in err
 
 
+# A file that cannot be read or written is an input problem: exit 2 with the
+# error's code, never a traceback.  ``{dir}`` is a directory.
+@pytest.mark.parametrize(
+    "argv, code_name",
+    [
+        (("welfare", "{bom}"), "schema_violation"),
+        (("check-outcome", "game3x3", "{bom}"), "schema_violation"),
+        (("welfare", "{dir}"), "io"),
+        (("check-outcome", "game3x3", "{dir}"), "io"),
+        (("perturb", "game3x3", "p_half", "--epsilon", "1/10", "--output", "{dir}"), "io"),
+    ],
+)
+def test_unreadable_files_exit_2(files, capsys, tmp_path, argv, code_name):
+    bom = tmp_path / "utf16.json"
+    bom.write_bytes(b"\xff\xfe{\x00}\x00")
+    paths = {**files, "{bom}": bom, "{dir}": tmp_path}
+    code, out, err = _run(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error[{code_name}]: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if code_name == "schema_violation":
+        assert f"{bom}: 'utf-8' codec can't decode" in err
+
+
 def test_exit_code_on_schema_violation(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"players": ["p1"]}')
