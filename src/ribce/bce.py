@@ -13,7 +13,8 @@ Membership of one outcome is decided on ints: ``is_bce`` and
 whose row V[rec] gives every slack of ``rec`` at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -76,18 +77,16 @@ class BcePolytope:
     """LP skeleton of a game's BCE set: one validated ``program`` over the
     (profile, state) cells, with no objective, built once by ``of``.
 
-    ``solve`` optimizes a linear objective over the set.  Phase 1 reads only
-    the constraints, so the first ``solve`` runs it on ``program`` and keeps
-    the feasible tableau (an ``lp.Polyhedron``) for every later objective;
-    each answer carries ``program`` and is the one ``lp.solve`` gives for
-    ``program`` under that objective.  That state is left out of ``repr``
-    and ``==``, and assumes the program no longer changes.
-    ``BaseGame.bce_polytope`` keeps one per game.
+    ``feasible`` is the program's ``lp.Polyhedron``, started by phase 1 on
+    first use and kept for every objective: each answer of ``optimum``
+    carries ``program`` and is the one ``lp.solve`` gives for ``program``
+    under that objective.  It is left out of ``repr`` and ``==``, and
+    assumes the program no longer changes.  ``BaseGame.bce_polytope`` keeps
+    one per game.
     """
 
     game: BaseGame
     program: _lp.LinearProgram
-    _feasible: Optional[_lp.Polyhedron] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, game: BaseGame) -> "BcePolytope":
@@ -110,14 +109,14 @@ class BcePolytope:
     constraints = property(lambda self: self.program.constraints)
     bounds = property(lambda self: self.program.bounds)
 
-    def solve(self, objective: dict, sense: str = "min") -> _lp.LpSolution:
-        if self._feasible is None:
-            self._feasible = _lp.phase_one(self.program)
-        return self._feasible.optimize(objective, sense)
+    @cached_property
+    def feasible(self) -> _lp.Polyhedron:
+        return _lp.Polyhedron(self.program)
 
     def optimum(self, objective: dict, sense: str = "min"):
-        """(optimizer as an outcome, optimal value) of ``solve``."""
-        sol = self.solve(objective, sense)
+        """(optimizer as an outcome, optimal value) of ``objective`` under
+        ``sense`` over the set."""
+        sol = self.feasible.optimize(objective, sense)
         if not sol.is_optimal:
             raise InternalInvariantError(f"BCE polytope should never be {sol.status}")
         return self.outcome_from_point(sol.point), sol.value

@@ -10,7 +10,9 @@ Game files look like::
       "utilities": {"p1": {"a,b|s1": "3/2", ...}, "p2": {...}}
     }
 
-Profile keys join the actions in player order with commas, then "|state".
+Profile keys join the actions in player order with commas, then "|state",
+so no action name may contain "," and no state name "|": reading or writing
+a game with such a name raises ``SchemaViolation``.
 Rationals are "num/den" strings or bare integers; outcomes mirror the layout
 under an "outcome" key with zero cells omitted.
 """
@@ -24,6 +26,19 @@ from .rational import parse_rational, rational_to_json
 
 def _profile_key(profile, state):
     return ",".join(str(a) for a in profile) + "|" + str(state)
+
+
+def _check_key_names(states, actions):
+    """Refuse a name that a cell key cannot carry, since the key separates
+    the actions with "," and the state with "|": an action whose name
+    contains "," or a state whose name contains "|"."""
+    for i, names in actions.items():
+        for a in names:
+            if "," in str(a):
+                raise SchemaViolation(f"action {a!r} of player {i!r} contains ','")
+    for s in states:
+        if "|" in str(s):
+            raise SchemaViolation(f"state {s!r} contains '|'")
 
 
 def _cell_key_parser(game: BaseGame):
@@ -76,6 +91,7 @@ def game_from_dict(data: dict) -> BaseGame:
         actions = {i: _names(data["actions"][str(i)], f"actions of {i!r}") for i in players}
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"malformed game header: {exc}") from exc
+    _check_key_names(states, actions)
     stub = BaseGame(
         players=players, states=states, prior=prior, actions=actions, utilities={}
     )
@@ -102,6 +118,7 @@ def game_from_dict(data: dict) -> BaseGame:
 
 
 def game_to_dict(game: BaseGame) -> dict:
+    _check_key_names(game.states, game.actions)
     return {
         "players": [str(i) for i in game.players],
         "states": [str(s) for s in game.states],

@@ -2,23 +2,20 @@
 
 Two-phase dense simplex, exact throughout.  Everything downstream
 (obedience polytopes, worst-case welfare, jeopardization, separating
-hyperplanes, garbling feasibility, the regime count programs) reduces to
-``phase_one`` or ``Polyhedron.from_basis``, then ``Polyhedron.optimize``.
+hyperplanes, garbling feasibility, the regime count programs) starts a
+``Polyhedron`` on a program's constraints and bounds, then calls
+``Polyhedron.optimize``.
 
-The simplex is split where it first reads the objective.  ``phase_one``
-reads only the constraints and bounds: it writes the standard form, runs
-phase 1, drives the artificials out and drops redundant rows, and keeps the
-feasible tableau in a ``Polyhedron``.  ``Polyhedron.from_basis`` builds the
-same tableau from a basis the caller proposes, pivoted in fraction-free and
-checked exactly (one column per row, B nonsingular, B⁻¹b >= 0), and runs
-phase 1 only when a check fails.  ``Polyhedron.optimize`` writes the
-objective row, runs phase 2 on a copy of that tableau and reads out the
-point, so one start serves every objective over the same constraints.  From
-phase 1's tableau each answer is the one a cold solve gives; from a proposed
-basis it has a cold solve's status and value, at an optimal vertex that may
-differ.  ``solve(lp)`` is ``phase_one(lp).optimize(lp.objective, lp.sense)``:
-a program is validated once, when built, and never copied; the polyhedron
-keeps it, and each answer carries it with its objective and sense.
+The simplex is split where it first reads the objective.  A ``Polyhedron``
+reads only the constraints and bounds: it writes the standard form once,
+starts from the basis the caller proposes when an exact check accepts it
+and by phase 1 otherwise, and keeps the feasible tableau.
+``Polyhedron.optimize`` writes the objective row, runs phase 2 on a copy of
+that tableau and reads out the point, so one start serves every objective
+over the same constraints.  ``solve(lp)`` optimizes ``lp``'s own objective
+from phase 1: a program is validated once, when built, and never copied;
+the polyhedron keeps it, and each answer carries it with its objective and
+sense.
 
 A coefficient row is any mapping from variable to exact rational.  The
 row builders (``regime.CountSpace``, ``bce.obedience_row``,
@@ -51,8 +48,8 @@ Certificates are on demand.  ``LpSolution.duals()`` is the one dual
 computation: one exact dual per constraint of an optimal answer, read off
 the reduced costs of the artificial columns once the basis is pivoted,
 fraction-free, into a fresh standard form that keeps them (``_pivot_in``,
-which also pivots a proposed basis in for ``from_basis``).  Nothing in
-``solve``, ``phase_one`` or ``optimize`` computes them.  ``check_certificate``
+which also pivots in a polyhedron's proposed start).  Nothing in
+``solve``, ``Polyhedron`` or ``optimize`` computes them.  ``check_certificate``
 is the one optimality check: it proves a point and duals optimal for an
 objective over a program's own rows, in one int pass over the nonzero
 entries: bounds, rows, dual signs, every reduced cost, and c·x = dual
@@ -237,7 +234,8 @@ class LpSolution:
         on a free row that holds it, the rows dropped in phase 1 tried last;
         the rows stay positive multiples of the rational ones, so each
         reduced cost has its rational sign, and those of the artificial
-        columns are the duals.  With d = c - yA the reduced costs,
+        columns, negated unless the standard form flipped the row, are the
+        duals.  With d = c - yA the reduced costs,
         c·x = y·Ax + d·x, and ``check_certificate`` proves the answer optimal
         from y.  The rows left free are the redundant ones, which get 0: the
         rows dropped in phase 1.  A basis that does not fit the rows (an
@@ -246,7 +244,7 @@ class LpSolution:
         here, on demand: ``solve`` and ``optimize`` never read the duals."""
         if self.status != OPTIMAL:
             raise ValidationError(f"duals need an optimal answer, not an {self.status} one")
-        cols, rows, terms, shifts = _standard_form(self.program)
+        cols, rows, terms, _, flips = _standard_form(self.program)
         n = len(cols)
         dropped = set(self.dropped_rows)
         free = [r for r in range(len(rows)) if r not in dropped] + sorted(dropped)
@@ -256,7 +254,7 @@ class LpSolution:
         keep = [r for r in range(tab.m) if tab.basis[r] is not None]
         tab = _Tableau([tab.T[r] for r in keep], tab.n, [tab.basis[r] for r in keep])
         # The artificial column of row r has entry 1 in the rational row,
-        # which is the constraint times -1 when its shifted rhs was negative,
+        # which is the constraint times -1 when the standard form flipped it,
         # so its reduced cost is minus that row's dual.  The objective row is
         # the objective times k = den/gcd, negated for max.
         nums, den = parts = _objective_parts(self.objective)
@@ -265,13 +263,7 @@ class LpSolution:
         scale *= den // gcd(den, *nums.values())
         if self.sense != "min":
             scale = -scale
-        duals = []
-        for r, con in enumerate(self.program.constraints):
-            z = reduced[n + r]
-            if _shifted_rhs(con.rhs, *int_parts(con.coeffs), shifts) >= 0:
-                z = -z
-            duals.append(Rat(z, scale))
-        return tuple(duals)
+        return tuple(Rat(z if flip else -z, scale) for z, flip in zip(reduced[n:], flips))
 
 
 def check_certificate(lp: LinearProgram, objective, sense, point, value, duals) -> None:
@@ -382,11 +374,12 @@ def _row_error(lp: LinearProgram, r: int, exc: Exception) -> ValidationError:
 def _standard_form(lp: LinearProgram):
     """Rewrite as min c·y, A y = b (b >= 0), y >= 0, straight into ints.
 
-    Returns (column labels, phase-1 rows, column terms, shifts), or None
-    when a bound pair is inconsistent.  The column terms map each variable
-    to its (column, sign) pairs; ``_objective_row`` writes an objective over
-    them.  The shifts map each variable whose base (its lower bound, else
-    its upper bound, else zero) is not zero to that base.
+    Returns (column labels, phase-1 rows, column terms, shifts, flips), or
+    None when a bound pair is inconsistent.  The column terms map each
+    variable to its (column, sign) pairs; ``_objective_row`` writes an
+    objective over them.  The shifts map each variable whose base (its lower
+    bound, else its upper bound, else zero) is not zero to that base.  The
+    flips hold one bool per constraint: whether its row was negated.
     Columns are the structural ones (``lo``/``hi`` for a variable shifted by
     a bound, ``pos``/``neg`` for a free one) in variable order, then one
     ``slack`` per inequality row.  Rows are the constraints, then
@@ -450,13 +443,20 @@ def _standard_form(lp: LinearProgram):
     width = n + m + 1
 
     rows = []
+    flips = []
     for r, con in enumerate(constraints):
         try:
             nums, den = int_parts(con.coeffs)
-            rhs = _shifted_rhs(con.rhs, nums, den, shifts)
+            rhs = con.rhs
+            if shifts:
+                # Each shifted variable is measured from its base.
+                shift = sum((x * shifts[v] for v, x in nums.items() if x and v in shifts), ZERO)
+                if shift:
+                    rhs = rhs - shift / den
             scale = lcm(den, rhs.denominator)
             rhs_int = int(rhs.numerator * (scale // rhs.denominator))
             flip = rhs < 0
+            flips.append(flip)
         except (AttributeError, TypeError) as exc:
             raise _row_error(lp, r, exc) from None
         up = scale // den
@@ -484,18 +484,7 @@ def _standard_form(lp: LinearProgram):
         slack += 1
         rows.append(row)
 
-    return cols, rows, terms, shifts
-
-
-def _shifted_rhs(rhs, nums, den, shifts):
-    """The rhs of a row with int numerators ``nums`` over ``den`` once each
-    variable in ``shifts`` is measured from its base there; the standard
-    form negates the row when this is negative."""
-    if shifts:
-        shift = sum((x * shifts[v] for v, x in nums.items() if x and v in shifts), ZERO)
-        if shift:
-            return rhs - shift / den
-    return rhs
+    return cols, rows, terms, shifts, flips
 
 
 def _objective_parts(objective):
@@ -649,58 +638,67 @@ def _pivot_in(rows, n, cols, basis, free):
 
 
 class Polyhedron:
-    """The constraints and bounds of a program with a feasible basis, ready
-    to be optimized under any objective.  ``phase_one`` builds one by phase
-    1 from the artificial basis, ``from_basis`` from a basis the caller
-    proposes.
+    """The constraints and bounds of ``program`` with a feasible basis,
+    ready to be optimized under any objective; the program's objective is
+    not read.  ``rule`` is ``"dantzig"`` or ``"bland"`` and holds for both
+    phases; any other raises ``ValidationError``.
+
+    ``start`` proposes a basis, one standard-form column label per row as in
+    ``LpSolution.basis``: ``("lo", v)`` or ``("hi", v)`` for a
+    variable measured from its lower or upper bound, ``("pos", v)`` or
+    ``("neg", v)`` for a part of a free one, and ``("slack", r)`` for the
+    slack of inequality row r, the rows being the constraints in order, then
+    ``v <= hi`` for each doubly bounded variable.  The proposed columns are
+    pivoted into the standard form, fraction-free, one pivot per label on
+    the first free row that is nonzero in its column (``LpSolution.duals``
+    pivots a basis the same way).  The proposal is accepted if every label
+    names a column and there is one per row, if every pivot finds a row, so
+    that B is nonsingular, and if every rhs is then >= 0, so that
+    B⁻¹b >= 0, decided on ints; an accepted start drops no row and runs no
+    phase 1.  An empty or refused ``start`` runs phase 1 from the artificial
+    basis: a wrong proposal costs time, never an answer.  (Bixby,
+    "Implementing the simplex method: the initial basis", ORSA J. Comput.
+    1992.)
 
     ``status`` is ``FEASIBLE`` or ``INFEASIBLE``.  The program, the feasible
     tableau over the structural columns, its basis and the dropped rows are
     stored once and never changed: ``optimize`` runs phase 2 on a copy, so
     from phase 1's basis it makes the pivots, and gives the answer, of a
     cold ``solve`` with that objective, and from a proposed basis an answer
-    with a cold solve's status and value.  So is the base point every
-    read-out starts from: each variable at its lower bound, else at its
-    upper bound, else at zero, as int numerators over one denominator.
+    with a cold solve's status and value, at an optimal vertex that may
+    differ.  So is the base point every read-out starts from: each variable
+    at its lower bound, else at its upper bound, else at zero, as int
+    numerators over one denominator.
     """
 
-    def __init__(self, lp: LinearProgram, rule: str):
-        rows = self._start(lp, rule)
-        if rows is not None:
-            self._phase_one(rows)
-
-    @classmethod
-    def from_basis(cls, program: LinearProgram, basis, rule: str = "dantzig") -> "Polyhedron":
-        """The polyhedron of ``program``'s constraints and bounds, started
-        from ``basis``, with no phase 1 when the proposal passes three exact
-        checks.  ``basis`` holds one standard-form column label per row, as
-        ``LpSolution.basis`` does: ``("lo", v)`` or ``("hi", v)`` for a
-        variable measured from its lower or upper bound, ``("pos", v)`` or
-        ``("neg", v)`` for a part of a free one, and ``("slack", r)`` for
-        the slack of inequality row r, the rows being the constraints in
-        order, then ``v <= hi`` for each doubly bounded variable.
-
-        The proposed columns are pivoted into the standard form,
-        fraction-free, one pivot per label on the first free row that is
-        nonzero in its column (``LpSolution.duals`` pivots a basis the same
-        way).  The proposal is accepted if every label names a column and
-        there is one per row, if every pivot finds a row, so that B is
-        nonsingular, and if every rhs is then >= 0, so that B⁻¹b >= 0,
-        decided on ints.  An accepted start drops no row.  Otherwise phase 1
-        runs, as in ``phase_one``: a wrong proposal costs time, never an
-        answer.  ``program`` is taken as it is, its objective unread, and
-        ``rule`` is as in ``phase_one``.  (Bixby, "Implementing the simplex
-        method: the initial basis", ORSA J. Comput. 1992.)"""
+    def __init__(self, program: LinearProgram, start=(), rule: str = "dantzig"):
         _check_rule(rule)
-        self = cls.__new__(cls)
-        rows = self._start(program, rule)
-        if rows is None:
-            return self
-        n = len(self._cols)
-        if len(basis) == len(rows):
+        self._program = program
+        self._declared = frozenset(program.variables)
+        self._rule = rule
+        self._terms = None
+        std = _standard_form(program)
+        if std is None:
+            self.status = INFEASIBLE
+            return
+        cols, rows, self._terms, shifts, _ = std
+        self._cols = cols
+        # A basic column moves its variable by +-(its value) off the base
+        # point; a slack column moves none.
+        position = {v: k for k, v in enumerate(program.variables)}
+        self._moves = [None] * len(cols)
+        for v, pairs in self._terms.items():
+            for j, sign in pairs:
+                self._moves[j] = (position[v], sign)
+        den = self._base_den = lcm(*[x.denominator for x in shifts.values()])
+        self._base = [0] * len(program.variables)
+        for v, x in shifts.items():
+            self._base[position[v]] = x.numerator * (den // x.denominator)
+        n = len(cols)
+        if start and len(start) == len(rows):
             structural = [row[:n] + row[-1:] for row in rows]
             try:
-                tab, _ = _pivot_in(structural, n, self._cols, basis, range(len(rows)))
+                tab, _ = _pivot_in(structural, n, cols, start, range(len(rows)))
             except InternalInvariantError:
                 tab = None
             # Each basic entry is positive, so B⁻¹b >= 0 is every rhs >= 0.
@@ -708,37 +706,8 @@ class Polyhedron:
                 self.status = FEASIBLE
                 self._dropped = ()
                 self._rows, self._basis = tab.T, tab.basis
-                return self
+                return
         self._phase_one(rows)
-        return self
-
-    def _start(self, lp: LinearProgram, rule: str):
-        """Keep ``lp``, write its standard form and keep what every read-out
-        needs: the columns, their terms, the base point and each column's
-        move off it.  Returns the standard form's rows, or None, with status
-        ``INFEASIBLE``, when a bound pair is inconsistent."""
-        self._program = lp
-        self._declared = frozenset(lp.variables)
-        self._rule = rule
-        self._terms = None
-        std = _standard_form(lp)
-        if std is None:
-            self.status = INFEASIBLE
-            return None
-        cols, rows, self._terms, shifts = std
-        self._cols = cols
-        # A basic column moves its variable by +-(its value) off the base
-        # point; a slack column moves none.
-        position = {v: k for k, v in enumerate(lp.variables)}
-        self._moves = [None] * len(cols)
-        for v, pairs in self._terms.items():
-            for j, sign in pairs:
-                self._moves[j] = (position[v], sign)
-        den = self._base_den = lcm(*[x.denominator for x in shifts.values()])
-        self._base = [0] * len(lp.variables)
-        for v, x in shifts.items():
-            self._base[position[v]] = x.numerator * (den // x.denominator)
-        return rows
 
     def _phase_one(self, rows):
         """Phase 1 on the standard-form ``rows``, from the artificial basis:
@@ -829,20 +798,11 @@ class Polyhedron:
         return LpSolution(OPTIMAL, program, objective, sense, point, value, basis, self._dropped)
 
 
-def phase_one(program: LinearProgram, rule: str = "dantzig") -> Polyhedron:
-    """Phase 1 of the simplex on ``program``'s constraints and bounds alone,
-    its objective unread; the returned ``Polyhedron`` optimizes any
-    objective over them.  ``rule`` is ``"dantzig"`` or ``"bland"`` and holds
-    for both phases; any other raises ``ValidationError``."""
-    _check_rule(rule)
-    return Polyhedron(program, rule)
-
-
 def solve(lp: LinearProgram, rule: str = "dantzig") -> LpSolution:
     """Exact optimum with a certified basis; deterministic for a fixed rule,
     ``"dantzig"`` or ``"bland"`` (any other raises ``ValidationError``).
     The answer carries ``lp`` itself."""
-    return phase_one(lp, rule).optimize(lp.objective, lp.sense)
+    return Polyhedron(lp, rule=rule).optimize(lp.objective, lp.sense)
 
 
 def feasible_point(variables, constraints, bounds=None) -> Optional[dict]:

@@ -28,9 +28,9 @@ worst-case objectives, and each obedience row is built at most once per
 space.  A space also keeps one worst-case program and its feasible start,
 built on first use (``CountSpace.program`` and ``CountSpace.feasible``).
 The regime program's start is its acquired-information optimum in closed
-form, the cutoff kernel (``regime_space``), checked exactly
-(``lp.Polyhedron.from_basis``): no phase 1 runs unless the check fails, and
-the uninformed-welfare objective takes no phase-2 pivot.
+form, the cutoff kernel (``regime_space``), checked exactly when the
+space's ``lp.Polyhedron`` starts from it: no phase 1 runs unless the check
+fails, and the uninformed-welfare objective takes no phase-2 pivot.
 ``reduced_symmetric_lp`` optimizes both objectives from it: the
 uninformed-welfare objective on the program a cold solve would run, with the
 cold solve's value, and the gross objective on the same rows, whose epigraph
@@ -350,12 +350,12 @@ class CountSpace:
     @cached_property
     def feasible(self) -> _lp.Polyhedron:
         """``program``'s polyhedron, built on first use and kept for every
-        objective over it.  It starts from the space's proposed ``start``
-        (``lp.Polyhedron.from_basis``), which the exact check accepts or
-        refuses; a refused or empty proposal runs phase 1 instead.  The
+        objective over it.  It starts from the space's proposed ``start``,
+        which the polyhedron's exact check accepts or refuses; a refused or
+        empty proposal runs phase 1 instead.  The
         regime space proposes the cutoff kernel, the acquired-information
         optimum (``regime_space``)."""
-        return _lp.Polyhedron.from_basis(self.program, self.start)
+        return _lp.Polyhedron(self.program, self.start)
 
 
 def _payoff(params: RegimeParams):
@@ -390,7 +390,7 @@ def regime_space(params: RegimeParams) -> CountSpace:
     the slacks of obedience(1) and obedience(0), the negative part of
     EPIGRAPH, then q(theta+1, theta) below t*, both q(0, t*) and
     q(t*+1, t*), and q(0, theta) above t*; both epigraph rows are tight.
-    ``lp.Polyhedron.from_basis`` checks it exactly."""
+    ``lp.Polyhedron`` checks it exactly."""
     k = len(params.thresholds)
     t_star, _ = params.cutoff
     start = [("slack", k), ("slack", k + 1), ("neg", EPIGRAPH)]

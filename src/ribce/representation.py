@@ -226,9 +226,8 @@ def blackwell_dominates(xi, xi_prime, zeta, prior) -> bool:
     signals = tuple(xi["signals"])
     if tuple(xi_prime["signals"]) != signals:
         raise DimensionMismatch("experiments must share one signal space")
-    conditions = set()
-    for (z_theta, _s) in xi["kernel"]:
-        conditions.add(z_theta)
+    # First-seen order, so the rows do not depend on the hash seed.
+    conditions = dict.fromkeys(z_theta for z_theta, _s in xi["kernel"])
     for (z_theta, _s) in xi_prime["kernel"]:
         if z_theta not in conditions:
             raise DimensionMismatch("experiments must share the (z, theta) grid")

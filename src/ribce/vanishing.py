@@ -162,12 +162,22 @@ def _closure_obstruction(game: BaseGame, outcome: Outcome):
     lies outside the closure of the sBCE set.
 
     The outcome must be a BCE, as ``check_vce`` has checked by then: the
-    jeopardization tests read its belief tables (``_jeopardizes_at``)."""
+    jeopardization tests read its belief tables (``_jeopardizes_at``).  Each
+    (player, action, target) is decided once: an action is in several of a
+    player's distinct pairs."""
+    answers = {}  # (player, action, target) -> _jeopardizes_at
+
+    def jeopardized(i, table, c, target):
+        key = (i, c, target)
+        if key not in answers:
+            answers[key] = _jeopardizes_at(game, table, i, c, target)
+        return answers[key]
+
     for i in game.players:
         table = outcome.beliefs(game)[i]
         for a, b in table.distinct_pairs():
             for c in game.actions[i]:
-                if _jeopardizes_at(game, table, i, c, a) and _jeopardizes_at(game, table, i, c, b):
+                if jeopardized(i, table, c, a) and jeopardized(i, table, c, b):
                     return (i, a, b, c)
     return None
 

@@ -22,7 +22,7 @@ from .errors import (
     NotABce,
     NotBinaryAction,
 )
-from .games import BaseGame, Outcome, is_symmetric_game
+from .games import BaseGame, Outcome, deviation_row, is_symmetric_game
 from .rational import ONE, ZERO, Rat
 from .regime import EPIGRAPH, count_space
 
@@ -112,15 +112,13 @@ def epigraph_lp(game: BaseGame) -> _lp.LinearProgram:
     t_i >= ``deviation_row(game, i, a)`` per player i and action a, in
     player and action order, with each t_i = ("t", i) free."""
     poly = game.bce_polytope
-    cells = game.cell_tuple
     constraints = list(poly.constraints)
     for i in game.players:
-        payoffs = game.payoff_rows[i]
-        for row in payoffs.rows.values():
-            # minus deviation_row(game, i, action), read the same way.
-            nums = {cell: -x for cell, c in zip(cells, payoffs.index) if (x := row[c])}
-            nums[("t", i)] = payoffs.scale
-            constraints.append((_lp.IntRow(nums, payoffs.scale), _lp.GREATER, ZERO))
+        for a in game.actions[i]:
+            row = deviation_row(game, i, a)
+            nums = {cell: -x for cell, x in row.nums.items()}
+            nums[("t", i)] = row.den
+            constraints.append((_lp.IntRow(nums, row.den), _lp.GREATER, ZERO))
     return _lp.LinearProgram(
         variables=poly.variables + tuple(("t", i) for i in game.players),
         objective={("t", i): ONE for i in game.players},
@@ -218,10 +216,10 @@ def binary_symmetric_gap_test(game: BaseGame):
             raise InternalInvariantError(f"{name} LP is {sol.status}")
         return sol.value
 
-    symmetric = _lp.phase_one(_lp.LinearProgram(variables, {}, "min", constraints, space.bounds))
+    symmetric = _lp.Polyhedron(_lp.LinearProgram(variables, {}, "min", constraints, space.bounds))
     relaxed = minimize(symmetric, uninformed, "relaxed symmetric")
     face_rows = constraints + [(uninformed, _lp.EQUAL, relaxed)]
-    face = _lp.phase_one(_lp.LinearProgram(variables, {}, "min", face_rows, space.bounds))
+    face = _lp.Polyhedron(_lp.LinearProgram(variables, {}, "min", face_rows, space.bounds))
 
     diagnostics = {"relaxed_value": relaxed, "per_action": {}}
     gap = True

@@ -24,41 +24,42 @@ settings.load_profile("ribce")
 
 @pytest.fixture
 def phase_one_calls(monkeypatch):
-    """A list that gets one entry per ``lp.phase_one`` call in the test."""
+    """A list that gets one entry per ``lp.Polyhedron`` started with no
+    proposed basis in the test, that is by phase 1: (program, rule)."""
     calls = []
-    original = _lp.phase_one
+    init = _lp.Polyhedron.__init__
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(self, program, start=(), rule="dantzig"):
+        if not start:
+            calls.append((program, rule))
+        init(self, program, start, rule)
 
-    monkeypatch.setattr(_lp, "phase_one", counting)
+    monkeypatch.setattr(_lp.Polyhedron, "__init__", counting)
     return calls
 
 
 @pytest.fixture
 def feasible_starts(monkeypatch):
     """A list that gets one entry per feasible start of an ``lp.Polyhedron``
-    in the test: "phase 1" for each phase 1 run, from ``phase_one`` or a
-    ``Polyhedron.from_basis`` fallback, and "basis" for each proposal that
-    ``from_basis`` accepts."""
+    in the test: "phase 1" for each phase 1 run, with no proposed basis or
+    after a refused one, and "basis" for each proposed basis that the
+    polyhedron accepts."""
     starts = []
     phase_one = _lp.Polyhedron._phase_one
-    from_basis = _lp.Polyhedron.from_basis.__func__
+    init = _lp.Polyhedron.__init__
 
     def counting_phase_one(self, rows):
         starts.append("phase 1")
         return phase_one(self, rows)
 
-    def counting_from_basis(cls, *args, **kwargs):
+    def counting_init(self, program, start=(), rule="dantzig"):
         before = len(starts)
-        poly = from_basis(cls, *args, **kwargs)
-        if len(starts) == before:
+        init(self, program, start, rule)
+        if start and len(starts) == before:
             starts.append("basis")
-        return poly
 
     monkeypatch.setattr(_lp.Polyhedron, "_phase_one", counting_phase_one)
-    monkeypatch.setattr(_lp.Polyhedron, "from_basis", classmethod(counting_from_basis))
+    monkeypatch.setattr(_lp.Polyhedron, "__init__", counting_init)
     return starts
 
 

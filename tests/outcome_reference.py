@@ -38,7 +38,7 @@ def solve(lp: _lp.LinearProgram, rule: str):
     """(point, value) of ``lp.solve`` by the former ``Rat`` read-out: each
     variable at its bound (or zero), moved by every basic value rhs/p; None
     unless the program is optimal."""
-    poly = _lp.phase_one(lp, rule)
+    poly = _lp.Polyhedron(lp, rule=rule)
     if poly.status != _lp.FEASIBLE:
         return None
     cols = poly._cols

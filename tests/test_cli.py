@@ -261,7 +261,7 @@ def test_cli_golden_bytes(files, capsys, name):
 
 
 # (BCE polytopes built, feasible starts) per job, a start being a phase 1
-# run or a proposed basis that ``lp.Polyhedron.from_basis`` accepts.  Each
+# run or a proposed basis that an ``lp.Polyhedron`` accepts.  Each
 # polytope runs phase 1 at most once.  The other starts are the epigraph LP
 # of the inattention worst case (phase 1) and the one count-space program
 # of ``regime`` (its proposed basis), which serves both of its objectives;
@@ -466,6 +466,21 @@ def test_names_that_are_not_a_list_exit_2(capsys, tmp_path, edit, field):
     code, out, err = _run(capsys, "welfare", str(bad))
     assert code == 2 and out == ""
     assert "schema_violation" in err and f"{field} must be a list" in err
+
+
+# A game file whose action name holds the "," that separates a cell key's
+# actions cannot be read back; it is refused by name.
+def test_an_action_name_with_a_comma_exits_2(capsys, tmp_path):
+    data = {
+        "players": ["p1", "p2"], "states": ["s"], "prior": {"s": 1},
+        "actions": {"p1": ["a,x", "b"], "p2": ["c"]},
+        "utilities": {i: {"a,x,c|s": 1, "b,c|s": 0} for i in ("p1", "p2")},
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "welfare", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error[schema_violation]: action 'a,x' of player 'p1' contains ','\n"
 
 
 # A list where an object belongs, in a game or an outcome file.

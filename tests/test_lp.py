@@ -91,7 +91,7 @@ def test_unknown_rule_rejected(rule):
     with pytest.raises(ValidationError, match="unknown pivot rule"):
         solve(lp, rule=rule)
     with pytest.raises(ValidationError, match="unknown pivot rule"):
-        _lp.Polyhedron.from_basis(lp, (("lo", "x"),), rule=rule)
+        _lp.Polyhedron(lp, (("lo", "x"),), rule=rule)
 
 
 def test_unknown_variable_rejected():
@@ -225,7 +225,7 @@ def _assert_matches_reference(lp):
         assert built is None
         return
     cols, col_rows, b, obj = reference
-    got_cols, got_rows, terms, _ = built
+    got_cols, got_rows, terms, _, _ = built
     got_obj = _lp._objective_row(terms, len(got_cols), _lp._objective_parts(lp.objective), lp.sense)
     assert got_cols == cols
     m = len(b)
@@ -293,7 +293,7 @@ def test_standard_form_matches_dense_reference():
     for lp in edges.values():
         _assert_matches_reference(lp)
     # The upper-bound-only case really flips its row: 3/2 (4 - y) >= 1.
-    cols, built, _, _ = _lp._standard_form(edges["upper bound only, negative shifted rhs"])
+    cols, built, _, _, _ = _lp._standard_form(edges["upper bound only, negative shifted rhs"])
     assert cols == [("hi", "x"), ("slack", 0)] and built == [[3, 2, 2, 10]]
     assert solve(edges["hi below lo"]).status == _lp.INFEASIBLE
     for name, lp in edges.items():
@@ -361,7 +361,7 @@ def _reference_verify_dual(sol):
     ``LpSolution.verify`` and ``duals``: solve B^T y = c_B by Gauss–Jordan
     over ``Fraction``s on the surviving standard-form rows of the answer's
     program, then test every reduced cost c_j - y·A_j of its objective."""
-    cols, std_rows, terms, _ = _lp._standard_form(sol.program)
+    cols, std_rows, terms, _, _ = _lp._standard_form(sol.program)
     obj = _lp._objective_row(terms, len(cols), _lp._objective_parts(sol.objective), sol.sense)
     surviving = [row for r, row in enumerate(std_rows) if r not in set(sol.dropped_rows)]
     index = {label: j for j, label in enumerate(cols)}
@@ -417,7 +417,7 @@ def _claims(lp, rng):
     if sol.is_optimal:
         claims.append(("optimal", sol))
     objective = {v: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for v in lp.variables}
-    other = _lp.phase_one(lp).optimize(objective, "max" if lp.sense == "min" else "min")
+    other = _lp.Polyhedron(lp).optimize(objective, "max" if lp.sense == "min" else "min")
     if other.is_optimal:
         claims.append(("optimal", other))
         # The point is feasible and the value is the one it gives under lp's
@@ -499,7 +499,7 @@ def test_phase_one_reuse_matches_cold_solve(family, rule):
     statuses = set()
     for seed in range(12):
         lp = FAMILIES[family](random.Random(f"{family}-{seed}"))
-        region = _lp.phase_one(lp, rule)
+        region = _lp.Polyhedron(lp, rule=rule)
         for objective, sense in _objectives(lp, random.Random(f"objectives {family}-{seed}")):
             program = with_objective(lp, objective, sense)
             warm = region.optimize(objective, sense)
@@ -516,7 +516,7 @@ def test_phase_one_reuse_matches_cold_solve(family, rule):
 
 
 def _reference_basis_check(lp, basis):
-    """Why ``Polyhedron.from_basis`` must refuse ``basis`` for ``lp``, or
+    """Why ``Polyhedron`` must refuse ``basis`` as the start of ``lp``, or
     "ok": on the dense rational standard form, every label must name a
     column, one per row, and Gauss–Jordan over ``Fraction``s must find B
     nonsingular and B⁻¹b >= 0."""
@@ -577,7 +577,7 @@ def test_from_basis_accepts_exactly_the_feasible_bases(family, rule, feasible_st
         cold = solve(lp, rule)
         for kind, basis in _proposals(lp, cold, rule):
             feasible_starts.clear()
-            region = _lp.Polyhedron.from_basis(lp, basis, rule)
+            region = _lp.Polyhedron(lp, basis, rule)
             answer = region.optimize(lp.objective, lp.sense)
             why = _reference_basis_check(lp, basis)
             assert feasible_starts == ["basis" if why == "ok" else "phase 1"], (seed, kind)
@@ -610,7 +610,7 @@ def test_phase_one_infeasible_for_every_objective():
     rng = random.Random(31)
     programs = [FAMILIES["infeasible"](rng) for _ in range(10)] + [_edge_lps()["hi below lo"]]
     for lp in programs:
-        region = _lp.phase_one(lp)
+        region = _lp.Polyhedron(lp)
         assert region.status == _lp.INFEASIBLE
         for objective, sense in _objectives(lp, rng):
             assert region.optimize(objective, sense).status == _lp.INFEASIBLE
@@ -620,7 +620,7 @@ def test_phase_one_unbounded_along_improving_ray():
     rng = random.Random(32)
     for _ in range(10):
         lp = FAMILIES["unbounded"](rng)
-        region = _lp.phase_one(lp)
+        region = _lp.Polyhedron(lp)
         assert region.status == _lp.FEASIBLE
         # The objective has positive weights on nonnegative variables: it
         # grows without bound along the all-ones ray and is bounded below.
@@ -639,7 +639,7 @@ def test_phase_one_unbounded_along_improving_ray():
 )
 def test_optimize_rejects_what_linear_program_rejects(objective, sense, message):
     rows = [({"x": Rat(1)}, "<=", Rat(3))]
-    region = _lp.phase_one(LinearProgram(("x",), {}, constraints=rows, bounds={"x": (ZERO, None)}))
+    region = _lp.Polyhedron(LinearProgram(("x",), {}, constraints=rows, bounds={"x": (ZERO, None)}))
     with pytest.raises(ValidationError, match=f"^{message}"):
         region.optimize(objective, sense)
     assert region.optimize({"x": Rat(1)}, "max").value == 3
@@ -656,7 +656,7 @@ def test_solve_checks_the_programs_own_objective_once(monkeypatch):
     assert len(checked) == 1
     assert solve(program).value == 3
     assert len(checked) == 1
-    region = _lp.phase_one(program)
+    region = _lp.Polyhedron(program)
     assert region.optimize(dict(program.objective), "max").value == 3
     assert region.optimize(program.objective, "min").value == 0
     assert len(checked) == 3
@@ -698,13 +698,13 @@ def test_phase_one_rejects_bad_input():
     # A program's rows and bounds are validated when it is built; phase 1
     # checks the rule and rejects what only the standard form can read.
     with pytest.raises(ValidationError, match="unknown pivot rule 'Bland'"):
-        _lp.phase_one(LinearProgram(("x",), {}), rule="Bland")
+        _lp.Polyhedron(LinearProgram(("x",), {}), rule="Bland")
     with pytest.raises(ValidationError, match="constraint references unknown variable 'y'"):
-        _lp.phase_one(LinearProgram(("x",), {}, constraints=[({"y": Rat(1)}, "<=", Rat(3))]))
+        _lp.Polyhedron(LinearProgram(("x",), {}, constraints=[({"y": Rat(1)}, "<=", Rat(3))]))
     with pytest.raises(ValidationError, match="bound on unknown variable 'y'"):
-        _lp.phase_one(LinearProgram(("x",), {}, bounds={"y": (Rat(0), None)}))
+        _lp.Polyhedron(LinearProgram(("x",), {}, bounds={"y": (Rat(0), None)}))
     with pytest.raises(ValidationError, match="^constraint 0: rhs is not an exact rational"):
-        _lp.phase_one(LinearProgram(("x",), {}, constraints=[({"x": Rat(1)}, "<=", 0.1)]))
+        _lp.Polyhedron(LinearProgram(("x",), {}, constraints=[({"x": Rat(1)}, "<=", 0.1)]))
 
 
 # Rationals with mixed denominators; zero and negative values are common.
@@ -762,7 +762,7 @@ def test_int_rows_write_and_solve_as_their_rationals(programs):
     std = _lp._standard_form(plain)
     assert _lp._standard_form(ints) == std
     if std is not None:
-        cols, _, terms, _ = std
+        cols, _, terms, _, _ = std
         parts = _lp._objective_parts(plain.objective)
         obj = _lp._objective_row(terms, len(cols), parts, plain.sense)
         parts = _lp._objective_parts(ints.objective)
@@ -906,7 +906,7 @@ def test_check_certificate_reads_a_point_missing_zero_variables():
 
 
 # One program per LP: a program is validated once, when built, and every
-# answer carries it; ``phase_one``, ``optimize`` and the certificates read
+# answer carries it; ``Polyhedron``, ``optimize`` and the certificates read
 # that same object and copy nothing.
 
 
@@ -953,3 +953,17 @@ def test_only_the_program_builders_build_linear_programs():
         "welfare.epigraph_lp",
     ]
     assert _scan(r"\bdataclasses\.replace\b|from dataclasses import .*\breplace\b") == []
+
+
+def test_a_polyhedron_starts_one_way():
+    # One constructor, ``Polyhedron(program, start, rule)``: no phase-1
+    # function beside it, no object made by ``__new__`` alone, which would
+    # skip ``__init__``, and the flips of ``_standard_form`` are the only
+    # record of a negated row.
+    assert sorted(set(_scan(r"\bPolyhedron\("))) == [
+        "bce.BcePolytope.feasible",
+        "lp.solve",
+        "regime.CountSpace.feasible",
+        "welfare.binary_symmetric_gap_test",
+    ]
+    assert _scan(r"\bphase_one\b|\bfrom_basis\b|__new__\([\w.]+\)|\b_shifted_rhs\b") == []

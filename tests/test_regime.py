@@ -673,7 +673,7 @@ def _gap_quantities(space):
         lp.LinearProgram(variables, uninformed, constraints=constraints, bounds=space.bounds)
     )
     face_rows = constraints + [(uninformed, lp.EQUAL, relaxed.value)]
-    face = lp.phase_one(lp.LinearProgram(variables, {}, constraints=face_rows, bounds=space.bounds))
+    face = lp.Polyhedron(lp.LinearProgram(variables, {}, constraints=face_rows, bounds=space.bounds))
     rows = [row for rec in (0, 1) for row in (space.mass(rec), space.obedience(rec))]
     minima = [face.optimize(row) for row in rows]
     return [(sol.status, sol.value) for sol in (relaxed, *minima)]

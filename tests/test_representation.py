@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from ribce import lp
 from ribce.errors import DimensionMismatch, NotSeparatedBce, ValidationError
 from ribce.games import make_outcome
 from ribce.rational import ONE, Rat, ZERO
@@ -215,6 +216,33 @@ def test_blackwell_transitive_on_garbling_chain():
     assert blackwell_dominates(full, partial, zeta, prior)
     assert blackwell_dominates(partial, uninformative, zeta, prior)
     assert blackwell_dominates(full, uninformative, zeta, prior)
+
+
+def test_blackwell_rows_follow_the_kernels_first_seen_order(monkeypatch):
+    # The garbling rows of each (z, theta) condition come in the order the
+    # conditions first appear in ``xi``'s kernel, whatever the hash seed.
+    order = (5, 2, 0, 4, 1, 3)
+    signals = ("s1", "s2")
+    zeta = {("z", f"t{k}"): ONE for k in order}
+    prior = {f"t{k}": Rat(1, len(order)) for k in order}
+    xi = _experiment(signals, {(("z", f"t{k}"), "s1"): ONE for k in order})
+    kernel = {}
+    for k in order:
+        kernel[(("z", f"t{k}"), "s1")] = Rat(k, 10)
+        kernel[(("z", f"t{k}"), "s2")] = 1 - Rat(k, 10)
+    xi_prime = _experiment(signals, kernel)
+    handed = []
+
+    def capture(variables, constraints, bounds=None):
+        handed.append(list(constraints))
+        return None
+
+    monkeypatch.setattr(lp, "feasible_point", capture)
+    assert not blackwell_dominates(xi, xi_prime, zeta, prior)
+    [constraints] = handed
+    garbling = constraints[len(signals):]
+    want = [q for k in order for q in (Rat(k, 10), 1 - Rat(k, 10))]
+    assert [rhs for _, _, rhs in garbling] == want
 
 
 def test_blackwell_dimension_mismatch():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ribce.bce import mix_outcomes
+from ribce.bce import max_support_point, mix_outcomes
 from ribce.errors import ValidationError
 from ribce.games import Outcome
 from ribce.lp import IntRow
@@ -336,6 +336,7 @@ def test_closure_obstruction_matches_all_lp_reference(
     closure_lps.clear()
     assert _closure_obstruction(game, outcome) == want
     assert len(closure_lps) <= reference_lps
+    assert len(set(closure_lps)) == len(closure_lps)
     # the LPs left are the ones whose slack at the outcome is zero
     for i, c, a in closure_lps:
         assert c != a and outcome.beliefs(game)[i].slack(a, c) == 0
@@ -354,3 +355,19 @@ def test_closure_obstruction_runs_fewer_lps(closure_lps):
         lps += len(closure_lps) - before
         reference_lps += ref
     assert found and lps < reference_lps / 2, (found, lps, reference_lps)
+
+
+def test_closure_obstruction_decides_each_jeopardization_once(closure_lps):
+    # An action sits in several of a player's distinct pairs, so the same
+    # (player, action, target) comes up again; its LP runs once per
+    # obstruction.  At the max-support point of these games 8 of the 29 LPs
+    # were repeats before.
+    lps = 0
+    for s in range(60):
+        game = random_game(random.Random(s), n_players=2, n_actions=3, n_states=2)
+        outcome = max_support_point(game)
+        closure_lps.clear()
+        _closure_obstruction(game, outcome)
+        assert len(set(closure_lps)) == len(closure_lps), s
+        lps += len(closure_lps)
+    assert lps == 21
